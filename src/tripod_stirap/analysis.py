@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,11 +135,33 @@ def _series_point(traj, value: float, eps: float, t_max_eval: float) -> SweepPoi
                       error=error, stats=dict(traj.stats))
 
 
-def _evaluate_point(cfg: PulseConfig, axis: str, value: float, engine: Engine,
-                    samples: int, eps: float, t_max_eval: float) -> SweepPoint:
-    cfg_pt, gamma_scalar = _point_config(cfg, axis, value)
-    if engine is Engine.MASTER:
-        return _series_point(liouville.integrate(cfg_pt, samples=samples), value, eps, t_max_eval)
+def _failed_point(value: float, exc: TripodError) -> SweepPoint:
+    return SweepPoint(value=float(value), F2_final=math.nan, F2_tmax=math.nan,
+                      T_tr=math.nan, theta_g=math.nan, error=f"{type(exc).__name__}: {exc}")
+
+
+def _master_trajectories(cfgs: list[PulseConfig], samples: int) -> list:
+    """One shared master solve for every point.
+
+    If the shared solve fails, each point is solved alone, so that only the
+    points that fail on their own carry the error (a TripodError in place of
+    their trajectory) and the others keep their values.
+    """
+    try:
+        return liouville.integrate_many(cfgs, samples=samples)
+    except TripodError:
+        out = []
+        for cfg_pt in cfgs:
+            try:
+                out.append(liouville.integrate(cfg_pt, samples=samples))
+            except TripodError as exc:
+                out.append(exc)
+        return out
+
+
+def _evaluate_point(cfg_pt: PulseConfig, gamma_scalar: float | None, value: float,
+                    engine: Engine, samples: int, eps: float,
+                    t_max_eval: float) -> SweepPoint:
     if engine is Engine.EFFECTIVE:
         return _series_point(effective.integrate_suv(cfg_pt, samples=samples), value, eps, t_max_eval)
     # closed-form route: population/coherence formulas plus the lossless
@@ -153,26 +173,23 @@ def _evaluate_point(cfg: PulseConfig, axis: str, value: float, engine: Engine,
                       T_tr=t_tr, theta_g=geometric_phase(cfg_pt), error=None, stats={})
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TRIPOD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
-          samples: int = 2000, eps: float = 0.1, t_max_eval: float | None = None,
-          threads: int | None = None) -> SweepResult:
-    """Evaluate one scalar axis (gamma or tau) point by point.
+          samples: int = 2000, eps: float = 0.1,
+          t_max_eval: float | None = None) -> SweepResult:
+    """Evaluate one scalar axis (gamma or tau) over a grid of points.
 
-    Engine failures are recorded per row instead of aborting the sweep;
-    rows stay ordered by axis value regardless of thread count.
+    The master engine integrates the whole grid as one batch (see
+    liouville.integrate_many); the other engines go point by point.  Engine
+    failures are recorded per row instead of aborting the sweep, and rows
+    stay ordered by axis value.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if values.size > 1 and np.any(np.diff(values) <= 0.0):
         raise ValueError("values must be strictly increasing")
     if engine is Engine.ANALYTIC:
@@ -182,20 +199,20 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
             raise WrongOrdering("analytic engine requires equal dephasing rates")
     if t_max_eval is None:
         t_max_eval = 5.0 * cfg.width
-    if threads is None:
-        threads = default_threads()
+    grid = [_point_config(cfg, axis, value) for value in values]
 
-    def job(value: float) -> SweepPoint:
+    if engine is Engine.MASTER:
+        trajs = _master_trajectories([cfg_pt for cfg_pt, _ in grid], samples)
+        points = [_failed_point(value, traj) if isinstance(traj, TripodError)
+                  else _series_point(traj, value, eps, t_max_eval)
+                  for value, traj in zip(values, trajs)]
+        return SweepResult(axis=axis, values=values, points=points, engine=engine)
+
+    points = []
+    for value, (cfg_pt, gamma_scalar) in zip(values, grid):
         try:
-            return _evaluate_point(cfg, axis, value, engine, samples, eps, t_max_eval)
+            points.append(_evaluate_point(cfg_pt, gamma_scalar, value, engine,
+                                          samples, eps, t_max_eval))
         except TripodError as exc:
-            return SweepPoint(value=float(value), F2_final=math.nan, F2_tmax=math.nan,
-                              T_tr=math.nan, theta_g=math.nan,
-                              error=f"{type(exc).__name__}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(job, values))
-    else:
-        points = [job(v) for v in values]
+            points.append(_failed_point(value, exc))
     return SweepResult(axis=axis, values=values, points=points, engine=engine)

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +151,6 @@ def _write_manifest(path: Path, command: str, entries: dict, outputs: list[dict]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _pmap(fn, values):
-    threads = analysis.default_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
-
-
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -253,21 +244,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- figures
 
-def _final_f2(cfg: PulseConfig, samples: int) -> float:
-    return float(liouville.integrate(cfg, samples=samples).fidelity[-1])
+def _final_f2(cfgs: list[PulseConfig], samples: int) -> list[float]:
+    """Final fidelity of every configuration, from one batched master solve."""
+    return [float(traj.fidelity[-1]) for traj in liouville.integrate_many(cfgs, samples=samples)]
 
 
 def _fig3(s: _Settings, samples: int):
     gammas = s.get("gamma_grid", None, _parse_grid)
     gammas = np.linspace(0.0, 2.0, 9) if gammas is None else np.asarray(gammas, float)
     base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
-
-    def numeric_row(g):
-        traj = liouville.integrate(base.with_updates(gamma=DephasingMatrix.equal(g)),
-                                   samples=samples)
-        return [g, *traj.populations[-1]]
-
-    rows_num = _pmap(numeric_row, gammas)
+    trajs = liouville.integrate_many(
+        [base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas], samples=samples)
+    rows_num = [[g, *traj.populations[-1]] for g, traj in zip(gammas, trajs)]
     rows_ana = []
     for g in gammas:
         p = dk.analytic_dark_observables(g, base, 0.0)[0]
@@ -286,8 +274,8 @@ def _fig4(s: _Settings, samples: int):
     t_max_eval = s.get("t_max_eval", 5.0, float)
     base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
 
-    f2_master = _pmap(lambda g: _final_f2(
-        base.with_updates(gamma=DephasingMatrix.equal(g)), samples), gammas)
+    f2_master = _final_f2([base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas],
+                          samples)
     rows = []
     for g, fm in zip(gammas, f2_master):
         rows.append([g, fm,
@@ -305,12 +293,10 @@ def _fig5(s: _Settings, samples: int, gamma: float, filename: str):
     omegas = s.get("omega0_list", None, _parse_grid)
     omegas = np.array([20.0, 50.0, 100.0, 200.0]) if omegas is None else np.asarray(omegas, float)
 
-    def column(om):
-        return [_final_f2(PulseConfig(ordering=Ordering.OVERLAP, omega0=om, tau=t,
-                                      gamma=DephasingMatrix.equal(gamma)), samples)
-                for t in taus]
-
-    columns = _pmap(column, omegas)
+    f2 = _final_f2([PulseConfig(ordering=Ordering.OVERLAP, omega0=om, tau=t,
+                                gamma=DephasingMatrix.equal(gamma))
+                    for om in omegas for t in taus], samples)
+    columns = np.reshape(f2, (len(omegas), len(taus)))
     header = ["tau"] + [f"f2_omega_{om:g}" for om in omegas]
     analytic = None
     if gamma > 0.0:
@@ -332,14 +318,12 @@ def _gamma_family(s: _Settings, samples: int, ordering: Ordering, taus, filename
     gammas = s.get("gamma_grid", None, _parse_grid)
     gammas = np.linspace(0.0, 2.0, 9) if gammas is None else np.asarray(gammas, float)
 
-    def column(tau):
-        return [_final_f2(PulseConfig(ordering=ordering, omega0=200.0, tau=tau,
-                                      gamma=DephasingMatrix.equal(g)), samples)
-                for g in gammas]
-
-    columns = _pmap(column, taus)
+    f2 = _final_f2([PulseConfig(ordering=ordering, omega0=200.0, tau=tau,
+                                gamma=DephasingMatrix.equal(g))
+                    for g in gammas for tau in taus], samples)
+    table = np.reshape(f2, (len(gammas), len(taus)))
     header = ["gamma"] + [f"f2_tau_{t:g}" for t in taus]
-    rows = [[g] + [col[i] for col in columns] for i, g in enumerate(gammas)]
+    rows = [[g, *table[i]] for i, g in enumerate(gammas)]
     entries = {"ordering": ordering.value, "omega0": 200.0,
                "tau_list": ",".join(f"{t:g}" for t in taus), "samples": samples}
     return [(filename, entries, header, rows)]
@@ -361,10 +345,10 @@ def _transition_family(s: _Settings, samples: int, ordering: Ordering,
 def _fig9a(s: _Settings, samples: int):
     taus = s.get("tau_grid", None, _parse_grid)
     taus = np.array([0.5, 1.0, 1.5]) if taus is None else np.asarray(taus, float)
+    trajs = liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL, omega0=200.0,
+                                                  tau=float(t)) for t in taus], samples=samples)
     rows = []
-    for t in taus:
-        traj = liouville.integrate(PulseConfig(ordering=Ordering.FRACTIONAL,
-                                               omega0=200.0, tau=float(t)), samples=samples)
+    for t, traj in zip(taus, trajs):
         for i in range(len(traj.t)):
             rows.append([t, traj.t[i], traj.fidelity[i]])
     header = ["tau", "t", "f2"]

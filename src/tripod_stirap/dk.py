@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
-from .errors import GammaPole, StepSizeUnderflow, ToleranceNotMet, WrongOrdering, ZeroDelay
+from .errors import GammaPole, WrongOrdering, ZeroDelay
+from .liouville import _solve
 from .pulses import Ordering, PulseConfig, mixing_angles
 
 _EXP_CLAMP = 700.0
@@ -225,12 +226,7 @@ def dk_amplitudes_ode(p: DKParams, span: float = 12.0) -> DKAmplitudes:
         phi = dressing(t)
         return [rate * math.exp(phi) * c_p, -rate * math.exp(-phi) * c_m]
 
-    sol = solve_ivp(rhs, (t0, t1), [0.0, 1.0], method="RK45", rtol=1e-10, atol=1e-13)
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StepSizeUnderflow(msg)
-        raise ToleranceNotMet(msg)
+    sol = _solve(rhs, (t0, t1), [0.0, 1.0], rtol=1e-10, atol=1e-13)
     c_m, c_p = sol.y[0, -1], sol.y[1, -1]
     return DKAmplitudes(U_pp=float(c_p), U_mp=float(c_m))
 

@@ -17,6 +17,7 @@ finite and smooth even where every envelope has underflowed to zero.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +73,8 @@ class DephasingMatrix:
         rates = np.asarray(rates, dtype=float)
         if rates.shape != (4, 4):
             raise ValueError(f"dephasing matrix must be 4x4, got shape {rates.shape}")
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("dephasing rates must be finite")
         if not np.allclose(rates, rates.T, rtol=0.0, atol=1e-12):
             raise ValueError("dephasing matrix must be symmetric")
         if np.any(np.abs(np.diag(rates)) > 1e-12):
@@ -93,6 +96,10 @@ class DephasingMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, DephasingMatrix) and np.array_equal(self._rates, other._rates)
 
+    def __hash__(self) -> int:
+        # hashing the floats, not the bytes, keeps -0.0 and 0.0 equal as in __eq__
+        return hash(tuple(self._rates.ravel().tolist()))
+
     def __repr__(self) -> str:
         return f"DephasingMatrix({self._rates.tolist()!r})"
 
@@ -103,7 +110,8 @@ class DephasingMatrix:
     @classmethod
     def equal(cls, rate: float) -> "DephasingMatrix":
         """All six pairwise rates set to the same value."""
-        rates = float(rate) * (np.ones((4, 4)) - np.eye(4))
+        rates = np.full((4, 4), float(rate))
+        np.fill_diagonal(rates, 0.0)
         return cls(rates)
 
     @classmethod
@@ -151,6 +159,10 @@ class PulseConfig:
     def __post_init__(self):
         if isinstance(self.ordering, str):
             object.__setattr__(self, "ordering", Ordering.parse(self.ordering))
+        for name in ("omega0", "tau", "width", "t_start", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega0 <= 0.0:
             raise ValueError("omega0 must be positive")
         if self.tau < 0.0:

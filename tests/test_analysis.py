@@ -1,4 +1,4 @@
-"""Fidelity metrics, transition-time extraction, sweeps and threading."""
+"""Fidelity metrics, transition-time extraction and sweeps."""
 
 from __future__ import annotations
 
@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from tripod_stirap import analysis, dk
+from tripod_stirap import analysis, dk, liouville
 from tripod_stirap.analysis import (
-    Engine, default_threads, fidelity, fidelity_from_adiabatic, sweep, transition_time,
+    Engine, fidelity, fidelity_from_adiabatic, sweep, transition_time,
 )
-from tripod_stirap.errors import AmbiguousCrossing, NoCrossing, NonHermitianState, WrongOrdering
+from tripod_stirap.errors import (
+    AmbiguousCrossing, NoCrossing, NonHermitianState, StepSizeUnderflow, WrongOrdering,
+)
 from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
 from tripod_stirap.tripod import geometric_phase, target_state
 
@@ -196,24 +198,44 @@ def test_sweep_master_engine_carries_run_stats():
     assert res.points[0].stats["trace_error"] < 1e-7
 
 
-def test_threaded_sweep_matches_the_serial_one():
-    values = [0.0, 0.3, 0.6, 0.9]
-    serial = sweep(_cfg(), "gamma", values, Engine.EFFECTIVE, samples=400, threads=1)
-    threaded = sweep(_cfg(), "gamma", values, Engine.EFFECTIVE, samples=400, threads=3)
-    for a, b in zip(serial.points, threaded.points):
-        assert a.value == b.value
-        assert a.F2_final == b.F2_final
-        assert a.T_tr == b.T_tr or (math.isnan(a.T_tr) and math.isnan(b.T_tr))
+def test_batched_sweep_matches_per_point():
+    # the master engine solves the whole grid in one batch; each row must
+    # agree with its point solved alone to the batch contract's 1e-9
+    values = [1.0, 1.5, 2.0]
+    res = sweep(_cfg(), "tau", values, Engine.MASTER, samples=300)
+    for p in res.points:
+        alone = liouville.integrate(_cfg().with_updates(tau=p.value), samples=300)
+        assert p.error is None
+        assert abs(p.F2_final - alone.fidelity[-1]) < 1e-9
+        assert p.T_tr == pytest.approx(transition_time(alone.t, alone.fidelity, 0.1,
+                                                       Ordering.OVERLAP), abs=1e-6)
 
 
-# ------------------------------------------------------------------- threading
+def test_sweep_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        sweep(_cfg(), "gamma", [0.0, math.nan], Engine.MASTER)
 
-def test_default_threads_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("TRIPOD_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("TRIPOD_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("TRIPOD_THREADS", "0")
-    assert default_threads() == 1
-    monkeypatch.setenv("TRIPOD_THREADS", "not-a-number")
-    assert default_threads() == 1
+
+def test_failing_member_is_reported_on_its_own_row(monkeypatch):
+    # poison the derivative of one member past mid-window: the shared solve
+    # fails, and the fallback solves each point alone, so only that row
+    # carries the error
+    values = [0.25, 0.5, 0.75]
+    clean = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
+    rhs = liouville.rhs_bare
+
+    def poisoned(t, rho, batch):
+        out = rhs(t, rho, batch)
+        rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
+        out[(rates == 0.5) & (t > 0.0)] = np.nan
+        return out
+
+    monkeypatch.setattr(liouville, "rhs_bare", poisoned)
+    res = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
+    low, bad, high = res.points
+    assert bad.error.startswith(StepSizeUnderflow.__name__)
+    assert math.isnan(bad.F2_final) and math.isnan(bad.T_tr)
+    for p, ref in ((low, clean.points[0]), (high, clean.points[2])):
+        assert p.error == ref.error
+        assert abs(p.F2_final - ref.F2_final) < 1e-9
+        assert abs(p.F2_tmax - ref.F2_tmax) < 1e-9

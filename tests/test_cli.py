@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from tripod_stirap import liouville
 from tripod_stirap.cli import main
+from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
 
 SIM_HEADER = ("t,rho11,rho22,rho33,rho44,rho_a11,rho_a22,rho_a33,rho_a44,"
               "re_rho_a12,im_rho_a12,F2")
@@ -334,15 +337,39 @@ def test_figures_are_deterministic(tmp_path):
     assert (d1 / "fig3_analytic.csv").read_bytes() == (d2 / "fig3_analytic.csv").read_bytes()
 
 
-def test_threaded_figures_match_serial(tmp_path, monkeypatch):
-    d1, d2 = tmp_path / "serial", tmp_path / "threaded"
-    monkeypatch.setenv("TRIPOD_THREADS", "1")
+def test_batched_figures_match_per_point(tmp_path):
+    # a figure integrates its whole grid in one batch; every cell must agree
+    # with its point solved alone to the batch contract's 1e-9
+    gammas = (0.0, 0.5)
     assert main(["figures", "fig3", "--gamma-grid", "0,0.5", "--samples", "200",
-                 "--out-dir", str(d1)]) == 0
-    monkeypatch.setenv("TRIPOD_THREADS", "2")
-    assert main(["figures", "fig3", "--gamma-grid", "0,0.5", "--samples", "200",
-                 "--out-dir", str(d2)]) == 0
-    assert (d1 / "fig3_numeric.csv").read_bytes() == (d2 / "fig3_numeric.csv").read_bytes()
+                 "--out-dir", str(tmp_path)]) == 0
+    _, _, rows = _read_csv(tmp_path / "fig3_numeric.csv")
+    base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
+    for g, row in zip(gammas, rows):
+        alone = liouville.integrate(base.with_updates(gamma=DephasingMatrix.equal(g)),
+                                    samples=200)
+        assert np.max(np.abs(np.array(row[1:], float) - alone.populations[-1])) < 1e-9
+
+
+def test_mixed_batch_figure_is_byte_identical_across_runs(tmp_path):
+    d1, d2 = tmp_path / "one", tmp_path / "two"
+    for d in (d1, d2):
+        assert main(["figures", "fig5b", "--tau-grid", "1.0,1.5", "--omega0-list", "20,50",
+                     "--samples", "100", "--out-dir", str(d)]) == 0
+    assert (d1 / "fig5b.csv").read_bytes() == (d2 / "fig5b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--omega0", "--tau", "--width", "--t-start", "--t-end",
+                                  "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_inputs_exit_2_at_once(tmp_path, capsys, flag, value):
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--ordering", "overlap", flag, value,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+    assert not (tmp_path / "x.csv").exists()
 
 
 # --------------------------------------------------------------- config file

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tripod_stirap import liouville
-from tripod_stirap.liouville import Basis, dissipator, rhs_adiabatic, rhs_bare
-from tripod_stirap.pulses import DephasingMatrix, PulseConfig
-from tripod_stirap.tripod import adiabatic_frame
+from tripod_stirap.liouville import Basis, Batch, dissipator, rhs_adiabatic, rhs_bare
+from tripod_stirap.pulses import DephasingMatrix, PulseConfig, pulse_envelopes
+from tripod_stirap.tripod import adiabatic_frame, hamiltonian
 
 
 def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
@@ -76,6 +76,61 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed):
                 - (w @ rho_a - rho_a @ w))
     got = rhs_adiabatic(t, rho_a, cfg)
     assert np.max(np.abs(got - expected)) < 1e-7 * cfg.omega0
+
+
+@given(t=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_superoperators_reproduce_the_commutator(t, seed):
+    # sum_k Omega_k L_k vec(rho) is vec(-i [H, rho]) with the assembled Hamiltonian
+    rng = np.random.default_rng(seed)
+    cfg = _cfg()
+    rho = _random_hermitian(rng)
+    op, os_, oc = pulse_envelopes(t, cfg)
+    drive = op * liouville.L_PUMP + os_ * liouville.L_STOKES + oc * liouville.L_CONTROL
+    h = hamiltonian(t, cfg)
+    expected = -1j * (h @ rho - rho @ h)
+    assert np.max(np.abs(drive @ rho.ravel() - expected.ravel())) < 1e-12 * cfg.omega0
+
+
+def test_batched_rhs_matches_each_member(rng):
+    cfgs = [_cfg().with_updates(ordering=o, tau=tau, omega0=om, gamma=_random_gamma(rng))
+            for o, tau, om in (("overlap", 1.5, 50.0), ("scp", 0.5, 80.0),
+                               ("fractional", 2.0, 20.0))]
+    t = np.array([-0.7, 0.1, 1.3])
+    rho = np.stack([_random_hermitian(rng) for _ in cfgs])
+    got = rhs_bare(t, rho, Batch.of(cfgs))
+    for b, cfg in enumerate(cfgs):
+        assert np.max(np.abs(got[b] - rhs_bare(t[b], rho[b], cfg))) < 1e-15 * cfg.omega0
+
+
+def test_mixed_batch_matches_batch_of_one_solves():
+    # orderings, delays, dephasing rates and peak Rabi frequencies differ, so
+    # the windows and the stiffness differ; every member must land within
+    # 1e-9 of its own solve and keep its own exact sampling grid
+    cfgs = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
+            for o, om, tau, g in (("overlap", 50.0, 1.5, 0.5), ("scp", 50.0, 1.0, 1.0),
+                                  ("fractional", 30.0, 0.75, 0.0), ("csp", 60.0, 2.0, 2.0))]
+    batch = liouville.integrate_many(cfgs, samples=60)
+    for cfg, traj in zip(cfgs, batch):
+        alone = liouville.integrate(cfg, samples=60)
+        assert traj.cfg is cfg
+        assert np.array_equal(traj.t, np.linspace(cfg.start, cfg.end, 60))
+        assert np.array_equal(alone.t, traj.t)
+        assert np.max(np.abs(traj.fidelity - alone.fidelity)) < 1e-9
+        assert traj.stats["trace_error"] < 1e-9
+
+
+def test_adiabatic_batch_matches_the_bare_batch():
+    cfgs = [_cfg(0.5), _cfg(1.0).with_updates(ordering="scp", tau=1.0)]
+    bare = liouville.integrate_many(cfgs, samples=50)
+    adia = liouville.integrate_many(cfgs, basis=Basis.ADIABATIC, samples=50)
+    for b, a in zip(bare, adia):
+        assert a.basis is Basis.ADIABATIC
+        assert np.max(np.abs(b.rho - a.rho)) < 1e-6
+
+
+def test_integrate_many_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one configuration"):
+        liouville.integrate_many([], samples=10)
 
 
 def test_integrate_rejects_single_sample():

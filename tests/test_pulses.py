@@ -136,6 +136,34 @@ def test_config_validation() -> None:
         PulseConfig(ordering="overlap", omega0=1.0, tau=1.0, t_start=2.0, t_end=-2.0)
 
 
+@pytest.mark.parametrize("name", ["omega0", "tau", "width", "t_start", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_fields(name: str, value: float) -> None:
+    fields = {"ordering": "overlap", "omega0": 50.0, "tau": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PulseConfig(**fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dephasing_matrix_rejects_non_finite_rates(value: float) -> None:
+    with pytest.raises(ValueError, match="dephasing rates must be finite"):
+        DephasingMatrix.equal(value)
+    rates = np.zeros((4, 4))
+    rates[0, 2] = rates[2, 0] = value
+    with pytest.raises(ValueError, match="dephasing rates must be finite"):
+        DephasingMatrix(rates)
+
+
+def test_equal_configs_hash_equal() -> None:
+    a = PulseConfig(ordering="scp", omega0=50, tau=1.0, gamma=DephasingMatrix.equal(0.5))
+    b = PulseConfig(ordering=Ordering.SCP, omega0=50.0, tau=1.0,
+                    gamma=DephasingMatrix(0.5 * (np.ones((4, 4)) - np.eye(4))))
+    assert a == b and hash(a) == hash(b)
+    # -0.0 == 0.0, so their matrices must hash alike too
+    assert hash(DephasingMatrix.equal(-0.0)) == hash(DephasingMatrix.zeros())
+    assert len({a, b, a.with_updates(tau=2.0)}) == 2
+
+
 def test_config_with_updates_replaces_fields() -> None:
     cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.0)
     cfg2 = cfg.with_updates(tau=2.0)
