@@ -30,10 +30,7 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
+    return "%.12g" % x
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -177,13 +174,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = ["t", "rho11", "rho22", "rho33", "rho44",
               "rho_a11", "rho_a22", "rho_a33", "rho_a44",
               "re_rho_a12", "im_rho_a12", "F2"]
-    rows = []
-    for i in range(len(traj.t)):
-        rows.append([traj.t[i],
-                     *(np.real(traj.rho[i, j, j]) for j in range(4)),
-                     *(np.real(traj.rho_a[i, j, j]) for j in range(4)),
-                     np.real(traj.rho_a[i, 0, 1]), np.imag(traj.rho_a[i, 0, 1]),
-                     traj.fidelity[i]])
+    coh = traj.rho_a[:, 0, 1]
+    rows = np.column_stack([traj.t,
+                            np.real(np.einsum("nii->ni", traj.rho)),
+                            np.real(np.einsum("nii->ni", traj.rho_a)),
+                            coh.real, coh.imag, traj.fidelity]).tolist()
 
     out = Path(args.out)
     outputs = [_write_csv(out, entries, header, rows)]
@@ -347,10 +342,8 @@ def _fig9a(s: _Settings, samples: int):
     taus = np.array([0.5, 1.0, 1.5]) if taus is None else np.asarray(taus, float)
     trajs = liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL, omega0=200.0,
                                                   tau=float(t)) for t in taus], samples=samples)
-    rows = []
-    for t, traj in zip(taus, trajs):
-        for i in range(len(traj.t)):
-            rows.append([t, traj.t[i], traj.fidelity[i]])
+    rows = np.concatenate([np.column_stack([np.full(len(traj.t), t), traj.t, traj.fidelity])
+                           for t, traj in zip(taus, trajs)]).tolist()
     header = ["tau", "t", "f2"]
     entries = {"ordering": "fractional", "omega0": 200.0, "gamma": 0.0,
                "tau_list": ",".join(f"{t:g}" for t in taus), "samples": samples}

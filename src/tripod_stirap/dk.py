@@ -30,44 +30,14 @@ _EXP_CLAMP = 700.0
 ATAN_2SQRT2 = math.atan(2.0 * math.sqrt(2.0))
 ALPHA = ATAN_2SQRT2 / (2.0 * math.pi)
 
-# Lanczos approximation, g = 7, 15 coefficients (double precision)
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    1.0000000000000000,
-    676.52036812188354,
-    -1259.1392167222818,
-    771.32342877543897,
-    -176.61502914601414,
-    12.507343225284132,
-    -0.13857103397073096,
-    1.0097985714045852e-05,
-    -3.6295318308898549e-07,
-    8.7419973248120632e-07,
-    -9.1169205605037839e-07,
-    6.5245122815968995e-07,
-    -3.1964264626657758e-07,
-    9.5826342974993923e-08,
-    -1.3181772315455953e-08,
-)
-
 
 def gamma_real(x: float) -> float:
-    """Gamma function for real x, Lanczos series plus reflection for x < 1/2.
-
-    Accurate to ~1e-13 relative over the argument range used here (|x| of
-    order unity).  Raises GammaPole within 1e-12 of a non-positive integer.
-    """
+    """math.gamma for real x, raising GammaPole within 1e-12 of a non-positive integer."""
     if x < 0.5:
         n = round(x)
         if n <= 0 and abs(x - n) < 1e-12:
             raise GammaPole(f"gamma function pole at {x!r}")
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z + k)
-    zg = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * zg ** (z + 0.5) * math.exp(-zg) * acc
+    return math.gamma(x)
 
 
 def _require_overlap_equal(cfg: PulseConfig) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .pulses import DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from .tripod import TargetState, frame_matrix, target_state
-from .liouville import _solve, dissipator
+from .liouville import _solve, dissipator, from_adiabatic
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -92,18 +92,21 @@ def _suv_rhs(t: float, y: np.ndarray, cfg: PulseConfig, mode: Mode) -> np.ndarra
     ])
 
 
-def dark_density(s: float, u: float, v: float) -> np.ndarray:
+def dark_density(s, u, v) -> np.ndarray:
     """4x4 adiabatic-basis state implied by (s, u, v).
 
     The dark block follows the (s, u, v) parametrization; the bright levels
-    share the leftover population equally with no cross coherences.
+    share the leftover population equally with no cross coherences.  Scalar
+    s, u, v give one (4, 4) state; arrays of shape S give a stack S + (4, 4).
     """
     p = 0.25 - 0.5 * s
     coh = (u + 1j * v) / _SQRT2
     q = 0.5 * (1.0 - 2.0 * p)
-    rho_a = np.diag([p, p, q, q]).astype(complex)
-    rho_a[0, 1] = coh
-    rho_a[1, 0] = np.conj(coh)
+    rho_a = np.zeros(np.shape(p) + (4, 4), dtype=complex)
+    rho_a[..., 0, 0] = rho_a[..., 1, 1] = p
+    rho_a[..., 2, 2] = rho_a[..., 3, 3] = q
+    rho_a[..., 0, 1] = coh
+    rho_a[..., 1, 0] = np.conj(coh)
     return rho_a
 
 
@@ -134,14 +137,11 @@ def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,
     sol = _solve(lambda t, y: _suv_rhs(t, y, cfg, mode), (cfg.start, cfg.end), y0, t_eval)
     s, u, v = sol.y
 
-    rho_a = np.stack([dark_density(s[i], u[i], v[i]) for i in range(samples)])
-    rho = np.empty_like(rho_a)
-    for i in range(samples):
-        r = frame_matrix(mixing_angles(t_eval[i], cfg))
-        rho[i] = r @ rho_a[i] @ r.conj().T
+    rho_a = dark_density(s, u, v)
+    rho = from_adiabatic(rho_a, t_eval, cfg)
 
     tgt = target_state(cfg)
-    fid = np.array([tgt.expectation(rho[i]) for i in range(samples)])
+    fid = np.real(tgt.amplitudes.conj() @ rho @ tgt.amplitudes)
     stats = {"nfev": int(sol.nfev)}
     return EffectiveTrajectory(cfg=cfg, mode=mode, t=t_eval, s=s, u=u, v=v,
                                rho=rho, rho_a=rho_a, fidelity=fid, target=tgt, stats=stats)

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow, ToleranceNotMet
-from .pulses import _EXP_CLAMP, DephasingMatrix, PulseConfig
-from .tripod import TargetState, adiabatic_frame, target_state
+from .pulses import _EXP_CLAMP, DephasingMatrix, PulseConfig, mixing_angles
+from .tripod import TargetState, adiabatic_frame, frame_matrix, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -119,15 +119,20 @@ def rhs_bare(t, rho: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def to_adiabatic(rho: np.ndarray, t: float, cfg: PulseConfig) -> np.ndarray:
-    """rho^a = R^dag rho R in the instantaneous eigenframe at time t."""
-    r = adiabatic_frame(t, cfg).R
-    return r.conj().T @ rho @ r
+def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
+    """rho^a = R^dag rho R in the instantaneous eigenframe at time t.
+
+    Takes one 4x4 state at a scalar t, or a stack of shape (n, 4, 4) with
+    its n sample times.
+    """
+    r = frame_matrix(mixing_angles(t, cfg))
+    return np.conj(np.swapaxes(r, -1, -2)) @ rho @ r
 
 
-def from_adiabatic(rho_a: np.ndarray, t: float, cfg: PulseConfig) -> np.ndarray:
-    r = adiabatic_frame(t, cfg).R
-    return r @ rho_a @ r.conj().T
+def from_adiabatic(rho_a: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
+    """rho = R rho^a R^dag; the inverse of to_adiabatic, on the same shapes."""
+    r = frame_matrix(mixing_angles(t, cfg))
+    return r @ rho_a @ np.conj(np.swapaxes(r, -1, -2))
 
 
 def rhs_adiabatic(t: float, rho_a: np.ndarray, cfg: PulseConfig) -> np.ndarray:
@@ -175,14 +180,11 @@ def _solve(fun, t_span, y0, t_eval=None, rtol: float = RTOL, atol: float = ATOL)
 
 def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int) -> Trajectory:
     """Both bases, fidelity and invariant errors of one member's sampled states."""
-    samples = len(states)
-    t_eval = np.linspace(cfg.start, cfg.end, samples)
+    t_eval = np.linspace(cfg.start, cfg.end, len(states))
     if basis is Basis.BARE:
-        rho = states
-        rho_a = np.stack([to_adiabatic(states[i], t_eval[i], cfg) for i in range(samples)])
+        rho, rho_a = states, to_adiabatic(states, t_eval, cfg)
     else:
-        rho_a = states
-        rho = np.stack([from_adiabatic(states[i], t_eval[i], cfg) for i in range(samples)])
+        rho, rho_a = from_adiabatic(states, t_eval, cfg), states
 
     tgt = target_state(cfg)
     fid = np.real(tgt.amplitudes.conj() @ rho @ tgt.amplitudes)

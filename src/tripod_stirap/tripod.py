@@ -33,14 +33,23 @@ def hamiltonian(t: float, cfg: PulseConfig) -> np.ndarray:
 
 
 def frame_matrix(angles: MixingAngles) -> np.ndarray:
-    """Unitary whose columns are |Phi_1>, |Phi_2>, |Phi_3>, |Phi_4>."""
+    """Unitary whose columns are |Phi_1>, |Phi_2>, |Phi_3>, |Phi_4>.
+
+    Scalar angles give one (4, 4) matrix; array angles of shape S give the
+    stack of shape S + (4, 4), one frame per sample.
+    """
     st, ct = np.sin(angles.theta), np.cos(angles.theta)
     sp, cp = np.sin(angles.phi), np.cos(angles.phi)
-    r = np.empty((4, 4), dtype=complex)
-    r[:, 0] = [ct, 0.0, -(st * cp + 1j * sp), -(st * sp - 1j * cp)]
-    r[:, 1] = [ct, 0.0, -(st * cp - 1j * sp), -(st * sp + 1j * cp)]
-    r[:, 2] = [st, 1.0, ct * cp, ct * sp]
-    r[:, 3] = [st, -1.0, ct * cp, ct * sp]
+    columns = (
+        (ct, 0.0, -(st * cp + 1j * sp), -(st * sp - 1j * cp)),
+        (ct, 0.0, -(st * cp - 1j * sp), -(st * sp + 1j * cp)),
+        (st, 1.0, ct * cp, ct * sp),
+        (st, -1.0, ct * cp, ct * sp),
+    )
+    r = np.empty(np.shape(st) + (4, 4), dtype=complex)
+    for j, column in enumerate(columns):
+        for i, entry in enumerate(column):
+            r[..., i, j] = entry
     return r / _SQRT2
 
 

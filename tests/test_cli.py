@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from tripod_stirap import liouville
-from tripod_stirap.cli import main
+from tripod_stirap import effective, liouville
+from tripod_stirap.cli import _fmt, main
 from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
 
 SIM_HEADER = ("t,rho11,rho22,rho33,rho44,rho_a11,rho_a22,rho_a33,rho_a44,"
@@ -29,6 +29,42 @@ def _read_csv(path):
 
 def _config_dict(config_line: str) -> dict:
     return dict(item.split("=", 1) for item in config_line.split())
+
+
+def _loop_fmt(x) -> str:
+    """Number format of the per-value CSV writer, kept as the reference."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.12g}"
+
+
+# ------------------------------------------------------------ number format
+
+@pytest.mark.parametrize("value,text", [
+    (0.5, "0.5"), (1.0 / 3.0, "0.333333333333"), (-7.5, "-7.5"),
+    (np.float64(0.1), "0.1"), (np.float64(2.0) / 3.0, "0.666666666667"),
+    (math.nan, "nan"), (-math.nan, "nan"), (np.float64("nan"), "nan"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"), (1e-300, "1e-300"),
+    (123456789012345.0, "1.23456789012e+14"),
+    (7, "7"), (-3, "-3"), (np.int64(42), "42"), ("overlap", "overlap"),
+])
+def test_number_format_is_pinned(value, text):
+    assert _fmt(value) == text
+    assert _loop_fmt(value) == text
+
+
+def test_number_format_matches_the_reference_on_random_floats():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([rng.normal(size=500), rng.normal(size=500) * 1e-9,
+                             np.exp(rng.uniform(-700.0, 700.0, size=500))])
+    for x in values:
+        assert _fmt(x) == _loop_fmt(x)
+        assert _fmt(float(x)) == _loop_fmt(x)
 
 
 # ----------------------------------------------------------------- simulate
@@ -68,6 +104,29 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("engine,basis", [("master", "bare"), ("master", "adiabatic"),
+                                          ("effective", "bare")])
+def test_simulate_rows_match_the_per_sample_loop(tmp_path, engine, basis):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--ordering", "scp", "--gamma", "0.3", "--samples", "60",
+                 "--engine", engine, "--basis", basis, "--out", str(out)]) == 0
+    cfg = PulseConfig(ordering=Ordering.SCP, omega0=50.0, tau=1.5,
+                      gamma=DephasingMatrix.equal(0.3))
+    if engine == "master":
+        traj = liouville.integrate(cfg, basis=liouville.Basis(basis), samples=60)
+    else:
+        traj = effective.integrate_suv(cfg, samples=60)
+    expected = []
+    for i in range(len(traj.t)):
+        row = [traj.t[i],
+               *(np.real(traj.rho[i, j, j]) for j in range(4)),
+               *(np.real(traj.rho_a[i, j, j]) for j in range(4)),
+               np.real(traj.rho_a[i, 0, 1]), np.imag(traj.rho_a[i, 0, 1]),
+               traj.fidelity[i]]
+        expected.append(",".join(_loop_fmt(x) for x in row))
+    assert out.read_text().splitlines()[2:] == expected
 
 
 def test_simulate_effective_engine(tmp_path):
@@ -325,6 +384,17 @@ def test_fig9a_long_format(tmp_path):
     assert {float(r[0]) for r in rows} == {1.0}
     f2 = [float(r[2]) for r in rows]
     assert f2[-1] > 0.9 and min(f2) > -1e-9
+
+
+def test_fig9a_rows_match_the_per_sample_loop(tmp_path):
+    taus = (0.5, 1.5)
+    assert main(["figures", "fig9a", "--tau-grid", "0.5,1.5", "--samples", "80",
+                 "--out-dir", str(tmp_path)]) == 0
+    trajs = liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL, omega0=200.0,
+                                                  tau=t) for t in taus], samples=80)
+    expected = [",".join(_loop_fmt(x) for x in (tau, traj.t[i], traj.fidelity[i]))
+                for tau, traj in zip(taus, trajs) for i in range(len(traj.t))]
+    assert (tmp_path / "fig9a.csv").read_text().splitlines()[2:] == expected
 
 
 def test_figures_are_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from tripod_stirap.effective import (
     Mode, dark_density, dissipator_tensor, effective_rates, integrate_suv, tensor_rates,
 )
 from tripod_stirap.pulses import DephasingMatrix, MixingAngles, Ordering, PulseConfig, mixing_angles
+from tripod_stirap.tripod import frame_matrix
 
 _ORDERINGS = ["overlap", "scp", "csp", "fractional"]
 
@@ -158,3 +159,25 @@ def test_weak_mode_drops_the_rate_couplings(effective_run):
     assert np.all(weak.fidelity > -1e-9) and np.all(weak.fidelity < 1.0 + 1e-9)
     assert np.max(np.abs(np.trace(weak.rho_a, axis1=1, axis2=2).real - 1.0)) < 1e-9
     assert np.max(np.abs(full.s - weak.s)) > 0.01
+
+
+def test_dark_density_on_arrays_matches_the_scalar_form(rng):
+    s, u, v = rng.uniform(-0.5, 0.5, size=(3, 257))
+    stack = dark_density(s, u, v)
+    assert stack.shape == (257, 4, 4)
+    for i in range(s.size):
+        assert np.array_equal(stack[i], dark_density(s[i], u[i], v[i]))
+
+
+@pytest.mark.parametrize("ordering", _ORDERINGS)
+def test_reconstruction_matches_the_per_sample_loop(ordering):
+    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=1.3,
+                      gamma=DephasingMatrix.equal(0.4))
+    traj = integrate_suv(cfg, samples=300)
+    for i in range(traj.t.size):
+        r = frame_matrix(mixing_angles(traj.t[i], cfg))
+        rho_a = dark_density(traj.s[i], traj.u[i], traj.v[i])
+        assert np.array_equal(traj.rho_a[i], rho_a)
+        assert np.array_equal(traj.rho[i], r @ rho_a @ r.conj().T)
+        # the batched contraction sums in another order than one 4x4 at a time
+        assert abs(traj.fidelity[i] - traj.target.expectation(traj.rho[i])) <= 4e-16

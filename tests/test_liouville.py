@@ -185,3 +185,17 @@ def test_adiabatic_frame_roundtrip(rng):
     rho = _random_hermitian(rng)
     back = liouville.from_adiabatic(liouville.to_adiabatic(rho, 0.3, cfg), 0.3, cfg)
     assert np.max(np.abs(back - rho)) < 1e-13
+
+
+@pytest.mark.parametrize("ordering", ["overlap", "scp", "csp", "fractional"])
+def test_stacked_transforms_match_the_per_sample_form(rng, ordering):
+    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=1.3)
+    t = np.linspace(cfg.start, cfg.end, 201)
+    rho = rng.normal(size=(t.size, 4, 4)) + 1j * rng.normal(size=(t.size, 4, 4))
+    rho_a = liouville.to_adiabatic(rho, t, cfg)
+    back = liouville.from_adiabatic(rho, t, cfg)
+    for i in range(t.size):
+        r = adiabatic_frame(t[i], cfg).R
+        assert np.array_equal(rho_a[i], r.conj().T @ rho[i] @ r)
+        assert np.array_equal(back[i], r @ rho[i] @ r.conj().T)
+        assert np.array_equal(rho_a[i], liouville.to_adiabatic(rho[i], t[i], cfg))

@@ -130,3 +130,27 @@ def test_target_states() -> None:
         assert math.isclose(np.linalg.norm(tgt.amplitudes), 1.0, rel_tol=1e-12)
         rho = np.outer(tgt.amplitudes, tgt.amplitudes.conj())
         assert math.isclose(tgt.expectation(rho), 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("ordering", ["overlap", "scp", "csp", "fractional"])
+def test_frame_matrix_on_arrays_matches_the_scalar_form(ordering: str) -> None:
+    cfg = PulseConfig(ordering=ordering, omega0=60.0, tau=1.2)
+    t = np.linspace(cfg.start, cfg.end, 301)
+    angles = mixing_angles(t, cfg)
+    stack = frame_matrix(angles)
+    assert stack.shape == (t.size, 4, 4)
+    for i in range(t.size):
+        one = MixingAngles(theta=angles.theta[i], phi=angles.phi[i],
+                           theta_dot=angles.theta_dot[i], phi_dot=angles.phi_dot[i])
+        assert np.array_equal(stack[i], frame_matrix(one))
+        # the master engine's transforms used the frame of adiabatic_frame
+        assert np.array_equal(stack[i], adiabatic_frame(t[i], cfg).R)
+
+
+def test_frame_matrix_keeps_the_shape_of_its_angles() -> None:
+    cfg = PulseConfig(ordering="scp", omega0=60.0, tau=1.2)
+    t = np.linspace(cfg.start, cfg.end, 12).reshape(3, 4)
+    stack = frame_matrix(mixing_angles(t, cfg))
+    assert stack.shape == (3, 4, 4, 4)
+    assert np.array_equal(stack[1, 2], frame_matrix(mixing_angles(t[1, 2], cfg)))
+    assert frame_matrix(mixing_angles(0.3, cfg)).shape == (4, 4)
