@@ -114,11 +114,10 @@ class SweepResult:
         return sum(1 for p in self.points if p.error is None)
 
 
-def _point_config(cfg: PulseConfig, axis: str, value: float):
+def _point_config(cfg: PulseConfig, axis: str, value: float) -> PulseConfig:
     if axis == "gamma":
-        return cfg.with_updates(gamma=DephasingMatrix.equal(value)), float(value)
-    cfg_pt = cfg.with_updates(tau=float(value))
-    return cfg_pt, cfg_pt.gamma.equal_rate()
+        return cfg.with_updates(gamma=DephasingMatrix.equal(value))
+    return cfg.with_updates(tau=float(value))
 
 
 def _series_point(traj, value: float, eps: float, t_max_eval: float) -> SweepPoint:
@@ -159,18 +158,50 @@ def _master_trajectories(cfgs: list[PulseConfig], samples: int) -> list:
         return out
 
 
-def _evaluate_point(cfg_pt: PulseConfig, gamma_scalar: float | None, value: float,
-                    engine: Engine, samples: int, eps: float,
-                    t_max_eval: float) -> SweepPoint:
-    if engine is Engine.EFFECTIVE:
-        return _series_point(effective.integrate_suv(cfg_pt, samples=samples), value, eps, t_max_eval)
-    # closed-form route: population/coherence formulas plus the lossless
-    # transition-time law T^2/(2 tau) * log((1-eps)/eps)
-    f2_final = dk.analytic_fidelity(gamma_scalar, cfg_pt, math.inf)
-    f2_tmax = dk.analytic_fidelity(gamma_scalar, cfg_pt, t_max_eval)
-    t_tr = cfg_pt.width ** 2 / (2.0 * cfg_pt.tau) * math.log((1.0 - eps) / eps)
-    return SweepPoint(value=float(value), F2_final=f2_final, F2_tmax=f2_tmax,
-                      T_tr=t_tr, theta_g=geometric_phase(cfg_pt), error=None, stats={})
+def _analytic_points(cfg: PulseConfig, gamma: np.ndarray, tau: np.ndarray,
+                     values: np.ndarray, eps: float, t_max_eval: float,
+                     theta_g: float) -> list[SweepPoint]:
+    """Closed-form rows for equal-length gamma, tau and axis-value arrays.
+
+    F2_final and F2_tmax come from one call on the same observables; T_tr is
+    the lossless law T^2/(2 tau) * log((1-eps)/eps).
+    """
+    f2_final, f2_tmax = dk.analytic_fidelity(gamma, cfg, np.array([[math.inf], [t_max_eval]]),
+                                             tau=tau)
+    t_tr = cfg.width ** 2 / (2.0 * tau) * math.log((1.0 - eps) / eps)
+    return [SweepPoint(value=v, F2_final=a, F2_tmax=b, T_tr=c, theta_g=theta_g)
+            for v, a, b, c in zip(values.tolist(), f2_final.tolist(), f2_tmax.tolist(),
+                                  t_tr.tolist())]
+
+
+def _analytic_sweep(cfg: PulseConfig, axis: str, values: np.ndarray, eps: float,
+                    t_max_eval: float) -> list[SweepPoint]:
+    """The whole grid as one array pass through the closed forms.
+
+    If a row is rejected (tau = 0, a gamma-function pole), the pass raises
+    and each row is evaluated alone, so that only the rows that fail on
+    their own carry the error; the others get the same values.
+    """
+    # the smallest axis value goes through the config checks every engine applies
+    cfg = _point_config(cfg, axis, values[0])
+    if axis == "gamma":
+        gamma, tau = values, np.full_like(values, cfg.tau)
+    else:
+        gamma, tau = np.full_like(values, cfg.gamma.equal_rate()), values
+    # phi is constant for the overlap ordering, so theta_g = 0 at every delay
+    theta_g = geometric_phase(cfg)
+    try:
+        return _analytic_points(cfg, gamma, tau, values, eps, t_max_eval, theta_g)
+    except TripodError:
+        points = []
+        for i, value in enumerate(values):
+            row = slice(i, i + 1)
+            try:
+                points += _analytic_points(cfg, gamma[row], tau[row], values[row], eps,
+                                           t_max_eval, theta_g)
+            except TripodError as exc:
+                points.append(_failed_point(value, exc))
+        return points
 
 
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
@@ -179,9 +210,10 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     """Evaluate one scalar axis (gamma or tau) over a grid of points.
 
     The master engine integrates the whole grid as one batch (see
-    liouville.integrate_many); the other engines go point by point.  Engine
-    failures are recorded per row instead of aborting the sweep, and rows
-    stay ordered by axis value.
+    liouville.integrate_many) and the analytic engine evaluates it as one
+    array pass through the closed forms; the effective engine goes point by
+    point.  Engine failures are recorded per row instead of aborting the
+    sweep, and rows stay ordered by axis value.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
@@ -199,20 +231,23 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
             raise WrongOrdering("analytic engine requires equal dephasing rates")
     if t_max_eval is None:
         t_max_eval = 5.0 * cfg.width
-    grid = [_point_config(cfg, axis, value) for value in values]
+    if engine is Engine.ANALYTIC:
+        points = _analytic_sweep(cfg, axis, values, eps, t_max_eval)
+        return SweepResult(axis=axis, values=values, points=points, engine=engine)
+    cfgs = [_point_config(cfg, axis, value) for value in values]
 
     if engine is Engine.MASTER:
-        trajs = _master_trajectories([cfg_pt for cfg_pt, _ in grid], samples)
+        trajs = _master_trajectories(cfgs, samples)
         points = [_failed_point(value, traj) if isinstance(traj, TripodError)
                   else _series_point(traj, value, eps, t_max_eval)
                   for value, traj in zip(values, trajs)]
         return SweepResult(axis=axis, values=values, points=points, engine=engine)
 
     points = []
-    for value, (cfg_pt, gamma_scalar) in zip(values, grid):
+    for value, cfg_pt in zip(values, cfgs):
         try:
-            points.append(_evaluate_point(cfg_pt, gamma_scalar, value, engine,
-                                          samples, eps, t_max_eval))
+            points.append(_series_point(effective.integrate_suv(cfg_pt, samples=samples),
+                                        value, eps, t_max_eval))
         except TripodError as exc:
             points.append(_failed_point(value, exc))
     return SweepResult(axis=axis, values=values, points=points, engine=engine)

@@ -251,11 +251,9 @@ def _fig3(s: _Settings, samples: int):
     trajs = liouville.integrate_many(
         [base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas], samples=samples)
     rows_num = [[g, *traj.populations[-1]] for g, traj in zip(gammas, trajs)]
-    rows_ana = []
-    for g in gammas:
-        p = dk.analytic_dark_observables(g, base, 0.0)[0]
-        q = 0.5 - p
-        rows_ana.append([g, q, q, p, p])
+    p = dk.analytic_dark_observables(gammas, base, 0.0)[0]
+    q = 0.5 - p
+    rows_ana = np.column_stack([gammas, q, q, p, p]).tolist()
 
     header = ["gamma", "rho11", "rho22", "rho33", "rho44"]
     common = {"ordering": "overlap", "omega0": 50.0, "tau": 1.5, "samples": samples}
@@ -271,11 +269,8 @@ def _fig4(s: _Settings, samples: int):
 
     f2_master = _final_f2([base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas],
                           samples)
-    rows = []
-    for g, fm in zip(gammas, f2_master):
-        rows.append([g, fm,
-                     dk.analytic_fidelity(g, base, t_max_eval),
-                     dk.analytic_fidelity(g, base, math.inf)])
+    f2_tmax, f2_final = dk.analytic_fidelity(gammas, base, np.array([[t_max_eval], [math.inf]]))
+    rows = np.column_stack([gammas, f2_master, f2_tmax, f2_final]).tolist()
     header = ["gamma", "f2_master", "f2_analytic_tmax", "f2_analytic_final"]
     entries = {"ordering": "overlap", "omega0": 50.0, "tau": 1.5,
                "t_max_eval": t_max_eval, "samples": samples}
@@ -291,19 +286,13 @@ def _fig5(s: _Settings, samples: int, gamma: float, filename: str):
     f2 = _final_f2([PulseConfig(ordering=Ordering.OVERLAP, omega0=om, tau=t,
                                 gamma=DephasingMatrix.equal(gamma))
                     for om in omegas for t in taus], samples)
-    columns = np.reshape(f2, (len(omegas), len(taus)))
+    columns = [taus, *np.reshape(f2, (len(omegas), len(taus)))]
     header = ["tau"] + [f"f2_omega_{om:g}" for om in omegas]
-    analytic = None
     if gamma > 0.0:
         header.append("f2_analytic_final")
-        analytic = [dk.analytic_fidelity(gamma, PulseConfig(
-            ordering=Ordering.OVERLAP, omega0=50.0, tau=t), math.inf) for t in taus]
-    rows = []
-    for i, t in enumerate(taus):
-        row = [t] + [col[i] for col in columns]
-        if analytic is not None:
-            row.append(analytic[i])
-        rows.append(row)
+        base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=float(taus[0]))
+        columns.append(dk.analytic_fidelity(gamma, base, math.inf, tau=taus))
+    rows = np.column_stack(columns).tolist()
     entries = {"ordering": "overlap", "gamma": gamma,
                "omega0_list": ",".join(f"{om:g}" for om in omegas), "samples": samples}
     return [(filename, entries, header, rows)]

@@ -8,7 +8,9 @@ profile functions; approximating the rotated coupling by a sech pulse
 with a tanh-chirped detuning gives a model whose asymptotic transition
 amplitudes are ratios of real gamma functions.  Together with two
 adiabatic-decay integrals this yields the final dark-state population, the
-coherence and the fidelity without integrating anything stiff.
+coherence and the fidelity without integrating anything stiff.  The
+closed forms work elementwise on arrays of gamma and tau, so a whole grid
+is evaluated in one array pass.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .errors import GammaPole, WrongOrdering, ZeroDelay
@@ -31,13 +34,23 @@ ATAN_2SQRT2 = math.atan(2.0 * math.sqrt(2.0))
 ALPHA = ATAN_2SQRT2 / (2.0 * math.pi)
 
 
-def gamma_real(x: float) -> float:
-    """math.gamma for real x, raising GammaPole within 1e-12 of a non-positive integer."""
-    if x < 0.5:
-        n = round(x)
-        if n <= 0 and abs(x - n) < 1e-12:
-            raise GammaPole(f"gamma function pole at {x!r}")
-    return math.gamma(x)
+def _out(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return x if np.ndim(x) else float(x)
+
+
+def gamma_real(x):
+    """Gamma function of real x, elementwise over arrays.
+
+    Raises GammaPole for the first element (in C order) within 1e-12 of a
+    non-positive integer.
+    """
+    x = np.asarray(x, dtype=float)
+    n = np.round(x)
+    pole = (n <= 0.0) & (np.abs(x - n) < 1e-12)
+    if pole.any():
+        raise GammaPole(f"gamma function pole at {float(x[pole][0])!r}")
+    return _out(special.gamma(x))
 
 
 def _require_overlap_equal(cfg: PulseConfig) -> None:
@@ -130,7 +143,10 @@ def xi_angle(t: float, gamma: float, cfg: PulseConfig):
 
 @dataclass(frozen=True)
 class DKParams:
-    """sech/tanh model parameters; alpha is universal, beta and delta carry the dephasing."""
+    """sech/tanh model parameters; alpha is universal, beta and delta carry the dephasing.
+
+    The fields are floats, or arrays over a grid of gamma and tau values.
+    """
 
     A: float
     T_eff: float
@@ -142,18 +158,23 @@ class DKParams:
     delta: float
 
 
-def dk_params(gamma: float, cfg: PulseConfig) -> DKParams:
-    _require_overlap_equal(cfg)
-    if cfg.tau == 0.0:
-        raise ZeroDelay("pulse delay must be positive: the model parameters diverge at tau = 0")
-    T2 = cfg.width * cfg.width
-    a = cfg.tau / (math.sqrt(2.0) * T2)
-    t_eff = ATAN_2SQRT2 * T2 / (math.sqrt(2.0) * math.pi * cfg.tau)
-    t_max = T2 / (4.0 * cfg.tau) * math.log(3.0)
+def _params(gamma, tau, width: float) -> DKParams:
+    """Model parameters, elementwise over broadcast gamma and tau; tau must be positive."""
+    T2 = width * width
+    a = tau / (math.sqrt(2.0) * T2)
+    t_eff = ATAN_2SQRT2 * T2 / (math.sqrt(2.0) * math.pi * tau)
+    t_max = T2 / (4.0 * tau) * math.log(3.0)
     dconst = -4.0 * math.sqrt(6.0) * gamma / 25.0
     b = -64.0 * math.sqrt(3.0) * gamma * ATAN_2SQRT2 / (125.0 * math.pi)
     return DKParams(A=a, T_eff=t_eff, t_max=t_max, Dconst=dconst, B=b,
                     alpha=a * t_eff, beta=0.5 * b * t_eff, delta=0.5 * dconst * t_eff)
+
+
+def dk_params(gamma, cfg: PulseConfig) -> DKParams:
+    _require_overlap_equal(cfg)
+    if cfg.tau == 0.0:
+        raise ZeroDelay("pulse delay must be positive: the model parameters diverge at tau = 0")
+    return _params(gamma, cfg.tau, cfg.width)
 
 
 @dataclass(frozen=True)
@@ -165,13 +186,20 @@ class DKAmplitudes:
 
 
 def dk_amplitudes(p: DKParams) -> DKAmplitudes:
-    """Gamma-function form of the asymptotic amplitudes."""
-    root = math.sqrt(p.beta * p.beta + p.alpha * p.alpha)
-    u_pp = (gamma_real(0.5 + p.delta - p.beta) * gamma_real(0.5 + p.delta + p.beta)
-            / (gamma_real(0.5 + p.delta + root) * gamma_real(0.5 + p.delta - root)))
-    u_mp = (p.alpha * gamma_real(0.5 + p.delta - p.beta) * gamma_real(0.5 - p.delta - p.beta)
-            / (gamma_real(1.0 - p.beta + root) * gamma_real(1.0 - p.beta - root)))
-    return DKAmplitudes(U_pp=u_pp, U_mp=u_mp)
+    """Gamma-function form of the asymptotic amplitudes, elementwise over array parameters.
+
+    All gamma factors of an element are evaluated in one call, in the order
+    the formulas read, so a pole raises GammaPole for the first of them.
+    """
+    root = np.sqrt(p.beta * p.beta + p.alpha * p.alpha)
+    args = np.stack(np.broadcast_arrays(
+        0.5 + p.delta - p.beta, 0.5 + p.delta + p.beta, 0.5 + p.delta + root,
+        0.5 + p.delta - root, 0.5 - p.delta - p.beta, 1.0 - p.beta + root,
+        1.0 - p.beta - root), axis=-1)
+    g = np.moveaxis(gamma_real(args), -1, 0)
+    u_pp = g[0] * g[1] / (g[2] * g[3])
+    u_mp = p.alpha * g[0] * g[4] / (g[5] * g[6])
+    return DKAmplitudes(U_pp=_out(u_pp), U_mp=_out(u_mp))
 
 
 def dk_amplitudes_ode(p: DKParams, span: float = 12.0) -> DKAmplitudes:
@@ -220,48 +248,56 @@ def _decay_constants(epsabs: float) -> tuple[float, float]:
     return -(left + right_s), -(left + right_u)
 
 
-def adiabatic_integrals(gamma: float, cfg: PulseConfig, epsabs: float = 1e-10) -> AdiabaticIntegrals:
-    """I_s and the finite part of I_u; the divergent part is the e^{-gamma t} factor."""
+def adiabatic_integrals(gamma, cfg: PulseConfig, epsabs: float = 1e-10, *,
+                        tau=None) -> AdiabaticIntegrals:
+    """I_s and the finite part of I_u; the divergent part is the e^{-gamma t} factor.
+
+    gamma and tau (which replaces cfg.tau when given) may be arrays; they
+    broadcast against each other.
+    """
     _require_overlap_equal(cfg)
-    if cfg.tau == 0.0:
+    tau = cfg.tau if tau is None else tau
+    if np.any(tau == 0.0):
         raise ZeroDelay("pulse delay must be positive: the decay integrals diverge at tau = 0")
     c_s, c_u = _decay_constants(epsabs)
-    scale = gamma * cfg.width * cfg.width / (4.0 * cfg.tau)
+    scale = gamma * cfg.width * cfg.width / (4.0 * tau)
     return AdiabaticIntegrals(I_s=-c_s * scale, I_u_finite=-c_u * scale, c_s=c_s, c_u=c_u)
 
 
-def analytic_dark_observables(gamma: float, cfg: PulseConfig, t: float):
+def analytic_dark_observables(gamma, cfg: PulseConfig, t, *, tau=None):
     """(rho^a_11 at the end of the run, Re rho^a_12 at time t).
 
     The population is time-independent once the pulses are over; the
-    coherence keeps decaying as e^{-gamma t}.
+    coherence keeps decaying as e^{-gamma t}.  gamma, t and tau (which
+    replaces cfg.tau when given) may be arrays: the whole grid is one pass
+    through model parameters, amplitudes and decay integrals.  Any element
+    at tau = 0 or on a gamma-function pole raises for the whole call.
     """
     _require_overlap_equal(cfg)
-    if cfg.tau == 0.0:
+    tau = cfg.tau if tau is None else tau
+    if np.any(tau == 0.0):
         raise ZeroDelay("pulse delay must be positive")
-    if gamma == 0.0:
-        # exact lossless limit: U_mp -> 1/sqrt(3), U_pp -> sqrt(2/3)
-        return 0.5, 0.5
-    amps = dk_amplitudes(dk_params(gamma, cfg))
-    ai = adiabatic_integrals(gamma, cfg)
-    rho_a_11 = 0.25 + math.sqrt(3.0) / 4.0 * amps.U_mp * math.exp(ai.I_s)
-    re_rho_a_12 = math.sqrt(3.0 / 8.0) * amps.U_pp * math.exp(ai.I_u_finite - gamma * t)
-    return rho_a_11, re_rho_a_12
+    amps = dk_amplitudes(_params(gamma, tau, cfg.width))
+    ai = adiabatic_integrals(gamma, cfg, tau=tau)
+    rho_a_11 = 0.25 + math.sqrt(3.0) / 4.0 * amps.U_mp * np.exp(ai.I_s)
+    re_rho_a_12 = math.sqrt(3.0 / 8.0) * amps.U_pp * np.exp(ai.I_u_finite - gamma * t)
+    # exact lossless limit: U_mp -> 1/sqrt(3), U_pp -> sqrt(2/3)
+    lossless = gamma == 0.0
+    return _out(np.where(lossless, 0.5, rho_a_11)), _out(np.where(lossless, 0.5, re_rho_a_12))
 
 
-def analytic_fidelity(gamma: float, cfg: PulseConfig, t_max_eval: float) -> float:
+def analytic_fidelity(gamma, cfg: PulseConfig, t_max_eval, *, tau=None):
     """Squared fidelity: final population plus the coherence at t_max_eval.
 
     An infinite t_max_eval drops the coherence term for gamma > 0 (the
     long-time fidelity); at gamma = 0 nothing decays and the result is 1.
+    Elementwise over broadcast gamma, t_max_eval and tau, as in
+    analytic_dark_observables.
     """
-    rho_a_11, re_rho_a_12 = analytic_dark_observables(gamma, cfg, 0.0)
-    if gamma > 0.0:
-        if math.isinf(t_max_eval):
-            re_rho_a_12 = 0.0
-        else:
-            re_rho_a_12 *= math.exp(-gamma * t_max_eval)
-    return rho_a_11 + re_rho_a_12
+    rho_a_11, re_rho_a_12 = analytic_dark_observables(gamma, cfg, 0.0, tau=tau)
+    with np.errstate(invalid="ignore"):  # 0 * inf where gamma = 0, discarded below
+        decay = np.where(gamma > 0.0, np.exp(-gamma * t_max_eval), 1.0)
+    return _out(rho_a_11 + re_rho_a_12 * decay)
 
 
 def analytic_fidelity_expansion(gamma: float, cfg: PulseConfig, t_max_eval: float) -> float:

@@ -168,7 +168,13 @@ class Trajectory:
 
 
 def _solve(fun, t_span, y0, t_eval=None, rtol: float = RTOL, atol: float = ATOL):
-    """RK45 solve; a failure raises the typed error its message points to."""
+    """RK45 solve; a failure raises the typed error its message points to.
+
+    A non-finite derivative at the start would make RK45's first step size
+    NaN, and its step loop would then never end, so it is refused up front.
+    """
+    if not np.all(np.isfinite(fun(t_span[0], y0))):
+        raise ToleranceNotMet("non-finite derivative at the start of the window")
     sol = solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
     if not sol.success:
         msg = sol.message or "integration failed"

@@ -88,7 +88,14 @@ def adiabatic_frame(t: float, cfg: PulseConfig) -> AdiabaticFrame:
 
 
 def geometric_phase(cfg: PulseConfig, epsabs: float = 1e-10) -> float:
-    """Signed angle swept inside the dark doublet over the full window."""
+    """Signed angle swept inside the dark doublet over the full window.
+
+    When the Stokes and control pulses have the same shape, phi stays at
+    pi/4, phi' vanishes identically and the angle is exactly 0.
+    """
+    _, stokes, control = cfg.shapes()
+    if stokes == control:
+        return 0.0
 
     def rate(t: float) -> float:
         ang = mixing_angles(t, cfg)

@@ -12,7 +12,8 @@ from tripod_stirap.analysis import (
     Engine, fidelity, fidelity_from_adiabatic, sweep, transition_time,
 )
 from tripod_stirap.errors import (
-    AmbiguousCrossing, NoCrossing, NonHermitianState, StepSizeUnderflow, WrongOrdering,
+    AmbiguousCrossing, GammaPole, NoCrossing, NonHermitianState, StepSizeUnderflow,
+    WrongOrdering,
 )
 from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
 from tripod_stirap.tripod import geometric_phase, target_state
@@ -239,3 +240,84 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch):
         assert p.error == ref.error
         assert abs(p.F2_final - ref.F2_final) < 1e-9
         assert abs(p.F2_tmax - ref.F2_tmax) < 1e-9
+
+
+# ----------------------------------------------------------- analytic sweeps
+
+def _per_point_analytic(cfg, axis, values, eps, t_max_eval):
+    """The analytic route one point at a time, as rows of (F2_final, F2_tmax, T_tr, theta_g)."""
+    rows = []
+    for v in values:
+        if axis == "gamma":
+            cfg_pt, g = cfg.with_updates(gamma=DephasingMatrix.equal(v)), v
+        else:
+            cfg_pt, g = cfg.with_updates(tau=v), cfg.gamma.equal_rate()
+        rows.append((dk.analytic_fidelity(g, cfg_pt, math.inf),
+                     dk.analytic_fidelity(g, cfg_pt, t_max_eval),
+                     cfg_pt.width ** 2 / (2.0 * cfg_pt.tau) * math.log((1.0 - eps) / eps),
+                     geometric_phase(cfg_pt)))
+    return rows
+
+
+@pytest.mark.parametrize(("axis", "values"), [
+    ("gamma", np.linspace(0.0, 2.0, 17)),
+    ("tau", np.linspace(0.25, 3.0, 12)),
+])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_analytic_sweep_matches_the_per_point_route(axis, values, gamma):
+    cfg = _cfg(gamma=gamma)
+    res = sweep(cfg, axis, values, Engine.ANALYTIC, eps=0.05, t_max_eval=4.0)
+    ref = _per_point_analytic(cfg, axis, values, 0.05, 4.0)
+    assert res.succeeded() == len(values)
+    for p, v, (f2_final, f2_tmax, t_tr, theta_g) in zip(res.points, values, ref):
+        assert p.value == v and p.error is None
+        assert p.F2_final == pytest.approx(f2_final, rel=1e-13)
+        assert p.F2_tmax == pytest.approx(f2_tmax, rel=1e-13)
+        assert p.T_tr == t_tr and p.theta_g == theta_g == 0.0
+        assert type(p.F2_final) is float and type(p.T_tr) is float
+    if axis == "gamma" or gamma == 0.0:
+        lossless = res.points[0] if axis == "gamma" else res.points[-1]
+        assert lossless.F2_final == lossless.F2_tmax == 1.0
+
+
+def test_analytic_tau_grid_from_zero_fails_only_that_row():
+    values = np.linspace(0.0, 3.0, 7)
+    res = sweep(_cfg(gamma=1.0), "tau", values, Engine.ANALYTIC)
+    clean = sweep(_cfg(gamma=1.0), "tau", values[1:], Engine.ANALYTIC)
+    bad, *rest = res.points
+    assert bad.error == "ZeroDelay: pulse delay must be positive"
+    assert all(math.isnan(x) for x in (bad.F2_final, bad.F2_tmax, bad.T_tr, bad.theta_g))
+    assert rest == clean.points
+
+
+def test_analytic_gamma_on_a_pole_fails_only_that_row():
+    # 0.5 + delta + beta = 0 at this rate for tau = 1.5: a pole of the
+    # first denominator gamma factor
+    p1 = dk.dk_params(1.0, _cfg())
+    pole = 0.5 / -(p1.delta + p1.beta)
+    values = np.array([0.5, 1.0, pole, 8.0])
+    res = sweep(_cfg(), "gamma", values, Engine.ANALYTIC)
+    clean = sweep(_cfg(), "gamma", values[[0, 1, 3]], Engine.ANALYTIC)
+    assert res.points[2].error.startswith("GammaPole: gamma function pole at ")
+    assert math.isnan(res.points[2].F2_final)
+    assert [res.points[i] for i in (0, 1, 3)] == clean.points
+    with pytest.raises(GammaPole):
+        dk.analytic_fidelity(pole, _cfg(), math.inf)
+
+
+def test_analytic_sweep_rejects_invalid_axis_values():
+    with pytest.raises(ValueError, match="tau must be non-negative"):
+        sweep(_cfg(gamma=1.0), "tau", [-0.5, 1.0], Engine.ANALYTIC)
+    with pytest.raises(ValueError, match="non-negative"):
+        sweep(_cfg(), "gamma", [-0.5, 1.0], Engine.ANALYTIC)
+
+
+def test_analytic_gamma_sweep_accepts_unequal_base_rates():
+    # on a gamma axis every point's rates are the equal rate on the axis
+    m = np.full((4, 4), 0.5)
+    m[0, 2] = m[2, 0] = 1.5
+    np.fill_diagonal(m, 0.0)
+    cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.5, gamma=DephasingMatrix(m))
+    res = sweep(cfg, "gamma", [0.5, 1.0], Engine.ANALYTIC)
+    assert [p.F2_final for p in res.points] == \
+        [p.F2_final for p in sweep(_cfg(), "gamma", [0.5, 1.0], Engine.ANALYTIC).points]

@@ -271,3 +271,58 @@ def test_closed_forms_reject_unequal_rates():
     cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.5, gamma=DephasingMatrix(m))
     with pytest.raises(WrongOrdering, match="equal dephasing rates"):
         dk.dk_params(1.0, cfg)
+
+
+# ---------------------------------------------------------------- array route
+
+def test_gamma_real_is_elementwise_with_a_per_element_pole_mask():
+    x = np.array([[0.5, 2.5], [-1.5, 7.0]])
+    expected = np.vectorize(math.gamma)(x)
+    assert np.allclose(dk.gamma_real(x), expected, rtol=1e-13, atol=0.0)
+    with pytest.raises(GammaPole, match=r"pole at -2\.0"):
+        dk.gamma_real(np.array([1.5, -2.0, 0.0]))
+    with pytest.raises(GammaPole, match="pole at"):
+        dk.gamma_real(np.array([3.0, -3.0 - 1e-13]))
+
+
+grid_st = st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.25, 3.0)), min_size=1, max_size=12)
+
+
+@given(grid=grid_st, t=st.floats(0.0, 10.0))
+def test_array_closed_forms_match_the_scalar_calls(grid, t):
+    gammas, taus = (np.array(col) for col in zip(*grid))
+    base = _cfg(gamma=0.0)
+    pop, coh = dk.analytic_dark_observables(gammas, base, t, tau=taus)
+    f2 = dk.analytic_fidelity(gammas, base, np.array([[t], [math.inf]]), tau=taus)
+    assert pop.shape == coh.shape == gammas.shape and f2.shape == (2, gammas.size)
+    for i, (g, tau) in enumerate(grid):
+        cfg = _cfg(tau=tau, gamma=g)
+        p, c = dk.analytic_dark_observables(g, cfg, t)
+        assert pop[i] == pytest.approx(p, rel=1e-13)
+        assert coh[i] == pytest.approx(c, rel=1e-13)
+        assert f2[0, i] == pytest.approx(dk.analytic_fidelity(g, cfg, t), rel=1e-13)
+        assert f2[1, i] == pytest.approx(dk.analytic_fidelity(g, cfg, math.inf), rel=1e-13)
+
+
+def test_array_closed_forms_keep_the_exact_lossless_limit():
+    gammas = np.array([0.0, 0.5, 0.0])
+    pop, coh = dk.analytic_dark_observables(gammas, _cfg(gamma=0.0), 3.0)
+    assert pop[0] == pop[2] == 0.5 and coh[0] == coh[2] == 0.5
+    f2 = dk.analytic_fidelity(gammas, _cfg(gamma=0.0), math.inf)
+    assert f2[0] == f2[2] == 1.0 and f2[1] < 1.0
+
+
+def test_array_closed_forms_raise_for_a_zero_delay_anywhere():
+    with pytest.raises(ZeroDelay, match="pulse delay must be positive"):
+        dk.analytic_fidelity(1.0, _cfg(), math.inf, tau=np.array([1.0, 0.0]))
+    with pytest.raises(ZeroDelay):
+        dk.adiabatic_integrals(1.0, _cfg(), tau=np.array([0.0, 2.0]))
+
+
+def test_array_amplitudes_match_the_scalar_form():
+    gammas = np.array([0.0, 0.3, 1.1, 2.0])
+    amps = dk.dk_amplitudes(dk.dk_params(gammas, _cfg()))
+    for i, g in enumerate(gammas):
+        one = dk.dk_amplitudes(dk.dk_params(float(g), _cfg()))
+        assert amps.U_pp[i] == pytest.approx(one.U_pp, rel=1e-15)
+        assert amps.U_mp[i] == pytest.approx(one.U_mp, rel=1e-15)

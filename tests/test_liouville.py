@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tripod_stirap import liouville
+from tripod_stirap.errors import ToleranceNotMet
 from tripod_stirap.liouville import Basis, Batch, dissipator, rhs_adiabatic, rhs_bare
 from tripod_stirap.pulses import DephasingMatrix, PulseConfig, pulse_envelopes
 from tripod_stirap.tripod import adiabatic_frame, hamiltonian
@@ -199,3 +202,21 @@ def test_stacked_transforms_match_the_per_sample_form(rng, ordering):
         assert np.array_equal(rho_a[i], r.conj().T @ rho[i] @ r)
         assert np.array_equal(back[i], r @ rho[i] @ r.conj().T)
         assert np.array_equal(rho_a[i], liouville.to_adiabatic(rho[i], t[i], cfg))
+
+
+def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
+    # a NaN first derivative makes RK45's first step size NaN and its step
+    # loop never ends; the alarm turns a regression into a failure, not a hang
+    monkeypatch.setattr(liouville, "rhs_bare", lambda t, rho, batch: np.full_like(rho, np.nan))
+
+    def timeout(signum, frame):
+        raise TimeoutError("the solver did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ToleranceNotMet, match="non-finite derivative at the start"):
+            liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=50)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

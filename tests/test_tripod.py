@@ -113,6 +113,37 @@ def test_geometric_phase_signs() -> None:
     assert abs(overlap) < 1e-12
 
 
+def _count_mixing_angles(monkeypatch) -> list:
+    from tripod_stirap import tripod
+
+    calls = []
+
+    def counted(t, cfg):
+        calls.append(t)
+        return mixing_angles(t, cfg)
+
+    monkeypatch.setattr(tripod, "mixing_angles", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.5, 3.0])
+def test_geometric_phase_is_exactly_zero_without_quadrature_for_overlap(monkeypatch, tau) -> None:
+    # identical Stokes and control shapes keep phi at pi/4: nothing to integrate
+    calls = _count_mixing_angles(monkeypatch)
+    assert geometric_phase(PulseConfig(ordering="overlap", omega0=200.0, tau=tau)) == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("ordering", ["scp", "csp", "fractional"])
+def test_geometric_phase_integrates_when_phi_moves(monkeypatch, ordering) -> None:
+    calls = _count_mixing_angles(monkeypatch)
+    cfg = PulseConfig(ordering=ordering, omega0=200.0, tau=1.5)
+    value = geometric_phase(cfg)
+    assert len(calls) > 0
+    reference = {"scp": 0.53338881, "csp": -0.53338881, "fractional": 0.60766020}[ordering]
+    assert math.isclose(value, reference, rel_tol=0.0, abs_tol=2e-6)
+
+
 def test_target_states() -> None:
     overlap = target_state(PulseConfig(ordering="overlap", omega0=50.0, tau=1.5))
     assert np.allclose(overlap.amplitudes, np.array([0, 0, -1, -1]) / math.sqrt(2))
