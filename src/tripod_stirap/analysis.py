@@ -16,8 +16,6 @@ from .errors import AmbiguousCrossing, NoCrossing, NonHermitianState, TripodErro
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import TargetState, geometric_phase
 
-_SQRT2 = math.sqrt(2.0)
-
 
 class Engine(enum.Enum):
     MASTER = "master"
@@ -139,22 +137,22 @@ def _failed_point(value: float, exc: TripodError) -> SweepPoint:
                       T_tr=math.nan, theta_g=math.nan, error=f"{type(exc).__name__}: {exc}")
 
 
-def _master_trajectories(cfgs: list[PulseConfig], samples: int) -> list:
-    """One shared master solve for every point.
+def _grid_or_rows(evaluate, values: np.ndarray) -> list:
+    """evaluate(rows) for the whole grid at once; if that raises, for each row alone.
 
-    If the shared solve fails, each point is solved alone, so that only the
-    points that fail on their own carry the error (a TripodError in place of
-    their trajectory) and the others keep their values.
+    evaluate takes a slice of the grid and returns one result per row in it.
+    In the row-by-row pass only the rows that fail on their own become
+    failed points carrying the error; the others keep their results.
     """
     try:
-        return liouville.integrate_many(cfgs, samples=samples)
+        return evaluate(slice(None))
     except TripodError:
         out = []
-        for cfg_pt in cfgs:
+        for i, value in enumerate(values):
             try:
-                out.append(liouville.integrate(cfg_pt, samples=samples))
+                out += evaluate(slice(i, i + 1))
             except TripodError as exc:
-                out.append(exc)
+                out.append(_failed_point(value, exc))
         return out
 
 
@@ -190,18 +188,8 @@ def _analytic_sweep(cfg: PulseConfig, axis: str, values: np.ndarray, eps: float,
         gamma, tau = np.full_like(values, cfg.gamma.equal_rate()), values
     # phi is constant for the overlap ordering, so theta_g = 0 at every delay
     theta_g = geometric_phase(cfg)
-    try:
-        return _analytic_points(cfg, gamma, tau, values, eps, t_max_eval, theta_g)
-    except TripodError:
-        points = []
-        for i, value in enumerate(values):
-            row = slice(i, i + 1)
-            try:
-                points += _analytic_points(cfg, gamma[row], tau[row], values[row], eps,
-                                           t_max_eval, theta_g)
-            except TripodError as exc:
-                points.append(_failed_point(value, exc))
-        return points
+    return _grid_or_rows(lambda rows: _analytic_points(cfg, gamma[rows], tau[rows], values[rows],
+                                                       eps, t_max_eval, theta_g), values)
 
 
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
@@ -237,8 +225,9 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     cfgs = [_point_config(cfg, axis, value) for value in values]
 
     if engine is Engine.MASTER:
-        trajs = _master_trajectories(cfgs, samples)
-        points = [_failed_point(value, traj) if isinstance(traj, TripodError)
+        trajs = _grid_or_rows(lambda rows: liouville.integrate_many(cfgs[rows], samples=samples),
+                              values)
+        points = [traj if isinstance(traj, SweepPoint)
                   else _series_point(traj, value, eps, t_max_eval)
                   for value, traj in zip(values, trajs)]
         return SweepResult(axis=axis, values=values, points=points, engine=engine)

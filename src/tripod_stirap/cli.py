@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -239,107 +241,118 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- figures
 
-def _final_f2(cfgs: list[PulseConfig], samples: int) -> list[float]:
-    """Final fidelity of every configuration, from one batched master solve."""
-    return [float(traj.fidelity[-1]) for traj in liouville.integrate_many(cfgs, samples=samples)]
+@dataclass(frozen=True)
+class Figure:
+    """One figure dataset: a master-equation grid and the columns built from it.
+
+    The batch runs over the product of the axes, first axis major.  The
+    `rows` axis gives the CSV rows and a second axis gives one column per
+    value; a trajectory figure has no rows axis and writes the time samples
+    of each axis value in turn.  A cell holds the final F2, the final
+    populations (written next to their closed forms as a second CSV), the
+    whole trajectory or the transition time T_tr.
+    """
+
+    ordering: Ordering
+    fixed: dict     # PulseConfig parameters held constant, in comment-line order
+    axes: dict      # axis -> default grid, in batch order
+    rows: str | None
+    cell: str       # "f2" | "populations" | "trajectory" | "T_tr"
+    closed_form: tuple = ()   # Demkov-Kunike F2 columns along the rows axis
+    extras: dict = field(default_factory=dict)  # further comment-line entries
 
 
-def _fig3(s: _Settings, samples: int):
-    gammas = s.get("gamma_grid", None, _parse_grid)
-    gammas = np.linspace(0.0, 2.0, 9) if gammas is None else np.asarray(gammas, float)
-    base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
-    trajs = liouville.integrate_many(
-        [base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas], samples=samples)
-    rows_num = [[g, *traj.populations[-1]] for g, traj in zip(gammas, trajs)]
-    p = dk.analytic_dark_observables(gammas, base, 0.0)[0]
-    q = 0.5 - p
-    rows_ana = np.column_stack([gammas, q, q, p, p]).tolist()
+_GAMMAS = np.linspace(0.0, 2.0, 9)
+_OMEGAS = np.array([20.0, 50.0, 100.0, 200.0])
+# flag (or config key) -> the axis or extra entry it sets, and its parser
+_FIGURE_FLAGS = {"gamma_grid": ("gamma", _parse_grid), "tau_grid": ("tau", _parse_grid),
+                 "omega0_list": ("omega0", _parse_grid), "t_max_eval": ("t_max_eval", float)}
+_COLUMN_LABELS = {"omega0": "omega"}  # header prefix of a column axis, if not its name
 
-    header = ["gamma", "rho11", "rho22", "rho33", "rho44"]
-    common = {"ordering": "overlap", "omega0": 50.0, "tau": 1.5, "samples": samples}
-    return [("fig3_numeric.csv", {**common, "engine": "master"}, header, rows_num),
-            ("fig3_analytic.csv", {**common, "engine": "analytic"}, header, rows_ana)]
-
-
-def _fig4(s: _Settings, samples: int):
-    gammas = s.get("gamma_grid", None, _parse_grid)
-    gammas = np.linspace(0.0, 2.0, 9) if gammas is None else np.asarray(gammas, float)
-    t_max_eval = s.get("t_max_eval", 5.0, float)
-    base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
-
-    f2_master = _final_f2([base.with_updates(gamma=DephasingMatrix.equal(g)) for g in gammas],
-                          samples)
-    f2_tmax, f2_final = dk.analytic_fidelity(gammas, base, np.array([[t_max_eval], [math.inf]]))
-    rows = np.column_stack([gammas, f2_master, f2_tmax, f2_final]).tolist()
-    header = ["gamma", "f2_master", "f2_analytic_tmax", "f2_analytic_final"]
-    entries = {"ordering": "overlap", "omega0": 50.0, "tau": 1.5,
-               "t_max_eval": t_max_eval, "samples": samples}
-    return [("fig4.csv", entries, header, rows)]
-
-
-def _fig5(s: _Settings, samples: int, gamma: float, filename: str):
-    taus = s.get("tau_grid", None, _parse_grid)
-    taus = np.linspace(0.25, 2.5, 10) if taus is None else np.asarray(taus, float)
-    omegas = s.get("omega0_list", None, _parse_grid)
-    omegas = np.array([20.0, 50.0, 100.0, 200.0]) if omegas is None else np.asarray(omegas, float)
-
-    f2 = _final_f2([PulseConfig(ordering=Ordering.OVERLAP, omega0=om, tau=t,
-                                gamma=DephasingMatrix.equal(gamma))
-                    for om in omegas for t in taus], samples)
-    columns = [taus, *np.reshape(f2, (len(omegas), len(taus)))]
-    header = ["tau"] + [f"f2_omega_{om:g}" for om in omegas]
-    if gamma > 0.0:
-        header.append("f2_analytic_final")
-        base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=float(taus[0]))
-        columns.append(dk.analytic_fidelity(gamma, base, math.inf, tau=taus))
-    rows = np.column_stack(columns).tolist()
-    entries = {"ordering": "overlap", "gamma": gamma,
-               "omega0_list": ",".join(f"{om:g}" for om in omegas), "samples": samples}
-    return [(filename, entries, header, rows)]
+FIGURES = {
+    "fig3": Figure(Ordering.OVERLAP, {"omega0": 50.0, "tau": 1.5}, {"gamma": _GAMMAS},
+                   "gamma", "populations"),
+    "fig4": Figure(Ordering.OVERLAP, {"omega0": 50.0, "tau": 1.5}, {"gamma": _GAMMAS},
+                   "gamma", "f2", closed_form=("f2_analytic_tmax", "f2_analytic_final"),
+                   extras={"t_max_eval": 5.0}),
+    "fig5a": Figure(Ordering.OVERLAP, {"gamma": 0.0},
+                    {"omega0": _OMEGAS, "tau": np.linspace(0.25, 2.5, 10)}, "tau", "f2"),
+    "fig5b": Figure(Ordering.OVERLAP, {"gamma": 1.0},
+                    {"omega0": _OMEGAS, "tau": np.linspace(0.25, 2.5, 10)}, "tau", "f2",
+                    closed_form=("f2_analytic_final",)),
+    "fig6": Figure(Ordering.SCP, {"omega0": 200.0},
+                   {"gamma": _GAMMAS, "tau": np.array([1.0, 1.5, 2.0])}, "gamma", "f2"),
+    "fig7": Figure(Ordering.SCP, {"omega0": 200.0, "gamma": 0.0},
+                   {"tau": np.linspace(0.5, 2.5, 9)}, "tau", "T_tr", extras={"epsilon": 0.1}),
+    "fig8": Figure(Ordering.FRACTIONAL, {"omega0": 200.0},
+                   {"gamma": _GAMMAS, "tau": np.array([0.5, 1.0, 1.5])}, "gamma", "f2"),
+    "fig9a": Figure(Ordering.FRACTIONAL, {"omega0": 200.0, "gamma": 0.0},
+                    {"tau": np.array([0.5, 1.0, 1.5])}, None, "trajectory"),
+    # The lower threshold (1 + eps) * cos^2(theta_g) must stay below both 1
+    # and 1 - eps, which for eps = 0.1 needs theta_g > 0.44, i.e. tau > ~0.7.
+    "fig9b": Figure(Ordering.FRACTIONAL, {"omega0": 200.0, "gamma": 0.0},
+                    {"tau": np.linspace(0.75, 1.5, 4)}, "tau", "T_tr", extras={"epsilon": 0.1}),
+}
 
 
-def _gamma_family(s: _Settings, samples: int, ordering: Ordering, taus, filename: str):
-    gammas = s.get("gamma_grid", None, _parse_grid)
-    gammas = np.linspace(0.0, 2.0, 9) if gammas is None else np.asarray(gammas, float)
-
-    f2 = _final_f2([PulseConfig(ordering=ordering, omega0=200.0, tau=tau,
-                                gamma=DephasingMatrix.equal(g))
-                    for g in gammas for tau in taus], samples)
-    table = np.reshape(f2, (len(gammas), len(taus)))
-    header = ["gamma"] + [f"f2_tau_{t:g}" for t in taus]
-    rows = [[g, *table[i]] for i, g in enumerate(gammas)]
-    entries = {"ordering": ordering.value, "omega0": 200.0,
-               "tau_list": ",".join(f"{t:g}" for t in taus), "samples": samples}
-    return [(filename, entries, header, rows)]
+def _figure_config(fig: Figure, point: dict) -> PulseConfig:
+    params = {**fig.fixed, **point}
+    gamma = params.pop("gamma")
+    return PulseConfig(ordering=fig.ordering, gamma=DephasingMatrix.equal(gamma), **params)
 
 
-def _transition_family(s: _Settings, samples: int, ordering: Ordering,
-                       default_taus: np.ndarray, filename: str):
-    taus = s.get("tau_grid", None, _parse_grid)
-    taus = default_taus if taus is None else np.asarray(taus, float)
-    base = PulseConfig(ordering=ordering, omega0=200.0, tau=float(taus[0]))
-    result = analysis.sweep(base, "tau", taus, analysis.Engine.MASTER, samples=samples)
-    rows = [[p.value, p.T_tr, (p.error or "").replace(",", ";")] for p in result.points]
-    header = ["tau", "T_tr", "error_marker"]
-    entries = {"ordering": ordering.value, "omega0": 200.0, "gamma": 0.0,
-               "epsilon": 0.1, "samples": samples}
-    return [(filename, entries, header, rows)]
+def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
+    """(filename, comment entries, header, rows) of every CSV the figure writes."""
+    settings = {**fig.axes, **fig.extras}
+    for key, (target, parse) in _FIGURE_FLAGS.items():
+        value = s.get(key, None, parse)
+        if value is not None:
+            if target not in settings:
+                raise ValueError(f"--{key.replace('_', '-')} does not apply to {name} "
+                                 f"(axes of {name}: {', '.join(fig.axes)})")
+            settings[target] = value
+    axes = list(fig.axes)
+    grids = {axis: settings[axis] for axis in axes}
+    entries = {"ordering": fig.ordering.value, **fig.fixed,
+               **{f"{axis}_list": ",".join(f"{v:g}" for v in grids[axis])
+                  for axis in axes if axis != fig.rows},
+               **{key: settings[key] for key in fig.extras}, "samples": samples}
+    cfgs = [_figure_config(fig, dict(zip(axes, point)))
+            for point in itertools.product(*grids.values())]
 
+    if fig.cell == "T_tr":
+        result = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.MASTER,
+                                samples=samples, eps=settings["epsilon"])
+        rows = [[p.value, p.T_tr, (p.error or "").replace(",", ";")] for p in result.points]
+        return [(f"{name}.csv", entries, [fig.rows, "T_tr", "error_marker"], rows)]
 
-def _fig9a(s: _Settings, samples: int):
-    taus = s.get("tau_grid", None, _parse_grid)
-    taus = np.array([0.5, 1.0, 1.5]) if taus is None else np.asarray(taus, float)
-    trajs = liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL, omega0=200.0,
-                                                  tau=float(t)) for t in taus], samples=samples)
-    rows = np.concatenate([np.column_stack([np.full(len(traj.t), t), traj.t, traj.fidelity])
-                           for t, traj in zip(taus, trajs)]).tolist()
-    header = ["tau", "t", "f2"]
-    entries = {"ordering": "fractional", "omega0": 200.0, "gamma": 0.0,
-               "tau_list": ",".join(f"{t:g}" for t in taus), "samples": samples}
-    return [("fig9a.csv", entries, header, rows)]
+    trajs = liouville.integrate_many(cfgs, samples=samples)
+    if fig.cell == "trajectory":
+        rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
+                               for v, traj in zip(grids[axes[0]], trajs)]).tolist()
+        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)]
 
+    grid = grids[fig.rows]
+    at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
+    if fig.cell == "populations":
+        header = [fig.rows, "rho11", "rho22", "rho33", "rho44"]
+        rows = np.column_stack([grid, [traj.populations[-1] for traj in trajs]]).tolist()
+        p = dk.analytic_dark_observables(at["gamma"], cfgs[0], 0.0, tau=at["tau"])[0]
+        q = 0.5 - p
+        return [(f"{name}_numeric.csv", {**entries, "engine": "master"}, header, rows),
+                (f"{name}_analytic.csv", {**entries, "engine": "analytic"}, header,
+                 np.column_stack([grid, q, q, p, p]).tolist())]
 
-FIGURES = ("fig3", "fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9a", "fig9b")
+    f2 = np.reshape([traj.fidelity[-1] for traj in trajs], [len(g) for g in grids.values()])
+    columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{v:g}" for axis in axes if axis != fig.rows
+               for v in grids[axis]] or ["f2_master"]
+    table = [grid, f2 if axes[0] == fig.rows else f2.T]
+    if fig.closed_form:
+        times = [[settings["t_max_eval"] if column == "f2_analytic_tmax" else math.inf]
+                 for column in fig.closed_form]
+        table += list(dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"]))
+    return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
+             np.column_stack(table).tolist())]
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -349,36 +362,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if name not in FIGURES:
         raise ValueError(f"unknown figure {args.name!r} (expected one of: {', '.join(FIGURES)})")
     samples = s.get("samples", 2000, int)
-
-    if name == "fig3":
-        specs = _fig3(s, samples)
-    elif name == "fig4":
-        specs = _fig4(s, samples)
-    elif name == "fig5a":
-        specs = _fig5(s, samples, 0.0, "fig5a.csv")
-    elif name == "fig5b":
-        specs = _fig5(s, samples, 1.0, "fig5b.csv")
-    elif name == "fig6":
-        specs = _gamma_family(s, samples, Ordering.SCP, np.array([1.0, 1.5, 2.0]), "fig6.csv")
-    elif name == "fig7":
-        specs = _transition_family(s, samples, Ordering.SCP,
-                                   np.linspace(0.5, 2.5, 9), "fig7.csv")
-    elif name == "fig8":
-        specs = _gamma_family(s, samples, Ordering.FRACTIONAL,
-                              np.array([0.5, 1.0, 1.5]), "fig8.csv")
-    elif name == "fig9a":
-        specs = _fig9a(s, samples)
-    else:
-        # The lower threshold (1 + eps) * cos^2(theta_g) must stay below both 1
-        # and 1 - eps, which for eps = 0.1 needs theta_g > 0.44, i.e. tau > ~0.7.
-        specs = _transition_family(s, samples, Ordering.FRACTIONAL,
-                                   np.linspace(0.75, 1.5, 4), "fig9b.csv")
+    tables = _figure_tables(name, FIGURES[name], s, samples)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     entries_all = {"command": "figures", "figure": name}
-    for filename, entries, header, rows in specs:
+    for filename, entries, header, rows in tables:
         outputs.append(_write_csv(out_dir / filename,
                                   {**entries_all, **entries}, header, rows))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,

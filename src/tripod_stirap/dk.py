@@ -25,9 +25,7 @@ from scipy.integrate import quad
 
 from .errors import GammaPole, WrongOrdering, ZeroDelay
 from .liouville import _solve
-from .pulses import Ordering, PulseConfig, mixing_angles
-
-_EXP_CLAMP = 700.0
+from .pulses import _EXP_CLAMP, Ordering, PulseConfig, mixing_angles
 
 # total swing of the rotation angle xi; also fixes the sech pulse area
 ATAN_2SQRT2 = math.atan(2.0 * math.sqrt(2.0))

@@ -141,7 +141,7 @@ def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,
     rho = from_adiabatic(rho_a, t_eval, cfg)
 
     tgt = target_state(cfg)
-    fid = np.real(tgt.amplitudes.conj() @ rho @ tgt.amplitudes)
+    fid = tgt.expectation(rho)
     stats = {"nfev": int(sol.nfev)}
     return EffectiveTrajectory(cfg=cfg, mode=mode, t=t_eval, s=s, u=u, v=v,
                                rho=rho, rho_a=rho_a, fidelity=fid, target=tgt, stats=stats)

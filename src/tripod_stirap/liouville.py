@@ -193,7 +193,7 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int) -
         rho, rho_a = from_adiabatic(states, t_eval, cfg), states
 
     tgt = target_state(cfg)
-    fid = np.real(tgt.amplitudes.conj() @ rho @ tgt.amplitudes)
+    fid = tgt.expectation(rho)
 
     rho_h = np.conj(np.transpose(rho, (0, 2, 1)))
     trace_err = float(np.max(np.abs(np.einsum("nii->n", rho) - 1.0)))

@@ -112,9 +112,13 @@ class TargetState:
     amplitudes: np.ndarray
     theta_g: float
 
-    def expectation(self, rho: np.ndarray) -> float:
-        """<Psi| rho |Psi>, the squared overlap with a density matrix."""
-        return float(np.real(self.amplitudes.conj() @ rho @ self.amplitudes))
+    def expectation(self, rho: np.ndarray):
+        """<Psi| rho |Psi>, the squared overlap with a density matrix.
+
+        One 4x4 matrix gives a float; an (n, 4, 4) stack gives an (n,) array.
+        """
+        value = np.real(self.amplitudes.conj() @ rho @ self.amplitudes)
+        return value if np.ndim(value) else float(value)
 
 
 def target_state(cfg: PulseConfig, theta_g: float | None = None) -> TargetState:

@@ -429,6 +429,97 @@ def test_mixed_batch_figure_is_byte_identical_across_runs(tmp_path):
     assert (d1 / "fig5b.csv").read_bytes() == (d2 / "fig5b.csv").read_bytes()
 
 
+# every figure at a tiny grid: name, flags, {csv: header}, rows per csv, comment-line keys;
+# the two-axis grids are not square, so a transposed table cannot pass
+TINY_FIGURES = [
+    ("fig3", ["--gamma-grid", "0,1"],
+     {"fig3_numeric.csv": "gamma,rho11,rho22,rho33,rho44",
+      "fig3_analytic.csv": "gamma,rho11,rho22,rho33,rho44"},
+     2, "ordering omega0 tau samples engine"),
+    ("fig4", ["--gamma-grid", "0,1", "--t-max-eval", "3"],
+     {"fig4.csv": "gamma,f2_master,f2_analytic_tmax,f2_analytic_final"},
+     2, "ordering omega0 tau t_max_eval samples"),
+    ("fig5a", ["--tau-grid", "1,1.5,2", "--omega0-list", "20,50"],
+     {"fig5a.csv": "tau,f2_omega_20,f2_omega_50"}, 3, "ordering gamma omega0_list samples"),
+    ("fig5b", ["--tau-grid", "1,1.5,2", "--omega0-list", "20,50"],
+     {"fig5b.csv": "tau,f2_omega_20,f2_omega_50,f2_analytic_final"},
+     3, "ordering gamma omega0_list samples"),
+    ("fig6", ["--gamma-grid", "0,1", "--tau-grid", "1,1.25,2"],
+     {"fig6.csv": "gamma,f2_tau_1,f2_tau_1.25,f2_tau_2"}, 2, "ordering omega0 tau_list samples"),
+    ("fig7", ["--tau-grid", "1,2"],
+     {"fig7.csv": "tau,T_tr,error_marker"}, 2, "ordering omega0 gamma epsilon samples"),
+    ("fig8", ["--gamma-grid", "0,1", "--tau-grid", "0.5,1"],
+     {"fig8.csv": "gamma,f2_tau_0.5,f2_tau_1"}, 2, "ordering omega0 tau_list samples"),
+    ("fig9a", ["--tau-grid", "0.5,1"],
+     {"fig9a.csv": "tau,t,f2"}, 2 * 60, "ordering omega0 gamma tau_list samples"),
+    ("fig9b", ["--tau-grid", "1,1.5"],
+     {"fig9b.csv": "tau,T_tr,error_marker"}, 2, "ordering omega0 gamma epsilon samples"),
+]
+
+
+@pytest.mark.parametrize("name,flags,headers,n_rows,keys", TINY_FIGURES,
+                         ids=[case[0] for case in TINY_FIGURES])
+def test_every_figure_at_a_tiny_grid(tmp_path, name, flags, headers, n_rows, keys):
+    assert main(["figures", name, *flags, "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+    assert manifest["config"] == {"command": "figures", "figure": name}
+    assert [entry["path"] for entry in manifest["outputs"]] == list(headers)
+    for entry, (filename, header) in zip(manifest["outputs"], headers.items()):
+        config_line, head, rows = _read_csv(tmp_path / filename)
+        assert ",".join(head) == header
+        assert len(rows) == n_rows and all(len(r) == len(head) for r in rows)
+        cfg = _config_dict(config_line)
+        assert list(cfg) == ["command", "figure", *keys.split()]
+        assert cfg["figure"] == name and cfg["samples"] == "60"
+        blob = (tmp_path / filename).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+        assert entry["bytes"] == len(blob)
+
+
+@pytest.mark.parametrize("name,ordering", [("fig6", Ordering.SCP),
+                                           ("fig8", Ordering.FRACTIONAL)])
+def test_tau_grid_sets_the_columns_of_the_gamma_families(tmp_path, name, ordering):
+    assert main(["figures", name, "--tau-grid", "1.25", "--gamma-grid", "0,0.5",
+                 "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    config_line, header, rows = _read_csv(tmp_path / f"{name}.csv")
+    assert _config_dict(config_line)["tau_list"] == "1.25"
+    assert header == ["gamma", "f2_tau_1.25"]
+    trajs = liouville.integrate_many(
+        [PulseConfig(ordering=ordering, omega0=200.0, tau=1.25, gamma=DephasingMatrix.equal(g))
+         for g in (0.0, 0.5)], samples=60)
+    assert [r[1] for r in rows] == [_loop_fmt(traj.fidelity[-1]) for traj in trajs]
+
+
+@pytest.mark.parametrize("name,flags,axes", [
+    ("fig3", ["--tau-grid", "0.7"], "gamma"),
+    ("fig3", ["--omega0-list", "20"], "gamma"),
+    ("fig3", ["--t-max-eval", "3"], "gamma"),
+    ("fig7", ["--gamma-grid", "0.5"], "tau"),
+    ("fig6", ["--omega0-list", "20"], "gamma, tau"),
+    ("fig5b", ["--gamma-grid", "0.5"], "omega0, tau"),
+    ("fig9a", ["--t-max-eval", "3"], "tau"),
+])
+def test_figure_flags_outside_its_axes_exit_2(tmp_path, capsys, name, flags, axes):
+    t0 = time.perf_counter()
+    rc = main(["figures", name, *flags, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} does not apply to {name}" in err
+    assert f"(axes of {name}: {axes})" in err
+    assert time.perf_counter() - t0 < 5.0
+    assert not list(tmp_path.iterdir())
+
+
+def test_figure_config_key_outside_its_axes_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "fig.cfg"
+    cfg_file.write_text("gamma_grid = 0.5\nsamples = 60\n")
+    out_dir = tmp_path / "out"
+    rc = main(["figures", "fig7", "--config", str(cfg_file), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "--gamma-grid does not apply to fig7 (axes of fig7: tau)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--omega0", "--tau", "--width", "--t-start", "--t-end",
                                   "--gamma"])
 @pytest.mark.parametrize("value", ["nan", "inf"])

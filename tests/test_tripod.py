@@ -163,6 +163,20 @@ def test_target_states() -> None:
         assert math.isclose(tgt.expectation(rho), 1.0, rel_tol=1e-12)
 
 
+def test_expectation_on_a_stack_matches_the_single_matrix_form() -> None:
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    stack = a @ np.conj(np.swapaxes(a, -1, -2))
+    stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+    tgt = target_state(PulseConfig(ordering="scp", omega0=50.0, tau=1.5), theta_g=0.6)
+    values = tgt.expectation(stack)
+    assert isinstance(values, np.ndarray) and values.shape == (5,)
+    for value, rho in zip(values, stack):
+        one = tgt.expectation(rho)
+        assert isinstance(one, float)
+        assert abs(value - one) <= 4e-16
+
+
 @pytest.mark.parametrize("ordering", ["overlap", "scp", "csp", "fractional"])
 def test_frame_matrix_on_arrays_matches_the_scalar_form(ordering: str) -> None:
     cfg = PulseConfig(ordering=ordering, omega0=60.0, tau=1.2)
