@@ -132,15 +132,10 @@ def _series_point(traj, value: float, eps: float, t_max_eval: float) -> SweepPoi
                       error=error, stats=dict(traj.stats))
 
 
-def _failed_point(value: float, exc: TripodError) -> SweepPoint:
-    return SweepPoint(value=float(value), F2_final=math.nan, F2_tmax=math.nan,
-                      T_tr=math.nan, theta_g=math.nan, error=f"{type(exc).__name__}: {exc}")
-
-
-def _grid_or_rows(evaluate, values: np.ndarray) -> list:
+def _grid_or_rows(evaluate, values: np.ndarray) -> list[SweepPoint]:
     """evaluate(rows) for the whole grid at once; if that raises, for each row alone.
 
-    evaluate takes a slice of the grid and returns one result per row in it.
+    evaluate takes a slice of the grid and returns one SweepPoint per row in it.
     In the row-by-row pass only the rows that fail on their own become
     failed points carrying the error; the others keep their results.
     """
@@ -152,7 +147,9 @@ def _grid_or_rows(evaluate, values: np.ndarray) -> list:
             try:
                 out += evaluate(slice(i, i + 1))
             except TripodError as exc:
-                out.append(_failed_point(value, exc))
+                out.append(SweepPoint(value=float(value), F2_final=math.nan, F2_tmax=math.nan,
+                                      T_tr=math.nan, theta_g=math.nan,
+                                      error=f"{type(exc).__name__}: {exc}"))
         return out
 
 
@@ -197,11 +194,12 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
           t_max_eval: float | None = None) -> SweepResult:
     """Evaluate one scalar axis (gamma or tau) over a grid of points.
 
-    The master engine integrates the whole grid as one batch (see
-    liouville.integrate_many) and the analytic engine evaluates it as one
-    array pass through the closed forms; the effective engine goes point by
-    point.  Engine failures are recorded per row instead of aborting the
-    sweep, and rows stay ordered by axis value.
+    The master and effective engines integrate the whole grid as one batch
+    (see liouville.integrate_many and effective.integrate_many) and the
+    analytic engine evaluates it as one array pass through the closed forms.
+    If the grid fails, each row is evaluated alone, so engine failures are
+    recorded per row instead of aborting the sweep; rows stay ordered by
+    axis value.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
@@ -212,31 +210,22 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
         raise ValueError("values must be finite")
     if values.size > 1 and np.any(np.diff(values) <= 0.0):
         raise ValueError("values must be strictly increasing")
+    if t_max_eval is None:
+        t_max_eval = 5.0 * cfg.width
     if engine is Engine.ANALYTIC:
         if cfg.ordering is not Ordering.OVERLAP:
             raise WrongOrdering("analytic engine requires overlap ordering")
         if axis != "gamma" and cfg.gamma.equal_rate() is None:
             raise WrongOrdering("analytic engine requires equal dephasing rates")
-    if t_max_eval is None:
-        t_max_eval = 5.0 * cfg.width
-    if engine is Engine.ANALYTIC:
         points = _analytic_sweep(cfg, axis, values, eps, t_max_eval)
-        return SweepResult(axis=axis, values=values, points=points, engine=engine)
-    cfgs = [_point_config(cfg, axis, value) for value in values]
+    else:
+        cfgs = [_point_config(cfg, axis, value) for value in values]
+        engine_mod = liouville if engine is Engine.MASTER else effective
 
-    if engine is Engine.MASTER:
-        trajs = _grid_or_rows(lambda rows: liouville.integrate_many(cfgs[rows], samples=samples),
-                              values)
-        points = [traj if isinstance(traj, SweepPoint)
-                  else _series_point(traj, value, eps, t_max_eval)
-                  for value, traj in zip(values, trajs)]
-        return SweepResult(axis=axis, values=values, points=points, engine=engine)
+        def evaluate(rows):
+            # map drops each trajectory before the next one is built
+            return list(map(lambda traj, value: _series_point(traj, value, eps, t_max_eval),
+                            engine_mod.integrate_many(cfgs[rows], samples=samples), values[rows]))
 
-    points = []
-    for value, cfg_pt in zip(values, cfgs):
-        try:
-            points.append(_series_point(effective.integrate_suv(cfg_pt, samples=samples),
-                                        value, eps, t_max_eval))
-        except TripodError as exc:
-            points.append(_failed_point(value, exc))
+        points = _grid_or_rows(evaluate, values)
     return SweepResult(axis=axis, values=values, points=points, engine=engine)

@@ -177,9 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "rho_a11", "rho_a22", "rho_a33", "rho_a44",
               "re_rho_a12", "im_rho_a12", "F2"]
     coh = traj.rho_a[:, 0, 1]
-    rows = np.column_stack([traj.t,
-                            np.real(np.einsum("nii->ni", traj.rho)),
-                            np.real(np.einsum("nii->ni", traj.rho_a)),
+    rows = np.column_stack([traj.t, traj.populations, traj.adiabatic_populations,
                             coh.real, coh.imag, traj.fidelity]).tolist()
 
     out = Path(args.out)
@@ -314,7 +312,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
     axes = list(fig.axes)
     grids = {axis: settings[axis] for axis in axes}
     entries = {"ordering": fig.ordering.value, **fig.fixed,
-               **{f"{axis}_list": ",".join(f"{v:g}" for v in grids[axis])
+               **{f"{axis}_list": ",".join(_fmt(v) for v in grids[axis])
                   for axis in axes if axis != fig.rows},
                **{key: settings[key] for key in fig.extras}, "samples": samples}
     cfgs = [_figure_config(fig, dict(zip(axes, point)))
@@ -344,7 +342,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
                  np.column_stack([grid, q, q, p, p]).tolist())]
 
     f2 = np.reshape([traj.fidelity[-1] for traj in trajs], [len(g) for g in grids.values()])
-    columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{v:g}" for axis in axes if axis != fig.rows
+    columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{_fmt(v)}" for axis in axes if axis != fig.rows
                for v in grids[axis]] or ["f2_master"]
     table = [grid, f2 if axes[0] == fig.rows else f2.T]
     if fig.closed_form:

@@ -14,13 +14,14 @@ extracted numerically, which is how the closed forms are verified.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
-from .tripod import TargetState, frame_matrix, target_state
-from .liouville import _solve, dissipator, from_adiabatic
+from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
+from .tripod import frame_matrix
+from .liouville import Basis, Trajectory, _solve, _trajectory, dissipator
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -42,53 +43,52 @@ class EffectiveRates:
     Omega_uv: float
 
 
-def effective_rates(angles: MixingAngles, gamma: DephasingMatrix) -> EffectiveRates:
+def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -> EffectiveRates:
     """Closed-form rates; only gamma_13, gamma_14 and gamma_34 enter.
 
+    Elementwise: a DephasingMatrix and scalar angles give floats; a
+    (4, 4, B) array of member rates and (B,) angles give (B,) arrays.
     The phi-weights of Gamma_v are the complement of those in Gamma_s and
     Gamma_u: at theta = 0, phi = 0 the dark doublet spans psi_1 and psi_4,
     so its coherence must decay at gamma_14, not gamma_13.
     """
     g13, g14, g34 = gamma[0, 2], gamma[0, 3], gamma[2, 3]
-    st, ct = np.sin(angles.theta), np.cos(angles.theta)
-    sp, cp = np.sin(angles.phi), np.cos(angles.phi)
-    s2t = 2.0 * st * ct
-    s2p, c2p = 2.0 * sp * cp, cp * cp - sp * sp
-    s4p = 2.0 * s2p * c2p
-    g1 = cp * cp * g13 + sp * sp * g14
-    g1bar = sp * sp * g13 + cp * cp * g14
+    phi2 = 2.0 * angles.phi
+    st, ct, s2p, c2p = np.sin(angles.theta), np.cos(angles.theta), np.sin(phi2), np.cos(phi2)
+    st2, ct2, gdiff = st * st, ct * ct, g14 - g13
+    # g1 = cos^2(phi) g13 + sin^2(phi) g14; g1bar swaps the weights
+    gmean, tilt = 0.5 * (g13 + g14), 0.5 * c2p * gdiff
+    g1, g1bar = gmean - tilt, gmean + tilt
+    quarter = st2 * ct2 * g1  # sin^2(2 theta) g1 / 4
+    lift, half = 1.0 + st2, 0.5 * st * s2p
+    a34, c34 = s2p * s2p * g34, c2p * g34
 
-    gamma_s = 0.5 * s2t * s2t * g1 + 0.5 * ct**4 * s2p * s2p * g34
-    gamma_u = 0.25 * s2t * s2t * g1 + 0.25 * (1.0 + st * st) ** 2 * s2p * s2p * g34
-    gamma_v = ct * ct * g1bar + st * st * c2p * c2p * g34
-    omega_su = 0.25 * s2t * s2t * g1 - 0.25 * ct * ct * (1.0 + st * st) * s2p * s2p * g34
-    omega_sv = (-0.25 * ct * ct * st * s4p * g34
-                + 0.5 * ct * ct * st * s2p * (g14 - g13))
-    # sin(3 theta) - 7 sin(theta) with a positive prefactor; the sign is fixed
-    # by the numerically extracted tensor (see dissipator_tensor)
-    omega_uv = ((np.sin(3.0 * angles.theta) - 7.0 * st) / 16.0 * s4p * g34
-                - 0.5 * ct * ct * st * s2p * (g14 - g13))
+    gamma_s = 2.0 * quarter + 0.5 * ct2 * ct2 * a34
+    gamma_u = quarter + 0.25 * lift * lift * a34
+    gamma_v = ct2 * g1bar + st2 * c2p * c34
+    omega_su = quarter - 0.25 * ct2 * lift * a34
+    omega_sv = half * ct2 * (gdiff - c34)
+    # (sin(3 theta) - 7 sin(theta)) / 16 * sin(4 phi) g34, with sin(3 theta) - 7 sin(theta)
+    # = -4 sin(theta) (1 + sin^2 theta); its sign is fixed by dissipator_tensor
+    omega_uv = -half * (lift * c34 + ct2 * gdiff)
 
-    return EffectiveRates(Gamma_s=float(gamma_s), Gamma_u=float(gamma_u),
-                          Gamma_v=float(gamma_v), Omega_su=float(omega_su),
-                          Omega_sv=float(omega_sv), Omega_uv=float(omega_uv))
+    return EffectiveRates(Gamma_s=gamma_s, Gamma_u=gamma_u, Gamma_v=gamma_v,
+                          Omega_su=omega_su, Omega_sv=omega_sv, Omega_uv=omega_uv)
 
 
-def _suv_rhs(t: float, y: np.ndarray, cfg: PulseConfig, mode: Mode) -> np.ndarray:
+def _suv_rhs(t: np.ndarray, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
+    """(s, u, v)' of every member: times of shape (B,), states of shape (3, B)."""
     s, u, v = y
-    ang = mixing_angles(t, cfg)
-    r = effective_rates(ang, cfg.gamma)
+    ang = mixing_angles(t, batch)
+    r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
     geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
-    if mode is Mode.WEAK_DEPHASING:
-        return np.array([
-            -r.Gamma_s * s,
-            -r.Gamma_u * u + geo * v,
-            -r.Gamma_v * v - geo * u,
-        ])
+    su, sv, uv = _SQRT2 * r.Omega_su, _SQRT2 * r.Omega_sv, r.Omega_uv
+    if mode is Mode.WEAK_DEPHASING:  # the decay rates alone
+        su = sv = uv = 0.0
     return np.array([
-        -r.Gamma_s * s + _SQRT2 * r.Omega_su * u + _SQRT2 * r.Omega_sv * v,
-        -r.Gamma_u * u + (geo + r.Omega_uv) * v + _SQRT2 * r.Omega_su * s,
-        -r.Gamma_v * v + (-geo + r.Omega_uv) * u + _SQRT2 * r.Omega_sv * s,
+        su * u + sv * v - r.Gamma_s * s,
+        (geo + uv) * v + su * s - r.Gamma_u * u,
+        (uv - geo) * u + sv * s - r.Gamma_v * v,
     ])
 
 
@@ -110,41 +110,44 @@ def dark_density(s, u, v) -> np.ndarray:
     return rho_a
 
 
-@dataclass
-class EffectiveTrajectory:
-    """Sampled (s, u, v) solution plus reconstructed density matrices."""
+@dataclass(kw_only=True)
+class EffectiveTrajectory(Trajectory):
+    """A Trajectory reconstructed from the sampled (s, u, v) solution."""
 
-    cfg: PulseConfig
     mode: Mode
-    t: np.ndarray
     s: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    rho: np.ndarray        # (n, 4, 4) reconstructed bare states
-    rho_a: np.ndarray      # (n, 4, 4) reconstructed adiabatic states
-    fidelity: np.ndarray
-    target: TargetState
-    stats: dict = field(default_factory=dict)
+
+
+def integrate_many(cfgs, mode: Mode = Mode.FULL,
+                   samples: int = 2000) -> Iterator[EffectiveTrajectory]:
+    """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
+
+    One shared RK45 solve with the contract of liouville.integrate_many; each
+    member's dark_density(s, u, v) goes through its post-processing in the
+    adiabatic basis.
+    """
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    batch = Batch.of(cfgs)
+
+    def fun(s, y):
+        return (_suv_rhs(batch.times(s), y.reshape(3, -1), batch, mode) * batch.span).ravel()
+
+    sol = _solve(fun, (0.0, 1.0), np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)),
+                 np.linspace(0.0, 1.0, samples))
+    s, u, v = sol.y.reshape(3, -1, samples)
+    return (EffectiveTrajectory(**vars(_trajectory(cfg, Basis.ADIABATIC,
+                                                   dark_density(s[b], u[b], v[b]), int(sol.nfev))),
+                                mode=mode, s=s[b], u=u[b], v=v[b])
+            for b, cfg in enumerate(batch.cfgs))
 
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,
                   samples: int = 2000) -> EffectiveTrajectory:
-    """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) across the window."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    t_eval = np.linspace(cfg.start, cfg.end, samples)
-    y0 = np.array([-0.5, 1.0 / _SQRT2, 0.0])
-    sol = _solve(lambda t, y: _suv_rhs(t, y, cfg, mode), (cfg.start, cfg.end), y0, t_eval)
-    s, u, v = sol.y
-
-    rho_a = dark_density(s, u, v)
-    rho = from_adiabatic(rho_a, t_eval, cfg)
-
-    tgt = target_state(cfg)
-    fid = tgt.expectation(rho)
-    stats = {"nfev": int(sol.nfev)}
-    return EffectiveTrajectory(cfg=cfg, mode=mode, t=t_eval, s=s, u=u, v=v,
-                               rho=rho, rho_a=rho_a, fidelity=fid, target=tgt, stats=stats)
+    """Propagate (s, u, v) across the window of one run: a batch of one."""
+    return next(integrate_many([cfg], mode=mode, samples=samples))
 
 
 @dataclass(frozen=True)

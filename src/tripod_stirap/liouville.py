@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow, ToleranceNotMet
-from .pulses import _EXP_CLAMP, DephasingMatrix, PulseConfig, mixing_angles
+from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, PulseConfig, mixing_angles
 from .tripod import TargetState, adiabatic_frame, frame_matrix, target_state
 
 RTOL = 1e-9
@@ -66,40 +67,6 @@ class Basis(enum.Enum):
 def dissipator(rho: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
     """Dephasing matrix D with D_mn = -i * gamma_mn * rho_mn, zero diagonal."""
     return -1j * gamma.rates * rho
-
-
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """B run configurations laid out as arrays for the batched derivative."""
-
-    cfgs: tuple[PulseConfig, ...]
-    start: np.ndarray    # (B,) window starts
-    span: np.ndarray     # (B,) window lengths
-    omega0: np.ndarray   # (B, 1) peak Rabi frequencies
-    centers: np.ndarray  # (B, 3) pump, Stokes and control centres
-    widths: np.ndarray   # (B, 3) Gaussian denominators w_k T^2
-    rates: np.ndarray    # (B, 16) vec(gamma), so L_gamma = -diag(rates)
-
-    @classmethod
-    def of(cls, cfgs) -> "Batch":
-        cfgs = tuple(cfgs)
-        if not cfgs:
-            raise ValueError("a batch needs at least one configuration")
-        shapes = np.array([cfg.shapes() for cfg in cfgs])
-        t2 = np.array([[cfg.width * cfg.width] for cfg in cfgs])
-        return cls(cfgs=cfgs,
-                   start=np.array([cfg.start for cfg in cfgs]),
-                   span=np.array([cfg.end - cfg.start for cfg in cfgs]),
-                   omega0=np.array([[float(cfg.omega0)] for cfg in cfgs]),
-                   centers=shapes[:, :, 0], widths=shapes[:, :, 1] * t2,
-                   rates=np.array([cfg.gamma.rates.ravel() for cfg in cfgs]))
-
-    def __len__(self) -> int:
-        return len(self.cfgs)
-
-    def times(self, s: float) -> np.ndarray:
-        """Physical time of every member at normalised time s."""
-        return self.start + s * self.span
 
 
 def rhs_bare(t, rho: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
@@ -168,19 +135,17 @@ class Trajectory:
 
 
 def _solve(fun, t_span, y0, t_eval=None, rtol: float = RTOL, atol: float = ATOL):
-    """RK45 solve; a failure raises the typed error its message points to.
+    """RK45 solve; a failure raises a typed error.
 
     A non-finite derivative at the start would make RK45's first step size
     NaN, and its step loop would then never end, so it is refused up front.
+    Without events, a failed RK45 solve (status -1) is a step-size underflow.
     """
     if not np.all(np.isfinite(fun(t_span[0], y0))):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
     sol = solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StepSizeUnderflow(msg)
-        raise ToleranceNotMet(msg)
+    if sol.status == -1:
+        raise StepSizeUnderflow(sol.message)
     return sol
 
 
@@ -212,7 +177,8 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int) -
                       fidelity=fid, target=tgt, stats=stats)
 
 
-def integrate_many(cfgs, basis: Basis = Basis.BARE, samples: int = 2000) -> list[Trajectory]:
+def integrate_many(cfgs, basis: Basis = Basis.BARE,
+                   samples: int = 2000) -> Iterator[Trajectory]:
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
@@ -220,9 +186,10 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE, samples: int = 2000) -> list
     follows the hardest member and the error norm spans the whole batch, so
     a member's values depend on the batch composition at the level of the
     solver's own error (typically below 1e-9 in F2); the same batch always
-    gives the same values.  Each trajectory is sampled
-    at np.linspace(start, end, samples), and its `nfev` counts evaluations
-    of the batch derivative.  A failed solve raises for the whole batch.
+    gives the same values.  Each trajectory is sampled at np.linspace(start,
+    end, samples), and its `nfev` counts evaluations of the batch derivative.
+    A failed solve raises for the whole batch at the call; the trajectories
+    are then built one at a time as the caller iterates.
 
     The bare basis is the default; the adiabatic basis exercises the frame
     generator and is kept as a verification mode, evaluated member by member.
@@ -255,10 +222,10 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE, samples: int = 2000) -> list
     # matrix-vector product that threaded BLAS slows down on a busy machine
     sol = _solve(fun, (0.0, 1.0), y0.view(float), np.linspace(0.0, 1.0, samples))
     states = np.ascontiguousarray(sol.y.T).view(complex).reshape(samples, n, 4, 4)
-    return [_trajectory(cfg, basis, np.ascontiguousarray(states[:, b]), int(sol.nfev))
-            for b, cfg in enumerate(batch.cfgs)]
+    return (_trajectory(cfg, basis, np.ascontiguousarray(states[:, b]), int(sol.nfev))
+            for b, cfg in enumerate(batch.cfgs))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:
     """Propagate |psi_1><psi_1| from t_start to t_end: a batch of one."""
-    return integrate_many([cfg], basis=basis, samples=samples)[0]
+    return next(integrate_many([cfg], basis=basis, samples=samples))

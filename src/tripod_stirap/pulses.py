@@ -202,8 +202,48 @@ class MixingAngles:
     phi_dot: float
 
 
-def _exponents(t, cfg: PulseConfig):
-    """Gaussian exponents a_k = (t - c_k)^2 / (w_k T^2) and their rates a_k'."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """B run configurations laid out as arrays for the batched derivatives."""
+
+    cfgs: tuple[PulseConfig, ...]
+    start: np.ndarray    # (B,) window starts
+    span: np.ndarray     # (B,) window lengths
+    omega0: np.ndarray   # (B, 1) peak Rabi frequencies
+    centers: np.ndarray  # (B, 3) pump, Stokes and control centres
+    widths: np.ndarray   # (B, 3) Gaussian denominators w_k T^2
+    rates: np.ndarray    # (B, 16) vec(gamma) of each member
+
+    @classmethod
+    def of(cls, cfgs) -> "Batch":
+        cfgs = tuple(cfgs)
+        if not cfgs:
+            raise ValueError("a batch needs at least one configuration")
+        shapes = np.array([cfg.shapes() for cfg in cfgs])
+        t2 = np.array([[cfg.width * cfg.width] for cfg in cfgs])
+        return cls(cfgs=cfgs,
+                   start=np.array([cfg.start for cfg in cfgs]),
+                   span=np.array([cfg.end - cfg.start for cfg in cfgs]),
+                   omega0=np.array([[float(cfg.omega0)] for cfg in cfgs]),
+                   centers=shapes[:, :, 0], widths=shapes[:, :, 1] * t2,
+                   rates=np.array([cfg.gamma.rates.ravel() for cfg in cfgs]))
+
+    def __len__(self) -> int:
+        return len(self.cfgs)
+
+    def times(self, s: float) -> np.ndarray:
+        """Physical time of every member at normalised time s."""
+        return self.start + s * self.span
+
+
+def _exponents(t, cfg: PulseConfig | Batch):
+    """Gaussian exponents a_k = (t - c_k)^2 / (w_k T^2) and their rates a_k'.
+
+    A Batch takes one time per member, shape (B,), and gives (B,) rows.
+    """
+    if isinstance(cfg, Batch):
+        dt = t - cfg.centers.T
+        return dt * dt / cfg.widths.T, 2.0 * dt / cfg.widths.T
     t = np.asarray(t, dtype=float)
     T2 = cfg.width * cfg.width
     a, adot = [], []
@@ -226,30 +266,32 @@ def rms_rabi(t, cfg: PulseConfig):
     return np.sqrt(op * op + os_ * os_ + oc * oc)
 
 
-def mixing_angles(t, cfg: PulseConfig) -> MixingAngles:
+def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
     """Mixing angles and derivatives, stable against envelope underflow.
 
-    phi depends only on the Stokes/control exponent difference; theta is
+    Takes one run at any times, or a Batch at one time per member.  phi
+    depends only on the Stokes/control exponent difference; theta is
     evaluated with the smallest exponent factored out, so ratios of
     underflowed envelopes never appear.
     """
     (ap, as_, ac), (dp, ds, dc) = _exponents(t, cfg)
 
-    da = np.clip(as_ - ac, -_EXP_CLAMP, _EXP_CLAMP)
+    # np.minimum(np.maximum(.)) is np.clip without its per-call overhead
+    da = np.minimum(np.maximum(as_ - ac, -_EXP_CLAMP), _EXP_CLAMP)
     phi = np.arctan(np.exp(da))
     phi_dot = (ds - dc) / (2.0 * np.cosh(da))
 
     m = np.minimum(as_, ac)
-    us, uc = as_ - m, ac - m
-    q2 = np.exp(-2.0 * us) + np.exp(-2.0 * uc)
+    es, ec = np.exp(-2.0 * (as_ - m)), np.exp(-2.0 * (ac - m))
+    q2 = es + ec
     # r is half-clamped: only exp(-2r) is ever formed
-    r = np.clip(ap - m, -0.5 * _EXP_CLAMP, 0.5 * _EXP_CLAMP)
+    r = np.minimum(np.maximum(ap - m, -0.5 * _EXP_CLAMP), 0.5 * _EXP_CLAMP)
+    er = np.exp(-r)
     q = np.sqrt(q2)
-    theta = np.arctan2(np.exp(-r), q)
+    theta = np.arctan2(er, q)
 
-    ws, wc = np.exp(-2.0 * us) / q2, np.exp(-2.0 * uc) / q2
-    lever = -dp + ws * ds + wc * dc
-    sin_cos = q * np.exp(-r) / (q2 + np.exp(-2.0 * r))
+    lever = -dp + es / q2 * ds + ec / q2 * dc
+    sin_cos = q * er / (q2 + np.exp(-2.0 * r))
     theta_dot = sin_cos * lever
 
     return MixingAngles(

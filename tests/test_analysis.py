@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from tripod_stirap import analysis, dk, liouville
+from tripod_stirap import analysis, dk, effective, liouville
 from tripod_stirap.analysis import (
-    Engine, fidelity, fidelity_from_adiabatic, sweep, transition_time,
+    Engine, _series_point, fidelity, fidelity_from_adiabatic, sweep, transition_time,
 )
 from tripod_stirap.errors import (
     AmbiguousCrossing, GammaPole, NoCrossing, NonHermitianState, StepSizeUnderflow,
@@ -217,22 +217,26 @@ def test_sweep_rejects_non_finite_values():
         sweep(_cfg(), "gamma", [0.0, math.nan], Engine.MASTER)
 
 
-def test_failing_member_is_reported_on_its_own_row(monkeypatch):
+@pytest.mark.parametrize("engine", [Engine.MASTER, Engine.EFFECTIVE], ids=lambda e: e.value)
+def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
     # poison the derivative of one member past mid-window: the shared solve
     # fails, and the fallback solves each point alone, so only that row
     # carries the error
     values = [0.25, 0.5, 0.75]
-    clean = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
-    rhs = liouville.rhs_bare
+    clean = sweep(_cfg(), "gamma", values, engine, samples=200)
+    module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
+    rhs = getattr(module, name)
 
-    def poisoned(t, rho, batch):
-        out = rhs(t, rho, batch)
+    def poisoned(t, y, batch, *mode):
+        out = rhs(t, y, batch, *mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
-        out[(rates == 0.5) & (t > 0.0)] = np.nan
+        bad = (rates == 0.5) & (t > 0.0)
+        # master states are (B, 16), effective ones (3, B)
+        out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
         return out
 
-    monkeypatch.setattr(liouville, "rhs_bare", poisoned)
-    res = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
+    monkeypatch.setattr(module, name, poisoned)
+    res = sweep(_cfg(), "gamma", values, engine, samples=200)
     low, bad, high = res.points
     assert bad.error.startswith(StepSizeUnderflow.__name__)
     assert math.isnan(bad.F2_final) and math.isnan(bad.T_tr)
@@ -240,6 +244,24 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch):
         assert p.error == ref.error
         assert abs(p.F2_final - ref.F2_final) < 1e-9
         assert abs(p.F2_tmax - ref.F2_tmax) < 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("ordering", ["overlap", "scp", "csp", "fractional"])
+def test_effective_sweep_matches_per_point_runs(ordering, gamma):
+    # the effective engine solves the whole grid in one batch; each row must
+    # agree with its point run alone by integrate_suv
+    values = np.linspace(0.5, 2.5, 6)
+    cfg = _cfg(ordering, gamma=gamma)
+    res = sweep(cfg, "tau", values, Engine.EFFECTIVE, samples=400)
+    for p in res.points:
+        traj = effective.integrate_suv(cfg.with_updates(tau=p.value), samples=400)
+        alone = _series_point(traj, p.value, 0.1, 5.0)
+        assert p.error == alone.error
+        assert abs(p.F2_final - alone.F2_final) < 1e-9
+        assert abs(p.F2_tmax - alone.F2_tmax) < 1e-9
+        assert abs(p.T_tr - alone.T_tr) < 1e-8 or (p.error is not None
+                                                  and math.isnan(alone.T_tr))
 
 
 # ----------------------------------------------------------- analytic sweeps

@@ -490,6 +490,16 @@ def test_tau_grid_sets_the_columns_of_the_gamma_families(tmp_path, name, orderin
     assert [r[1] for r in rows] == [_loop_fmt(traj.fidelity[-1]) for traj in trajs]
 
 
+def test_figure_grid_values_keep_the_csv_precision(tmp_path):
+    # the two delays agree to 6 significant digits but not to the CSV's 12
+    assert main(["figures", "fig6", "--tau-grid", "1.0000001,1.0000002", "--gamma-grid", "0",
+                 "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    config_line, header, rows = _read_csv(tmp_path / "fig6.csv")
+    assert _config_dict(config_line)["tau_list"] == "1.0000001,1.0000002"
+    assert header == ["gamma", "f2_tau_1.0000001", "f2_tau_1.0000002"]
+    assert len(rows) == 1 and len(rows[0]) == 3
+
+
 @pytest.mark.parametrize("name,flags,axes", [
     ("fig3", ["--tau-grid", "0.7"], "gamma"),
     ("fig3", ["--omega0-list", "20"], "gamma"),

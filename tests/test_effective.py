@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from tripod_stirap import effective
 from tripod_stirap.effective import (
-    Mode, dark_density, dissipator_tensor, effective_rates, integrate_suv, tensor_rates,
+    Mode, dark_density, dissipator_tensor, effective_rates, integrate_many, integrate_suv,
+    tensor_rates,
 )
+from tripod_stirap.liouville import Basis, Trajectory
 from tripod_stirap.pulses import DephasingMatrix, MixingAngles, Ordering, PulseConfig, mixing_angles
 from tripod_stirap.tripod import frame_matrix
 
@@ -48,6 +50,20 @@ def test_equal_rate_spot_values(theta, expected):
     assert got == pytest.approx(tuple(g * e for e in expected), abs=1e-14)
     assert r.Omega_sv == pytest.approx(0.0, abs=1e-14)
     assert r.Omega_uv == pytest.approx(0.0, abs=1e-14)
+
+
+def test_rates_work_elementwise(rng):
+    # (B,) angles with a (4, 4, B) stack of member rates give (B,) arrays;
+    # a DephasingMatrix with scalar angles gives floats
+    gammas = [_random_gamma(rng) for _ in range(5)]
+    theta, phi = rng.uniform(0.0, np.pi / 2, size=(2, 5))
+    stacked = effective_rates(_angles(theta, phi), np.stack([g.rates for g in gammas], axis=-1))
+    fields = ("Gamma_s", "Gamma_u", "Gamma_v", "Omega_su", "Omega_sv", "Omega_uv")
+    for b, gamma in enumerate(gammas):
+        one = effective_rates(_angles(float(theta[b]), float(phi[b])), gamma)
+        for f in fields:
+            assert isinstance(getattr(one, f), float)
+            assert getattr(stacked, f)[b] == pytest.approx(getattr(one, f), rel=0.0, abs=1e-15)
 
 
 def test_coherence_decay_uses_the_complementary_pair_weight():
@@ -105,6 +121,41 @@ def test_dark_density_layout(rng):
 def test_integrate_rejects_single_sample():
     with pytest.raises(ValueError, match="samples must be at least 2"):
         integrate_suv(PulseConfig(ordering="overlap", omega0=50.0, tau=1.5), samples=1)
+
+
+def test_integrate_many_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one configuration"):
+        integrate_many([], samples=10)
+
+
+def test_mixed_batch_matches_batch_of_one_solves():
+    # orderings, peak Rabi frequencies, delays and dephasing rates differ, so
+    # the windows differ; every member keeps its own sampling grid and lands
+    # within 1e-9 (F2_final) and 1e-7 (whole trajectories) of its own solve
+    cfgs = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
+            for o in _ORDERINGS for om, tau, g in ((20.0, 0.8, 0.0), (50.0, 1.5, 0.7),
+                                                  (200.0, 2.2, 2.0))]
+    batch = list(integrate_many(cfgs, samples=300))
+    assert len(batch) == len(cfgs)
+    for cfg, traj in zip(cfgs, batch):
+        alone = integrate_suv(cfg, samples=300)
+        assert traj.cfg is cfg and traj.mode is Mode.FULL
+        assert np.array_equal(traj.t, np.linspace(cfg.start, cfg.end, 300))
+        assert abs(traj.fidelity[-1] - alone.fidelity[-1]) < 1e-9
+        for name in ("s", "u", "v", "fidelity"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(alone, name))) < 1e-7, name
+
+
+@pytest.mark.parametrize("ordering", _ORDERINGS)
+def test_effective_runs_carry_the_invariant_errors(ordering):
+    cfgs = [PulseConfig(ordering=ordering, omega0=om, tau=1.5, gamma=DephasingMatrix.equal(g))
+            for om in (20.0, 200.0) for g in (0.0, 5.0)]
+    for traj in integrate_many(cfgs, samples=300):
+        assert isinstance(traj, Trajectory) and traj.basis is Basis.ADIABATIC
+        assert traj.stats["nfev"] > 0
+        assert traj.stats["trace_error"] < 1e-12
+        assert traj.stats["hermiticity_error"] < 1e-12
+        assert traj.stats["min_eigenvalue"] > -1e-8
 
 
 def test_initial_values_and_shapes(effective_run):

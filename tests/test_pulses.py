@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tripod_stirap.pulses import (
+    Batch,
     DephasingMatrix,
     Ordering,
     PulseConfig,
@@ -246,6 +247,19 @@ def test_mixing_angles_array_matches_scalars() -> None:
         one = mixing_angles(float(ti), cfg)
         assert math.isclose(arr.theta[i], one.theta, rel_tol=0.0, abs_tol=1e-15)
         assert math.isclose(arr.phi_dot[i], one.phi_dot, rel_tol=0.0, abs_tol=1e-15)
+
+
+def test_mixing_angles_of_a_batch_equal_each_member_bit_for_bit() -> None:
+    cfgs = [PulseConfig(ordering=o, omega0=50.0, tau=tau, width=w)
+            for o in ORDERINGS for tau, w in ((0.4, 1.0), (1.7, 0.6))]
+    batch = Batch.of(cfgs)
+    for s in np.linspace(0.0, 1.0, 13):
+        t = batch.times(s)
+        got = mixing_angles(t, batch)
+        for b, cfg in enumerate(cfgs):
+            one = mixing_angles(float(t[b]), cfg)
+            for name in ("theta", "phi", "theta_dot", "phi_dot"):
+                assert getattr(got, name)[b] == getattr(one, name), (cfg, s, name)
 
 
 @given(
