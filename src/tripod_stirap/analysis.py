@@ -66,6 +66,14 @@ def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,
     return float(brentq(lambda t: interp(t) - threshold, times[i], times[i + 1]))
 
 
+def check_evaluation(eps: float = 0.1, t_max_eval: float = 0.0) -> None:
+    """Refuse eps outside (0, 1/2) and a NaN t_max_eval; inf asks for the long-time F2."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must be inside (0, 1/2)")
+    if math.isnan(t_max_eval):
+        raise ValueError("t_max_eval must be a number or inf, got nan")
+
+
 def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
                     ordering: Ordering) -> float:
     """Time for the fidelity to rise between its two threshold values.
@@ -74,8 +82,7 @@ def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
     starts at a finite fidelity and uses (1 + eps) times the initial value.
     Crossings are located on a monotone cubic interpolant of the samples.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must be inside (0, 1/2)")
+    check_evaluation(eps)
     times = np.asarray(times, dtype=float)
     fid = np.asarray(fid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times.shape != fid.shape:
@@ -212,6 +219,7 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
         raise ValueError("values must be strictly increasing")
     if t_max_eval is None:
         t_max_eval = 5.0 * cfg.width
+    check_evaluation(eps, t_max_eval)
     if engine is Engine.ANALYTIC:
         if cfg.ordering is not Ordering.OVERLAP:
             raise WrongOrdering("analytic engine requires overlap ordering")

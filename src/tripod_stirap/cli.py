@@ -129,6 +129,11 @@ def _config_line(entries: dict) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in entries.items())
 
 
+def _marker(point: analysis.SweepPoint) -> str:
+    """A row's error text as one CSV field: commas become semicolons."""
+    return (point.error or "").replace(",", ";")
+
+
 def _write_csv(path: Path, entries: dict, header: list[str], rows) -> dict:
     lines = ["# " + _config_line(entries), ",".join(header)]
     for row in rows:
@@ -222,10 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                **entries}
 
     header = [axis, "F2_final", "F2_tmax", "T_tr", "theta_g", "error_marker"]
-    rows = []
-    for p in result.points:
-        marker = (p.error or "").replace(",", ";")
-        rows.append([p.value, p.F2_final, p.F2_tmax, p.T_tr, p.theta_g, marker])
+    rows = [[p.value, p.F2_final, p.F2_tmax, p.T_tr, p.theta_g, _marker(p)]
+            for p in result.points]
 
     out = Path(args.out)
     outputs = [_write_csv(out, entries, header, rows)]
@@ -309,6 +312,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
                 raise ValueError(f"--{key.replace('_', '-')} does not apply to {name} "
                                  f"(axes of {name}: {', '.join(fig.axes)})")
             settings[target] = value
+    analysis.check_evaluation(settings.get("epsilon", 0.1), settings.get("t_max_eval", 0.0))
     axes = list(fig.axes)
     grids = {axis: settings[axis] for axis in axes}
     entries = {"ordering": fig.ordering.value, **fig.fixed,
@@ -321,7 +325,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
     if fig.cell == "T_tr":
         result = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.MASTER,
                                 samples=samples, eps=settings["epsilon"])
-        rows = [[p.value, p.T_tr, (p.error or "").replace(",", ";")] for p in result.points]
+        rows = [[p.value, p.T_tr, _marker(p)] for p in result.points]
         return [(f"{name}.csv", entries, [fig.rows, "T_tr", "error_marker"], rows)]
 
     trajs = liouville.integrate_many(cfgs, samples=samples)
@@ -457,10 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WrongOrdering, ZeroDelay) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, WrongOrdering, ZeroDelay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TripodError as exc:

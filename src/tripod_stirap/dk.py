@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .errors import GammaPole, WrongOrdering, ZeroDelay
 from .liouville import _solve
-from .pulses import _EXP_CLAMP, Ordering, PulseConfig, mixing_angles
+from .pulses import Ordering, PulseConfig, mixing_angles
 
 # total swing of the rotation angle xi; also fixes the sech pulse area
 ATAN_2SQRT2 = math.atan(2.0 * math.sqrt(2.0))
@@ -63,52 +63,37 @@ def x_of_t(t: float, cfg: PulseConfig) -> float:
     return 4.0 * t * cfg.tau / (cfg.width * cfg.width)
 
 
-def _bigS(x: float) -> float:
-    if x <= 0.0:
-        return math.sqrt(1.0 + 8.0 / (1.0 + math.exp(x)) ** 2)
-    w = math.exp(-min(x, _EXP_CLAMP))
-    return math.sqrt(1.0 + 8.0 * w * w / (1.0 + w) ** 2)
+def _logistic(x):
+    """q = 1/(1 + e^x), p = e^x/(1 + e^x) and S = sqrt(1 + 8 q^2), finite for every x."""
+    q, p = special.expit(-x), special.expit(x)
+    return q, p, np.sqrt(1.0 + 8.0 * q * q)
 
 
-def f1(x: float) -> float:
+def f1(x):
     """Signed detuning profile; f1(0) = 0, limits 3/4 and -1 at x -> -/+ inf."""
-    if x <= 0.0:
-        e = math.exp(max(x, -_EXP_CLAMP))
-        return (1.0 - e * e) * _bigS(x) / (2.0 + e) ** 2
-    w = math.exp(-min(x, _EXP_CLAMP))
-    return (w * w - 1.0) * _bigS(x) / (1.0 + 2.0 * w) ** 2
+    q, p, s = _logistic(x)
+    return _out((q - p) * s / (1.0 + q) ** 2)
 
 
-def f2(x: float) -> float:
+def f2(x):
     """Coupling profile; f2(0) = sqrt(2)/3, peak sqrt(2)/2 at x = ln 3; positive."""
-    x = min(max(x, -_EXP_CLAMP), _EXP_CLAMP)
-    return 4.0 * math.sqrt(2.0) / (2.0 + math.exp(x) + 9.0 * math.exp(-x))
+    q, p, s = _logistic(x)
+    return _out(4.0 * math.sqrt(2.0) * p * q / (s * s))
 
 
-def g_s(x: float) -> float:
-    if x <= 0.0:
-        e = math.exp(max(x, -_EXP_CLAMP))
-        return 2.0 * (1.0 + 2.0 * e) / (2.0 + e) ** 2
-    w = math.exp(-min(x, _EXP_CLAMP))
-    return 2.0 * w * (w + 2.0) / (1.0 + 2.0 * w) ** 2
+def g_s(x):
+    q, p, _ = _logistic(x)
+    return _out(2.0 * q * (1.0 + p) / (1.0 + q) ** 2)
 
 
-def g_plus(x: float) -> float:
-    s = _bigS(x)
-    if x <= 0.0:
-        e = math.exp(max(x, -_EXP_CLAMP))
-        return (1.0 - e * e) * (1.0 + s) / (2.0 * (2.0 + e) ** 2)
-    w = math.exp(-min(x, _EXP_CLAMP))
-    return (w * w - 1.0) * (1.0 + s) / (2.0 * (1.0 + 2.0 * w) ** 2)
+def g_plus(x):
+    q, p, s = _logistic(x)
+    return _out((q - p) * (1.0 + s) / (2.0 * (1.0 + q) ** 2))
 
 
-def g_minus(x: float) -> float:
-    s = _bigS(x)
-    if x <= 0.0:
-        e = math.exp(max(x, -_EXP_CLAMP))
-        return 4.0 * (e - 1.0) / ((1.0 + e) * (2.0 + e) ** 2 * (1.0 + s))
-    w = math.exp(-min(x, _EXP_CLAMP))
-    return 4.0 * w * w * (1.0 - w) / ((1.0 + w) * (1.0 + 2.0 * w) ** 2 * (1.0 + s))
+def g_minus(x):
+    q, p, s = _logistic(x)
+    return _out(4.0 * q * q * (p - q) / ((1.0 + q) ** 2 * (1.0 + s)))
 
 
 def su_two_level(t: float, gamma: float, cfg: PulseConfig):
@@ -134,7 +119,7 @@ def xi_angle(t: float, gamma: float, cfg: PulseConfig):
     """Rotation angle mixing s and u, continuous through the branch point, and its rate."""
     _require_overlap_equal(cfg)
     x = x_of_t(t, cfg)
-    xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) / (1.0 + math.exp(min(x, _EXP_CLAMP))))
+    xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) * special.expit(-x))
     xi_dot = cfg.tau / (cfg.width * cfg.width) * f2(x)
     return xi, xi_dot
 
@@ -200,15 +185,15 @@ def dk_amplitudes(p: DKParams) -> DKAmplitudes:
     return DKAmplitudes(U_pp=_out(u_pp), U_mp=_out(u_mp))
 
 
-def dk_amplitudes_ode(p: DKParams, span: float = 12.0) -> DKAmplitudes:
+def dk_amplitudes_ode(p: DKParams) -> DKAmplitudes:
     """Brute-force amplitudes: integrate the two-level model across the sech pulse.
 
     Keeps the gamma-function route honest.  The dressing exponent is anchored
     so that it vanishes with the dephasing constants, matching the phase
-    convention of the closed form; the sech tail at span = 12 T_eff is below
-    1e-10.
+    convention of the closed form; the window is t_max +- 12 T_eff, where
+    the sech tail is below 1e-10.
     """
-    t0, t1 = p.t_max - span * p.T_eff, p.t_max + span * p.T_eff
+    t0, t1 = p.t_max - 12.0 * p.T_eff, p.t_max + 12.0 * p.T_eff
 
     def dressing(t: float) -> float:
         z = (t - p.t_max) / p.T_eff

@@ -86,11 +86,11 @@ def rhs_bare(t, rho: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
+def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
     """rho^a = R^dag rho R in the instantaneous eigenframe at time t.
 
-    Takes one 4x4 state at a scalar t, or a stack of shape (n, 4, 4) with
-    its n sample times.
+    Takes one 4x4 state at a scalar t, a stack of shape (n, 4, 4) with its
+    n sample times, or a Batch with one time per member.
     """
     r = frame_matrix(mixing_angles(t, cfg))
     return np.conj(np.swapaxes(r, -1, -2)) @ rho @ r
@@ -103,13 +103,14 @@ def from_adiabatic(rho_a: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
 
 
 def rhs_adiabatic(t: float, rho_a: np.ndarray, cfg: PulseConfig) -> np.ndarray:
-    """Eigenframe equation: diagonal Hamiltonian, frame generator, dephasing."""
+    """Eigenframe equation rho^a' = -[W + i H_a, rho^a] - i R^dag D(R rho^a R^dag) R.
+
+    H_a = diag(energies) and the frame generator W come from tripod.adiabatic_frame.
+    """
     frame = adiabatic_frame(t, cfg)
-    h_a = np.diag(frame.energies).astype(complex)
-    w = frame.generator
-    rho = frame.R @ rho_a @ frame.R.conj().T
-    d_a = frame.R.conj().T @ dissipator(rho, cfg.gamma) @ frame.R
-    return -1j * (h_a @ rho_a - rho_a @ h_a + d_a) - (w @ rho_a - rho_a @ w)
+    r, r_h = frame.R, frame.R.conj().T
+    k = frame.generator + 1j * np.diag(frame.energies)
+    return -(k @ rho_a - rho_a @ k) - 1j * (r_h @ dissipator(r @ rho_a @ r_h, cfg.gamma) @ r)
 
 
 @dataclass
@@ -192,7 +193,8 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     are then built one at a time as the caller iterates.
 
     The bare basis is the default; the adiabatic basis exercises the frame
-    generator and is kept as a verification mode, evaluated member by member.
+    generator and is kept as a verification mode, evaluated member by member:
+    its one caller, `simulate --basis adiabatic`, runs a batch of one.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -210,7 +212,7 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
             out *= span
             return out.ravel().view(float)
     else:
-        y0 = np.concatenate([to_adiabatic(rho0, cfg.start, cfg).ravel() for cfg in batch.cfgs])
+        y0 = to_adiabatic(rho0, batch.start, batch).ravel()
 
         def fun(s, y):
             t, rho_a = batch.times(s), y.view(complex).reshape(n, 4, 4)

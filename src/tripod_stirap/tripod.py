@@ -53,18 +53,19 @@ def frame_matrix(angles: MixingAngles) -> np.ndarray:
     return r / _SQRT2
 
 
-def frame_velocity(angles: MixingAngles) -> np.ndarray:
-    """dR/dt from the analytic partial derivatives of the columns."""
-    st, ct = np.sin(angles.theta), np.cos(angles.theta)
-    sp, cp = np.sin(angles.phi), np.cos(angles.phi)
-    d_th = np.empty((4, 4), dtype=complex)
-    d_th[:, 0] = d_th[:, 1] = [-st, 0.0, -ct * cp, -ct * sp]
-    d_th[:, 2] = d_th[:, 3] = [ct, 0.0, -st * cp, -st * sp]
-    d_ph = np.empty((4, 4), dtype=complex)
-    d_ph[:, 0] = [0.0, 0.0, st * sp - 1j * cp, -st * cp - 1j * sp]
-    d_ph[:, 1] = [0.0, 0.0, st * sp + 1j * cp, -st * cp + 1j * sp]
-    d_ph[:, 2] = d_ph[:, 3] = [0.0, 0.0, -ct * sp, ct * cp]
-    return (d_th * angles.theta_dot + d_ph * angles.phi_dot) / _SQRT2
+def frame_generator(angles: MixingAngles) -> np.ndarray:
+    """Non-adiabatic generator W = R^dag dR/dt at one instant, in closed form.
+
+    With a = theta', p = phi' sin(theta), q = phi' cos(theta), m = (a - i q)/2
+    and n = (a + i q)/2, W = [[i p, 0, m, m], [0, -i p, n, n], [-n, -m, 0, 0],
+    [-n, -m, 0, 0]]: anti-Hermitian, with the geometric rate +-p on the dark doublet.
+    """
+    a = angles.theta_dot
+    p = angles.phi_dot * np.sin(angles.theta)
+    q = angles.phi_dot * np.cos(angles.theta)
+    m, n = 0.5 * (a - 1j * q), 0.5 * (a + 1j * q)
+    return np.array([[1j * p, 0.0, m, m], [0.0, -1j * p, n, n],
+                     [-n, -m, 0.0, 0.0], [-n, -m, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,11 @@ def adiabatic_frame(t: float, cfg: PulseConfig) -> AdiabaticFrame:
     r = frame_matrix(angles)
     omega = float(rms_rabi(t, cfg))
     energies = np.array([0.0, 0.0, 0.5 * omega, -0.5 * omega])
-    gen = r.conj().T @ frame_velocity(angles)
-    return AdiabaticFrame(t=float(t), R=r, energies=energies, generator=gen, angles=angles)
+    return AdiabaticFrame(t=float(t), R=r, energies=energies, generator=frame_generator(angles),
+                          angles=angles)
 
 
-def geometric_phase(cfg: PulseConfig, epsabs: float = 1e-10) -> float:
+def geometric_phase(cfg: PulseConfig) -> float:
     """Signed angle swept inside the dark doublet over the full window.
 
     When the Stokes and control pulses have the same shape, phi stays at
@@ -101,7 +102,7 @@ def geometric_phase(cfg: PulseConfig, epsabs: float = 1e-10) -> float:
         ang = mixing_angles(t, cfg)
         return ang.phi_dot * np.sin(ang.theta)
 
-    value, _ = quad(rate, cfg.start, cfg.end, epsabs=epsabs, epsrel=1e-10, limit=400)
+    value, _ = quad(rate, cfg.start, cfg.end, epsabs=1e-10, epsrel=1e-10, limit=400)
     return value
 
 

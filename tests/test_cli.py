@@ -311,6 +311,34 @@ def test_sweep_master_engine_with_epsilon(tmp_path):
     assert math.isfinite(float(rows[0][3])) and float(rows[0][3]) > 0.0
 
 
+@pytest.mark.parametrize("engine", ["master", "effective", "analytic"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epsilon", "0", "eps must be inside (0, 1/2)"),
+    ("--epsilon", "0.7", "eps must be inside (0, 1/2)"),
+    ("--epsilon", "nan", "eps must be inside (0, 1/2)"),
+    ("--t-max-eval", "nan", "t_max_eval must be a number or inf"),
+])
+def test_sweep_rejects_bad_evaluation_settings_up_front(tmp_path, capsys, engine, flag, value,
+                                                        message):
+    t0 = time.perf_counter()
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values", "0,1",
+               "--engine", engine, flag, value, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_accepts_an_infinite_evaluation_time(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values", "0.5,1",
+               "--engine", "analytic", "--t-max-eval", "inf", "--out", str(out)])
+    assert rc == 0
+    _, _, rows = _read_csv(out)
+    assert [r[2] for r in rows] == [r[1] for r in rows]  # F2_tmax is the long-time F2
+
+
 # ------------------------------------------------------------------ figures
 
 def test_figures_rejects_unknown_name(tmp_path, capsys):
@@ -541,6 +569,15 @@ def test_non_finite_inputs_exit_2_at_once(tmp_path, capsys, flag, value):
     assert "must be finite" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 5.0
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_fig4_rejects_a_nan_evaluation_time(tmp_path, capsys):
+    t0 = time.perf_counter()
+    rc = main(["figures", "fig4", "--t-max-eval", "nan", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "t_max_eval must be a number or inf" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------- config file

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,47 @@ def test_f2_shape():
     assert dk.f2(-40.0) < 1e-15 and dk.f2(40.0) < 1e-15
     xs = np.linspace(-30.0, 30.0, 301)
     assert all(dk.f2(float(x)) > 0.0 for x in xs)
+
+
+def _xi(x):
+    """xi at the scaled time x, read through xi_angle."""
+    cfg = _cfg()
+    return dk.xi_angle(x * cfg.width ** 2 / (4.0 * cfg.tau), 1.0, cfg)[0]
+
+
+def _s_exp(e):
+    return np.sqrt(1.0 + 8.0 / (1.0 + e) ** 2)
+
+
+# each profile, its form as a function of e = e^x, and its limits at x -> -inf, +inf
+PROFILES = {
+    "f1": (dk.f1, lambda e: (1.0 - e * e) * _s_exp(e) / (2.0 + e) ** 2, (0.75, -1.0)),
+    "f2": (dk.f2, lambda e: 4.0 * math.sqrt(2.0) / (2.0 + e + 9.0 / e), (0.0, 0.0)),
+    "g_s": (dk.g_s, lambda e: 2.0 * (1.0 + 2.0 * e) / (2.0 + e) ** 2, (0.5, 0.0)),
+    "g_plus": (dk.g_plus, lambda e: (1.0 - e * e) * (1.0 + _s_exp(e)) / (2.0 * (2.0 + e) ** 2),
+               (0.5, -1.0)),
+    "g_minus": (dk.g_minus,
+                lambda e: 4.0 * (e - 1.0) / ((1.0 + e) * (2.0 + e) ** 2 * (1.0 + _s_exp(e))),
+                (-0.25, 0.0)),
+    "xi": (_xi, lambda e: -0.5 * np.arctan(2.0 * math.sqrt(2.0) / (1.0 + e)),
+           (-0.5 * dk.ATAN_2SQRT2, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_logistic_profiles_match_their_exponential_form(name):
+    profile, exp_form, (low, high) = PROFILES[name]
+    xs = np.linspace(-30.0, 30.0, 601)
+    got = np.array([profile(float(x)) for x in xs])
+    assert np.max(np.abs(got - exp_form(np.exp(xs)))) < 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ends = [profile(x) for x in (-math.inf, -1e3, 1e3, math.inf)]
+    assert all(math.isfinite(v) for v in ends)
+    assert ends[0] == pytest.approx(low, abs=1e-15)
+    assert ends[1] == pytest.approx(low, abs=1e-15)
+    assert ends[2] == pytest.approx(high, abs=1e-15)
+    assert ends[3] == pytest.approx(high, abs=1e-15)
 
 
 @given(t=st.floats(-4.0, 4.0), gamma=st.floats(0.05, 3.0), tau=st.floats(0.2, 2.5))

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from tripod_stirap import liouville
 from tripod_stirap.errors import ToleranceNotMet
 from tripod_stirap.liouville import Basis, Batch, dissipator, rhs_adiabatic, rhs_bare
-from tripod_stirap.pulses import DephasingMatrix, PulseConfig, pulse_envelopes
-from tripod_stirap.tripod import adiabatic_frame, hamiltonian
+from tripod_stirap.pulses import DephasingMatrix, MixingAngles, PulseConfig, pulse_envelopes
+from tripod_stirap.tripod import adiabatic_frame, frame_matrix, hamiltonian
 
 
 def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
@@ -64,17 +64,23 @@ def test_rhs_bare_preserves_trace_and_hermiticity(t, seed):
     assert np.max(np.abs(dot - dot.conj().T)) < 1e-12
 
 
-@given(t=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
-def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed):
+@given(t=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1),
+       ordering=st.sampled_from(["overlap", "scp", "csp", "fractional"]))
+def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
     # rho^a = R^dag rho R implies
     #   rho^a' = R^dag rho' R - [W, rho^a],  W = R^dag R'
-    # which ties the two independently coded generators together
+    # which ties the two independently coded generators together; W comes
+    # from a central difference of R, not from the closed form under test
     rng = np.random.default_rng(seed)
-    cfg = _cfg().with_updates(gamma=_random_gamma(rng))
+    cfg = _cfg().with_updates(ordering=ordering, gamma=_random_gamma(rng))
     rho_a = _random_hermitian(rng)
     frame = adiabatic_frame(t, cfg)
     rho = frame.R @ rho_a @ frame.R.conj().T
-    w = frame.generator
+    h, ang = 1e-6, frame.angles
+    shifted = lambda sgn: frame_matrix(MixingAngles(
+        theta=ang.theta + sgn * h * ang.theta_dot, phi=ang.phi + sgn * h * ang.phi_dot,
+        theta_dot=0.0, phi_dot=0.0))
+    w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
     expected = (frame.R.conj().T @ rhs_bare(t, rho, cfg) @ frame.R
                 - (w @ rho_a - rho_a @ w))
     got = rhs_adiabatic(t, rho_a, cfg)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tripod_stirap.pulses import MixingAngles, PulseConfig, mixing_angles, rms_rabi
 from tripod_stirap.tripod import (
     adiabatic_frame,
+    frame_generator,
     frame_matrix,
-    frame_velocity,
     geometric_phase,
     hamiltonian,
     target_state,
@@ -63,14 +63,16 @@ def test_dark_columns_are_annihilated() -> None:
 
 
 @given(angles=angles_st)
-def test_frame_velocity_matches_finite_difference(angles: MixingAngles) -> None:
+def test_frame_generator_matches_finite_difference(angles: MixingAngles) -> None:
+    # W = R^dag dR/dt, with dR/dt a central difference along the angle rates
     h = 1e-6
     shifted = lambda sgn: frame_matrix(MixingAngles(
         theta=angles.theta + sgn * h * angles.theta_dot,
         phi=angles.phi + sgn * h * angles.phi_dot,
         theta_dot=0.0, phi_dot=0.0))
     fd = (shifted(+1) - shifted(-1)) / (2.0 * h)
-    assert np.max(np.abs(frame_velocity(angles) - fd)) < 1e-6
+    w = frame_matrix(angles).conj().T @ fd
+    assert np.max(np.abs(frame_generator(angles) - w)) < 1e-6
 
 
 def test_generator_structure() -> None:
