@@ -207,7 +207,7 @@ def dk_amplitudes_ode(p: DKParams) -> DKAmplitudes:
         phi = dressing(t)
         return [rate * math.exp(phi) * c_p, -rate * math.exp(-phi) * c_m]
 
-    sol = _solve(rhs, (t0, t1), [0.0, 1.0], rtol=1e-10, atol=1e-13)
+    sol = _solve(rhs, (t0, t1), [0.0, 1.0], "RK45", rtol=1e-10, atol=1e-13)
     c_m, c_p = sol.y[0, -1], sol.y[1, -1]
     return DKAmplitudes(U_pp=float(c_p), U_mp=float(c_m))
 

@@ -5,19 +5,23 @@ The bare-basis equation of motion is
     i rho' = [H, rho] + D(rho),      D(rho) = -i * gamma (.) rho,
 
 where (.) is the elementwise (Hadamard) product, so coherences decay as
-rho_mn' = -gamma_mn rho_mn while populations are untouched.  On the
-row-major 16-vector vec(rho) it is linear with three time-dependent weights,
+rho_mn' = -gamma_mn rho_mn while populations are untouched.  A Hermitian
+rho has 16 real coordinates c: the populations rho_ii, then Re rho_ij and
+Im rho_ij for i < j (the coherence vector, T. F. Havel, J. Math. Phys. 44,
+534 (2003)); two constant 16x16 maps take c to the row-major vec(rho) and
+back.  In these coordinates the equation is real and linear with three
+time-dependent weights,
 
-    vec(rho)' = (Omega_p L_p + Omega_s L_s + Omega_c L_c + L_gamma) vec(rho),
+    c' = (Omega_p L_p + Omega_s L_s + Omega_c L_c + L_gamma) c,
 
-with constant coupling superoperators L_k = -i [H_k, .] and the diagonal
-L_gamma = -diag(vec(gamma)) (Liouville-space form, T. F. Havel, J. Math.
-Phys. 44, 534 (2003)).  Runs are integrated as a batch: every member is
-mapped onto the normalised time s in [0, 1] and all of them advance
-through one shared RK45 solve.  The same dynamics can be propagated in the
-instantaneous eigenframe, where the non-adiabatic generator R^dag dR/dt
-appears explicitly; the two routes must agree and are cross-checked in
-the tests.
+with constant real 16x16 matrices L_k, the coordinate form of -i [H_k, .],
+and the diagonal L_gamma, which damps Re rho_ij and Im rho_ij at gamma_ij.
+Runs are integrated as a batch: every member is mapped onto the
+normalised time s in [0, 1] and all of them advance through one shared
+eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  The same
+dynamics can be propagated in the instantaneous eigenframe, where the
+non-adiabatic generator R^dag dR/dt appears explicitly; the two routes must
+agree and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -32,16 +36,40 @@ from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow, ToleranceNotMet
 from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, PulseConfig, mixing_angles
-from .tripod import TargetState, adiabatic_frame, frame_matrix, target_state
+from .tripod import TargetState, adiabatic_frame, frame_matrix, geometric_phase, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
+# the step of the master engine's solves, in both bases
+METHOD = "DOP853"
+
+_I, _J = np.triu_indices(4, 1)
+_DIAG = 5 * np.arange(4)
+# vec(rho) position of each coordinate: rho_ii, then rho_ij for Re and again for Im, i < j
+_POS = np.concatenate([_DIAG, 4 * _I + _J, 4 * _I + _J])
+# vec(rho) = _TO_VEC @ c: coordinate k adds _UNIT[k] at rho_ij and its conjugate at rho_ji
+_UNIT = np.repeat([1.0, 1.0, 1j], [4, 6, 6])
+_TO_VEC = np.zeros((16, 16), dtype=complex)
+_TO_VEC[_POS, np.arange(16)] = _UNIT
+_TO_VEC[np.concatenate([_DIAG, 4 * _J + _I, 4 * _J + _I]), np.arange(16)] = _UNIT.conj()
+# the columns are orthogonal: the inverse is the adjoint over the squared column norms
+_FROM_VEC = _TO_VEC.conj().T / np.sum(np.abs(_TO_VEC) ** 2, axis=0)[:, None]
+
+
+def density(c: np.ndarray) -> np.ndarray:
+    """Hermitian rho of shape S + (4, 4) from real coordinates of shape S + (16,)."""
+    return (c @ _TO_VEC.T).reshape(np.shape(c)[:-1] + (4, 4))
+
+
+def coords(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates S + (16,) of a Hermitian rho of shape S + (4, 4); inverse of density."""
+    return (np.reshape(rho, np.shape(rho)[:-2] + (16,)) @ _FROM_VEC.T).real
 
 
 def _commutator_superop(m: np.ndarray) -> np.ndarray:
-    """-i [M, .] on row-major vec(rho), using vec(A X B) = (A kron B^T) vec(X)."""
-    eye = np.eye(4)
-    return -1j * (np.kron(m, eye) - np.kron(eye, m.T))
+    """-i [M, .] in the coordinates: column k is the image of the k-th basis state."""
+    basis = density(np.eye(16))
+    return coords(-1j * (m @ basis - basis @ m)).T
 
 
 def _coupling(i: int, j: int) -> np.ndarray:
@@ -55,7 +83,7 @@ def _coupling(i: int, j: int) -> np.ndarray:
 L_PUMP = _commutator_superop(_coupling(0, 1))
 L_STOKES = _commutator_superop(_coupling(1, 2))
 L_CONTROL = _commutator_superop(_coupling(1, 3))
-# vec @ _DRIVE holds L_p vec, L_s vec and L_c vec side by side
+# c @ _DRIVE holds L_p c, L_s c and L_c c side by side
 _DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
 
 
@@ -69,21 +97,22 @@ def dissipator(rho: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
     return -1j * gamma.rates * rho
 
 
-def rhs_bare(t, rho: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
-    """Bare-basis rho' = (sum_k Omega_k(t) L_k + L_gamma) rho.
+def rhs_bare(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+    """Bare-basis c' = (sum_k Omega_k(t) L_k + L_gamma) c in the real coordinates.
 
-    Takes one run (a PulseConfig, a scalar t and a 4x4 rho) or a Batch (the
-    members' times, shape (B,), and their states, shape (B, 4, 4) or
-    (B, 16)); the result has the shape of rho.  The envelopes are the
-    Gaussians of pulses.pulse_envelopes, evaluated for all members at once.
+    Takes one run (a PulseConfig, a scalar t and a 16-vector c) or a Batch
+    (the members' times, shape (B,), and their states, shape (B, 16)); the
+    result has the shape of c.  The envelopes are the Gaussians of
+    pulses.pulse_envelopes, evaluated for all members at once, and each
+    coordinate's dephasing rate is read from vec(gamma) at its position.
     """
     batch = cfg if isinstance(cfg, Batch) else Batch.of([cfg])
-    vec = rho.reshape(len(batch), 16)
-    dt = np.reshape(t, (-1, 1)) - batch.centers
+    vec = c.reshape(len(batch), 16)
+    dt = np.asarray(t).reshape(-1, 1) - batch.centers
     omega = batch.omega0 * np.exp(-np.minimum(dt * dt / batch.widths, _EXP_CLAMP))
-    out = np.einsum("bk,bkj->bj", omega, (vec @ _DRIVE).reshape(-1, 3, 16))
-    out -= batch.rates * vec
-    return out.reshape(rho.shape)
+    out = (omega[:, None] @ (vec @ _DRIVE).reshape(-1, 3, 16)).reshape(vec.shape)
+    out -= batch.rates.take(_POS, axis=1) * vec
+    return out.reshape(c.shape)
 
 
 def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
@@ -135,30 +164,35 @@ class Trajectory:
         return np.real(np.einsum("nii->ni", self.rho_a))
 
 
-def _solve(fun, t_span, y0, t_eval=None, rtol: float = RTOL, atol: float = ATOL):
-    """RK45 solve; a failure raises a typed error.
+def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: float = ATOL):
+    """solve_ivp with the engine's explicit Runge-Kutta method; a failure raises a typed error.
 
-    A non-finite derivative at the start would make RK45's first step size
-    NaN, and its step loop would then never end, so it is refused up front.
-    Without events, a failed RK45 solve (status -1) is a step-size underflow.
+    A non-finite derivative at the start would make the first step size
+    NaN, and the step loop would then never end, so it is refused up front.
+    Without events, a failed Runge-Kutta solve (status -1) is a step-size
+    underflow.
     """
     if not np.all(np.isfinite(fun(t_span[0], y0))):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
-    sol = solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
+    sol = solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, rtol=rtol, atol=atol)
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
     return sol
 
 
-def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int) -> Trajectory:
-    """Both bases, fidelity and invariant errors of one member's sampled states."""
+def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
+                theta_g: float | None = None) -> Trajectory:
+    """Both bases, fidelity and invariant errors of one member's sampled states.
+
+    The target state uses theta_g when given, else the member's own geometric phase.
+    """
     t_eval = np.linspace(cfg.start, cfg.end, len(states))
     if basis is Basis.BARE:
         rho, rho_a = states, to_adiabatic(states, t_eval, cfg)
     else:
         rho, rho_a = from_adiabatic(states, t_eval, cfg), states
 
-    tgt = target_state(cfg)
+    tgt = target_state(cfg, theta_g)
     fid = tgt.expectation(rho)
 
     rho_h = np.conj(np.transpose(rho, (0, 2, 1)))
@@ -178,19 +212,31 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int) -
                       fidelity=fid, target=tgt, stats=stats)
 
 
+def _phases(cfgs) -> list[float]:
+    """theta_g of every member, integrated once per distinct pulse shape and window."""
+    shapes = [(cfg.ordering, cfg.tau, cfg.width, cfg.start, cfg.end) for cfg in cfgs]
+    phase = {key: geometric_phase(cfg) for key, cfg in dict(zip(shapes, cfgs)).items()}
+    return [phase[key] for key in shapes]
+
+
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
                    samples: int = 2000) -> Iterator[Trajectory]:
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
-    members with different windows share every RK45 step.  The step size
-    follows the hardest member and the error norm spans the whole batch, so
-    a member's values depend on the batch composition at the level of the
-    solver's own error (typically below 1e-9 in F2); the same batch always
-    gives the same values.  Each trajectory is sampled at np.linspace(start,
-    end, samples), and its `nfev` counts evaluations of the batch derivative.
+    members with different windows share every DOP853 step on their (B, 16)
+    real coordinates.  The step size follows the hardest member and the
+    error norm spans the whole batch, so a member's values depend on the
+    batch composition at the level of the solver's own error; the same batch
+    always gives the same values.  On the default fig5a, fig5b, fig6 and fig8
+    grids every member's final F2 lies within 3.2e-9, and its whole F2
+    trajectory within 1.1e-8, of a lone solve at rtol 1e-13 (worst: fig5a at
+    Omega0=200, tau=0.25; fig6 and fig8 within 6.6e-11 in final F2).  Each
+    trajectory is sampled at np.linspace(start, end, samples), and its `nfev`
+    counts evaluations of the batch derivative.
     A failed solve raises for the whole batch at the call; the trajectories
-    are then built one at a time as the caller iterates.
+    are then built one at a time as the caller iterates, and their states
+    become complex 4x4 matrices only there.
 
     The bare basis is the default; the adiabatic basis exercises the frame
     generator and is kept as a verification mode, evaluated member by member:
@@ -200,32 +246,29 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
         raise ValueError("samples must be at least 2")
     batch = Batch.of(cfgs)
     n = len(batch)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[0, 0] = 1.0
+    c0 = np.zeros(16)
+    c0[0] = 1.0  # rho_11 = 1
     span = batch.span[:, None]
 
     if basis is Basis.BARE:
-        y0 = np.tile(rho0.ravel(), n)
+        y0 = np.tile(c0, n)
 
         def fun(s, y):
-            out = rhs_bare(batch.times(s), y.view(complex).reshape(n, 16), batch)
+            out = rhs_bare(batch.times(s), y.reshape(n, 16), batch)
             out *= span
-            return out.ravel().view(float)
+            return out.ravel()
     else:
-        y0 = to_adiabatic(rho0, batch.start, batch).ravel()
+        y0 = coords(to_adiabatic(density(c0), batch.start, batch)).ravel()
 
         def fun(s, y):
-            t, rho_a = batch.times(s), y.view(complex).reshape(n, 4, 4)
-            return np.concatenate([batch.span[b] * rhs_adiabatic(t[b], rho_a[b], cfg).ravel()
-                                   for b, cfg in enumerate(batch.cfgs)]).view(float)
+            t, rho_a = batch.times(s), density(y.reshape(n, 16))
+            return coords(np.stack([batch.span[b] * rhs_adiabatic(t[b], rho_a[b], cfg)
+                                    for b, cfg in enumerate(batch.cfgs)])).ravel()
 
-    # the solver sees real and imaginary parts as separate real components:
-    # with a complex state, RK45's error estimate becomes a complex
-    # matrix-vector product that threaded BLAS slows down on a busy machine
-    sol = _solve(fun, (0.0, 1.0), y0.view(float), np.linspace(0.0, 1.0, samples))
-    states = np.ascontiguousarray(sol.y.T).view(complex).reshape(samples, n, 4, 4)
-    return (_trajectory(cfg, basis, np.ascontiguousarray(states[:, b]), int(sol.nfev))
-            for b, cfg in enumerate(batch.cfgs))
+    sol = _solve(fun, (0.0, 1.0), y0, METHOD, np.linspace(0.0, 1.0, samples))
+    return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)
+            for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, samples),
+                                       _phases(batch.cfgs)))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from tripod_stirap import effective, liouville
-from tripod_stirap.cli import _fmt, main
-from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
+from tripod_stirap.cli import FIGURES, _figure_config, _fmt, main
+from tripod_stirap.pulses import Batch, DephasingMatrix, Ordering, PulseConfig
 
 SIM_HEADER = ("t,rho11,rho22,rho33,rho44,rho_a11,rho_a22,rho_a33,rho_a44,"
               "re_rho_a12,im_rho_a12,F2")
@@ -447,6 +448,27 @@ def test_batched_figures_match_per_point(tmp_path):
         alone = liouville.integrate(base.with_updates(gamma=DephasingMatrix.equal(g)),
                                     samples=200)
         assert np.max(np.abs(np.array(row[1:], float) - alone.populations[-1])) < 1e-9
+
+
+def test_default_fig5a_batch_meets_the_per_member_contract():
+    # the step control sees an RMS error over all 40 members, which can dilute
+    # the hardest member's own error; the final F2 of that member, Omega0=200
+    # at tau=0.25 (the figure's cell), must still lie within 1e-8 of a lone
+    # solve at rtol 1e-13
+    fig = FIGURES["fig5a"]
+    cfgs = [_figure_config(fig, dict(zip(fig.axes, point)))
+            for point in itertools.product(*fig.axes.values())]
+    assert len(cfgs) == 40
+    b = next(i for i, cfg in enumerate(cfgs) if cfg.omega0 == 200.0 and cfg.tau == 0.25)
+    traj = next(itertools.islice(liouville.integrate_many(cfgs), b, None))
+    alone = Batch.of([cfgs[b]])
+    y0 = np.zeros(16)
+    y0[0] = 1.0
+    sol = liouville._solve(lambda s, y: liouville.rhs_bare(alone.times(s), y, alone) * alone.span,
+                           (0.0, 1.0), y0, method="DOP853", t_eval=np.linspace(0.0, 1.0, 2000),
+                           rtol=1e-13, atol=1e-15)
+    reference = traj.target.expectation(liouville.density(sol.y[:, -1]))
+    assert abs(traj.fidelity[-1] - reference) < 1e-8
 
 
 def test_mixed_batch_figure_is_byte_identical_across_runs(tmp_path):

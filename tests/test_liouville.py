@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import liouville
+from tripod_stirap import liouville, tripod
 from tripod_stirap.errors import ToleranceNotMet
-from tripod_stirap.liouville import Basis, Batch, dissipator, rhs_adiabatic, rhs_bare
+from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, rhs_adiabatic,
+                                      rhs_bare)
 from tripod_stirap.pulses import DephasingMatrix, MixingAngles, PulseConfig, pulse_envelopes
-from tripod_stirap.tripod import adiabatic_frame, frame_matrix, hamiltonian
+from tripod_stirap.tripod import (adiabatic_frame, frame_matrix, geometric_phase, hamiltonian,
+                                  target_state)
 
 
 def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
@@ -49,7 +51,7 @@ def test_rhs_far_outside_window_is_pure_dephasing(rng):
     gamma = _random_gamma(rng)
     cfg = cfg.with_updates(gamma=gamma)
     rho = _random_hermitian(rng)
-    dot = rhs_bare(40.0, rho, cfg)
+    dot = density(rhs_bare(40.0, coords(rho), cfg))
     assert np.allclose(np.diagonal(dot), 0.0, atol=1e-30)
     assert np.allclose(dot, -gamma.rates * rho, atol=1e-30)
 
@@ -59,7 +61,7 @@ def test_rhs_bare_preserves_trace_and_hermiticity(t, seed):
     rng = np.random.default_rng(seed)
     rho = _random_hermitian(rng)
     cfg = _cfg().with_updates(gamma=_random_gamma(rng))
-    dot = rhs_bare(t, rho, cfg)
+    dot = density(rhs_bare(t, coords(rho), cfg))
     assert abs(np.trace(dot)) < 1e-12
     assert np.max(np.abs(dot - dot.conj().T)) < 1e-12
 
@@ -81,7 +83,7 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
         theta=ang.theta + sgn * h * ang.theta_dot, phi=ang.phi + sgn * h * ang.phi_dot,
         theta_dot=0.0, phi_dot=0.0))
     w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
-    expected = (frame.R.conj().T @ rhs_bare(t, rho, cfg) @ frame.R
+    expected = (frame.R.conj().T @ density(rhs_bare(t, coords(rho), cfg)) @ frame.R
                 - (w @ rho_a - rho_a @ w))
     got = rhs_adiabatic(t, rho_a, cfg)
     assert np.max(np.abs(got - expected)) < 1e-7 * cfg.omega0
@@ -97,7 +99,34 @@ def test_superoperators_reproduce_the_commutator(t, seed):
     drive = op * liouville.L_PUMP + os_ * liouville.L_STOKES + oc * liouville.L_CONTROL
     h = hamiltonian(t, cfg)
     expected = -1j * (h @ rho - rho @ h)
-    assert np.max(np.abs(drive @ rho.ravel() - expected.ravel())) < 1e-12 * cfg.omega0
+    assert np.max(np.abs(density(drive @ coords(rho)) - expected)) < 1e-12 * cfg.omega0
+
+
+def test_coordinates_round_trip_exactly(rng):
+    c = rng.normal(size=(50, 16))
+    assert np.array_equal(coords(density(c)), c)
+    rho = _random_hermitian(rng)
+    assert np.max(np.abs(density(coords(rho)) - rho)) < 1e-16
+
+
+def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
+    rho = density(rng.normal(size=(50, 16)))
+    assert rho.shape == (50, 4, 4)
+    assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
+
+
+@pytest.mark.parametrize("name,levels", [("L_PUMP", (0, 1)), ("L_STOKES", (1, 2)),
+                                         ("L_CONTROL", (1, 3))])
+def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
+    # L_k c is the coordinate vector of -i [H_k, rho], H_k the coupling per unit Rabi frequency
+    superop = getattr(liouville, name)
+    assert superop.shape == (16, 16) and superop.dtype == np.float64
+    h = np.zeros((4, 4))
+    h[levels] = h[levels[::-1]] = 0.5
+    for _ in range(20):
+        rho = _random_hermitian(rng)
+        expected = -1j * (h @ rho - rho @ h)
+        assert np.max(np.abs(density(superop @ coords(rho)) - expected)) < 1e-15
 
 
 def test_batched_rhs_matches_each_member(rng):
@@ -105,7 +134,7 @@ def test_batched_rhs_matches_each_member(rng):
             for o, tau, om in (("overlap", 1.5, 50.0), ("scp", 0.5, 80.0),
                                ("fractional", 2.0, 20.0))]
     t = np.array([-0.7, 0.1, 1.3])
-    rho = np.stack([_random_hermitian(rng) for _ in cfgs])
+    rho = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
     got = rhs_bare(t, rho, Batch.of(cfgs))
     for b, cfg in enumerate(cfgs):
         assert np.max(np.abs(got[b] - rhs_bare(t[b], rho[b], cfg))) < 1e-15 * cfg.omega0
@@ -126,6 +155,28 @@ def test_mixed_batch_matches_batch_of_one_solves():
         assert np.array_equal(alone.t, traj.t)
         assert np.max(np.abs(traj.fidelity - alone.fidelity)) < 1e-9
         assert traj.stats["trace_error"] < 1e-9
+
+
+def test_geometric_phase_is_integrated_once_per_pulse_shape(monkeypatch):
+    # 12 members, 3 distinct (ordering, tau, width): Omega0 and gamma do not enter theta_g
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return geometric_phase(cfg)
+
+    monkeypatch.setattr(liouville, "geometric_phase", counted)
+    monkeypatch.setattr(tripod, "geometric_phase", counted)
+    cfgs = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
+            for o, tau in (("scp", 1.0), ("scp", 1.5), ("fractional", 1.0))
+            for om in (30.0, 60.0) for g in (0.0, 1.0)]
+    trajs = list(liouville.integrate_many(cfgs, samples=40))
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for cfg, traj in zip(cfgs, trajs):
+        own = target_state(cfg)
+        assert traj.target.theta_g == own.theta_g
+        assert np.array_equal(traj.fidelity, own.expectation(traj.rho))
 
 
 def test_adiabatic_batch_matches_the_bare_batch():
