@@ -75,19 +75,21 @@ def check_evaluation(eps: float = 0.1, t_max_eval: float = 0.0) -> None:
 
 
 def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
-                    ordering: Ordering) -> float:
+                    ordering: Ordering, interp: PchipInterpolator | None = None) -> float:
     """Time for the fidelity to rise between its two threshold values.
 
     The lower threshold is eps, except for the fractional ordering, which
     starts at a finite fidelity and uses (1 + eps) times the initial value.
-    Crossings are located on a monotone cubic interpolant of the samples.
+    Crossings are located on a monotone cubic interpolant of the samples;
+    a caller that holds PchipInterpolator(times, fid) already can pass it.
     """
     check_evaluation(eps)
     times = np.asarray(times, dtype=float)
     fid = np.asarray(fid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times.shape != fid.shape:
         raise ValueError("need matching 1-d time and fidelity series with at least 2 samples")
-    interp = PchipInterpolator(times, fid)
+    if interp is None:
+        interp = PchipInterpolator(times, fid)
     if ordering is Ordering.FRACTIONAL:
         low = (1.0 + eps) * fid[0]
     else:
@@ -131,7 +133,7 @@ def _series_point(traj, value: float, eps: float, t_max_eval: float) -> SweepPoi
     f2_tmax = float(interp(t_eval))
     error = None
     try:
-        t_tr = transition_time(traj.t, traj.fidelity, eps, traj.cfg.ordering)
+        t_tr = transition_time(traj.t, traj.fidelity, eps, traj.cfg.ordering, interp)
     except NoCrossing as exc:
         t_tr, error = math.nan, f"{type(exc).__name__}: {exc}"
     return SweepPoint(value=float(value), F2_final=float(traj.fidelity[-1]),

@@ -134,10 +134,19 @@ def _marker(point: analysis.SweepPoint) -> str:
     return (point.error or "").replace(",", ";")
 
 
+def _row_format(types: tuple) -> str:
+    """One %-format string for a row with these cell types, equal to _fmt cell by cell."""
+    return ",".join("%s" if issubclass(t, str) else "%d" if issubclass(t, (int, np.integer))
+                    else "%.12g" for t in types)
+
+
 def _write_csv(path: Path, entries: dict, header: list[str], rows) -> dict:
     lines = ["# " + _config_line(entries), ",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
+        lines.append(fmt % tuple(row))
     blob = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(blob)
     return {"path": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}

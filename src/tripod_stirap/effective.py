@@ -21,7 +21,7 @@ import numpy as np
 
 from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from .tripod import frame_matrix
-from .liouville import Basis, Trajectory, _solve, _trajectory, dissipator
+from .liouville import Basis, Trajectory, _phases, _solve, _trajectory, dissipator
 
 _SQRT2 = np.sqrt(2.0)
 # the (s, u, v) solves take a few hundred steps, most of them holding output
@@ -97,6 +97,12 @@ def _suv_rhs(t: np.ndarray, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarr
     ])
 
 
+def _dark_block(s, u, v):
+    """Dark populations p, bright populations q and dark coherence of (s, u, v)."""
+    p = 0.25 - 0.5 * s
+    return p, 0.5 * (1.0 - 2.0 * p), (u + 1j * v) / _SQRT2
+
+
 def dark_density(s, u, v) -> np.ndarray:
     """4x4 adiabatic-basis state implied by (s, u, v).
 
@@ -104,15 +110,26 @@ def dark_density(s, u, v) -> np.ndarray:
     share the leftover population equally with no cross coherences.  Scalar
     s, u, v give one (4, 4) state; arrays of shape S give a stack S + (4, 4).
     """
-    p = 0.25 - 0.5 * s
-    coh = (u + 1j * v) / _SQRT2
-    q = 0.5 * (1.0 - 2.0 * p)
+    p, q, coh = _dark_block(s, u, v)
     rho_a = np.zeros(np.shape(p) + (4, 4), dtype=complex)
     rho_a[..., 0, 0] = rho_a[..., 1, 1] = p
     rho_a[..., 2, 2] = rho_a[..., 3, 3] = q
     rho_a[..., 0, 1] = coh
     rho_a[..., 1, 0] = np.conj(coh)
     return rho_a
+
+
+def dark_invariants(s, u, v) -> dict:
+    """Invariant errors of dark_density(s, u, v) over the samples, in closed form.
+
+    The state is Hermitian by construction and its spectrum is {p +- |c|, q, q}.
+    """
+    p, q, coh = _dark_block(s, u, v)
+    return {
+        "trace_error": float(np.max(np.abs(2.0 * (p + q) - 1.0))),
+        "hermiticity_error": 0.0,
+        "min_eigenvalue": float(min(np.min(p - np.abs(coh)), np.min(q))),
+    }
 
 
 @dataclass(kw_only=True)
@@ -130,8 +147,9 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
     One shared RK45 solve with the contract of liouville.integrate_many; each
-    member's dark_density(s, u, v) goes through its post-processing in the
-    adiabatic basis.
+    member keeps dark_density(s, u, v) in the adiabatic basis, with its
+    invariant errors in closed form (dark_invariants) and theta_g integrated
+    once per distinct pulse shape.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -144,9 +162,10 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                  np.linspace(0.0, 1.0, samples))
     s, u, v = sol.y.reshape(3, -1, samples)
     return (EffectiveTrajectory(**vars(_trajectory(cfg, Basis.ADIABATIC,
-                                                   dark_density(s[b], u[b], v[b]), int(sol.nfev))),
+                                                   dark_density(s[b], u[b], v[b]), int(sol.nfev),
+                                                   theta_g, dark_invariants(s[b], u[b], v[b]))),
                                 mode=mode, s=s[b], u=u[b], v=v[b])
-            for b, cfg in enumerate(batch.cfgs))
+            for b, (cfg, theta_g) in enumerate(zip(batch.cfgs, _phases(batch.cfgs))))
 
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,

@@ -30,6 +30,7 @@ import enum
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -144,16 +145,34 @@ def rhs_adiabatic(t: float, rho_a: np.ndarray, cfg: PulseConfig) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one run, in both bases, with derived observables."""
+    """Sampled solution of one run, with derived observables.
+
+    `states` holds the samples in the basis the engine solved in; the other
+    basis is built on its first read through to_adiabatic or from_adiabatic
+    and kept.
+    """
 
     cfg: PulseConfig
     basis: Basis
     t: np.ndarray
-    rho: np.ndarray        # (n, 4, 4) bare basis
-    rho_a: np.ndarray      # (n, 4, 4) adiabatic basis
+    states: np.ndarray     # (n, 4, 4) in `basis`
     fidelity: np.ndarray   # (n,) squared overlap with the ideal end state
     target: TargetState
     stats: dict = field(default_factory=dict)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(n, 4, 4) bare basis."""
+        if self.basis is Basis.BARE:
+            return self.states
+        return from_adiabatic(self.states, self.t, self.cfg)
+
+    @cached_property
+    def rho_a(self) -> np.ndarray:
+        """(n, 4, 4) adiabatic basis."""
+        if self.basis is Basis.ADIABATIC:
+            return self.states
+        return to_adiabatic(self.states, self.t, self.cfg)
 
     @property
     def populations(self) -> np.ndarray:
@@ -180,36 +199,44 @@ def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: 
     return sol
 
 
-def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
-                theta_g: float | None = None) -> Trajectory:
-    """Both bases, fidelity and invariant errors of one member's sampled states.
+def _invariants(states: np.ndarray) -> dict:
+    """Trace and Hermiticity errors and the minimum eigenvalue over a stack of states.
 
-    The target state uses theta_g when given, else the member's own geometric phase.
+    All three are the same in either basis.
+    """
+    states_h = np.conj(np.transpose(states, (0, 2, 1)))
+    return {
+        "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
+        "hermiticity_error": float(np.max(np.abs(states - states_h))),
+        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(0.5 * (states + states_h))[:, 0])),
+    }
+
+
+def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
+                theta_g: float | None = None, invariants: dict | None = None) -> Trajectory:
+    """Fidelity and invariant errors of one member's sampled states, in the basis solved in.
+
+    The target state uses theta_g when given, else the member's own geometric
+    phase.  In the adiabatic basis the fidelity is <R^dag psi| rho^a |R^dag psi>,
+    with R the frame at each sample.  The invariants are taken from the
+    states unless the engine supplies them.
     """
     t_eval = np.linspace(cfg.start, cfg.end, len(states))
-    if basis is Basis.BARE:
-        rho, rho_a = states, to_adiabatic(states, t_eval, cfg)
-    else:
-        rho, rho_a = from_adiabatic(states, t_eval, cfg), states
-
     tgt = target_state(cfg, theta_g)
-    fid = tgt.expectation(rho)
+    if basis is Basis.BARE:
+        fid = tgt.expectation(states)
+    else:
+        # row n is R_n^dag psi
+        amps = tgt.amplitudes @ np.conj(frame_matrix(mixing_angles(t_eval, cfg)))
+        fid = np.real(np.einsum("ni,nij,nj->n", np.conj(amps), states, amps))
 
-    rho_h = np.conj(np.transpose(rho, (0, 2, 1)))
-    trace_err = float(np.max(np.abs(np.einsum("nii->n", rho) - 1.0)))
-    herm_err = float(np.max(np.abs(rho - rho_h)))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]))
-    if min_eig < -1e-6:
-        warnings.warn(f"density matrix lost positivity: min eigenvalue {min_eig:.3e}")
-
-    stats = {
-        "nfev": nfev,
-        "trace_error": trace_err,
-        "hermiticity_error": herm_err,
-        "min_eigenvalue": min_eig,
-    }
-    return Trajectory(cfg=cfg, basis=basis, t=t_eval, rho=rho, rho_a=rho_a,
-                      fidelity=fid, target=tgt, stats=stats)
+    if invariants is None:
+        invariants = _invariants(states)
+    if invariants["min_eigenvalue"] < -1e-6:
+        warnings.warn("density matrix lost positivity: "
+                      f"min eigenvalue {invariants['min_eigenvalue']:.3e}")
+    return Trajectory(cfg=cfg, basis=basis, t=t_eval, states=states, fidelity=fid,
+                      target=tgt, stats={"nfev": nfev, **invariants})
 
 
 def _phases(cfgs) -> list[float]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tripod_stirap import effective, liouville
+from tripod_stirap import cli, effective, liouville
 from tripod_stirap.cli import FIGURES, _figure_config, _fmt, main
 from tripod_stirap.pulses import Batch, DephasingMatrix, Ordering, PulseConfig
 
@@ -66,6 +66,22 @@ def test_number_format_matches_the_reference_on_random_floats():
     for x in values:
         assert _fmt(x) == _loop_fmt(x)
         assert _fmt(float(x)) == _loop_fmt(x)
+
+
+def test_csv_rows_match_the_per_value_writer(tmp_path, rng):
+    # one %-format string per row must write the bytes of _loop_fmt cell by cell,
+    # also where the cell types change from row to row
+    floats = np.concatenate([rng.normal(size=(40, 5)) * np.exp(rng.uniform(-300, 300, (40, 5))),
+                             [[math.nan, -math.nan, math.inf, -math.inf, -0.0]]])
+    markers = ["", "NoCrossing: fidelity never rises through 0.1", "StepSizeUnderflow: x; y"]
+    rows = [[*row, markers[i % 3]] for i, row in enumerate(floats.tolist())]
+    rows += [[np.float64(0.1), np.int64(42), 7, -3, True, "overlap"],
+             [0.5, 2.0, 3.0, 4.0, 5.0, 6.0], list(floats[-1]) + ["nan"]]
+    info = cli._write_csv(tmp_path / "t.csv", {"k": 1.5}, list("abcdef"), rows)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[:2] == ["# k=1.5", "a,b,c,d,e,f"]
+    assert lines[2:] == [",".join(_loop_fmt(x) for x in row) for row in rows]
+    assert info["bytes"] == len((tmp_path / "t.csv").read_bytes())
 
 
 # ----------------------------------------------------------------- simulate
@@ -454,7 +470,7 @@ def test_default_fig5a_batch_meets_the_per_member_contract():
     # the step control sees an RMS error over all 40 members, which can dilute
     # the hardest member's own error; the final F2 of that member, Omega0=200
     # at tau=0.25 (the figure's cell), must still lie within 1e-8 of a lone
-    # solve at rtol 1e-13
+    # solve at rtol 1e-13, and its whole 2000-sample F2 trajectory within 1.1e-8
     fig = FIGURES["fig5a"]
     cfgs = [_figure_config(fig, dict(zip(fig.axes, point)))
             for point in itertools.product(*fig.axes.values())]
@@ -467,8 +483,20 @@ def test_default_fig5a_batch_meets_the_per_member_contract():
     sol = liouville._solve(lambda s, y: liouville.rhs_bare(alone.times(s), y, alone) * alone.span,
                            (0.0, 1.0), y0, method="DOP853", t_eval=np.linspace(0.0, 1.0, 2000),
                            rtol=1e-13, atol=1e-15)
-    reference = traj.target.expectation(liouville.density(sol.y[:, -1]))
-    assert abs(traj.fidelity[-1] - reference) < 1e-8
+    reference = traj.target.expectation(liouville.density(sol.y.T))
+    assert abs(traj.fidelity[-1] - reference[-1]) < 1e-8
+    # and over the whole sampled trajectory, as integrate_many states
+    assert np.max(np.abs(traj.fidelity - reference)) < 1.1e-8
+
+
+def test_f2_figure_builds_no_adiabatic_states(tmp_path, monkeypatch):
+    # the master engine solves in the bare basis and F2 is read there
+    calls = []
+    for name in ("to_adiabatic", "from_adiabatic"):
+        monkeypatch.setattr(liouville, name, lambda *args, name=name: calls.append(name))
+    assert main(["figures", "fig6", "--gamma-grid", "0,1", "--tau-grid", "1,1.5",
+                 "--samples", "50", "--out-dir", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_mixed_batch_figure_is_byte_identical_across_runs(tmp_path):

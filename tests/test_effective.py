@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import effective
+from tripod_stirap import analysis, effective, liouville, tripod
 from tripod_stirap.effective import (
-    Mode, dark_density, dissipator_tensor, effective_rates, integrate_many, integrate_suv,
-    tensor_rates,
+    Mode, dark_density, dark_invariants, dissipator_tensor, effective_rates, integrate_many,
+    integrate_suv, tensor_rates,
 )
 from tripod_stirap.liouville import Basis, Trajectory
 from tripod_stirap.pulses import DephasingMatrix, MixingAngles, Ordering, PulseConfig, mixing_angles
-from tripod_stirap.tripod import frame_matrix
+from tripod_stirap.tripod import frame_matrix, geometric_phase
 
 _ORDERINGS = ["overlap", "scp", "csp", "fractional"]
 
@@ -156,6 +156,55 @@ def test_effective_runs_carry_the_invariant_errors(ordering):
         assert traj.stats["trace_error"] < 1e-12
         assert traj.stats["hermiticity_error"] < 1e-12
         assert traj.stats["min_eigenvalue"] > -1e-8
+        # the closed-form spectrum {p +- |c|, q, q} against LAPACK on the bare states
+        lapack = np.min(np.linalg.eigvalsh(traj.rho)[:, 0])
+        assert abs(traj.stats["min_eigenvalue"] - lapack) <= 1e-15
+
+
+def test_dark_invariants_match_the_reconstructed_states(rng):
+    s, u, v = rng.uniform(-0.5, 0.5, size=(3, 200))
+    rho_a = dark_density(s, u, v)
+    stats = dark_invariants(s, u, v)
+    assert stats["hermiticity_error"] == 0.0
+    assert np.array_equal(rho_a, np.conj(np.swapaxes(rho_a, -1, -2)))
+    assert stats["trace_error"] <= 4e-16
+    assert abs(stats["trace_error"]
+               - np.max(np.abs(np.trace(rho_a, axis1=1, axis2=2) - 1.0))) <= 4e-16
+    assert abs(stats["min_eigenvalue"] - np.min(np.linalg.eigvalsh(rho_a))) <= 1e-15
+
+
+def test_effective_sweep_builds_no_second_basis(monkeypatch):
+    # F2, theta_g and the invariants come from the adiabatic states: no frame
+    # transform of any sample until a caller reads rho
+    calls = []
+    for name in ("to_adiabatic", "from_adiabatic"):
+        monkeypatch.setattr(liouville, name, lambda *args, name=name: calls.append(name))
+    cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
+    result = analysis.sweep(cfg, "tau", [0.8, 1.2, 1.6], analysis.Engine.EFFECTIVE, samples=80)
+    assert result.succeeded() == 3
+    assert calls == []
+    traj = integrate_suv(cfg, samples=80)
+    assert traj.states is traj.rho_a and calls == []
+    traj.rho  # built on the first read, then kept
+    traj.rho
+    assert calls == ["from_adiabatic"]
+
+
+def test_effective_gamma_sweep_integrates_theta_g_once(monkeypatch):
+    # nine dephasing rates share one pulse shape, hence one quadrature
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return geometric_phase(cfg)
+
+    monkeypatch.setattr(liouville, "geometric_phase", counted)
+    monkeypatch.setattr(tripod, "geometric_phase", counted)
+    cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
+    result = analysis.sweep(cfg, "gamma", np.linspace(0.0, 2.0, 9), analysis.Engine.EFFECTIVE,
+                            samples=100)
+    assert len(calls) == 1
+    assert [p.theta_g for p in result.points] == [geometric_phase(cfg)] * 9
 
 
 def test_initial_values_and_shapes(effective_run):
