@@ -1,4 +1,4 @@
-"""Fidelity metrics, transition-time extraction and parameter sweeps."""
+"""Transition-time extraction and parameter sweeps."""
 
 from __future__ import annotations
 
@@ -12,43 +12,15 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import dk, effective, liouville
-from .errors import AmbiguousCrossing, NoCrossing, NonHermitianState, TripodError, WrongOrdering
+from .errors import AmbiguousCrossing, NoCrossing, TripodError, WrongOrdering
 from .pulses import DephasingMatrix, Ordering, PulseConfig
-from .tripod import TargetState, geometric_phase
+from .tripod import geometric_phase
 
 
 class Engine(enum.Enum):
     MASTER = "master"
     EFFECTIVE = "effective"
     ANALYTIC = "analytic"
-
-
-def fidelity(rho: np.ndarray, target: TargetState) -> float:
-    """Squared overlap <Psi|rho|Psi> after validating the state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-9:
-        raise NonHermitianState(f"density matrix is not Hermitian (deviation {herm:.3e})")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-9:
-        raise NonHermitianState(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    value = complex(target.amplitudes.conj() @ rho @ target.amplitudes)
-    if abs(value.imag) > 1e-9:
-        raise NonHermitianState(f"fidelity acquired an imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
-def fidelity_from_adiabatic(rho_a: np.ndarray, theta_g: float) -> float:
-    """Fidelity from the dark block of rho^a and the geometric angle alone.
-
-    Valid in the adiabatic limit where the bright levels are empty at the
-    end of the run.
-    """
-    c2, s2 = math.cos(2.0 * theta_g), math.sin(2.0 * theta_g)
-    return float(0.5 * np.real(rho_a[0, 0] + rho_a[1, 1])
-                 + c2 * np.real(rho_a[0, 1]) - s2 * np.imag(rho_a[0, 1]))
 
 
 def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,

@@ -391,6 +391,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     epsabs = args.epsabs if args.epsabs is not None else 1e-10
+    if not (math.isfinite(epsabs) and epsabs > 0.0):
+        raise ValueError("--epsabs must be finite and positive")
     cfg = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
     ai = dk.adiabatic_integrals(1.0, cfg, epsabs=epsabs)
     ok_s = abs(ai.c_s - C_S_REF) <= C_TOL

@@ -236,8 +236,11 @@ def adiabatic_integrals(gamma, cfg: PulseConfig, epsabs: float = 1e-10, *,
     """I_s and the finite part of I_u; the divergent part is the e^{-gamma t} factor.
 
     gamma and tau (which replaces cfg.tau when given) may be arrays; they
-    broadcast against each other.
+    broadcast against each other.  epsabs, the tolerance of the decay
+    constants' quadratures, must be finite and positive.
     """
+    if not (math.isfinite(epsabs) and epsabs > 0.0):
+        raise ValueError(f"epsabs must be finite and positive, got {epsabs!r}")
     _require_overlap_equal(cfg)
     tau = cfg.tau if tau is None else tau
     if np.any(tau == 0.0):

@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
-from .tripod import frame_matrix
-from .liouville import Basis, Trajectory, _phases, _solve, _trajectory, dissipator
+from .tripod import frame_matrix, geometric_phases
+from .liouville import Basis, Trajectory, _solve, _trajectory, dissipator
 
 _SQRT2 = np.sqrt(2.0)
 # the (s, u, v) solves take a few hundred steps, most of them holding output
@@ -81,11 +82,17 @@ def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -
                           Omega_su=omega_su, Omega_sv=omega_sv, Omega_uv=omega_uv)
 
 
+@lru_cache(maxsize=4)
+def _member_rates(batch: Batch) -> np.ndarray:
+    """(4, 4, B) dephasing matrices of the members, built once per batch."""
+    return batch.rates.T.reshape(4, 4, -1)
+
+
 def _suv_rhs(t: np.ndarray, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
     """(s, u, v)' of every member: times of shape (B,), states of shape (3, B)."""
     s, u, v = y
     ang = mixing_angles(t, batch)
-    r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
+    r = effective_rates(ang, _member_rates(batch))
     geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
     su, sv, uv = _SQRT2 * r.Omega_su, _SQRT2 * r.Omega_sv, r.Omega_uv
     if mode is Mode.WEAK_DEPHASING:  # the decay rates alone
@@ -148,8 +155,8 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
 
     One shared RK45 solve with the contract of liouville.integrate_many; each
     member keeps dark_density(s, u, v) in the adiabatic basis, with its
-    invariant errors in closed form (dark_invariants) and theta_g integrated
-    once per distinct pulse shape.
+    invariant errors in closed form (dark_invariants) and theta_g from
+    tripod.geometric_phases.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -165,7 +172,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                                                    dark_density(s[b], u[b], v[b]), int(sol.nfev),
                                                    theta_g, dark_invariants(s[b], u[b], v[b]))),
                                 mode=mode, s=s[b], u=u[b], v=v[b])
-            for b, (cfg, theta_g) in enumerate(zip(batch.cfgs, _phases(batch.cfgs))))
+            for b, (cfg, theta_g) in enumerate(zip(batch.cfgs, geometric_phases(batch.cfgs))))
 
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,

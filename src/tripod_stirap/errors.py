@@ -25,10 +25,6 @@ class GammaPole(TripodError):
     """A gamma-function argument hit a pole (parameters outside model validity)."""
 
 
-class NonHermitianState(TripodError):
-    """A density matrix failed its Hermiticity/trace/positivity invariant."""
-
-
 class NoCrossing(TripodError):
     """A fidelity threshold is never reached by the time series."""
 

@@ -30,14 +30,14 @@ import enum
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow, ToleranceNotMet
 from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, PulseConfig, mixing_angles
-from .tripod import TargetState, adiabatic_frame, frame_matrix, geometric_phase, target_state
+from .tripod import TargetState, adiabatic_frame, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -98,6 +98,12 @@ def dissipator(rho: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
     return -1j * gamma.rates * rho
 
 
+@lru_cache(maxsize=4)
+def _damping(batch: Batch) -> np.ndarray:
+    """(B, 16) dephasing rate of every coordinate of every member, built once per batch."""
+    return batch.rates.take(_POS, axis=1)
+
+
 def rhs_bare(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     """Bare-basis c' = (sum_k Omega_k(t) L_k + L_gamma) c in the real coordinates.
 
@@ -112,7 +118,7 @@ def rhs_bare(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     dt = np.asarray(t).reshape(-1, 1) - batch.centers
     omega = batch.omega0 * np.exp(-np.minimum(dt * dt / batch.widths, _EXP_CLAMP))
     out = (omega[:, None] @ (vec @ _DRIVE).reshape(-1, 3, 16)).reshape(vec.shape)
-    out -= batch.rates.take(_POS, axis=1) * vec
+    out -= _damping(batch) * vec
     return out.reshape(c.shape)
 
 
@@ -239,13 +245,6 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
                       target=tgt, stats={"nfev": nfev, **invariants})
 
 
-def _phases(cfgs) -> list[float]:
-    """theta_g of every member, integrated once per distinct pulse shape and window."""
-    shapes = [(cfg.ordering, cfg.tau, cfg.width, cfg.start, cfg.end) for cfg in cfgs]
-    phase = {key: geometric_phase(cfg) for key, cfg in dict(zip(shapes, cfgs)).items()}
-    return [phase[key] for key in shapes]
-
-
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
                    samples: int = 2000) -> Iterator[Trajectory]:
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
@@ -295,7 +294,7 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     sol = _solve(fun, (0.0, 1.0), y0, METHOD, np.linspace(0.0, 1.0, samples))
     return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)
             for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, samples),
-                                       _phases(batch.cfgs)))
+                                       geometric_phases(batch.cfgs)))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:

@@ -239,11 +239,15 @@ class Batch:
 def _exponents(t, cfg: PulseConfig | Batch):
     """Gaussian exponents a_k = (t - c_k)^2 / (w_k T^2) and their rates a_k'.
 
-    A Batch takes one time per member, shape (B,), and gives (B,) rows.
+    A Batch takes one time per member, shape (B,), or n of them, shape
+    (n, B), and gives rows of that shape.
     """
     if isinstance(cfg, Batch):
-        dt = t - cfg.centers.T
-        return dt * dt / cfg.widths.T, 2.0 * dt / cfg.widths.T
+        centers, widths = cfg.centers.T, cfg.widths.T
+        if np.ndim(t) == 2:
+            centers, widths = centers[:, None], widths[:, None]
+        dt = t - centers
+        return dt * dt / widths, 2.0 * dt / widths
     t = np.asarray(t, dtype=float)
     T2 = cfg.width * cfg.width
     a, adot = [], []
@@ -269,7 +273,8 @@ def rms_rabi(t, cfg: PulseConfig):
 def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
     """Mixing angles and derivatives, stable against envelope underflow.
 
-    Takes one run at any times, or a Batch at one time per member.  phi
+    Takes one run at any times, or a Batch at times of shape (B,) or (n, B),
+    the last axis running over the members.  phi
     depends only on the Stokes/control exponent difference; theta is
     evaluated with the smallest exponent factored out, so ratios of
     underflowed envelopes never appear.

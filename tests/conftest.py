@@ -6,8 +6,11 @@ runtime, so identical configurations are integrated once and shared.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import HealthCheck, settings
 
 from tripod_stirap import effective, liouville
@@ -58,6 +61,23 @@ def effective_run():
         return _EFFECTIVE[key]
 
     return run
+
+
+@pytest.fixture()
+def quad_calls(monkeypatch) -> list:
+    """Record every scipy.integrate.quad call, through SciPy or a package module's binding."""
+    real = scipy.integrate.quad
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tripod_stirap.") and getattr(module, "quad", None) is real:
+            monkeypatch.setattr(module, "quad", counted)
+    return calls
 
 
 @pytest.fixture()

@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 
 from tripod_stirap import analysis, dk, effective, liouville
-from tripod_stirap.analysis import (
-    Engine, _series_point, fidelity, fidelity_from_adiabatic, sweep, transition_time,
-)
+from tripod_stirap.analysis import Engine, _series_point, sweep, transition_time
 from tripod_stirap.errors import (
-    AmbiguousCrossing, GammaPole, NoCrossing, NonHermitianState, StepSizeUnderflow,
-    WrongOrdering,
+    AmbiguousCrossing, GammaPole, NoCrossing, StepSizeUnderflow, TripodError, WrongOrdering,
 )
 from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
-from tripod_stirap.tripod import geometric_phase, target_state
+from tripod_stirap.tripod import TargetState, geometric_phase, target_state
 
 
 def _cfg(ordering: str = "overlap", gamma: float = 0.0, **kw) -> PulseConfig:
@@ -25,11 +22,50 @@ def _cfg(ordering: str = "overlap", gamma: float = 0.0, **kw) -> PulseConfig:
 
 
 # ------------------------------------------------------------------- fidelity
+# Two independent routes to F2 that the engines' own fidelities are checked
+# against: a validated scalar <Psi|rho|Psi>, and the dark-block formula.
+
+class NonHermitianState(TripodError):
+    """A density matrix failed its Hermiticity or trace invariant."""
+
+
+def fidelity(rho: np.ndarray, target: TargetState) -> float:
+    """Squared overlap <Psi|rho|Psi> after validating the state."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > 1e-9:
+        raise NonHermitianState(f"density matrix is not Hermitian (deviation {herm:.3e})")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > 1e-9:
+        raise NonHermitianState(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    value = complex(target.amplitudes.conj() @ rho @ target.amplitudes)
+    if abs(value.imag) > 1e-9:
+        raise NonHermitianState(f"fidelity acquired an imaginary part {value.imag:.3e}")
+    return float(value.real)
+
+
+def fidelity_from_adiabatic(rho_a: np.ndarray, theta_g: float) -> float:
+    """Fidelity from the dark block of rho^a and the geometric angle alone.
+
+    Valid in the adiabatic limit where the bright levels are empty at the
+    end of the run.
+    """
+    c2, s2 = math.cos(2.0 * theta_g), math.sin(2.0 * theta_g)
+    return float(0.5 * np.real(rho_a[0, 0] + rho_a[1, 1])
+                 + c2 * np.real(rho_a[0, 1]) - s2 * np.imag(rho_a[0, 1]))
+
 
 def test_fidelity_of_the_pure_target_is_one():
     tgt = target_state(_cfg())
     rho = np.outer(tgt.amplitudes, tgt.amplitudes.conj())
     assert fidelity(rho, tgt) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_validated_fidelity_matches_the_engine_fidelity(master_run):
+    traj = master_run("scp", gamma=1.0)
+    assert fidelity(traj.rho[-1], traj.target) == pytest.approx(traj.fidelity[-1], abs=1e-14)
 
 
 def test_fidelity_rejects_wrong_shape():

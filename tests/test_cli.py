@@ -682,6 +682,14 @@ def test_constants_reports_and_passes(capsys):
     assert "scp" in out and "fractional" in out
 
 
+@pytest.mark.parametrize("epsabs", ["nan", "inf", "0", "-1"])
+def test_constants_rejects_a_bad_tolerance(capsys, epsabs):
+    rc = main(["constants", f"--epsabs={epsabs}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --epsabs must be finite and positive\n"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

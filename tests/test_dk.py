@@ -235,6 +235,18 @@ def test_decay_constants_frozen_values():
     assert ai.c_u == pytest.approx(0.676040783498922, abs=1e-9)
 
 
+@pytest.mark.parametrize("epsabs", [math.nan, math.inf, 0.0, -1.0])
+def test_decay_integrals_reject_a_bad_tolerance(epsabs):
+    with pytest.raises(ValueError, match="epsabs must be finite and positive"):
+        dk.adiabatic_integrals(1.0, _cfg(), epsabs=epsabs)
+
+
+def test_quad_calls_fixture_counts_the_decay_quadratures(quad_calls):
+    # the fixture that shows the ODE engines make no quad call does see dk's three
+    dk._decay_constants.__wrapped__(1e-10)
+    assert len(quad_calls) == 3
+
+
 @given(gamma=st.floats(0.1, 4.0), tau=st.floats(0.2, 3.0))
 def test_decay_integrals_scale(gamma, tau):
     cfg = _cfg(tau=tau, gamma=gamma)

@@ -190,21 +190,28 @@ def test_effective_sweep_builds_no_second_basis(monkeypatch):
     assert calls == ["from_adiabatic"]
 
 
-def test_effective_gamma_sweep_integrates_theta_g_once(monkeypatch):
-    # nine dephasing rates share one pulse shape, hence one quadrature
+def test_effective_sweeps_evaluate_theta_g_once_without_quad(monkeypatch, quad_calls):
+    # nine dephasing rates share one pulse shape, hence one column of one
+    # array pass; a tau sweep has one column per delay, still in one pass
     calls = []
 
-    def counted(cfg):
-        calls.append(cfg)
-        return geometric_phase(cfg)
+    def counted(t, cfg):
+        calls.append(np.shape(t))
+        return mixing_angles(t, cfg)
 
-    monkeypatch.setattr(liouville, "geometric_phase", counted)
-    monkeypatch.setattr(tripod, "geometric_phase", counted)
+    monkeypatch.setattr(tripod, "mixing_angles", counted)
     cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
-    result = analysis.sweep(cfg, "gamma", np.linspace(0.0, 2.0, 9), analysis.Engine.EFFECTIVE,
+    gammas = analysis.sweep(cfg, "gamma", np.linspace(0.0, 2.0, 9), analysis.Engine.EFFECTIVE,
                             samples=100)
-    assert len(calls) == 1
-    assert [p.theta_g for p in result.points] == [geometric_phase(cfg)] * 9
+    assert len(calls) == 1 and calls[0][1] == 1
+    taus = np.linspace(0.5, 2.5, 5)
+    delays = analysis.sweep(cfg, "tau", taus, analysis.Engine.EFFECTIVE, samples=100)
+    assert len(calls) == 2 and calls[1][1] == 5
+    assert quad_calls == []
+    monkeypatch.undo()
+    assert [p.theta_g for p in gammas.points] == [geometric_phase(cfg)] * 9
+    assert [p.theta_g for p in delays.points] == \
+        [geometric_phase(cfg.with_updates(tau=tau)) for tau in taus]
 
 
 def test_initial_values_and_shapes(effective_run):

@@ -12,7 +12,8 @@ from tripod_stirap import liouville, tripod
 from tripod_stirap.errors import ToleranceNotMet
 from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, rhs_adiabatic,
                                       rhs_bare)
-from tripod_stirap.pulses import DephasingMatrix, MixingAngles, PulseConfig, pulse_envelopes
+from tripod_stirap.pulses import (DephasingMatrix, MixingAngles, PulseConfig, mixing_angles,
+                                  pulse_envelopes)
 from tripod_stirap.tripod import (adiabatic_frame, frame_matrix, geometric_phase, hamiltonian,
                                   target_state)
 
@@ -157,25 +158,26 @@ def test_mixed_batch_matches_batch_of_one_solves():
         assert traj.stats["trace_error"] < 1e-9
 
 
-def test_geometric_phase_is_integrated_once_per_pulse_shape(monkeypatch):
-    # 12 members, 3 distinct (ordering, tau, width): Omega0 and gamma do not enter theta_g
+def test_theta_g_of_a_batch_is_one_array_pass_with_exact_values(monkeypatch, quad_calls):
+    # 12 members, 3 distinct (ordering, tau, width): Omega0 and gamma do not
+    # enter theta_g, so the rule evaluates 3 columns in one mixing_angles call
     calls = []
 
-    def counted(cfg):
-        calls.append(cfg)
-        return geometric_phase(cfg)
+    def counted(t, cfg):
+        calls.append(np.shape(t))
+        return mixing_angles(t, cfg)
 
-    monkeypatch.setattr(liouville, "geometric_phase", counted)
-    monkeypatch.setattr(tripod, "geometric_phase", counted)
+    monkeypatch.setattr(tripod, "mixing_angles", counted)
     cfgs = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
             for o, tau in (("scp", 1.0), ("scp", 1.5), ("fractional", 1.0))
             for om in (30.0, 60.0) for g in (0.0, 1.0)]
     trajs = list(liouville.integrate_many(cfgs, samples=40))
-    assert len(calls) == 3
+    assert len(calls) == 1 and calls[0][1] == 3
+    assert quad_calls == []
     monkeypatch.undo()
     for cfg, traj in zip(cfgs, trajs):
         own = target_state(cfg)
-        assert traj.target.theta_g == own.theta_g
+        assert traj.target.theta_g == own.theta_g == geometric_phase(cfg)
         assert np.array_equal(traj.fidelity, own.expectation(traj.rho))
 
 

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.integrate import quad
+
+from tripod_stirap import tripod
 from tripod_stirap.pulses import MixingAngles, PulseConfig, mixing_angles, rms_rabi
 from tripod_stirap.tripod import (
     adiabatic_frame,
     frame_generator,
     frame_matrix,
     geometric_phase,
+    geometric_phases,
     hamiltonian,
     target_state,
 )
@@ -116,8 +120,6 @@ def test_geometric_phase_signs() -> None:
 
 
 def _count_mixing_angles(monkeypatch) -> list:
-    from tripod_stirap import tripod
-
     calls = []
 
     def counted(t, cfg):
@@ -144,6 +146,49 @@ def test_geometric_phase_integrates_when_phi_moves(monkeypatch, ordering) -> Non
     assert len(calls) > 0
     reference = {"scp": 0.53338881, "csp": -0.53338881, "fractional": 0.60766020}[ordering]
     assert math.isclose(value, reference, rel_tol=0.0, abs_tol=2e-6)
+
+
+# the rule's accuracy grid: every ordering that moves phi, delays from 0 to 3,
+# three pulse widths, and the default, a long and a cut window
+_RULE_GRID = [PulseConfig(ordering=o, omega0=200.0, tau=tau, width=w, **window)
+              for o in ("scp", "csp", "fractional")
+              for tau in (0.0, 0.01, 0.05, 0.3, 1.0, 2.0, 3.0)
+              for w in (0.5, 1.0, 2.0)
+              for window in ({}, {"t_start": -60.0, "t_end": 60.0},
+                             {"t_start": -1.0, "t_end": 0.5})]
+
+
+def test_geometric_phase_rule_matches_a_tight_adaptive_quadrature() -> None:
+    def rate(t, cfg):
+        ang = mixing_angles(t, cfg)
+        return ang.phi_dot * math.sin(ang.theta)
+
+    for cfg, value in zip(_RULE_GRID, geometric_phases(_RULE_GRID)):
+        reference, _ = quad(rate, cfg.start, cfg.end, args=(cfg,), epsabs=1e-13, epsrel=1e-13,
+                            limit=2000)
+        assert abs(value - reference) < 1e-13, cfg
+
+
+def test_batched_geometric_phase_is_bit_identical_to_a_lone_one(monkeypatch) -> None:
+    mixed = _RULE_GRID + [PulseConfig(ordering="overlap", omega0=50.0, tau=1.0)]
+    batch = geometric_phases(mixed[::-1])[::-1].tolist()
+    assert batch == [geometric_phase(cfg) for cfg in mixed]
+    assert batch[-1] == 0.0
+    # smaller passes cut the running sum elsewhere; every value stays the same
+    monkeypatch.setattr(tripod, "_PASS_NODES", 100)
+    assert geometric_phases(mixed).tolist() == batch
+
+
+def test_long_window_is_evaluated_in_bounded_passes(monkeypatch) -> None:
+    calls = _count_mixing_angles(monkeypatch)
+    cfg = PulseConfig(ordering="scp", omega0=200.0, tau=1.0, width=0.5,
+                      t_start=-2000.0, t_end=2000.0)
+    value = geometric_phase(cfg)
+    # 8000 panels of 20 nodes, at most _PASS_NODES of them per call
+    assert sum(np.size(t) for t in calls) == 160000
+    assert max(np.size(t) for t in calls) <= tripod._PASS_NODES
+    # phi' sin(theta) is below 1e-100 outside +-60
+    assert abs(value - geometric_phase(cfg.with_updates(t_start=-60.0, t_end=60.0))) < 1e-13
 
 
 def test_target_states() -> None:
