@@ -173,7 +173,7 @@ def _analytic_sweep(cfg: PulseConfig, axis: str, values: np.ndarray, eps: float,
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
           samples: int = 2000, eps: float = 0.1,
           t_max_eval: float | None = None) -> SweepResult:
-    """Evaluate one scalar axis (gamma or tau) over a grid of points.
+    """Evaluate one scalar axis (gamma or tau) over a 1-d grid of points.
 
     The master and effective engines integrate the whole grid as one batch
     (see liouville.integrate_many and effective.integrate_many) and the
@@ -185,8 +185,8 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("values must be non-empty")
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be non-empty and one-dimensional")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     if values.size > 1 and np.any(np.diff(values) <= 0.0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from .tripod import frame_matrix, geometric_phases
-from .liouville import Basis, Trajectory, _solve, _trajectory, dissipator
+from .liouville import Basis, Trajectory, _frame_dephasing, _solve, _trajectory
 
 _SQRT2 = np.sqrt(2.0)
 # the (s, u, v) solves take a few hundred steps, most of them holding output
@@ -189,28 +189,18 @@ class TensorComponents:
     D0: np.ndarray  # (2, 2) complex
 
 
-def _dark_action(rho_d: np.ndarray, r: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
-    """Dark block of the transformed dephasing term, bright populations slaved."""
-    q = 0.5 * (1.0 - np.trace(rho_d))
-    rho_a = np.zeros((4, 4), dtype=complex)
-    rho_a[:2, :2] = rho_d
-    rho_a[2, 2] = rho_a[3, 3] = q
-    rho = r @ rho_a @ r.conj().T
-    full = -1j * (r.conj().T @ dissipator(rho, gamma) @ r)
-    return full[:2, :2]
-
-
 def dissipator_tensor(t: float, cfg: PulseConfig) -> TensorComponents:
-    """Extract D and D0 numerically by applying the dark-block map to basis matrices."""
-    r = frame_matrix(mixing_angles(t, cfg))
-    y0 = _dark_action(np.zeros((2, 2), dtype=complex), r, cfg.gamma)
-    d = np.empty((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            basis = np.zeros((2, 2), dtype=complex)
-            basis[i, j] = 1.0
-            d[i, j] = -(_dark_action(basis, r, cfg.gamma) - y0)
-    return TensorComponents(D=d, D0=-y0)
+    """Extract D and D0 numerically by applying the dark-block map to basis matrices.
+
+    The map fills the dark block of rho^a, gives each bright level half the
+    leftover population and keeps the dark block of liouville's frame
+    dephasing; the zero block and the four unit blocks take one array pass.
+    """
+    rho_a = np.zeros((5, 4, 4), dtype=complex)
+    rho_a[1:, :2, :2] = np.eye(4).reshape(4, 2, 2)
+    rho_a[:, 2, 2] = rho_a[:, 3, 3] = 0.5 * (1.0 - np.trace(rho_a, axis1=1, axis2=2))
+    act = _frame_dephasing(rho_a, frame_matrix(mixing_angles(t, cfg)), cfg.gamma.rates)[:, :2, :2]
+    return TensorComponents(D=(act[0] - act[1:]).reshape(2, 2, 2, 2), D0=-act[0])
 
 
 def tensor_rates(tc: TensorComponents) -> EffectiveRates:

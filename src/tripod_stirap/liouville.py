@@ -18,10 +18,10 @@ with constant real 16x16 matrices L_k, the coordinate form of -i [H_k, .],
 and the diagonal L_gamma, which damps Re rho_ij and Im rho_ij at gamma_ij.
 Runs are integrated as a batch: every member is mapped onto the
 normalised time s in [0, 1] and all of them advance through one shared
-eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  The same
-dynamics can be propagated in the instantaneous eigenframe, where the
-non-adiabatic generator R^dag dR/dt appears explicitly; the two routes must
-agree and are cross-checked in the tests.
+eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  In the
+instantaneous eigenframe the equation has four constant terms of the same
+kind plus the dephasing rotated into the frame (rhs_adiabatic); both bases
+share the batched solve, and the two routes are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow, ToleranceNotMet
-from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, PulseConfig, mixing_angles
-from .tripod import TargetState, adiabatic_frame, frame_matrix, geometric_phases, target_state
+from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
+from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -86,6 +86,11 @@ L_STOKES = _commutator_superop(_coupling(1, 2))
 L_CONTROL = _commutator_superop(_coupling(1, 3))
 # c @ _DRIVE holds L_p c, L_s c and L_c c side by side
 _DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
+# the same for H_a - i W at unit Omega_rms, theta', phi' sin(theta) and phi' cos(theta), with
+# diag(1, -1, 0, 0) exact: frame_generator at theta = pi/2 would keep a cos of 6e-17
+_FRAME_DRIVE = np.concatenate([_commutator_superop(m).T for m in (
+    np.diag([0.0, 0.0, 0.5, -0.5]), -1j * frame_generator(MixingAngles(0.0, 0.0, 1.0, 0.0)),
+    np.diag([1.0, -1.0, 0.0, 0.0]), -1j * frame_generator(MixingAngles(0.0, 0.0, 0.0, 1.0)))], 1)
 
 
 class Basis(enum.Enum):
@@ -104,20 +109,27 @@ def _damping(batch: Batch) -> np.ndarray:
     return batch.rates.take(_POS, axis=1)
 
 
+def _envelopes(t, batch: Batch) -> np.ndarray:
+    """(B, 3) pump, Stokes and control Gaussians of pulses.pulse_envelopes, one row per member."""
+    dt = np.asarray(t).reshape(-1, 1) - batch.centers
+    return batch.omega0 * np.exp(-np.minimum(dt * dt / batch.widths, _EXP_CLAMP))
+
+
+def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """sum_k weights[:, k] L_k c for (B, K) weights and the K superoperators of `stacked`."""
+    return (weights[:, None] @ (vec @ stacked).reshape(len(vec), -1, 16)).reshape(vec.shape)
+
+
 def rhs_bare(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     """Bare-basis c' = (sum_k Omega_k(t) L_k + L_gamma) c in the real coordinates.
 
     Takes one run (a PulseConfig, a scalar t and a 16-vector c) or a Batch
     (the members' times, shape (B,), and their states, shape (B, 16)); the
-    result has the shape of c.  The envelopes are the Gaussians of
-    pulses.pulse_envelopes, evaluated for all members at once, and each
-    coordinate's dephasing rate is read from vec(gamma) at its position.
+    result has the shape of c.
     """
     batch = cfg if isinstance(cfg, Batch) else Batch.of([cfg])
     vec = c.reshape(len(batch), 16)
-    dt = np.asarray(t).reshape(-1, 1) - batch.centers
-    omega = batch.omega0 * np.exp(-np.minimum(dt * dt / batch.widths, _EXP_CLAMP))
-    out = (omega[:, None] @ (vec @ _DRIVE).reshape(-1, 3, 16)).reshape(vec.shape)
+    out = _drive(_envelopes(t, batch), vec, _DRIVE)
     out -= _damping(batch) * vec
     return out.reshape(c.shape)
 
@@ -138,15 +150,26 @@ def from_adiabatic(rho_a: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
     return r @ rho_a @ np.conj(np.swapaxes(r, -1, -2))
 
 
-def rhs_adiabatic(t: float, rho_a: np.ndarray, cfg: PulseConfig) -> np.ndarray:
-    """Eigenframe equation rho^a' = -[W + i H_a, rho^a] - i R^dag D(R rho^a R^dag) R.
+def _frame_dephasing(rho_a: np.ndarray, r: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """-R^dag (gamma (.) (R rho^a R^dag)) R: the dephasing in the frame R, on stacks too."""
+    r_h = r.conj().swapaxes(-1, -2)
+    return -(r_h @ (rates * (r @ rho_a @ r_h)) @ r)
 
-    H_a = diag(energies) and the frame generator W come from tripod.adiabatic_frame.
+
+def rhs_adiabatic(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+    """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
+
+    On the coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
+    and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE.
     """
-    frame = adiabatic_frame(t, cfg)
-    r, r_h = frame.R, frame.R.conj().T
-    k = frame.generator + 1j * np.diag(frame.energies)
-    return -(k @ rho_a - rho_a @ k) - 1j * (r_h @ dissipator(r @ rho_a @ r_h, cfg.gamma) @ r)
+    batch = cfg if isinstance(cfg, Batch) else Batch.of([cfg])
+    vec = c.reshape(len(batch), 16)
+    omega, ang = _envelopes(t, batch), mixing_angles(t, batch)
+    weights = np.array([np.sqrt((omega * omega).sum(1)), ang.theta_dot,
+                        ang.phi_dot * np.sin(ang.theta), ang.phi_dot * np.cos(ang.theta)]).T
+    out = _drive(weights, vec, _FRAME_DRIVE)
+    out += coords(_frame_dephasing(density(vec), frame_matrix(ang), batch.rates.reshape(-1, 4, 4)))
+    return out.reshape(c.shape)
 
 
 @dataclass
@@ -262,34 +285,21 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     counts evaluations of the batch derivative.
     A failed solve raises for the whole batch at the call; the trajectories
     are then built one at a time as the caller iterates, and their states
-    become complex 4x4 matrices only there.
-
-    The bare basis is the default; the adiabatic basis exercises the frame
-    generator and is kept as a verification mode, evaluated member by member:
-    its one caller, `simulate --basis adiabatic`, runs a batch of one.
+    become complex 4x4 matrices only there.  The adiabatic basis runs the
+    same solve from R^dag rho R on rhs_adiabatic.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     batch = Batch.of(cfgs)
     n = len(batch)
-    c0 = np.zeros(16)
-    c0[0] = 1.0  # rho_11 = 1
-    span = batch.span[:, None]
-
+    c0 = np.eye(16)[0]  # rho_11 = 1
     if basis is Basis.BARE:
-        y0 = np.tile(c0, n)
-
-        def fun(s, y):
-            out = rhs_bare(batch.times(s), y.reshape(n, 16), batch)
-            out *= span
-            return out.ravel()
+        rhs, y0 = rhs_bare, np.tile(c0, n)
     else:
-        y0 = coords(to_adiabatic(density(c0), batch.start, batch)).ravel()
+        rhs, y0 = rhs_adiabatic, coords(to_adiabatic(density(c0), batch.start, batch)).ravel()
 
-        def fun(s, y):
-            t, rho_a = batch.times(s), density(y.reshape(n, 16))
-            return coords(np.stack([batch.span[b] * rhs_adiabatic(t[b], rho_a[b], cfg)
-                                    for b, cfg in enumerate(batch.cfgs)])).ravel()
+    def fun(s, y):
+        return (rhs(batch.times(s), y.reshape(n, 16), batch) * batch.span[:, None]).ravel()
 
     sol = _solve(fun, (0.0, 1.0), y0, METHOD, np.linspace(0.0, 1.0, samples))
     return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)

@@ -173,6 +173,13 @@ def test_sweep_rejects_empty_and_unsorted_grids():
         sweep(_cfg(), "gamma", [2.0, 1.0], Engine.ANALYTIC)
 
 
+@pytest.mark.parametrize("values", [0.5, [[0.5, 1.0]]], ids=["scalar", "2-d"])
+@pytest.mark.parametrize("engine", list(Engine))
+def test_sweep_rejects_a_grid_that_is_not_1d(engine, values):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        sweep(_cfg(), "gamma", values, engine, samples=20)
+
+
 def test_analytic_engine_requires_the_overlap_ordering():
     with pytest.raises(WrongOrdering, match="analytic engine requires overlap ordering"):
         sweep(_cfg(ordering="scp"), "gamma", [0.5], Engine.ANALYTIC)

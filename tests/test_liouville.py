@@ -86,7 +86,7 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
     w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
     expected = (frame.R.conj().T @ density(rhs_bare(t, coords(rho), cfg)) @ frame.R
                 - (w @ rho_a - rho_a @ w))
-    got = rhs_adiabatic(t, rho_a, cfg)
+    got = density(rhs_adiabatic(t, coords(rho_a), cfg))
     assert np.max(np.abs(got - expected)) < 1e-7 * cfg.omega0
 
 
@@ -130,24 +130,29 @@ def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
         assert np.max(np.abs(density(superop @ coords(rho)) - expected)) < 1e-15
 
 
-def test_batched_rhs_matches_each_member(rng):
-    cfgs = [_cfg().with_updates(ordering=o, tau=tau, omega0=om, gamma=_random_gamma(rng))
-            for o, tau, om in (("overlap", 1.5, 50.0), ("scp", 0.5, 80.0),
-                               ("fractional", 2.0, 20.0))]
-    t = np.array([-0.7, 0.1, 1.3])
+@pytest.mark.parametrize("rhs", [rhs_bare, rhs_adiabatic], ids=["bare", "adiabatic"])
+def test_batched_rhs_matches_each_member(rng, rhs):
+    # orderings, delays, widths, peak Rabi frequencies and unequal dephasing rates all differ
+    cfgs = [_cfg().with_updates(ordering=o, tau=tau, width=w, omega0=om, gamma=_random_gamma(rng))
+            for o, tau, w, om in (("overlap", 1.5, 1.0, 50.0), ("scp", 0.5, 0.8, 80.0),
+                                  ("csp", 1.0, 1.3, 35.0), ("fractional", 2.0, 1.1, 20.0))]
+    t = np.array([-0.7, 0.1, 0.6, 1.3])
     rho = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
-    got = rhs_bare(t, rho, Batch.of(cfgs))
+    got = rhs(t, rho, Batch.of(cfgs))
     for b, cfg in enumerate(cfgs):
-        assert np.max(np.abs(got[b] - rhs_bare(t[b], rho[b], cfg))) < 1e-15 * cfg.omega0
+        assert np.max(np.abs(got[b] - rhs(t[b], rho[b], cfg))) < 1e-15 * cfg.omega0
+
+
+# orderings, delays, dephasing rates and peak Rabi frequencies differ, so
+# the windows and the stiffness differ
+_MIXED_ORDERINGS = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
+                    for o, om, tau, g in (("overlap", 50.0, 1.5, 0.5), ("scp", 50.0, 1.0, 1.0),
+                                          ("fractional", 30.0, 0.75, 0.0), ("csp", 60.0, 2.0, 2.0))]
 
 
 def test_mixed_batch_matches_batch_of_one_solves():
-    # orderings, delays, dephasing rates and peak Rabi frequencies differ, so
-    # the windows and the stiffness differ; every member must land within
-    # 1e-9 of its own solve and keep its own exact sampling grid
-    cfgs = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
-            for o, om, tau, g in (("overlap", 50.0, 1.5, 0.5), ("scp", 50.0, 1.0, 1.0),
-                                  ("fractional", 30.0, 0.75, 0.0), ("csp", 60.0, 2.0, 2.0))]
+    # every member must land within 1e-9 of its own solve and keep its own exact sampling grid
+    cfgs = _MIXED_ORDERINGS
     batch = liouville.integrate_many(cfgs, samples=60)
     for cfg, traj in zip(cfgs, batch):
         alone = liouville.integrate(cfg, samples=60)
@@ -181,8 +186,9 @@ def test_theta_g_of_a_batch_is_one_array_pass_with_exact_values(monkeypatch, qua
         assert np.array_equal(traj.fidelity, own.expectation(traj.rho))
 
 
-def test_adiabatic_batch_matches_the_bare_batch():
-    cfgs = [_cfg(0.5), _cfg(1.0).with_updates(ordering="scp", tau=1.0)]
+@pytest.mark.parametrize("cfgs", [[_cfg(0.5), _cfg(1.0).with_updates(ordering="scp", tau=1.0)],
+                                  _MIXED_ORDERINGS], ids=["two", "four-orderings"])
+def test_adiabatic_batch_matches_the_bare_batch(cfgs):
     bare = liouville.integrate_many(cfgs, samples=50)
     adia = liouville.integrate_many(cfgs, basis=Basis.ADIABATIC, samples=50)
     for b, a in zip(bare, adia):
