@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dk, effective, liouville
-from .errors import TripodError, WrongOrdering, ZeroDelay
+from .errors import StepBudgetExceeded, TripodError, WrongOrdering, ZeroDelay
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
 
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, WrongOrdering, ZeroDelay) as exc:
+    except (ValueError, OSError, WrongOrdering, ZeroDelay, StepBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TripodError as exc:

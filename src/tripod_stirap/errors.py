@@ -9,6 +9,10 @@ class StepSizeUnderflow(TripodError):
     """The adaptive step controller stalled (pathological configuration)."""
 
 
+class StepBudgetExceeded(TripodError):
+    """A master solve used up its fixed budget of derivative calls."""
+
+
 class ToleranceNotMet(TripodError):
     """The embedded error estimate could not reach the requested tolerance."""
 

@@ -18,7 +18,9 @@ with constant real 16x16 matrices L_k, the coordinate form of -i [H_k, .],
 and the diagonal L_gamma, which damps Re rho_ij and Im rho_ij at gamma_ij.
 Runs are integrated as a batch: every member is mapped onto the
 normalised time s in [0, 1] and all of them advance through one shared
-eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  In the
+eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  The
+derivatives take s itself and return dc/ds from constants built once per
+batch (_constants), each member's window span folded in.  In the
 instantaneous eigenframe the equation has four constant terms of the same
 kind plus the dephasing rotated into the frame (rhs_adiabatic); both bases
 share the batched solve, and the two routes are cross-checked in the tests.
@@ -35,14 +37,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import StepSizeUnderflow, ToleranceNotMet
-from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
+from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
+from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, _angles,
+                     mixing_angles)
 from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
 # the step of the master engine's solves, in both bases
 METHOD = "DOP853"
+# derivative calls one master solve may make, about 7x those of scp at Omega0 = 3200
+MAX_NFEV = 10**6
 
 _I, _J = np.triu_indices(4, 1)
 _DIAG = 5 * np.arange(4)
@@ -104,15 +109,24 @@ def dissipator(rho: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _damping(batch: Batch) -> np.ndarray:
-    """(B, 16) dephasing rate of every coordinate of every member, built once per batch."""
-    return batch.rates.take(_POS, axis=1)
+def _constants(batch: Batch) -> tuple:
+    """Per-batch constants of the derivatives in s, the window spans folded in.
+
+    At t = start + s * span the exponent (t - c_k)^2 / w_k is k_k (s - s_k)^2 with
+    s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
+    negates nothing; the amplitudes omega0, the coordinate damping and the (B, 4, 4)
+    rates of the frame dephasing carry span.
+    """
+    span = batch.span[:, None]
+    return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
+            batch.omega0 * span, batch.rates.take(_POS, axis=1) * span,
+            (batch.rates * span).reshape(-1, 4, 4))
 
 
-def _envelopes(t, batch: Batch) -> np.ndarray:
-    """(B, 3) pump, Stokes and control Gaussians of pulses.pulse_envelopes, one row per member."""
-    dt = np.asarray(t).reshape(-1, 1) - batch.centers
-    return batch.omega0 * np.exp(-np.minimum(dt * dt / batch.widths, _EXP_CLAMP))
+def _per_config(rhs, t, c: np.ndarray, cfg: PulseConfig) -> np.ndarray:
+    """dc/dt of one run at a scalar t: rhs on its batch of one at s = (t - start) / span."""
+    batch = Batch.of([cfg])
+    return rhs((t - batch.start[0]) / batch.span[0], c, batch) / batch.span[0]
 
 
 def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -120,17 +134,19 @@ def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndar
     return (weights[:, None] @ (vec @ stacked).reshape(len(vec), -1, 16)).reshape(vec.shape)
 
 
-def rhs_bare(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
-    """Bare-basis c' = (sum_k Omega_k(t) L_k + L_gamma) c in the real coordinates.
+def rhs_bare(s, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+    """Bare-basis c' = (sum_k Omega_k L_k + L_gamma) c in the real coordinates.
 
-    Takes one run (a PulseConfig, a scalar t and a 16-vector c) or a Batch
-    (the members' times, shape (B,), and their states, shape (B, 16)); the
-    result has the shape of c.
+    Given a Batch: dc/ds at the normalised time s for states c of shape (B, 16) or flat,
+    in the shape of c.  Given a PulseConfig: dc/dt at a scalar t for a 16-vector c.
     """
-    batch = cfg if isinstance(cfg, Batch) else Batch.of([cfg])
-    vec = c.reshape(len(batch), 16)
-    out = _drive(_envelopes(t, batch), vec, _DRIVE)
-    out -= _damping(batch) * vec
+    if not isinstance(cfg, Batch):
+        return _per_config(rhs_bare, s, c, cfg)
+    centres, neg_k, amplitudes, damping, _ = _constants(cfg)
+    vec = c.reshape(len(cfg), 16)
+    d = s - centres
+    out = _drive(amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)), vec, _DRIVE)
+    out -= damping * vec
     return out.reshape(c.shape)
 
 
@@ -156,19 +172,25 @@ def _frame_dephasing(rho_a: np.ndarray, r: np.ndarray, rates: np.ndarray) -> np.
     return -(r_h @ (rates * (r @ rho_a @ r_h)) @ r)
 
 
-def rhs_adiabatic(t, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+def rhs_adiabatic(s, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
 
-    On the coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
-    and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE.
+    On the times, coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
+    and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE;
+    the angles come from the exponents in s, so their rates are per unit s.
     """
-    batch = cfg if isinstance(cfg, Batch) else Batch.of([cfg])
-    vec = c.reshape(len(batch), 16)
-    omega, ang = _envelopes(t, batch), mixing_angles(t, batch)
+    if not isinstance(cfg, Batch):
+        return _per_config(rhs_adiabatic, s, c, cfg)
+    centres, neg_k, amplitudes, _, rates = _constants(cfg)
+    vec = c.reshape(len(cfg), 16)
+    d = s - centres
+    neg_a = neg_k * d * d
+    omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
+    ang = _angles(-neg_a.T, (-2.0 * neg_k * d).T)
     weights = np.array([np.sqrt((omega * omega).sum(1)), ang.theta_dot,
                         ang.phi_dot * np.sin(ang.theta), ang.phi_dot * np.cos(ang.theta)]).T
     out = _drive(weights, vec, _FRAME_DRIVE)
-    out += coords(_frame_dephasing(density(vec), frame_matrix(ang), batch.rates.reshape(-1, 4, 4)))
+    out += coords(_frame_dephasing(density(vec), frame_matrix(ang), rates))
     return out.reshape(c.shape)
 
 
@@ -229,10 +251,7 @@ def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: 
 
 
 def _invariants(states: np.ndarray) -> dict:
-    """Trace and Hermiticity errors and the minimum eigenvalue over a stack of states.
-
-    All three are the same in either basis.
-    """
+    """Trace and Hermiticity errors and the least eigenvalue of a stack of states, in any basis."""
     states_h = np.conj(np.transpose(states, (0, 2, 1)))
     return {
         "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
@@ -274,32 +293,37 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
     members with different windows share every DOP853 step on their (B, 16)
-    real coordinates.  The step size follows the hardest member and the
-    error norm spans the whole batch, so a member's values depend on the
-    batch composition at the level of the solver's own error; the same batch
-    always gives the same values.  On the default fig5a, fig5b, fig6 and fig8
-    grids every member's final F2 lies within 3.2e-9, and its whole F2
-    trajectory within 1.1e-8, of a lone solve at rtol 1e-13 (worst: fig5a at
-    Omega0=200, tau=0.25; fig6 and fig8 within 6.6e-11 in final F2).  Each
-    trajectory is sampled at np.linspace(start, end, samples), and its `nfev`
-    counts evaluations of the batch derivative.
-    A failed solve raises for the whole batch at the call; the trajectories
-    are then built one at a time as the caller iterates, and their states
-    become complex 4x4 matrices only there.  The adiabatic basis runs the
-    same solve from R^dag rho R on rhs_adiabatic.
+    real coordinates.  The step size follows the hardest member and the error
+    norm spans the batch, so a member's values depend on the batch at the
+    level of the solver's own error, and the same batch gives the same values.
+    On the default fig5a, fig5b, fig6 and fig8 grids every member's final F2
+    lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole F2 trajectory
+    within 1.1e-8, of a lone solve at rtol 1e-13.  Each trajectory is sampled
+    at np.linspace(start, end, samples); its `nfev` counts the calls of the
+    batch derivative, rhs_bare or rhs_adiabatic (from R^dag rho R), looked up
+    by name at every call.  A solve past MAX_NFEV calls raises
+    StepBudgetExceeded; like any failed solve it raises for the whole batch at
+    the call.  The trajectories are built as the caller iterates, and only
+    there do their states become complex 4x4 matrices.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     batch = Batch.of(cfgs)
     n = len(batch)
     c0 = np.eye(16)[0]  # rho_11 = 1
-    if basis is Basis.BARE:
-        rhs, y0 = rhs_bare, np.tile(c0, n)
-    else:
-        rhs, y0 = rhs_adiabatic, coords(to_adiabatic(density(c0), batch.start, batch)).ravel()
+    y0 = (np.tile(c0, n) if basis is Basis.BARE
+          else coords(to_adiabatic(density(c0), batch.start, batch)).ravel())
+    calls = 0
 
     def fun(s, y):
-        return (rhs(batch.times(s), y.reshape(n, 16), batch) * batch.span[:, None]).ravel()
+        nonlocal calls
+        if calls >= MAX_NFEV:
+            raise StepBudgetExceeded(
+                f"the master solve stopped at its budget of {calls} derivative calls (about 45 "
+                "per unit of Omega0); --engine effective takes about 900 at any Omega0")
+        calls += 1
+        rhs = rhs_bare if basis is Basis.BARE else rhs_adiabatic
+        return rhs(s, y.reshape(n, 16), batch).ravel()
 
     sol = _solve(fun, (0.0, 1.0), y0, METHOD, np.linspace(0.0, 1.0, samples))
     return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)

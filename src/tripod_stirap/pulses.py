@@ -249,13 +249,8 @@ def _exponents(t, cfg: PulseConfig | Batch):
         dt = t - centers
         return dt * dt / widths, 2.0 * dt / widths
     t = np.asarray(t, dtype=float)
-    T2 = cfg.width * cfg.width
-    a, adot = [], []
-    for center, wmul in cfg.shapes():
-        dt = t - center
-        a.append(dt * dt / (wmul * T2))
-        adot.append(2.0 * dt / (wmul * T2))
-    return a, adot
+    terms = [(t - center, wmul * (cfg.width * cfg.width)) for center, wmul in cfg.shapes()]
+    return [dt * dt / w for dt, w in terms], [2.0 * dt / w for dt, w in terms]
 
 
 def pulse_envelopes(t, cfg: PulseConfig):
@@ -279,7 +274,12 @@ def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
     evaluated with the smallest exponent factored out, so ratios of
     underflowed envelopes never appear.
     """
-    (ap, as_, ac), (dp, ds, dc) = _exponents(t, cfg)
+    return _angles(*_exponents(t, cfg))
+
+
+def _angles(a, adot) -> MixingAngles:
+    """mixing_angles of exponents a_k and rates a_k'; rates per unit s give angle rates per s."""
+    (ap, as_, ac), (dp, ds, dc) = a, adot
 
     # np.minimum(np.maximum(.)) is np.clip without its per-call overhead
     da = np.minimum(np.maximum(as_ - ac, -_EXP_CLAMP), _EXP_CLAMP)
@@ -299,9 +299,4 @@ def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
     sin_cos = q * er / (q2 + np.exp(-2.0 * r))
     theta_dot = sin_cos * lever
 
-    return MixingAngles(
-        theta=theta if theta.ndim else float(theta),
-        phi=phi if phi.ndim else float(phi),
-        theta_dot=theta_dot if theta_dot.ndim else float(theta_dot),
-        phi_dot=phi_dot if phi_dot.ndim else float(phi_dot),
-    )
+    return MixingAngles(*(x if x.ndim else float(x) for x in (theta, phi, theta_dot, phi_dot)))

@@ -10,7 +10,8 @@ import pytest
 from tripod_stirap import analysis, dk, effective, liouville
 from tripod_stirap.analysis import Engine, _series_point, sweep, transition_time
 from tripod_stirap.errors import (
-    AmbiguousCrossing, GammaPole, NoCrossing, StepSizeUnderflow, TripodError, WrongOrdering,
+    AmbiguousCrossing, GammaPole, NoCrossing, StepBudgetExceeded, StepSizeUnderflow, TripodError,
+    WrongOrdering,
 )
 from tripod_stirap.pulses import DephasingMatrix, Ordering, PulseConfig
 from tripod_stirap.tripod import TargetState, geometric_phase, target_state
@@ -273,7 +274,8 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
     def poisoned(t, y, batch, *mode):
         out = rhs(t, y, batch, *mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
-        bad = (rates == 0.5) & (t > 0.0)
+        # the master derivative takes the normalised time s, the effective one t
+        bad = (rates == 0.5) & ((batch.times(t) if engine is Engine.MASTER else t) > 0.0)
         # master states are (B, 16), effective ones (3, B)
         out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
         return out
@@ -287,6 +289,16 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
         assert p.error == ref.error
         assert abs(p.F2_final - ref.F2_final) < 1e-9
         assert abs(p.F2_tmax - ref.F2_tmax) < 1e-9
+
+
+def test_master_rows_past_the_derivative_budget_carry_the_error(monkeypatch):
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    res = sweep(_cfg(), "gamma", [0.0, 0.5], Engine.MASTER, samples=50)
+    for p in res.points:
+        assert p.error == (f"{StepBudgetExceeded.__name__}: the master solve stopped at its "
+                           "budget of 500 derivative calls (about 45 per unit of Omega0); "
+                           "--engine effective takes about 900 at any Omega0")
+        assert math.isnan(p.F2_final)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])

@@ -123,6 +123,15 @@ def test_simulate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_past_the_derivative_budget_exits_2_with_a_hint(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--ordering", "scp", "--samples", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "budget of 500 derivative calls" in err and "--engine effective" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("engine,basis", [("master", "bare"), ("master", "adiabatic"),
                                           ("effective", "bare")])
 def test_simulate_rows_match_the_per_sample_loop(tmp_path, engine, basis):
@@ -480,7 +489,7 @@ def test_default_fig5a_batch_meets_the_per_member_contract():
     alone = Batch.of([cfgs[b]])
     y0 = np.zeros(16)
     y0[0] = 1.0
-    sol = liouville._solve(lambda s, y: liouville.rhs_bare(alone.times(s), y, alone) * alone.span,
+    sol = liouville._solve(lambda s, y: liouville.rhs_bare(s, y, alone),
                            (0.0, 1.0), y0, method="DOP853", t_eval=np.linspace(0.0, 1.0, 2000),
                            rtol=1e-13, atol=1e-15)
     reference = traj.target.expectation(liouville.density(sol.y.T))

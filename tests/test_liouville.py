@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tripod_stirap import liouville, tripod
-from tripod_stirap.errors import ToleranceNotMet
+from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
 from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, rhs_adiabatic,
                                       rhs_bare)
-from tripod_stirap.pulses import (DephasingMatrix, MixingAngles, PulseConfig, mixing_angles,
-                                  pulse_envelopes)
+from tripod_stirap.pulses import (_EXP_CLAMP, DephasingMatrix, MixingAngles, PulseConfig,
+                                  mixing_angles, pulse_envelopes)
 from tripod_stirap.tripod import (adiabatic_frame, frame_matrix, geometric_phase, hamiltonian,
                                   target_state)
 
@@ -130,24 +130,70 @@ def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
         assert np.max(np.abs(density(superop @ coords(rho)) - expected)) < 1e-15
 
 
-@pytest.mark.parametrize("rhs", [rhs_bare, rhs_adiabatic], ids=["bare", "adiabatic"])
-def test_batched_rhs_matches_each_member(rng, rhs):
-    # orderings, delays, widths, peak Rabi frequencies and unequal dephasing rates all differ
-    cfgs = [_cfg().with_updates(ordering=o, tau=tau, width=w, omega0=om, gamma=_random_gamma(rng))
-            for o, tau, w, om in (("overlap", 1.5, 1.0, 50.0), ("scp", 0.5, 0.8, 80.0),
-                                  ("csp", 1.0, 1.3, 35.0), ("fractional", 2.0, 1.1, 20.0))]
-    t = np.array([-0.7, 0.1, 0.6, 1.3])
-    rho = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
-    got = rhs(t, rho, Batch.of(cfgs))
-    for b, cfg in enumerate(cfgs):
-        assert np.max(np.abs(got[b] - rhs(t[b], rho[b], cfg))) < 1e-15 * cfg.omega0
-
-
 # orderings, delays, dephasing rates and peak Rabi frequencies differ, so
 # the windows and the stiffness differ
 _MIXED_ORDERINGS = [PulseConfig(ordering=o, omega0=om, tau=tau, gamma=DephasingMatrix.equal(g))
                     for o, om, tau, g in (("overlap", 50.0, 1.5, 0.5), ("scp", 50.0, 1.0, 1.0),
                                           ("fractional", 30.0, 0.75, 0.0), ("csp", 60.0, 2.0, 2.0))]
+
+
+def _rhs_batch(rng) -> list[PulseConfig]:
+    # the four mixed orderings, plus a narrow member on a +-60 window with unequal rates,
+    # whose Gaussian exponents pass the 700 clamp towards the window's edges
+    wide = PulseConfig(ordering="scp", omega0=40.0, tau=1.0, width=0.5, t_start=-60.0,
+                       t_end=60.0, gamma=_random_gamma(rng))
+    assert pulse_envelopes(wide.start, wide) == (wide.omega0 * np.exp(-_EXP_CLAMP),) * 3
+    return _MIXED_ORDERINGS + [wide]
+
+
+@pytest.mark.parametrize("rhs", [rhs_bare, rhs_adiabatic], ids=["bare", "adiabatic"])
+def test_batched_rhs_matches_each_member(rng, rhs):
+    # every row of the batch derivative at s is that member's batch of one at the same s
+    cfgs = _rhs_batch(rng)
+    batch = Batch.of(cfgs)
+    for s in (0.0, 0.13, 0.5, 0.77, 1.0):
+        c = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
+        got = rhs(s, c, batch)
+        for b, cfg in enumerate(cfgs):
+            assert np.max(np.abs(got[b] - rhs(s, c[b], Batch.of([cfg])))) < 1e-15 * cfg.omega0
+
+
+@pytest.mark.parametrize("rhs", [rhs_bare, rhs_adiabatic], ids=["bare", "adiabatic"])
+def test_rhs_of_a_config_is_the_s_form_over_the_span(rng, rhs):
+    # a PulseConfig gives dc/dt at t = start + s * span: the batch of one's dc/ds / span,
+    # but at s' = (t - start) / span, a few ulps from s (|s' - s| < 1e-15).  Along s, dc/dt
+    # moves at span * |d(dc/dt)/dt| <= span * 3 * 0.86 omega0 / width (three Gaussians at
+    # their steepest, |L_k c| <= 1), so by at most 5.2e-15 span omega0 at width 0.5; the
+    # frame's rates vary far slower.  The bound is twice that: 1e-14 span omega0.
+    for cfg in _rhs_batch(rng):
+        one = Batch.of([cfg])
+        span = one.span[0]
+        for s in np.linspace(0.0, 1.0, 41):
+            c = coords(_random_hermitian(rng))
+            got = rhs(float(one.times(s)[0]), c, cfg)
+            assert np.max(np.abs(got - rhs(s, c, one) / span)) < span * 1e-14 * cfg.omega0
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+def test_engine_derivative_is_called_by_name(monkeypatch, basis):
+    # the engine looks the derivative up in the module on every call: the solver's
+    # evaluations plus _solve's finiteness check at the start
+    name = "rhs_bare" if basis is Basis.BARE else "rhs_adiabatic"
+    rhs, calls = getattr(liouville, name), []
+
+    def counted(s, c, batch):
+        calls.append(s)
+        return rhs(s, c, batch)
+
+    monkeypatch.setattr(liouville, name, counted)
+    traj = liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), basis, 50)
+    assert len(calls) == traj.stats["nfev"] + 1
+
+
+def test_a_solve_past_its_derivative_budget_raises(monkeypatch):
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    with pytest.raises(StepBudgetExceeded, match="budget of 500 derivative calls.*effective"):
+        liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=50)
 
 
 def test_mixed_batch_matches_batch_of_one_solves():
