@@ -118,20 +118,19 @@ def _grid_or_rows(evaluate, values: np.ndarray) -> list[SweepPoint]:
 
     evaluate takes a slice of the grid and returns one SweepPoint per row in it.
     In the row-by-row pass only the rows that fail on their own become
-    failed points carrying the error; the others keep their results.
+    failed points carrying the error; the others keep their results.  A
+    one-row grid is not evaluated twice.
     """
     try:
         return evaluate(slice(None))
-    except TripodError:
-        out = []
-        for i, value in enumerate(values):
-            try:
-                out += evaluate(slice(i, i + 1))
-            except TripodError as exc:
-                out.append(SweepPoint(value=float(value), F2_final=math.nan, F2_tmax=math.nan,
-                                      T_tr=math.nan, theta_g=math.nan,
-                                      error=f"{type(exc).__name__}: {exc}"))
-        return out
+    except TripodError as exc:
+        if len(values) == 1:
+            return [SweepPoint(value=float(values[0]), F2_final=math.nan, F2_tmax=math.nan,
+                               T_tr=math.nan, theta_g=math.nan,
+                               error=f"{type(exc).__name__}: {exc}")]
+    return [point for i in range(len(values))
+            for point in _grid_or_rows(lambda rows, i=i: evaluate(slice(i, i + 1)),
+                                       values[i:i + 1])]
 
 
 def _analytic_points(cfg: PulseConfig, gamma: np.ndarray, tau: np.ndarray,

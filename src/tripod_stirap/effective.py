@@ -16,13 +16,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from .tripod import frame_matrix, geometric_phases
-from .liouville import Basis, Trajectory, _frame_dephasing, _solve, _trajectory
+from .liouville import Basis, Trajectory, _frame_dephasing, _solve_batch, _trajectory
 
 _SQRT2 = np.sqrt(2.0)
 # the (s, u, v) solves take a few hundred steps, most of them holding output
@@ -82,17 +81,12 @@ def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -
                           Omega_su=omega_su, Omega_sv=omega_sv, Omega_uv=omega_uv)
 
 
-@lru_cache(maxsize=4)
-def _member_rates(batch: Batch) -> np.ndarray:
-    """(4, 4, B) dephasing matrices of the members, built once per batch."""
-    return batch.rates.T.reshape(4, 4, -1)
-
-
-def _suv_rhs(t: np.ndarray, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
-    """(s, u, v)' of every member: times of shape (B,), states of shape (3, B)."""
+def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
+    """d(s, u, v)/dx of every member, on states of shape (3, B), at t = start + x * span."""
+    t = batch.start + x * batch.span
     s, u, v = y
     ang = mixing_angles(t, batch)
-    r = effective_rates(ang, _member_rates(batch))
+    r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
     geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
     su, sv, uv = _SQRT2 * r.Omega_su, _SQRT2 * r.Omega_sv, r.Omega_uv
     if mode is Mode.WEAK_DEPHASING:  # the decay rates alone
@@ -101,7 +95,7 @@ def _suv_rhs(t: np.ndarray, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarr
         su * u + sv * v - r.Gamma_s * s,
         (geo + uv) * v + su * s - r.Gamma_u * u,
         (uv - geo) * u + sv * s - r.Gamma_v * v,
-    ])
+    ]) * batch.span
 
 
 def _dark_block(s, u, v):
@@ -153,20 +147,17 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                    samples: int = 2000) -> Iterator[EffectiveTrajectory]:
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
-    One shared RK45 solve with the contract of liouville.integrate_many; each
-    member keeps dark_density(s, u, v) in the adiabatic basis, with its
+    One shared RK45 solve of _suv_rhs, looked up by name at every call, on the
+    scaffold of liouville.integrate_many (_solve_batch: window, samples, budget);
+    each member keeps dark_density(s, u, v) in the adiabatic basis, with its
     invariant errors in closed form (dark_invariants) and theta_g from
     tripod.geometric_phases.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     batch = Batch.of(cfgs)
-
-    def fun(s, y):
-        return (_suv_rhs(batch.times(s), y.reshape(3, -1), batch, mode) * batch.span).ravel()
-
-    sol = _solve(fun, (0.0, 1.0), np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), METHOD,
-                 np.linspace(0.0, 1.0, samples))
+    sol = _solve_batch(lambda s, y: _suv_rhs(s, y.reshape(3, -1), batch, mode).ravel(),
+                       np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), samples, METHOD,
+                       "the effective solve stopped at its budget of {} derivative calls "
+                       "(about 30 per unit of gamma)")
     s, u, v = sol.y.reshape(3, -1, samples)
     return (EffectiveTrajectory(**vars(_trajectory(cfg, Basis.ADIABATIC,
                                                    dark_density(s[b], u[b], v[b]), int(sol.nfev),

@@ -10,7 +10,7 @@ class StepSizeUnderflow(TripodError):
 
 
 class StepBudgetExceeded(TripodError):
-    """A master solve used up its fixed budget of derivative calls."""
+    """A batched ODE solve used up its fixed budget of derivative calls."""
 
 
 class ToleranceNotMet(TripodError):

@@ -287,6 +287,25 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
                       target=tgt, stats={"nfev": nfev, **invariants})
 
 
+def _solve_batch(derivative, y0: np.ndarray, samples: int, method: str, budget: str):
+    """The scaffold of both ODE engines: one solve of derivative(s, y) = dy/ds on the flat
+    batch state y over s in [0, 1], sampled at np.linspace(0, 1, samples).  Past MAX_NFEV
+    calls, read at call time, it raises StepBudgetExceeded with `budget` formatted with the count.
+    """
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    calls = 0
+
+    def fun(s, y):
+        nonlocal calls
+        if calls >= MAX_NFEV:
+            raise StepBudgetExceeded(budget.format(calls))
+        calls += 1
+        return derivative(s, y)
+
+    return _solve(fun, (0.0, 1.0), y0, method, np.linspace(0.0, 1.0, samples))
+
+
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
                    samples: int = 2000) -> Iterator[Trajectory]:
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
@@ -298,34 +317,28 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     level of the solver's own error, and the same batch gives the same values.
     On the default fig5a, fig5b, fig6 and fig8 grids every member's final F2
     lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole F2 trajectory
-    within 1.1e-8, of a lone solve at rtol 1e-13.  Each trajectory is sampled
-    at np.linspace(start, end, samples); its `nfev` counts the calls of the
-    batch derivative, rhs_bare or rhs_adiabatic (from R^dag rho R), looked up
-    by name at every call.  A solve past MAX_NFEV calls raises
+    within 1.1e-8, of a lone solve at rtol 1e-13.  On _solve_batch, the scaffold
+    shared with effective.integrate_many, each trajectory is sampled at
+    np.linspace(start, end, samples); its `nfev` counts the calls of the batch
+    derivative, rhs_bare or rhs_adiabatic (from R^dag rho R), looked up by
+    name at every call.  A solve past MAX_NFEV calls raises
     StepBudgetExceeded; like any failed solve it raises for the whole batch at
     the call.  The trajectories are built as the caller iterates, and only
     there do their states become complex 4x4 matrices.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     batch = Batch.of(cfgs)
     n = len(batch)
     c0 = np.eye(16)[0]  # rho_11 = 1
     y0 = (np.tile(c0, n) if basis is Basis.BARE
           else coords(to_adiabatic(density(c0), batch.start, batch)).ravel())
-    calls = 0
 
-    def fun(s, y):
-        nonlocal calls
-        if calls >= MAX_NFEV:
-            raise StepBudgetExceeded(
-                f"the master solve stopped at its budget of {calls} derivative calls (about 45 "
-                "per unit of Omega0); --engine effective takes about 900 at any Omega0")
-        calls += 1
+    def derivative(s, y):
         rhs = rhs_bare if basis is Basis.BARE else rhs_adiabatic
         return rhs(s, y.reshape(n, 16), batch).ravel()
 
-    sol = _solve(fun, (0.0, 1.0), y0, METHOD, np.linspace(0.0, 1.0, samples))
+    sol = _solve_batch(derivative, y0, samples, METHOD, "the master solve stopped at its budget "
+                       "of {} derivative calls (about 45 per unit of Omega0); --engine effective "
+                       "takes about 900 at any Omega0")
     return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)
             for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, samples),
                                        geometric_phases(batch.cfgs)))

@@ -231,10 +231,6 @@ class Batch:
     def __len__(self) -> int:
         return len(self.cfgs)
 
-    def times(self, s: float) -> np.ndarray:
-        """Physical time of every member at normalised time s."""
-        return self.start + s * self.span
-
 
 def _exponents(t, cfg: PulseConfig | Batch):
     """Gaussian exponents a_k = (t - c_k)^2 / (w_k T^2) and their rates a_k'.

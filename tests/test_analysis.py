@@ -271,11 +271,10 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
     module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
     rhs = getattr(module, name)
 
-    def poisoned(t, y, batch, *mode):
-        out = rhs(t, y, batch, *mode)
+    def poisoned(s, y, batch, *mode):
+        out = rhs(s, y, batch, *mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
-        # the master derivative takes the normalised time s, the effective one t
-        bad = (rates == 0.5) & ((batch.times(t) if engine is Engine.MASTER else t) > 0.0)
+        bad = (rates == 0.5) & (batch.start + s * batch.span > 0.0)
         # master states are (B, 16), effective ones (3, B)
         out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
         return out
@@ -291,14 +290,42 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
         assert abs(p.F2_tmax - ref.F2_tmax) < 1e-9
 
 
-def test_master_rows_past_the_derivative_budget_carry_the_error(monkeypatch):
+_BUDGET_ERRORS = {
+    Engine.MASTER: "the master solve stopped at its budget of 500 derivative calls (about 45 per "
+                   "unit of Omega0); --engine effective takes about 900 at any Omega0",
+    Engine.EFFECTIVE: "the effective solve stopped at its budget of 500 derivative calls (about "
+                      "30 per unit of gamma)",
+}
+# the master engine takes over 500 calls at overlap, the effective one at scp
+_BUDGET_ORDERINGS = {Engine.MASTER: "overlap", Engine.EFFECTIVE: "scp"}
+
+
+@pytest.mark.parametrize("engine", _BUDGET_ERRORS, ids=lambda e: e.value)
+def test_master_rows_past_the_derivative_budget_carry_the_error(monkeypatch, engine):
     monkeypatch.setattr(liouville, "MAX_NFEV", 500)
-    res = sweep(_cfg(), "gamma", [0.0, 0.5], Engine.MASTER, samples=50)
+    res = sweep(_cfg(_BUDGET_ORDERINGS[engine]), "gamma", [0.0, 0.5], engine, samples=50)
     for p in res.points:
-        assert p.error == (f"{StepBudgetExceeded.__name__}: the master solve stopped at its "
-                           "budget of 500 derivative calls (about 45 per unit of Omega0); "
-                           "--engine effective takes about 900 at any Omega0")
+        assert p.error == f"{StepBudgetExceeded.__name__}: {_BUDGET_ERRORS[engine]}"
         assert math.isnan(p.F2_final)
+
+
+@pytest.mark.parametrize("engine", _BUDGET_ERRORS, ids=lambda e: e.value)
+def test_a_one_row_sweep_past_the_budget_is_solved_once(monkeypatch, engine):
+    # a failed grid is split into rows only when it has more than one: a one-row
+    # sweep makes the budget's calls once, not a second time for its lone row
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
+    rhs, calls = getattr(module, name), []
+
+    def counted(s, y, batch, *mode):
+        calls.append(s)
+        return rhs(s, y, batch, *mode)
+
+    monkeypatch.setattr(module, name, counted)
+    res = sweep(_cfg(_BUDGET_ORDERINGS[engine]), "gamma", [0.5], engine, samples=50)
+    assert [p.error for p in res.points] == [
+        f"{StepBudgetExceeded.__name__}: {_BUDGET_ERRORS[engine]}"]
+    assert len(calls) == 500
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])

@@ -123,12 +123,18 @@ def test_simulate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_past_the_derivative_budget_exits_2_with_a_hint(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("engine", ["master", "effective"])
+def test_simulate_past_the_derivative_budget_exits_2_with_a_hint(tmp_path, monkeypatch, capsys,
+                                                                 engine):
+    # scp at tau 1.5 takes over 500 derivative calls in both engines
     monkeypatch.setattr(liouville, "MAX_NFEV", 500)
     out = tmp_path / "run.csv"
-    assert main(["simulate", "--ordering", "scp", "--samples", "50", "--out", str(out)]) == 2
+    assert main(["simulate", "--ordering", "scp", "--samples", "50", "--engine", engine,
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "budget of 500 derivative calls" in err and "--engine effective" in err
+    assert f"the {engine} solve stopped at its budget of 500 derivative calls" in err
+    # only the master message points to the other engine
+    assert ("--engine effective" in err) is (engine == "master")
     assert not out.exists()
 
 

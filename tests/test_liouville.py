@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import liouville, tripod
+from tripod_stirap import effective, liouville, tripod
 from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
 from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, rhs_adiabatic,
                                       rhs_bare)
@@ -170,30 +170,44 @@ def test_rhs_of_a_config_is_the_s_form_over_the_span(rng, rhs):
         span = one.span[0]
         for s in np.linspace(0.0, 1.0, 41):
             c = coords(_random_hermitian(rng))
-            got = rhs(float(one.times(s)[0]), c, cfg)
+            got = rhs(float(one.start[0] + s * span), c, cfg)
             assert np.max(np.abs(got - rhs(s, c, one) / span)) < span * 1e-14 * cfg.omega0
 
 
-@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
-def test_engine_derivative_is_called_by_name(monkeypatch, basis):
+# the derivative each engine solves, looked up by name, and a run of that engine
+_ENGINES = {
+    "bare": (liouville, "rhs_bare", lambda cfg, samples: liouville.integrate(cfg, samples=samples)),
+    "adiabatic": (liouville, "rhs_adiabatic",
+                  lambda cfg, samples: liouville.integrate(cfg, Basis.ADIABATIC, samples)),
+    "effective": (effective, "_suv_rhs", effective.integrate_suv),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_engine_derivative_is_called_by_name(monkeypatch, engine):
     # the engine looks the derivative up in the module on every call: the solver's
     # evaluations plus _solve's finiteness check at the start
-    name = "rhs_bare" if basis is Basis.BARE else "rhs_adiabatic"
-    rhs, calls = getattr(liouville, name), []
+    module, name, run = _ENGINES[engine]
+    rhs, calls = getattr(module, name), []
 
-    def counted(s, c, batch):
+    def counted(s, c, batch, *mode):
         calls.append(s)
-        return rhs(s, c, batch)
+        return rhs(s, c, batch, *mode)
 
-    monkeypatch.setattr(liouville, name, counted)
-    traj = liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), basis, 50)
+    monkeypatch.setattr(module, name, counted)
+    traj = run(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), 50)
     assert len(calls) == traj.stats["nfev"] + 1
 
 
-def test_a_solve_past_its_derivative_budget_raises(monkeypatch):
+@pytest.mark.parametrize("engine,message", [
+    ("bare", "the master solve stopped at its budget of 500 derivative calls.*effective"),
+    # scp at tau 1 takes 656 (s, u, v) calls at gamma 0
+    ("effective", "the effective solve stopped at its budget of 500 derivative calls"),
+], ids=["master", "effective"])
+def test_a_solve_past_its_derivative_budget_raises(monkeypatch, engine, message):
     monkeypatch.setattr(liouville, "MAX_NFEV", 500)
-    with pytest.raises(StepBudgetExceeded, match="budget of 500 derivative calls.*effective"):
-        liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=50)
+    with pytest.raises(StepBudgetExceeded, match=message):
+        _ENGINES[engine][2](PulseConfig(ordering="scp", omega0=50.0, tau=1.0), 50)
 
 
 def test_mixed_batch_matches_batch_of_one_solves():

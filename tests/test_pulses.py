@@ -254,7 +254,7 @@ def test_mixing_angles_of_a_batch_equal_each_member_bit_for_bit() -> None:
             for o in ORDERINGS for tau, w in ((0.4, 1.0), (1.7, 0.6))]
     batch = Batch.of(cfgs)
     for s in np.linspace(0.0, 1.0, 13):
-        t = batch.times(s)
+        t = batch.start + s * batch.span
         got = mixing_angles(t, batch)
         for b, cfg in enumerate(cfgs):
             one = mixing_angles(float(t[b]), cfg)
