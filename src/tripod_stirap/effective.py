@@ -155,7 +155,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     """
     batch = Batch.of(cfgs)
     sol = _solve_batch(lambda s, y: _suv_rhs(s, y.reshape(3, -1), batch, mode).ravel(),
-                       np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), samples, METHOD,
+                       np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples, METHOD,
                        "the effective solve stopped at its budget of {} derivative calls "
                        "(about 30 per unit of gamma)")
     s, u, v = sol.y.reshape(3, -1, samples)

@@ -22,8 +22,9 @@ eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  The
 derivatives take s itself and return dc/ds from constants built once per
 batch (_constants), each member's window span folded in.  In the
 instantaneous eigenframe the equation has four constant terms of the same
-kind plus the dephasing rotated into the frame (rhs_adiabatic); both bases
-share the batched solve, and the two routes are cross-checked in the tests.
+kind plus the dephasing rotated into the frame by a real 16x16 map
+(frame_map, rhs_adiabatic); both bases share the batched solve, and the two
+routes are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
-from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, _angles,
-                     mixing_angles)
+from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
@@ -58,8 +58,10 @@ _UNIT = np.repeat([1.0, 1.0, 1j], [4, 6, 6])
 _TO_VEC = np.zeros((16, 16), dtype=complex)
 _TO_VEC[_POS, np.arange(16)] = _UNIT
 _TO_VEC[np.concatenate([_DIAG, 4 * _J + _I, 4 * _J + _I]), np.arange(16)] = _UNIT.conj()
+# squared Frobenius norms N of the coordinate basis matrices: tr(rho sigma) = c_rho @ (N c_sigma)
+_NORM2 = np.repeat([1.0, 2.0], [4, 12])
 # the columns are orthogonal: the inverse is the adjoint over the squared column norms
-_FROM_VEC = _TO_VEC.conj().T / np.sum(np.abs(_TO_VEC) ** 2, axis=0)[:, None]
+_FROM_VEC = _TO_VEC.conj().T / _NORM2[:, None]
 
 
 def density(c: np.ndarray) -> np.ndarray:
@@ -114,13 +116,13 @@ def _constants(batch: Batch) -> tuple:
 
     At t = start + s * span the exponent (t - c_k)^2 / w_k is k_k (s - s_k)^2 with
     s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
-    negates nothing; the amplitudes omega0, the coordinate damping and the (B, 4, 4)
-    rates of the frame dephasing carry span.
+    negates nothing; the amplitudes omega0 and the coordinate damping gamma_c carry
+    span, and so does N gamma_c, the damping of the frame dephasing (_frame_damping).
     """
     span = batch.span[:, None]
+    damping = batch.rates.take(_POS, axis=1) * span
     return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
-            batch.omega0 * span, batch.rates.take(_POS, axis=1) * span,
-            (batch.rates * span).reshape(-1, 4, 4))
+            batch.omega0 * span, damping, damping * _NORM2)
 
 
 def _per_config(rhs, t, c: np.ndarray, cfg: PulseConfig) -> np.ndarray:
@@ -172,25 +174,104 @@ def _frame_dephasing(rho_a: np.ndarray, r: np.ndarray, rates: np.ndarray) -> np.
     return -(r_h @ (rates * (r @ rho_a @ r_h)) @ r)
 
 
+def _harmonics(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The 25 products h_k of [1, cos, sin](k theta) and [1, cos, sin](k phi), k <= 2.
+
+    cos and sin hold those of (theta, phi) along their first axis, shape (2,) + S; the
+    result has one row of 25 per angle pair, (prod S, 25), theta's harmonic the slower index.
+    """
+    h = np.array([np.ones(np.shape(cos)), cos, sin, cos * cos - sin * sin, 2.0 * sin * cos])
+    return (h[:, None, 0] * h[None, :, 1]).reshape(25, -1).T
+
+
+@lru_cache(maxsize=1)
+def _frame_terms() -> np.ndarray:
+    """The constant terms T_k of the frame map, T = sum_k h_k T_k, as a (25, 256) table.
+
+    Every entry of R is +-1/sqrt(2) times products of 1, cos and sin of theta and of
+    phi, so T, bilinear in R and R^*, is a trigonometric polynomial of degree <= 2 in
+    each angle with coefficients that are multiples of 1/8.  Its values on the 5 x 5
+    grid 2 pi j / 5 fix it, and rounding to eighths removes the rounding of the fit.
+    Built on first use.
+    """
+    nodes = 0.4 * np.pi * np.arange(5)
+    grid = np.array([np.repeat(nodes, 5), np.tile(nodes, 5)])  # (theta, phi) of 25 points
+    r = frame_matrix(MixingAngles(grid[0], grid[1], 0.0, 0.0))[:, None]
+    # column l of T at a grid point is coords(R E_l R^dag), E_l the l-th basis matrix
+    values = coords(r @ density(np.eye(16)) @ r.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
+    h = _harmonics(np.cos(grid), np.sin(grid))
+    # the harmonics are orthogonal on the grid: solving is projecting onto each of them
+    terms = (h.T @ values.reshape(25, 256)) / (h * h).sum(0)[:, None]
+    return np.round(8.0 * terms) / 8.0
+
+
+def _frame_map(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """frame_map from the (2,) + S cosines and sines of (theta, phi)."""
+    return (_harmonics(cos, sin) @ _frame_terms()).reshape(np.shape(cos)[1:] + (16, 16))
+
+
+def frame_map(angles: MixingAngles) -> np.ndarray:
+    """rho = R rho^a R^dag on the real coordinates: coords(rho) = T coords(rho^a).
+
+    R is tripod.frame_matrix; T is real, and N^-1 T^T N is its inverse (R is unitary and
+    tr(rho sigma) = c_rho @ (N c_sigma), N the squared norms of the basis matrices).
+    T = sum_k h_k(theta, phi) T_k over the 25 harmonics of _harmonics.  Scalar angles give
+    one (16, 16) map; angles of shape S, such as (n, B), give S + (16, 16) in one matmul.
+    """
+    angle = np.array([angles.theta, angles.phi])
+    return _frame_map(np.cos(angle), np.sin(angle))
+
+
+def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """N^-1 T^T (N gamma_c (.) T c) for (B, 16) states c, (B, 16, 16) maps T and N gamma_c.
+
+    The coordinate form of R^dag (gamma (.) (R rho^a R^dag)) R: rho^a taken to the bare
+    basis, damped there as in rhs_bare (T = 1 gives gamma_c c), and taken back.
+    """
+    damped = weighted * (t @ vec[:, :, None])[:, :, 0]
+    return (damped[:, None] @ t)[:, 0] / _NORM2
+
+
+def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
+    """cos and sin of (theta, phi), (2, B) each, and theta', phi' from (B, 3) -a_k and a_k'.
+
+    The mixing angles of pulses._angles with no arctan: x_k is Omega_k over the larger of
+    Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
+    and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
+    exp(-r).  Then theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') and
+    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.
+    """
+    x_p, x_s, x_c = x = np.exp(np.minimum(
+        neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T
+    adjacent, opposite = np.array([np.hypot(x_s, x_c), x_s]), x[::2]
+    norm = np.hypot(adjacent, opposite)
+    cos, sin = adjacent / norm, opposite / norm
+    sin_cos = sin * cos
+    rate_p, rate_s, rate_c = rates.T
+    theta_dot = sin_cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
+    return cos, sin, theta_dot, sin_cos[1] * (rate_s - rate_c)
+
+
 def rhs_adiabatic(s, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
     """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
 
     On the times, coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
     and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE;
-    the angles come from the exponents in s, so their rates are per unit s.
+    the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the real frame map.  The angles
+    come from the exponents in s, so their rates are per unit s.
     """
     if not isinstance(cfg, Batch):
         return _per_config(rhs_adiabatic, s, c, cfg)
-    centres, neg_k, amplitudes, _, rates = _constants(cfg)
+    centres, neg_k, amplitudes, _, weighted = _constants(cfg)
     vec = c.reshape(len(cfg), 16)
     d = s - centres
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
-    ang = _angles(-neg_a.T, (-2.0 * neg_k * d).T)
-    weights = np.array([np.sqrt((omega * omega).sum(1)), ang.theta_dot,
-                        ang.phi_dot * np.sin(ang.theta), ang.phi_dot * np.cos(ang.theta)]).T
+    cos, sin, theta_dot, phi_dot = _frame_angles(neg_a, -2.0 * neg_k * d)
+    weights = np.array([np.sqrt((omega * omega).sum(1)), theta_dot, phi_dot * sin[0],
+                        phi_dot * cos[0]]).T
     out = _drive(weights, vec, _FRAME_DRIVE)
-    out += coords(_frame_dephasing(density(vec), frame_matrix(ang), rates))
+    out -= _frame_damping(vec, _frame_map(cos, sin), weighted)
     return out.reshape(c.shape)
 
 
@@ -234,7 +315,8 @@ class Trajectory:
         return np.real(np.einsum("nii->ni", self.rho_a))
 
 
-def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: float = ATOL):
+def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: float = ATOL,
+           max_step: float = np.inf):
     """solve_ivp with the engine's explicit Runge-Kutta method; a failure raises a typed error.
 
     A non-finite derivative at the start would make the first step size
@@ -244,7 +326,8 @@ def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: 
     """
     if not np.all(np.isfinite(fun(t_span[0], y0))):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
-    sol = solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, rtol=rtol, atol=atol)
+    sol = solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, rtol=rtol, atol=atol,
+                    max_step=max_step)
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
     return sol
@@ -287,10 +370,16 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
                       target=tgt, stats={"nfev": nfev, **invariants})
 
 
-def _solve_batch(derivative, y0: np.ndarray, samples: int, method: str, budget: str):
+def _solve_batch(derivative, y0: np.ndarray, batch: Batch, samples: int, method: str,
+                 budget: str):
     """The scaffold of both ODE engines: one solve of derivative(s, y) = dy/ds on the flat
     batch state y over s in [0, 1], sampled at np.linspace(0, 1, samples).  Past MAX_NFEV
     calls, read at call time, it raises StepBudgetExceeded with `budget` formatted with the count.
+
+    No step is longer than a member's default window (PulseConfig.reach): on a wider custom
+    window the step would otherwise grow across the quiet edges and pass over the pulses
+    without a stage landing on them.  On a window no wider than the default the bound is
+    at least the whole window, and the solve is the unbounded one.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -303,7 +392,8 @@ def _solve_batch(derivative, y0: np.ndarray, samples: int, method: str, budget: 
         calls += 1
         return derivative(s, y)
 
-    return _solve(fun, (0.0, 1.0), y0, method, np.linspace(0.0, 1.0, samples))
+    max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
+    return _solve(fun, (0.0, 1.0), y0, method, np.linspace(0.0, 1.0, samples), max_step=max_step)
 
 
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
@@ -336,9 +426,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
         rhs = rhs_bare if basis is Basis.BARE else rhs_adiabatic
         return rhs(s, y.reshape(n, 16), batch).ravel()
 
-    sol = _solve_batch(derivative, y0, samples, METHOD, "the master solve stopped at its budget "
-                       "of {} derivative calls (about 45 per unit of Omega0); --engine effective "
-                       "takes about 900 at any Omega0")
+    sol = _solve_batch(derivative, y0, batch, samples, METHOD, "the master solve stopped at its "
+                       "budget of {} derivative calls (about 45 per unit of Omega0); --engine "
+                       "effective takes about 900 at any Omega0")
     return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)
             for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, samples),
                                        geometric_phases(batch.cfgs)))

@@ -173,16 +173,21 @@ class PulseConfig:
             raise ValueError("t_start must be earlier than t_end")
 
     @property
+    def reach(self) -> float:
+        """Half-length of the default window, which is centred on t = 0."""
+        return 6.0 * self.width + self.tau
+
+    @property
     def start(self) -> float:
         if self.t_start is not None:
             return self.t_start
-        return -(6.0 * self.width + self.tau)
+        return -self.reach
 
     @property
     def end(self) -> float:
         if self.t_end is not None:
             return self.t_end
-        return 6.0 * self.width + self.tau
+        return self.reach
 
     def with_updates(self, **changes) -> "PulseConfig":
         return replace(self, **changes)

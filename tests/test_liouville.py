@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from tripod_stirap import effective, liouville, tripod
 from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
-from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, rhs_adiabatic,
-                                      rhs_bare)
+from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, frame_map,
+                                      rhs_adiabatic, rhs_bare)
 from tripod_stirap.pulses import (_EXP_CLAMP, DephasingMatrix, MixingAngles, PulseConfig,
                                   mixing_angles, pulse_envelopes)
 from tripod_stirap.tripod import (adiabatic_frame, frame_matrix, geometric_phase, hamiltonian,
@@ -172,6 +172,145 @@ def test_rhs_of_a_config_is_the_s_form_over_the_span(rng, rhs):
             c = coords(_random_hermitian(rng))
             got = rhs(float(one.start[0] + s * span), c, cfg)
             assert np.max(np.abs(got - rhs(s, c, one) / span)) < span * 1e-14 * cfg.omega0
+
+
+# squared Frobenius norms of the coordinate basis matrices: |rho_ii|, then Re and Im rho_ij
+_NORM2 = np.repeat([1.0, 2.0], [4, 12])
+
+
+def _conjugated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """coords(R density(c) R^dag) on stacks."""
+    return coords(r @ density(c) @ r.conj().swapaxes(-1, -2))
+
+
+@given(theta=st.floats(-7.0, 7.0), phi=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
+def test_frame_map_is_the_conjugation_by_the_frame(theta, phi, seed):
+    # T c = coords(R rho R^dag) for any angles, and N^-1 T^T N undoes it
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=16)
+    ang = MixingAngles(theta, phi, 0.0, 0.0)
+    t = frame_map(ang)
+    assert t.shape == (16, 16) and t.dtype == np.float64
+    assert np.max(np.abs(t @ c - _conjugated(frame_matrix(ang), c))) < 4e-15 * np.max(np.abs(c))
+    assert np.max(np.abs((t.T * _NORM2 / _NORM2[:, None]) @ t - np.eye(16))) < 4e-15
+
+
+def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
+    # (n, B) angles, as the sample times of a batch give them, map in one call
+    ang = MixingAngles(rng.uniform(0.0, np.pi / 2, (7, 5)), rng.uniform(0.0, np.pi / 2, (7, 5)),
+                       0.0, 0.0)
+    t = frame_map(ang)
+    assert t.shape == (7, 5, 16, 16)
+    c = rng.normal(size=(7, 5, 16))
+    got = (t @ c[..., None])[..., 0]
+    assert np.max(np.abs(got - _conjugated(frame_matrix(ang), c))) < 4e-15 * np.max(np.abs(c))
+    back = ((t.swapaxes(-1, -2) * _NORM2 / _NORM2[:, None]) @ got[..., None])[..., 0]
+    assert np.max(np.abs(back - c)) < 1e-14 * np.max(np.abs(c))
+    for i, j in ((0, 0), (3, 4), (6, 2)):
+        one = frame_map(MixingAngles(ang.theta[i, j], ang.phi[i, j], 0.0, 0.0))
+        assert np.max(np.abs(t[i, j] - one)) < 1e-15
+
+
+def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
+    # 25 harmonics x 16 x 16, 219 nonzero coefficients, all multiples of 1/8; a bare
+    # solve never builds the table, the first eigenframe derivative does
+    liouville._frame_terms.cache_clear()
+    liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=20)
+    assert liouville._frame_terms.cache_info().currsize == 0
+    rhs_adiabatic(0.5, np.eye(16)[0], Batch.of([_cfg()]))
+    terms = liouville._frame_terms()
+    assert liouville._frame_terms.cache_info().currsize == 1
+    assert terms.shape == (25, 256) and np.count_nonzero(terms) == 219
+    assert np.array_equal(8.0 * terms, np.round(8.0 * terms))
+
+
+def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
+    # -N^-1 T^T (N gamma_c (.) T c) is coords(-R^dag (gamma (.) (R rho^a R^dag)) R), at the
+    # angles of every member of the mixed batch, the clamp member's window edges included
+    cfgs = [cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)]
+    batch = Batch.of(cfgs)
+    weighted = _NORM2 * batch.rates.take(liouville._POS, axis=1)
+    for s in (0.0, 0.02, 0.13, 0.5, 0.77, 0.98, 1.0):
+        ang = mixing_angles(batch.start + s * batch.span, batch)
+        c = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
+        got = -liouville._frame_damping(c, frame_map(ang), weighted)
+        want = coords(liouville._frame_dephasing(density(c), frame_matrix(ang),
+                                                 batch.rates.reshape(-1, 4, 4)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_frame_angles_match_the_mixing_angles(rng):
+    # cos and sin of theta and phi and the angle rates, formed with no arctan, against
+    # pulses.mixing_angles on the mixed batch across the window; the exponents in s and in
+    # t differ by ulps of exponents up to ~1e4, which moves the angles by up to ~1e-14
+    batch = Batch.of(_rhs_batch(rng))
+    centres, neg_k = liouville._constants(batch)[:2]
+    for s in np.linspace(0.0, 1.0, 41):
+        d = s - centres
+        cos, sin, theta_dot, phi_dot = liouville._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+        ang = mixing_angles(batch.start + s * batch.span, batch)
+        angle = np.array([ang.theta, ang.phi])
+        assert np.max(np.abs(cos - np.cos(angle))) < 1e-14
+        assert np.max(np.abs(sin - np.sin(angle))) < 1e-14
+        # the rates of mixing_angles are per unit t; these are per unit s
+        scale = 1e-14 * (1.0 + np.abs(ang.theta_dot) + np.abs(ang.phi_dot))
+        assert np.all(np.abs(theta_dot / batch.span - ang.theta_dot) < scale)
+        assert np.all(np.abs(phi_dot / batch.span - ang.phi_dot) < scale)
+
+
+def test_rhs_adiabatic_forms_no_complex_frame_per_call(monkeypatch):
+    # the derivative reads the real frame map: no 4x4 frame, density or coords round trip
+    batch = Batch.of(_MIXED_ORDERINGS)
+    liouville._frame_terms()
+    c = np.random.default_rng(1).normal(size=(len(batch), 16))
+    want = rhs_adiabatic(0.4, c, batch)
+
+    def refuse(*args):
+        raise AssertionError("called on the derivative path")
+
+    for name in ("frame_matrix", "density", "coords", "_frame_dephasing", "mixing_angles"):
+        monkeypatch.setattr(liouville, name, refuse)
+    assert np.array_equal(rhs_adiabatic(0.4, c, batch), want)
+
+
+def test_an_eigenframe_solve_builds_two_complex_frames_whatever_its_length(monkeypatch):
+    # one frame for the initial state, one pass for F2: none per derivative call
+    liouville._frame_terms()
+    calls = []
+
+    def counted(angles):
+        calls.append(np.shape(angles.theta))
+        return frame_matrix(angles)
+
+    monkeypatch.setattr(liouville, "frame_matrix", counted)
+    traj = liouville.integrate(_cfg(0.5), Basis.ADIABATIC, samples=500)
+    assert traj.stats["nfev"] > 1000
+    assert calls == [(1,), (500,)]
+
+
+@pytest.mark.parametrize("engine", ["bare", "adiabatic", "effective"])
+def test_a_wide_window_does_not_step_over_the_pulses(monkeypatch, engine):
+    # on +-60 around pulses of width 0.5 the step grew across the quiet edges and passed
+    # over the pulses (bare F2 0 in 95 calls): no step is longer than the default window,
+    # and the end state is that of a solve started at the default window's start
+    steps = []
+    real = liouville.solve_ivp
+
+    def recorded(*args, **kwargs):
+        steps.append(kwargs["max_step"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "solve_ivp", recorded)
+    run = _ENGINES[engine][2]
+    wide = PulseConfig(ordering="scp", omega0=50.0, tau=1.5, width=0.5, t_start=-60.0,
+                       t_end=60.0, gamma=DephasingMatrix.equal(0.3))
+    late = run(wide.with_updates(t_start=-wide.reach), 60)
+    default = run(wide.with_updates(t_start=None, t_end=None), 60)
+    traj = run(wide, 60)
+    assert steps == pytest.approx([9.0 / 64.5, 1.0, 9.0 / 120.0], rel=1e-15)
+    assert traj.stats["nfev"] > 1000
+    assert abs(traj.fidelity[-1] - late.fidelity[-1]) < 1e-9
+    assert default.fidelity[-1] > 0.9
 
 
 # the derivative each engine solves, looked up by name, and a run of that engine
