@@ -129,9 +129,24 @@ def _config_line(entries: dict) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in entries.items())
 
 
-def _marker(point: analysis.SweepPoint) -> str:
+def _marker(error: str | None) -> str:
     """A row's error text as one CSV field: commas become semicolons."""
-    return (point.error or "").replace(",", ";")
+    return (error or "").replace(",", ";")
+
+
+def _sweep_report(result: analysis.SweepResult) -> dict:
+    """A sweep's solves and warnings for the manifest; none of it goes into the CSV.
+
+    Each batch is listed once with its derivative calls and the rows it
+    solved; each row that warned is listed with its warning texts.
+    """
+    return {
+        "batches": [{"nfev": int(nfev), "rows": np.flatnonzero(result.batch == k).tolist()}
+                    for k, nfev in enumerate(result.nfev)],
+        "warnings": [{"row": i, result.axis: value, "warnings": list(texts)}
+                     for i, (value, texts) in enumerate(zip(result.values.tolist(),
+                                                            result.warnings)) if texts],
+    }
 
 
 def _row_format(types: tuple) -> str:
@@ -153,7 +168,7 @@ def _write_csv(path: Path, entries: dict, header: list[str], rows) -> dict:
 
 
 def _write_manifest(path: Path, command: str, entries: dict, outputs: list[dict],
-                    elapsed: float) -> None:
+                    elapsed: float, sweep: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": {k: (v if isinstance(v, str) else float(v)) for k, v in entries.items()},
@@ -161,6 +176,8 @@ def _write_manifest(path: Path, command: str, entries: dict, outputs: list[dict]
         "version": __version__,
         "wall_clock_s": round(elapsed, 6),
     }
+    if sweep is not None:
+        manifest["sweep"] = sweep
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -236,13 +253,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                **entries}
 
     header = [axis, "F2_final", "F2_tmax", "T_tr", "theta_g", "error_marker"]
-    rows = [[p.value, p.F2_final, p.F2_tmax, p.T_tr, p.theta_g, _marker(p)]
-            for p in result.points]
+    columns = (result.values, result.F2_final, result.F2_tmax, result.T_tr, result.theta_g)
+    rows = zip(*(column.tolist() for column in columns), map(_marker, result.errors))
 
     out = Path(args.out)
     outputs = [_write_csv(out, entries, header, rows)]
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep", entries,
-                    outputs, time.perf_counter() - t0)
+                    outputs, time.perf_counter() - t0, _sweep_report(result))
     if result.succeeded() == 0:
         print("error: every sweep point failed", file=sys.stderr)
         return 3
@@ -311,8 +328,9 @@ def _figure_config(fig: Figure, point: dict) -> PulseConfig:
     return PulseConfig(ordering=fig.ordering, gamma=DephasingMatrix.equal(gamma), **params)
 
 
-def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
-    """(filename, comment entries, header, rows) of every CSV the figure writes."""
+def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
+    """(filename, comment entries, header, rows) of every CSV the figure writes, and the
+    manifest's sweep report of a T_tr figure (None for the others)."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
         value = s.get(key, None, parse)
@@ -334,14 +352,15 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
     if fig.cell == "T_tr":
         result = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.MASTER,
                                 samples=samples, eps=settings["epsilon"])
-        rows = [[p.value, p.T_tr, _marker(p)] for p in result.points]
-        return [(f"{name}.csv", entries, [fig.rows, "T_tr", "error_marker"], rows)]
+        rows = zip(result.values.tolist(), result.T_tr.tolist(), map(_marker, result.errors))
+        header = [fig.rows, "T_tr", "error_marker"]
+        return [(f"{name}.csv", entries, header, rows)], _sweep_report(result)
 
     trajs = liouville.integrate_many(cfgs, samples=samples)
     if fig.cell == "trajectory":
         rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
                                for v, traj in zip(grids[axes[0]], trajs)]).tolist()
-        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)]
+        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], None
 
     grid = grids[fig.rows]
     at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
@@ -352,7 +371,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
         q = 0.5 - p
         return [(f"{name}_numeric.csv", {**entries, "engine": "master"}, header, rows),
                 (f"{name}_analytic.csv", {**entries, "engine": "analytic"}, header,
-                 np.column_stack([grid, q, q, p, p]).tolist())]
+                 np.column_stack([grid, q, q, p, p]).tolist())], None
 
     f2 = np.reshape([traj.fidelity[-1] for traj in trajs], [len(g) for g in grids.values()])
     columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{_fmt(v)}" for axis in axes if axis != fig.rows
@@ -363,7 +382,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> list:
                  for column in fig.closed_form]
         table += list(dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"]))
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
-             np.column_stack(table).tolist())]
+             np.column_stack(table).tolist())], None
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -373,7 +392,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if name not in FIGURES:
         raise ValueError(f"unknown figure {args.name!r} (expected one of: {', '.join(FIGURES)})")
     samples = s.get("samples", 2000, int)
-    tables = _figure_tables(name, FIGURES[name], s, samples)
+    tables, sweep = _figure_tables(name, FIGURES[name], s, samples)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -383,7 +402,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         outputs.append(_write_csv(out_dir / filename,
                                   {**entries_all, **entries}, header, rows))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,
-                    outputs, time.perf_counter() - t0)
+                    outputs, time.perf_counter() - t0, sweep)
     return 0
 
 

@@ -425,3 +425,93 @@ def test_analytic_gamma_sweep_accepts_unequal_base_rates():
     res = sweep(cfg, "gamma", [0.5, 1.0], Engine.ANALYTIC)
     assert [p.F2_final for p in res.points] == \
         [p.F2_final for p in sweep(_cfg(), "gamma", [0.5, 1.0], Engine.ANALYTIC).points]
+
+
+# ---------------------------------------------------------- columnar results
+
+def test_analytic_columns_are_one_closed_form_pass():
+    values = np.linspace(0.0, 2.0, 2000)
+    res = sweep(_cfg(gamma=0.3), "gamma", values, Engine.ANALYTIC, eps=0.05, t_max_eval=4.0)
+    f2_final, f2_tmax = dk.analytic_fidelity(values, _cfg(), np.array([[math.inf], [4.0]]),
+                                             tau=np.full_like(values, 1.5))
+    assert np.array_equal(res.values, values)
+    assert np.array_equal(res.F2_final, f2_final) and np.array_equal(res.F2_tmax, f2_tmax)
+    assert np.array_equal(res.T_tr, np.full_like(values, 1.0 / 3.0 * math.log(19.0)))
+    assert np.array_equal(res.theta_g, np.zeros_like(values))
+    assert res.errors == (None,) * 2000 and res.warnings == ((),) * 2000
+    assert np.array_equal(res.batch, np.full(2000, -1)) and res.nfev == () and res.stats == {}
+
+
+def _poisoned(monkeypatch, engine, rate):
+    """Make the batch derivative NaN past mid-window for the member at this equal rate."""
+    module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
+    rhs = getattr(module, name)
+
+    def poisoned(s, y, batch, *mode):
+        out = rhs(s, y, batch, *mode)
+        rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
+        bad = (rates == rate) & (batch.start + s * batch.span > 0.0)
+        out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
+        return out
+
+    monkeypatch.setattr(module, name, poisoned)
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+def test_points_are_the_columns_row_by_row(monkeypatch, engine):
+    # one failing row on every engine: a poisoned member, or tau = 0 for the closed forms
+    if engine is Engine.ANALYTIC:
+        res = sweep(_cfg(gamma=1.0), "tau", [0.0, 1.0, 2.0], engine)
+    else:
+        _poisoned(monkeypatch, engine, 0.5)
+        res = sweep(_cfg(), "gamma", [0.25, 0.5, 5.0], engine, samples=200)
+    assert len(res.points) == 3 and res.succeeded() == res.errors.count(None)
+    for i, p in enumerate(res.points):
+        cells = (res.values, res.F2_final, res.F2_tmax, res.T_tr, res.theta_g)
+        for cell, column in zip((p.value, p.F2_final, p.F2_tmax, p.T_tr, p.theta_g), cells):
+            assert type(cell) is float and _same(cell, float(column[i]))
+        assert p.error == res.errors[i]
+        if res.batch[i] < 0:
+            assert p.stats == {}
+        else:
+            assert p.stats == {"nfev": res.nfev[res.batch[i]],
+                               **{name: column[i] for name, column in res.stats.items()}}
+    failed = 0 if engine is Engine.ANALYTIC else 1
+    bad = res.points[failed]
+    assert bad.error.startswith("ZeroDelay" if engine is Engine.ANALYTIC else "StepSizeUnderflow")
+    assert all(math.isnan(x) for x in (bad.F2_final, bad.F2_tmax, bad.T_tr, bad.theta_g))
+    assert bad.stats == {} and res.batch[failed] == -1
+    if engine is not Engine.ANALYTIC:
+        # the strongly dephased row never reaches 0.9 but keeps its values and stats
+        assert res.points[2].error.startswith("NoCrossing")
+        assert set(res.points[2].stats) == {"nfev", "trace_error", "hermiticity_error",
+                                            "min_eigenvalue"}
+
+
+def test_a_failed_grid_counts_each_batch_once(monkeypatch):
+    values = [0.25, 0.5, 0.75]
+    clean = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
+    # the clean grid is one batch: every row repeats its count, which nfev holds once
+    assert clean.nfev == (clean.points[0].stats["nfev"],) and list(clean.batch) == [0, 0, 0]
+    assert [p.stats["nfev"] for p in clean.points] == [clean.nfev[0]] * 3
+    _poisoned(monkeypatch, Engine.MASTER, 0.5)
+    res = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
+    # the rows around the failing one are solved alone, two batches of one row each
+    lone = [liouville.integrate(_cfg(gamma=g), samples=200).stats["nfev"] for g in (0.25, 0.75)]
+    assert res.nfev == tuple(lone) and list(res.batch) == [0, -1, 1]
+    assert [p.stats.get("nfev") for p in res.points] == [lone[0], None, lone[1]]
+    assert math.isnan(res.stats["trace_error"][1])
+
+
+def test_ambiguous_crossings_are_kept_per_row():
+    # scp at tau 0.5 crosses eps = 0.1 upward more than once; tau 1 crosses once
+    cfg = PulseConfig(ordering="scp", omega0=200.0, tau=0.5)
+    with pytest.warns(AmbiguousCrossing, match="multiple upward crossings of 0.1"):
+        res = sweep(cfg, "tau", [0.5, 1.0], Engine.MASTER, samples=200)
+    assert res.warnings == (("AmbiguousCrossing: multiple upward crossings of 0.1; "
+                             "using the first",), ())
+    assert res.errors == (None, None) and math.isfinite(res.T_tr[0])

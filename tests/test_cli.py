@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from tripod_stirap import cli, effective, liouville
+from tripod_stirap import analysis, cli, dk, effective, liouville
 from tripod_stirap.cli import FIGURES, _figure_config, _fmt, main
+from tripod_stirap.errors import AmbiguousCrossing
 from tripod_stirap.pulses import Batch, DephasingMatrix, Ordering, PulseConfig
 
 SIM_HEADER = ("t,rho11,rho22,rho33,rho44,rho_a11,rho_a22,rho_a33,rho_a44,"
@@ -371,6 +372,53 @@ def test_sweep_accepts_an_infinite_evaluation_time(tmp_path):
     assert [r[2] for r in rows] == [r[1] for r in rows]  # F2_tmax is the long-time F2
 
 
+@pytest.mark.parametrize("engine", ["analytic", "effective"])
+def test_sweep_csv_matches_the_per_cell_writer(tmp_path, engine):
+    # a failing row on each: a gamma-function pole, a fidelity that never reaches 0.9
+    cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.5)
+    if engine == "analytic":
+        p1 = dk.dk_params(1.0, cfg)
+        values, failure = [0.5, 1.0, 0.5 / -(p1.delta + p1.beta), 8.0], "GammaPole"
+    else:
+        values, failure = [0.0, 1.0, 5.0], "NoCrossing"
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--engine", engine,
+                 "--values", ",".join(map(repr, values)), "--samples", "300",
+                 "--out", str(out)]) == 0
+    result = analysis.sweep(cfg, "gamma", values, analysis.Engine(engine), samples=300)
+    lines = out.read_text().splitlines()
+    assert lines[1] == SWEEP_HEADER
+    assert lines[2:] == [",".join(_fmt(x) for x in (p.value, p.F2_final, p.F2_tmax, p.T_tr,
+                                                    p.theta_g, (p.error or "").replace(",", ";")))
+                         for p in result.points]
+    markers = [line.split(",")[5] for line in lines[2:]]
+    assert markers[0] == "" and any(marker.startswith(failure) for marker in markers)
+
+
+def test_sweep_manifest_counts_each_batch_once(tmp_path, monkeypatch):
+    # the middle row's derivative turns NaN mid-window: the grid fails, and the
+    # two rows around it are solved alone, each a batch with its own count
+    lone = [liouville.integrate(PulseConfig(ordering="overlap", omega0=50.0, tau=1.5,
+                                            gamma=DephasingMatrix.equal(g)),
+                                samples=200).stats["nfev"] for g in (0.0, 0.1)]
+    rhs = liouville.rhs_bare
+
+    def poisoned(s, y, batch):
+        out = rhs(s, y, batch)
+        rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
+        out[(rates == 0.05) & (batch.start + s * batch.span > 0.0)] = np.nan
+        return out
+
+    monkeypatch.setattr(liouville, "rhs_bare", poisoned)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values",
+                 "0,0.05,0.1", "--samples", "200", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["sweep"]
+    assert report == {"batches": [{"nfev": lone[0], "rows": [0]}, {"nfev": lone[1], "rows": [2]}],
+                      "warnings": []}
+    assert _read_csv(out)[2][1][5].startswith("StepSizeUnderflow")
+
+
 # ------------------------------------------------------------------ figures
 
 def test_figures_rejects_unknown_name(tmp_path, capsys):
@@ -567,6 +615,21 @@ def test_every_figure_at_a_tiny_grid(tmp_path, name, flags, headers, n_rows, key
         blob = (tmp_path / filename).read_bytes()
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
         assert entry["bytes"] == len(blob)
+
+
+def test_fig7_manifest_lists_its_ambiguous_crossing(tmp_path):
+    # at tau 0.5 the fidelity rises through eps = 0.1 more than once: T_tr uses the
+    # first crossing, the CSV row stays clean and the manifest names the warning
+    with pytest.warns(AmbiguousCrossing, match="multiple upward crossings of 0.1"):
+        assert main(["figures", "fig7", "--tau-grid", "0.5", "--samples", "200",
+                     "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fig7.manifest.json").read_text())["sweep"]
+    assert report["warnings"] == [{"row": 0, "tau": 0.5, "warnings": [
+        "AmbiguousCrossing: multiple upward crossings of 0.1; using the first"]}]
+    [batch] = report["batches"]
+    assert batch["rows"] == [0] and batch["nfev"] > 0
+    _, _, rows = _read_csv(tmp_path / "fig7.csv")
+    assert math.isfinite(float(rows[0][1])) and rows[0][2] == ""
 
 
 @pytest.mark.parametrize("name,ordering", [("fig6", Ordering.SCP),
