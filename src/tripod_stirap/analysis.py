@@ -177,11 +177,6 @@ def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) 
     return float(traj.fidelity[-1]), float(interp(t_eval)), t_tr, traj.target.theta_g, error
 
 
-def _series_point(traj, value: float, eps: float, t_max_eval: float) -> SweepPoint:
-    """The row of one trajectory on its own, as a SweepPoint."""
-    return SweepPoint(float(value), *_series_row(traj, eps, t_max_eval), stats=dict(traj.stats))
-
-
 def _series_columns(trajs, n: int, eps: float, t_max_eval: float) -> _Columns:
     """The n rows of one batch, filled member by member as `trajs` yields them."""
     table = np.empty((4, n))  # F2_final, F2_tmax, T_tr, theta_g

@@ -82,19 +82,24 @@ class _Settings:
             return cast(self.file[key])
         return default
 
+    def either(self, *keys: str) -> tuple | None:
+        """(key, value) of the exclusive key set, or None; flags first, two in one source raise."""
+        for source in (vars(self.args), self.file):
+            found = [(key, source[key]) for key in keys if source.get(key) is not None]
+            if len(found) > 1:
+                raise ValueError("specify either {}, not both".format(
+                    " or ".join("--" + key.replace("_", "-") for key in keys)))
+            if found:
+                return found[0]
+        return None
+
 
 def _resolve_gamma(s: _Settings):
     """DephasingMatrix plus the (key, value) pair recorded in the config line."""
-    if getattr(s.args, "gamma", None) is not None and getattr(s.args, "gamma_file", None):
-        raise ValueError("specify either --gamma or --gamma-file, not both")
-    if getattr(s.args, "gamma_file", None):
-        return DephasingMatrix.from_file(s.args.gamma_file), ("gamma_file", s.args.gamma_file)
-    if getattr(s.args, "gamma", None) is not None:
-        return DephasingMatrix.equal(s.args.gamma), ("gamma", s.args.gamma)
-    if "gamma_file" in s.file:
-        return DephasingMatrix.from_file(s.file["gamma_file"]), ("gamma_file", s.file["gamma_file"])
-    value = float(s.file.get("gamma", 0.0))
-    return DephasingMatrix.equal(value), ("gamma", value)
+    key, value = s.either("gamma", "gamma_file") or ("gamma", 0.0)
+    if key == "gamma_file":
+        return DephasingMatrix.from_file(value), (key, value)
+    return DephasingMatrix.equal(float(value)), (key, float(value))
 
 
 def _build_config(s: _Settings):
@@ -236,13 +241,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if axis is None:
         raise ValueError("an axis is required (flag --axis or config key axis)")
 
-    if getattr(args, "values", None) is not None and getattr(args, "range", None) is not None:
-        raise ValueError("specify either --values or --range, not both")
-    grid_text = getattr(args, "values", None) or getattr(args, "range", None) \
-        or s.file.get("values") or s.file.get("range")
-    if grid_text is None:
+    grid = s.either("values", "range")
+    if grid is None:
         raise ValueError("sweep needs --values or --range")
-    values = _parse_grid(grid_text)
+    values = _parse_grid(grid[1])
 
     result = analysis.sweep(cfg, axis, values, engine, samples=samples, eps=eps,
                             t_max_eval=t_max_eval)

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
-from .pulses import _EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
+from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig,
+                     _frame_angles, mixing_angles)
 from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
@@ -125,27 +126,18 @@ def _constants(batch: Batch) -> tuple:
             batch.omega0 * span, damping, damping * _NORM2)
 
 
-def _per_config(rhs, t, c: np.ndarray, cfg: PulseConfig) -> np.ndarray:
-    """dc/dt of one run at a scalar t: rhs on its batch of one at s = (t - start) / span."""
-    batch = Batch.of([cfg])
-    return rhs((t - batch.start[0]) / batch.span[0], c, batch) / batch.span[0]
-
-
 def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """sum_k weights[:, k] L_k c for (B, K) weights and the K superoperators of `stacked`."""
     return (weights[:, None] @ (vec @ stacked).reshape(len(vec), -1, 16)).reshape(vec.shape)
 
 
-def rhs_bare(s, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+def rhs_bare(s, c: np.ndarray, batch: Batch) -> np.ndarray:
     """Bare-basis c' = (sum_k Omega_k L_k + L_gamma) c in the real coordinates.
 
-    Given a Batch: dc/ds at the normalised time s for states c of shape (B, 16) or flat,
-    in the shape of c.  Given a PulseConfig: dc/dt at a scalar t for a 16-vector c.
+    dc/ds at the normalised time s for states c of shape (B, 16) or flat, in the shape of c.
     """
-    if not isinstance(cfg, Batch):
-        return _per_config(rhs_bare, s, c, cfg)
-    centres, neg_k, amplitudes, damping, _ = _constants(cfg)
-    vec = c.reshape(len(cfg), 16)
+    centres, neg_k, amplitudes, damping, _ = _constants(batch)
+    vec = c.reshape(len(batch), 16)
     d = s - centres
     out = _drive(amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)), vec, _DRIVE)
     out -= damping * vec
@@ -232,38 +224,16 @@ def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.n
     return (damped[:, None] @ t)[:, 0] / _NORM2
 
 
-def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
-    """cos and sin of (theta, phi), (2, B) each, and theta', phi' from (B, 3) -a_k and a_k'.
-
-    The mixing angles of pulses._angles with no arctan: x_k is Omega_k over the larger of
-    Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
-    and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
-    exp(-r).  Then theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') and
-    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.
-    """
-    x_p, x_s, x_c = x = np.exp(np.minimum(
-        neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T
-    adjacent, opposite = np.array([np.hypot(x_s, x_c), x_s]), x[::2]
-    norm = np.hypot(adjacent, opposite)
-    cos, sin = adjacent / norm, opposite / norm
-    sin_cos = sin * cos
-    rate_p, rate_s, rate_c = rates.T
-    theta_dot = sin_cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
-    return cos, sin, theta_dot, sin_cos[1] * (rate_s - rate_c)
-
-
-def rhs_adiabatic(s, c: np.ndarray, cfg: PulseConfig | Batch) -> np.ndarray:
+def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
     """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
 
     On the times, coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
     and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE;
     the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the real frame map.  The angles
-    come from the exponents in s, so their rates are per unit s.
+    come from the exponents in s (pulses._frame_angles), so their rates are per unit s.
     """
-    if not isinstance(cfg, Batch):
-        return _per_config(rhs_adiabatic, s, c, cfg)
-    centres, neg_k, amplitudes, _, weighted = _constants(cfg)
-    vec = c.reshape(len(cfg), 16)
+    centres, neg_k, amplitudes, _, weighted = _constants(batch)
+    vec = c.reshape(len(batch), 16)
     d = s - centres
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
@@ -344,13 +314,13 @@ def _invariants(states: np.ndarray) -> dict:
 
 
 def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
-                theta_g: float | None = None, invariants: dict | None = None) -> Trajectory:
+                theta_g: float, invariants: dict | None = None) -> Trajectory:
     """Fidelity and invariant errors of one member's sampled states, in the basis solved in.
 
-    The target state uses theta_g when given, else the member's own geometric
-    phase.  In the adiabatic basis the fidelity is <R^dag psi| rho^a |R^dag psi>,
-    with R the frame at each sample.  The invariants are taken from the
-    states unless the engine supplies them.
+    The target state takes the member's geometric angle theta_g, which both
+    engines evaluate once per batch.  In the adiabatic basis the fidelity is
+    <R^dag psi| rho^a |R^dag psi>, with R the frame at each sample.  The
+    invariants are taken from the states unless the engine supplies them.
     """
     t_eval = np.linspace(cfg.start, cfg.end, len(states))
     tgt = target_state(cfg, theta_g)

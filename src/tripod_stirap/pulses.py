@@ -11,7 +11,8 @@ mixing angles derived from the envelopes,
     tan(theta) = Omega_p / sqrt(Omega_s^2 + Omega_c^2),
 
 are evaluated from differences of the Gaussian exponents so that they stay
-finite and smooth even where every envelope has underflowed to zero.
+finite and smooth even where every envelope has underflowed to zero: as
+angles through arctan (_angles) and as cosines and sines with none (_frame_angles).
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class DephasingMatrix:
         if values.size != 16:
             raise ValueError(f"dephasing matrix file must contain 16 numbers, got {values.size}")
         return cls(values.reshape(4, 4))
-
-    def is_zero(self) -> bool:
-        return not np.any(self._rates)
 
     def equal_rate(self) -> float | None:
         """The common off-diagonal rate, or None if the rates differ."""
@@ -279,7 +277,11 @@ def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
 
 
 def _angles(a, adot) -> MixingAngles:
-    """mixing_angles of exponents a_k and rates a_k'; rates per unit s give angle rates per s."""
+    """mixing_angles of exponents a_k and rates a_k'; rates per unit s give angle rates per s.
+
+    Called by mixing_angles alone.  F2 is pinned to these arctan bits: _frame_angles' cos and
+    sin in their place fail a 4-ulp F2 test (CHANGES.md FOUND (c)).
+    """
     (ap, as_, ac), (dp, ds, dc) = a, adot
 
     # np.minimum(np.maximum(.)) is np.clip without its per-call overhead
@@ -301,3 +303,25 @@ def _angles(a, adot) -> MixingAngles:
     theta_dot = sin_cos * lever
 
     return MixingAngles(*(x if x.ndim else float(x) for x in (theta, phi, theta_dot, phi_dot)))
+
+
+def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
+    """cos and sin of (theta, phi), (2, B) each, and theta', phi' from (B, 3) -a_k and a_k'.
+
+    The mixing angles of _angles with no arctan: x_k is Omega_k over the larger of
+    Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
+    and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
+    exp(-r).  Then theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') and
+    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called by
+    liouville.rhs_adiabatic alone, where _angles would cost dense-trajectory about 7% (CHANGES.md
+    FOUND (d)).
+    """
+    x_p, x_s, x_c = x = np.exp(np.minimum(
+        neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T
+    adjacent, opposite = np.array([np.hypot(x_s, x_c), x_s]), x[::2]
+    norm = np.hypot(adjacent, opposite)
+    cos, sin = adjacent / norm, opposite / norm
+    sin_cos = sin * cos
+    rate_p, rate_s, rate_c = rates.T
+    theta_dot = sin_cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
+    return cos, sin, theta_dot, sin_cos[1] * (rate_s - rate_c)

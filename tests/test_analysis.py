@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tripod_stirap import analysis, dk, effective, liouville
-from tripod_stirap.analysis import Engine, _series_point, sweep, transition_time
+from tripod_stirap.analysis import Engine, _series_row, sweep, transition_time
 from tripod_stirap.errors import (
     AmbiguousCrossing, GammaPole, NoCrossing, StepBudgetExceeded, StepSizeUnderflow, TripodError,
     WrongOrdering,
@@ -338,12 +338,11 @@ def test_effective_sweep_matches_per_point_runs(ordering, gamma):
     res = sweep(cfg, "tau", values, Engine.EFFECTIVE, samples=400)
     for p in res.points:
         traj = effective.integrate_suv(cfg.with_updates(tau=p.value), samples=400)
-        alone = _series_point(traj, p.value, 0.1, 5.0)
-        assert p.error == alone.error
-        assert abs(p.F2_final - alone.F2_final) < 1e-9
-        assert abs(p.F2_tmax - alone.F2_tmax) < 1e-9
-        assert abs(p.T_tr - alone.T_tr) < 1e-8 or (p.error is not None
-                                                  and math.isnan(alone.T_tr))
+        f2_final, f2_tmax, t_tr, _, error = _series_row(traj, 0.1, 5.0)
+        assert p.error == error
+        assert abs(p.F2_final - f2_final) < 1e-9
+        assert abs(p.F2_tmax - f2_tmax) < 1e-9
+        assert abs(p.T_tr - t_tr) < 1e-8 or (p.error is not None and math.isnan(t_tr))
 
 
 # ----------------------------------------------------------- analytic sweeps

@@ -247,12 +247,24 @@ def test_asymmetric_gamma_file_is_rejected(tmp_path, capsys):
 
 
 def test_gamma_flag_and_file_conflict(tmp_path, capsys):
+    # both halves of the pair as flags or both as config keys exit 2 before any output
     matrix = tmp_path / "rates.txt"
     matrix.write_text("0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n")
-    rc = main(["simulate", "--ordering", "overlap", "--gamma", "1.0",
-               "--gamma-file", str(matrix), "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "either --gamma or --gamma-file, not both" in capsys.readouterr().err
+    both = tmp_path / "both.cfg"
+    both.write_text(f"gamma = 1.0\ngamma_file = {matrix}\n")
+    out = tmp_path / "x.csv"
+    for pair in (["--gamma", "1.0", "--gamma-file", str(matrix)], ["--config", str(both)]):
+        rc = main(["simulate", "--ordering", "overlap", *pair, "--out", str(out)])
+        assert rc == 2
+        assert "either --gamma or --gamma-file, not both" in capsys.readouterr().err
+        assert not out.exists()
+    # a flag beats the other half of the pair in the file
+    only_file = tmp_path / "file.cfg"
+    only_file.write_text(f"gamma_file = {matrix}\n")
+    rc = main(["simulate", "--ordering", "overlap", "--config", str(only_file), "--gamma", "0.25",
+               "--engine", "effective", "--samples", "40", "--out", str(out)])
+    assert rc == 0
+    assert _config_dict(_read_csv(out)[0])["gamma"] == "0.25"
 
 
 # -------------------------------------------------------------------- sweep
@@ -292,14 +304,25 @@ def test_sweep_rejects_malformed_range(tmp_path, capsys):
 
 
 def test_sweep_values_and_range_conflict(tmp_path, capsys):
-    rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values", "1",
-               "--range", "0:1:2", "--engine", "analytic", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "either --values or --range" in capsys.readouterr().err
-    rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma",
-               "--engine", "analytic", "--out", str(tmp_path / "x.csv")])
+    # both halves of the pair as flags or both as config keys exit 2 before any output
+    both = tmp_path / "both.cfg"
+    both.write_text("values = 1\nrange = 0:1:2\n")
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--ordering", "overlap", "--axis", "gamma", "--engine", "analytic",
+            "--out", str(out)]
+    for pair in (["--values", "1", "--range", "0:1:2"], ["--config", str(both)]):
+        rc = main(args + pair)
+        assert rc == 2
+        assert "either --values or --range, not both" in capsys.readouterr().err
+        assert not out.exists()
+    rc = main(args)
     assert rc == 2
     assert "sweep needs --values or --range" in capsys.readouterr().err
+    # a flag beats the other half of the pair in the file
+    only_range = tmp_path / "range.cfg"
+    only_range.write_text("range = 0:1:3\n")
+    assert main(args + ["--config", str(only_range), "--values", "0.5"]) == 0
+    assert [row[0] for row in _read_csv(out)[2]] == ["0.5"]
 
 
 def test_sweep_rejects_analytic_with_other_orderings(tmp_path, capsys):
@@ -316,21 +339,28 @@ def test_sweep_rejects_unknown_engine(tmp_path, capsys):
     assert "engine must be master, effective or analytic" in capsys.readouterr().err
 
 
-def test_sweep_exit_code_when_every_point_fails(tmp_path, capsys):
+def test_sweep_exit_code_when_every_point_fails(tmp_path, monkeypatch, capsys):
+    def every_row_fails(args, error):
+        out = tmp_path / f"{error}.csv"
+        rc = main(["sweep", "--axis", "gamma", *args, "--out", str(out)])
+        assert rc == 3
+        assert "error: every sweep point failed" in capsys.readouterr().err
+        _, _, rows = _read_csv(out)
+        assert len(rows) == 2
+        for r in rows:
+            assert r[3] == "nan"
+            assert r[5].startswith(error)
+            assert "," not in r[5]
+
     # strong dephasing saturates the fidelity near 1/4, far below the 0.9
     # threshold, so every transition-time extraction fails
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma",
-               "--values", "5,10", "--engine", "effective", "--samples", "300",
-               "--out", str(out)])
-    assert rc == 3
-    assert "error: every sweep point failed" in capsys.readouterr().err
-    _, _, rows = _read_csv(out)
-    assert len(rows) == 2
-    for r in rows:
-        assert r[3] == "nan"
-        assert r[5].startswith("NoCrossing")
-        assert "," not in r[5]
+    every_row_fails(["--ordering", "overlap", "--values", "5,10", "--engine", "effective",
+                     "--samples", "300"], "NoCrossing")
+    # a master grid stopped at the derivative budget exits 3 too, where simulate exits 2:
+    # the sweep still writes its rows, each with its marker
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    every_row_fails(["--ordering", "scp", "--values", "0,0.5", "--samples", "50"],
+                    "StepBudgetExceeded")
 
 
 def test_sweep_master_engine_with_epsilon(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import effective, liouville, tripod
+from tripod_stirap import effective, liouville, pulses, tripod
 from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
 from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, frame_map,
                                       rhs_adiabatic, rhs_bare)
@@ -45,6 +45,12 @@ def test_dissipator_has_zero_diagonal_and_hadamard_action(rng):
     assert np.allclose(-1j * d, -gamma.rates * rho, atol=1e-15)
 
 
+def _rhs_at(rhs, t, c: np.ndarray, cfg: PulseConfig) -> np.ndarray:
+    """dc/dt of one run at a scalar t: rhs on its batch of one at s = (t - start) / span."""
+    one = Batch.of([cfg])
+    return rhs((t - one.start[0]) / one.span[0], c, one) / one.span[0]
+
+
 def test_rhs_far_outside_window_is_pure_dephasing(rng):
     # at |t| >> window the Rabi couplings are numerically zero, so the
     # populations freeze and each coherence decays at its own gamma_mn
@@ -52,7 +58,7 @@ def test_rhs_far_outside_window_is_pure_dephasing(rng):
     gamma = _random_gamma(rng)
     cfg = cfg.with_updates(gamma=gamma)
     rho = _random_hermitian(rng)
-    dot = density(rhs_bare(40.0, coords(rho), cfg))
+    dot = density(_rhs_at(rhs_bare, 40.0, coords(rho), cfg))
     assert np.allclose(np.diagonal(dot), 0.0, atol=1e-30)
     assert np.allclose(dot, -gamma.rates * rho, atol=1e-30)
 
@@ -62,7 +68,7 @@ def test_rhs_bare_preserves_trace_and_hermiticity(t, seed):
     rng = np.random.default_rng(seed)
     rho = _random_hermitian(rng)
     cfg = _cfg().with_updates(gamma=_random_gamma(rng))
-    dot = density(rhs_bare(t, coords(rho), cfg))
+    dot = density(_rhs_at(rhs_bare, t, coords(rho), cfg))
     assert abs(np.trace(dot)) < 1e-12
     assert np.max(np.abs(dot - dot.conj().T)) < 1e-12
 
@@ -84,9 +90,9 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
         theta=ang.theta + sgn * h * ang.theta_dot, phi=ang.phi + sgn * h * ang.phi_dot,
         theta_dot=0.0, phi_dot=0.0))
     w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
-    expected = (frame.R.conj().T @ density(rhs_bare(t, coords(rho), cfg)) @ frame.R
+    expected = (frame.R.conj().T @ density(_rhs_at(rhs_bare, t, coords(rho), cfg)) @ frame.R
                 - (w @ rho_a - rho_a @ w))
-    got = density(rhs_adiabatic(t, coords(rho_a), cfg))
+    got = density(_rhs_at(rhs_adiabatic, t, coords(rho_a), cfg))
     assert np.max(np.abs(got - expected)) < 1e-7 * cfg.omega0
 
 
@@ -156,22 +162,6 @@ def test_batched_rhs_matches_each_member(rng, rhs):
         got = rhs(s, c, batch)
         for b, cfg in enumerate(cfgs):
             assert np.max(np.abs(got[b] - rhs(s, c[b], Batch.of([cfg])))) < 1e-15 * cfg.omega0
-
-
-@pytest.mark.parametrize("rhs", [rhs_bare, rhs_adiabatic], ids=["bare", "adiabatic"])
-def test_rhs_of_a_config_is_the_s_form_over_the_span(rng, rhs):
-    # a PulseConfig gives dc/dt at t = start + s * span: the batch of one's dc/ds / span,
-    # but at s' = (t - start) / span, a few ulps from s (|s' - s| < 1e-15).  Along s, dc/dt
-    # moves at span * |d(dc/dt)/dt| <= span * 3 * 0.86 omega0 / width (three Gaussians at
-    # their steepest, |L_k c| <= 1), so by at most 5.2e-15 span omega0 at width 0.5; the
-    # frame's rates vary far slower.  The bound is twice that: 1e-14 span omega0.
-    for cfg in _rhs_batch(rng):
-        one = Batch.of([cfg])
-        span = one.span[0]
-        for s in np.linspace(0.0, 1.0, 41):
-            c = coords(_random_hermitian(rng))
-            got = rhs(float(one.start[0] + s * span), c, cfg)
-            assert np.max(np.abs(got - rhs(s, c, one) / span)) < span * 1e-14 * cfg.omega0
 
 
 # squared Frobenius norms of the coordinate basis matrices: |rho_ii|, then Re and Im rho_ij
@@ -247,7 +237,7 @@ def test_frame_angles_match_the_mixing_angles(rng):
     centres, neg_k = liouville._constants(batch)[:2]
     for s in np.linspace(0.0, 1.0, 41):
         d = s - centres
-        cos, sin, theta_dot, phi_dot = liouville._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+        cos, sin, theta_dot, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
         ang = mixing_angles(batch.start + s * batch.span, batch)
         angle = np.array([ang.theta, ang.phi])
         assert np.max(np.abs(cos - np.cos(angle))) < 1e-14

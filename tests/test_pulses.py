@@ -66,11 +66,11 @@ def test_dephasing_matrix_rejects_wrong_shape() -> None:
 
 def test_dephasing_matrix_constructors() -> None:
     z = DephasingMatrix.zeros()
-    assert z.is_zero()
+    assert not np.any(z.rates)
     assert z.equal_rate() == 0.0
 
     e = DephasingMatrix.equal(1.5)
-    assert not e.is_zero()
+    assert np.any(e.rates)
     assert e.equal_rate() == 1.5
     assert e[0, 1] == 1.5
     assert e[2, 2] == 0.0
