@@ -15,19 +15,23 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
+from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
+                     mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import Basis, Trajectory, _frame_dephasing, _solve_batch, _trajectory
+from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch,
+                        _trajectory)
 
 _SQRT2 = np.sqrt(2.0)
 # the (s, u, v) solves take a few hundred steps, most of them holding output
 # samples: DOP853's three extra calls per such step for its dense output outweigh
-# its longer steps (1674 against 1548 calls on three 8-point tau sweeps at 2000
-# samples), so this engine stays on RK45
+# its longer steps (1674 against 1548 calls on the effective-sweep benchmark's three
+# seed-0 8-point tau sweeps at 2000 samples, on the table-driven _suv_rhs as on the
+# arctan form before it), so this engine stays on RK45
 METHOD = "RK45"
 
 
@@ -81,27 +85,130 @@ def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -
                           Omega_su=omega_su, Omega_sv=omega_sv, Omega_uv=omega_uv)
 
 
-def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
-    """d(s, u, v)/dx of every member, on states of shape (3, B), at t = start + x * span."""
-    t = batch.start + x * batch.span
-    s, u, v = y
-    ang = mixing_angles(t, batch)
-    r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
-    geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
-    su, sv, uv = _SQRT2 * r.Omega_su, _SQRT2 * r.Omega_sv, r.Omega_uv
+def _monomials(cos: np.ndarray, sin: np.ndarray, phi_dot: np.ndarray) -> np.ndarray:
+    """(B, 30) angle monomials: the products of a theta and a phi factor.
+
+    cos and sin hold those of (theta, phi), (2, B) each.  With x = sin^2(theta),
+    r = sin(theta), c = cos(2 phi) and s = sin(phi) cos(phi), the theta factors are
+    (1 - x)^2, x (1 - x), x, r (1 - x) and r x, and the phi factors c^2, s^2, c, s, s c and
+    phi'.  Every rate of effective_rates is a sum of these monomials, with coefficients
+    linear in (g13 + g14)/2, g14 - g13 and g34, and so is the geometric rate phi' sin(theta).
+    The theta factors are nonnegative and none is formed as 1 - x, which would lose digits
+    near theta = pi/2; c is exactly 0 where phi = pi/4, as are the couplings that vanish there.
+    """
+    (ct2, cp2), (st2, sp2) = cos * cos, sin * sin
+    c, s = cp2 - sp2, sin[1] * cos[1]
+    theta_terms = np.array([ct2 * ct2, st2 * ct2, st2, sin[0] * ct2, sin[0] * st2]).T
+    phi_terms = np.array([c * c, s * s, c, s, s * c, phi_dot]).T
+    return (theta_terms[:, :, None] * phi_terms[:, None]).reshape(len(c), -1)
+
+
+# monomial 6 i + j is theta factor i times phi factor j: r (1 - x) phi' and r x phi' sum to
+# the geometric rate phi' sin(theta)
+_GEOMETRIC = [6 * 3 + 5, 6 * 4 + 5]
+# the row-major (s, u, v) generator in the rates (Gamma_s, Gamma_u, Gamma_v, Omega_su,
+# Omega_sv, Omega_uv) of effective_rates, with the geometric rate g = 2 phi' sin(theta):
+#   [[-Gamma_s, sqrt2 Omega_su, sqrt2 Omega_sv], [sqrt2 Omega_su, -Gamma_u, Omega_uv + g],
+#    [sqrt2 Omega_sv, Omega_uv - g, -Gamma_v]]
+_TO_GEN = np.zeros((6, 9))
+_TO_GEN[[0, 1, 2], [0, 4, 8]] = -1.0
+_TO_GEN[[3, 3, 4, 4], [1, 3, 2, 6]] = _SQRT2
+_TO_GEN[5, [5, 7]] = 1.0
+# the couplings, which Mode.WEAK_DEPHASING drops, are the off-diagonal entries
+_COUPLINGS = ~np.eye(3, dtype=bool).ravel()
+
+
+@lru_cache(maxsize=4)
+def _suv_constants(batch: Batch, mode: Mode) -> tuple:
+    """Per-batch constants of _suv_rhs: s_k and -k_k of liouville._constants and a
+    (B, 30, 9) table taking _monomials to the row-major (s, u, v) generator, per unit s.
+
+    The rates are linear in (g13 + g14)/2, g14 - g13 and g34, so effective_rates at unit
+    values of each, on a grid of angles, fixes their coefficients in the monomials.  These
+    are multiples of 1/2, and rounding to eighths removes the rounding of the fit, so a
+    coupling that vanishes in closed form is exactly 0.  Each member weighs them by its own
+    rates and window span; the geometric rate +-2 phi' sin(theta) is per unit s already.
+    """
+    theta, phi = np.meshgrid(np.linspace(0.1, 1.4, 6), np.linspace(0.1, 1.5, 6))
+    angle = np.array([theta.ravel(), phi.ravel()])
+    unit = np.zeros((4, 4, 3))  # (g13 + g14)/2, g14 - g13 and g34 at 1, one at a time
+    unit[0, 2], unit[0, 3], unit[2, 3] = [1.0, -0.5, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]
+    rates = effective_rates(MixingAngles(angle[0, :, None], angle[1, :, None], 0.0, 0.0), unit)
+    values = np.stack([getattr(rates, f.name) for f in fields(EffectiveRates)], -1)
+    monomials = _monomials(np.cos(angle), np.sin(angle), np.zeros(angle.shape[1]))
+    fit = np.linalg.lstsq(monomials, values.reshape(len(monomials), -1), rcond=None)[0]
+    terms = (np.round(8.0 * fit) / 8.0).reshape(-1, 3, 6) @ _TO_GEN
     if mode is Mode.WEAK_DEPHASING:  # the decay rates alone
-        su = sv = uv = 0.0
-    return np.array([
-        su * u + sv * v - r.Gamma_s * s,
-        (geo + uv) * v + su * s - r.Gamma_u * u,
-        (uv - geo) * u + sv * s - r.Gamma_v * v,
-    ]) * batch.span
+        terms[..., _COUPLINGS] = 0.0
+    gamma = batch.rates.T.reshape(4, 4, -1)
+    g13, g14, g34 = gamma[0, 2], gamma[0, 3], gamma[2, 3]
+    weights = np.array([0.5 * (g13 + g14), g14 - g13, g34]).T
+    table = np.einsum("bk,fkg->bfg", weights * batch.span[:, None], terms)
+    table[:, _GEOMETRIC, 5], table[:, _GEOMETRIC, 7] = 2.0, -2.0  # +g at (u, v), -g at (v, u)
+    centres, neg_k = _constants(batch)[:2]
+    return centres, neg_k, table
+
+
+def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
+    """d(s, u, v)/dx of every member, on states of shape (3, B), at the normalised time x.
+
+    The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), with
+    no arctan, so phi' is per unit x like the table of _suv_constants; the generator is one
+    contraction of the monomials with that table.
+    """
+    centres, neg_k, table = _suv_constants(batch, mode)
+    d = x - centres
+    neg_kd = neg_k * d
+    cos, sin, _, phi_dot = _frame_angles(neg_kd * d, -2.0 * neg_kd)
+    gen = _monomials(cos, sin, phi_dot)[:, None] @ table
+    return (gen.reshape(-1, 3, 3) @ y.T[:, :, None])[:, :, 0].T
 
 
 def _dark_block(s, u, v):
     """Dark populations p, bright populations q and dark coherence of (s, u, v)."""
     p = 0.25 - 0.5 * s
     return p, 0.5 * (1.0 - 2.0 * p), (u + 1j * v) / _SQRT2
+
+
+# samples per long-double pass of _dark_fidelity: its temporaries stay at 32 KB each, so a
+# long trajectory does not raise the peak memory (a 10^4-sample effective simulate did by
+# about 0.6 MB in a single pass)
+_F2_PASS = 2048
+
+
+def _dark_fidelity(amplitudes: np.ndarray, angles: MixingAngles, s, u, v) -> np.ndarray:
+    """<R^dag psi| dark_density(s, u, v) |R^dag psi> at every sample, with no 4x4 frame.
+
+    psi is real and columns 0 and 1 of R = tripod.frame_matrix are conjugate, so a = R^dag psi
+    has a_1 = conj(a_0), and with the dark block [[p, c], [c*, p]] and q on each bright level
+
+        F2 = 2 p |a_0|^2 + q (a_2^2 + a_3^2) + 2 Re(c conj(a_0)^2).
+
+    a is formed from frame_matrix's own float64 entries (its complex division by sqrt(2)
+    multiplies by fl(1/sqrt(2))), and a and F2 are summed in np.longdouble, so F2 carries
+    little rounding beyond that of its operands.
+    """
+    inv = 1.0 / _SQRT2
+    trig = np.array([np.sin(angles.theta), np.cos(angles.theta),
+                     np.sin(angles.phi), np.cos(angles.phi)])
+    psi = amplitudes.real.astype(np.longdouble)
+
+    def entry(x):
+        return (x * inv).astype(np.longdouble)
+
+    f2 = np.empty(np.shape(s))
+    for first in range(0, len(f2), _F2_PASS):
+        rows = slice(first, first + _F2_PASS)
+        st, ct, sp, cp = trig[:, rows]
+        p, q, coh = _dark_block(s[rows], u[rows], v[rows])
+        re = psi[0] * entry(ct) - psi[2] * entry(st * cp) - psi[3] * entry(st * sp)
+        im = psi[2] * entry(sp) - psi[3] * entry(cp)
+        bright = psi[0] * entry(st) + psi[2] * entry(ct * cp) + psi[3] * entry(ct * sp)
+        a2, a3 = bright + psi[1] * inv, bright - psi[1] * inv
+        re2, im2 = re * re, im * im
+        f2[rows] = (2.0 * p * (re2 + im2) + q * (a2 * a2 + a3 * a3)
+                    + 2.0 * (coh.real * (re2 - im2) + 2.0 * coh.imag * (re * im)))
+    return f2
 
 
 def dark_density(s, u, v) -> np.ndarray:
@@ -159,10 +266,15 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                        "the effective solve stopped at its budget of {} derivative calls "
                        "(about 30 per unit of gamma)")
     s, u, v = sol.y.reshape(3, -1, samples)
-    return (EffectiveTrajectory(**vars(_trajectory(cfg, Basis.ADIABATIC,
-                                                   dark_density(s[b], u[b], v[b]), int(sol.nfev),
-                                                   theta_g, dark_invariants(s[b], u[b], v[b]))),
-                                mode=mode, s=s[b], u=u[b], v=v[b])
+
+    def member(b: int, cfg: PulseConfig, theta_g: float) -> EffectiveTrajectory:
+        dark = s[b], u[b], v[b]
+        traj = _trajectory(cfg, Basis.ADIABATIC, dark_density(*dark), int(sol.nfev), theta_g,
+                           dark_invariants(*dark), lambda target, t: _dark_fidelity(
+                               target.amplitudes, mixing_angles(t, cfg), *dark))
+        return EffectiveTrajectory(**vars(traj), mode=mode, s=s[b], u=u[b], v=v[b])
+
+    return (member(b, cfg, theta_g)
             for b, (cfg, theta_g) in enumerate(zip(batch.cfgs, geometric_phases(batch.cfgs))))
 
 

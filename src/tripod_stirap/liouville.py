@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -304,27 +304,35 @@ def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: 
 
 
 def _invariants(states: np.ndarray) -> dict:
-    """Trace and Hermiticity errors and the least eigenvalue of a stack of states, in any basis."""
-    states_h = np.conj(np.transpose(states, (0, 2, 1)))
+    """Trace and Hermiticity errors and the least eigenvalue of a stack of states, in any basis.
+
+    density builds exactly Hermitian states, so eigvalsh, which reads one triangle, takes
+    them as they are.
+    """
     return {
         "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
-        "hermiticity_error": float(np.max(np.abs(states - states_h))),
-        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(0.5 * (states + states_h))[:, 0])),
+        "hermiticity_error": float(np.max(np.abs(states - np.conj(states.swapaxes(1, 2))))),
+        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(states)[:, 0])),
     }
 
 
 def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
-                theta_g: float, invariants: dict | None = None) -> Trajectory:
+                theta_g: float, invariants: dict | None = None,
+                fidelity: Callable[[TargetState, np.ndarray], np.ndarray] | None = None
+                ) -> Trajectory:
     """Fidelity and invariant errors of one member's sampled states, in the basis solved in.
 
     The target state takes the member's geometric angle theta_g, which both
     engines evaluate once per batch.  In the adiabatic basis the fidelity is
     <R^dag psi| rho^a |R^dag psi>, with R the frame at each sample.  The
-    invariants are taken from the states unless the engine supplies them.
+    invariants, and the fidelity as a function of the target state and the
+    sample times, are taken from the states unless the engine supplies them.
     """
     t_eval = np.linspace(cfg.start, cfg.end, len(states))
     tgt = target_state(cfg, theta_g)
-    if basis is Basis.BARE:
+    if fidelity is not None:
+        fid = fidelity(tgt, t_eval)
+    elif basis is Basis.BARE:
         fid = tgt.expectation(states)
     else:
         # row n is R_n^dag psi

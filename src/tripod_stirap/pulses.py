@@ -312,9 +312,9 @@ def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
     Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
     and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
     exp(-r).  Then theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') and
-    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called by
-    liouville.rhs_adiabatic alone, where _angles would cost dense-trajectory about 7% (CHANGES.md
-    FOUND (d)).
+    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called by the derivatives
+    liouville.rhs_adiabatic and effective._suv_rhs, which form the exponents in s themselves;
+    _angles in its place would cost dense-trajectory about 7% (CHANGES.md FOUND (d)).
     """
     x_p, x_s, x_c = x = np.exp(np.minimum(
         neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import analysis, effective, liouville, tripod
+from tripod_stirap import analysis, effective, liouville, pulses, tripod
 from tripod_stirap.effective import (
     Mode, dark_density, dark_invariants, dissipator_tensor, effective_rates, integrate_many,
     integrate_suv, tensor_rates,
 )
 from tripod_stirap.liouville import Basis, Trajectory
-from tripod_stirap.pulses import DephasingMatrix, MixingAngles, Ordering, PulseConfig, mixing_angles
+from tripod_stirap.pulses import (Batch, DephasingMatrix, MixingAngles, Ordering, PulseConfig,
+                                  mixing_angles)
 from tripod_stirap.tripod import frame_matrix, geometric_phase
 
 _ORDERINGS = ["overlap", "scp", "csp", "fractional"]
@@ -278,13 +280,87 @@ def test_dark_density_on_arrays_matches_the_scalar_form(rng):
 
 @pytest.mark.parametrize("ordering", _ORDERINGS)
 def test_reconstruction_matches_the_per_sample_loop(ordering):
-    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=1.3,
-                      gamma=DephasingMatrix.equal(0.4))
-    traj = integrate_suv(cfg, samples=300)
-    for i in range(traj.t.size):
-        r = frame_matrix(mixing_angles(traj.t[i], cfg))
-        rho_a = dark_density(traj.s[i], traj.u[i], traj.v[i])
-        assert np.array_equal(traj.rho_a[i], rho_a)
-        assert np.array_equal(traj.rho[i], r @ rho_a @ r.conj().T)
-        # the batched contraction sums in another order than one 4x4 at a time
-        assert abs(traj.fidelity[i] - traj.target.expectation(traj.rho[i])) <= 4e-16
+    # nine delays and rates per ordering, each run solved alone
+    for tau, gamma in itertools.product((0.9, 1.3, 1.7), (0.1, 0.4, 1.0)):
+        cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=tau,
+                          gamma=DephasingMatrix.equal(gamma))
+        traj = integrate_suv(cfg, samples=300)
+        for i in range(traj.t.size):
+            r = frame_matrix(mixing_angles(traj.t[i], cfg))
+            rho_a = dark_density(traj.s[i], traj.u[i], traj.v[i])
+            assert np.array_equal(traj.rho_a[i], rho_a)
+            assert np.array_equal(traj.rho[i], r @ rho_a @ r.conj().T)
+            # F2 is summed in long double from the same frame entries, the loop in float64
+            assert abs(traj.fidelity[i] - traj.target.expectation(traj.rho[i])) <= 4e-16, \
+                (tau, gamma, i)
+
+
+def test_dark_fidelity_in_passes_is_the_fidelity_of_each_sample(rng):
+    # a trajectory longer than one long-double pass gives each sample the bits it gets alone
+    cfg = PulseConfig(ordering="fractional", omega0=50.0, tau=1.3)
+    n = 2 * effective._F2_PASS + 7
+    s, u, v = rng.uniform(-0.5, 0.5, size=(3, n))
+    ang = mixing_angles(np.linspace(cfg.start, cfg.end, n), cfg)
+    amps = tripod.target_state(cfg, 0.4).amplitudes
+    alone = [effective._dark_fidelity(amps, MixingAngles(ang.theta[i:i + 1], ang.phi[i:i + 1],
+                                                         0.0, 0.0), s[i:i + 1], u[i:i + 1],
+                                      v[i:i + 1])[0] for i in range(n)]
+    assert np.array_equal(effective._dark_fidelity(amps, ang, s, u, v), alone)
+
+
+def _rates_assembly(y: np.ndarray, ang: MixingAngles, batch: Batch, mode: Mode) -> tuple:
+    """d(s, u, v)/ds assembled from effective_rates at the angles ang, with rates per unit t.
+
+    The derivative's form before its constant table, kept as the oracle; it returns the
+    derivative and each member's largest generator entry, both per unit s.
+    """
+    r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
+    geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
+    su, sv, uv = math.sqrt(2.0) * r.Omega_su, math.sqrt(2.0) * r.Omega_sv, r.Omega_uv
+    if mode is Mode.WEAK_DEPHASING:
+        su = sv = uv = 0.0
+    s, u, v = y
+    out = np.array([su * u + sv * v - r.Gamma_s * s,
+                    (geo + uv) * v + su * s - r.Gamma_u * u,
+                    (uv - geo) * u + sv * s - r.Gamma_v * v]) * batch.span
+    entries = np.abs(np.broadcast_arrays(r.Gamma_s, r.Gamma_u, r.Gamma_v, su, sv, uv, geo))
+    return out, np.max(entries, axis=0) * batch.span
+
+
+@given(ordering=st.sampled_from(_ORDERINGS), tau=st.floats(0.0, 3.0), x=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(Mode))
+def test_suv_rhs_matches_the_rates_assembly(ordering, tau, x, seed, mode):
+    rng = np.random.default_rng(seed)
+    batch = Batch.of([PulseConfig(ordering=ordering, omega0=50.0, tau=tau,
+                                  gamma=_random_gamma(rng))])
+    y = rng.uniform(-1.0, 1.0, size=(3, 1))
+    got = effective._suv_rhs(x, y, batch, mode)
+    # at the derivative's own angles, from the exponents in s, the table is the closed form
+    # to a few ulps of the largest entry
+    centres, neg_k = liouville._constants(batch)[:2]
+    d = x - centres
+    cos, sin, theta_dot, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+    theta, phi = np.arctan2(sin, cos)
+    want, largest = _rates_assembly(y, MixingAngles(theta, phi, theta_dot / batch.span,
+                                                    phi_dot / batch.span), batch, mode)
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * largest * np.sum(np.abs(y)))
+    # the arctan angles of mixing_angles at t lie up to ~1e-14 from these near the window
+    # edges (test_frame_angles_match_the_mixing_angles)
+    want, largest = _rates_assembly(y, mixing_angles(batch.start + x * batch.span, batch),
+                                    batch, mode)
+    assert np.all(np.abs(got - want) <= 5e-14 * largest * np.sum(np.abs(y)))
+
+
+@pytest.mark.parametrize("mode", Mode)
+def test_overlap_couplings_vanish_exactly_with_equal_ground_rates(mode):
+    # phi stays at pi/4 (c = 0) and g13 = g14, so Omega_sv, Omega_uv and the geometric
+    # rate are exactly 0 across the window, whatever the other rates
+    m = np.array([[0.0, 0.7, 0.4, 0.4], [0.7, 0.0, 1.3, 0.2], [0.4, 1.3, 0.0, 1.9],
+                  [0.4, 0.2, 1.9, 0.0]])
+    batch = Batch.of([PulseConfig(ordering="overlap", omega0=50.0, tau=tau,
+                                  gamma=DephasingMatrix(m)) for tau in (0.5, 1.5, 2.5)])
+    for x in np.linspace(0.0, 1.0, 101):
+        to_v = effective._suv_rhs(x, np.array([[0.0] * 3, [0.0] * 3, [1.0] * 3]), batch, mode)
+        to_u = effective._suv_rhs(x, np.array([[0.0] * 3, [1.0] * 3, [0.0] * 3]), batch, mode)
+        assert np.all(to_v[:2] == 0.0) and np.all(to_u[2] == 0.0)
+        assert np.all(to_v[2] < 0.0)

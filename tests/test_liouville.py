@@ -122,6 +122,16 @@ def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
 
 
+def test_invariants_read_the_states_as_density_builds_them(rng):
+    # density's states are exactly Hermitian, so eigvalsh, which reads one triangle, gives
+    # the same bits on the states themselves as on their Hermitian part
+    states = density(rng.normal(size=(200, 16)))
+    stats = liouville._invariants(states)
+    hermitian_part = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+    assert stats["hermiticity_error"] == 0.0
+    assert stats["min_eigenvalue"] == np.min(np.linalg.eigvalsh(hermitian_part)[:, 0])
+
+
 @pytest.mark.parametrize("name,levels", [("L_PUMP", (0, 1)), ("L_STOKES", (1, 2)),
                                          ("L_CONTROL", (1, 3))])
 def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
