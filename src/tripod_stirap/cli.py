@@ -161,28 +161,35 @@ def _row_format(types: tuple) -> str:
 
 
 def _write_csv(path: Path, entries: dict, header: list[str], rows) -> dict:
+    """Write the comment line, the header and the rows: a 2-D float array in one %-format
+    over its flattened values, any other rows with one format per row's cell types."""
     lines = ["# " + _config_line(entries), ",".join(header)]
-    formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
-        lines.append(fmt % tuple(row))
+    if isinstance(rows, np.ndarray):
+        row = ",".join(["%.12g"] * rows.shape[1])
+        lines.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
+    else:
+        formats = {}
+        for row in rows:
+            types = tuple(map(type, row))
+            fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
+            lines.append(fmt % tuple(row))
     blob = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(blob)
     return {"path": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
 
 
 def _write_manifest(path: Path, command: str, entries: dict, outputs: list[dict],
-                    elapsed: float, sweep: dict | None = None) -> None:
+                    elapsed: float, **sections) -> None:
+    """The run's manifest; each keyword that is not None, such as a sweep's report or a
+    trajectory's stats, adds its own entry."""
     manifest = {
         "command": command,
         "config": {k: (v if isinstance(v, str) else float(v)) for k, v in entries.items()},
         "outputs": outputs,
         "version": __version__,
         "wall_clock_s": round(elapsed, 6),
+        **{name: value for name, value in sections.items() if value is not None},
     }
-    if sweep is not None:
-        manifest["sweep"] = sweep
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -213,13 +220,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "rho_a11", "rho_a22", "rho_a33", "rho_a44",
               "re_rho_a12", "im_rho_a12", "F2"]
     coh = traj.rho_a[:, 0, 1]
-    rows = np.column_stack([traj.t, traj.populations, traj.adiabatic_populations,
-                            coh.real, coh.imag, traj.fidelity]).tolist()
+    table = np.column_stack([traj.t, traj.populations, traj.adiabatic_populations,
+                             coh.real, coh.imag, traj.fidelity])
 
     out = Path(args.out)
-    outputs = [_write_csv(out, entries, header, rows)]
+    outputs = [_write_csv(out, entries, header, table)]
     _write_manifest(out.with_name(out.name + ".manifest.json"), "simulate", entries,
-                    outputs, time.perf_counter() - t0)
+                    outputs, time.perf_counter() - t0, stats=traj.stats)
     return 0
 
 
@@ -261,7 +268,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     outputs = [_write_csv(out, entries, header, rows)]
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep", entries,
-                    outputs, time.perf_counter() - t0, _sweep_report(result))
+                    outputs, time.perf_counter() - t0, sweep=_sweep_report(result))
     if result.succeeded() == 0:
         print("error: every sweep point failed", file=sys.stderr)
         return 3
@@ -361,19 +368,19 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     trajs = liouville.integrate_many(cfgs, samples=samples)
     if fig.cell == "trajectory":
         rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
-                               for v, traj in zip(grids[axes[0]], trajs)]).tolist()
+                               for v, traj in zip(grids[axes[0]], trajs)])
         return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], None
 
     grid = grids[fig.rows]
     at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
     if fig.cell == "populations":
         header = [fig.rows, "rho11", "rho22", "rho33", "rho44"]
-        rows = np.column_stack([grid, [traj.populations[-1] for traj in trajs]]).tolist()
+        rows = np.column_stack([grid, [traj.populations[-1] for traj in trajs]])
         p = dk.analytic_dark_observables(at["gamma"], cfgs[0], 0.0, tau=at["tau"])[0]
         q = 0.5 - p
         return [(f"{name}_numeric.csv", {**entries, "engine": "master"}, header, rows),
                 (f"{name}_analytic.csv", {**entries, "engine": "analytic"}, header,
-                 np.column_stack([grid, q, q, p, p]).tolist())], None
+                 np.column_stack([grid, q, q, p, p]))], None
 
     f2 = np.reshape([traj.fidelity[-1] for traj in trajs], [len(g) for g in grids.values()])
     columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{_fmt(v)}" for axis in axes if axis != fig.rows
@@ -384,7 +391,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
                  for column in fig.closed_form]
         table += list(dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"]))
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
-             np.column_stack(table).tolist())], None
+             np.column_stack(table))], None
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -404,7 +411,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         outputs.append(_write_csv(out_dir / filename,
                                   {**entries_all, **entries}, header, rows))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,
-                    outputs, time.perf_counter() - t0, sweep)
+                    outputs, time.perf_counter() - t0, sweep=sweep)
     return 0
 
 

@@ -23,8 +23,9 @@ derivatives take s itself and return dc/ds from constants built once per
 batch (_constants), each member's window span folded in.  In the
 instantaneous eigenframe the equation has four constant terms of the same
 kind plus the dephasing rotated into the frame by a real 16x16 map
-(frame_map, rhs_adiabatic); both bases share the batched solve, and the two
-routes are cross-checked in the tests.
+(frame_map, rhs_adiabatic), their weights and the map's harmonics read from
+Chebyshev panels built once per batch (_panels); both bases share the
+batched solve, and the two routes are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -197,11 +198,6 @@ def _frame_terms() -> np.ndarray:
     return np.round(8.0 * terms) / 8.0
 
 
-def _frame_map(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """frame_map from the (2,) + S cosines and sines of (theta, phi)."""
-    return (_harmonics(cos, sin) @ _frame_terms()).reshape(np.shape(cos)[1:] + (16, 16))
-
-
 def frame_map(angles: MixingAngles) -> np.ndarray:
     """rho = R rho^a R^dag on the real coordinates: coords(rho) = T coords(rho^a).
 
@@ -211,7 +207,8 @@ def frame_map(angles: MixingAngles) -> np.ndarray:
     one (16, 16) map; angles of shape S, such as (n, B), give S + (16, 16) in one matmul.
     """
     angle = np.array([angles.theta, angles.phi])
-    return _frame_map(np.cos(angle), np.sin(angle))
+    cos = np.cos(angle)
+    return (_harmonics(cos, np.sin(angle)) @ _frame_terms()).reshape(cos.shape[1:] + (16, 16))
 
 
 def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.ndarray:
@@ -224,24 +221,113 @@ def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.n
     return (damped[:, None] @ t)[:, 0] / _NORM2
 
 
-def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
-    """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
+def _slow_functions(d: np.ndarray, neg_k: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """The 29 slow functions of the eigenframe derivative in closed form, at (N, 3) d = s - s_k.
 
-    On the times, coordinates and shapes of rhs_bare.  H_a = diag(0, 0, Omega/2, -Omega/2)
-    and W = tripod.frame_generator make the coherent part one contraction of _FRAME_DRIVE;
-    the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the real frame map.  The angles
-    come from the exponents in s (pulses._frame_angles), so their rates are per unit s.
+    Per unit s: Omega_rms, theta', phi' sin(theta) and phi' cos(theta), the weights of
+    _FRAME_DRIVE, then the 25 harmonics of the frame map; shape (N, 29).  The angles come
+    from the Gaussian exponents with no arctan (pulses._frame_angles).
     """
-    centres, neg_k, amplitudes, _, weighted = _constants(batch)
-    vec = c.reshape(len(batch), 16)
-    d = s - centres
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
     cos, sin, theta_dot, phi_dot = _frame_angles(neg_a, -2.0 * neg_k * d)
-    weights = np.array([np.sqrt((omega * omega).sum(1)), theta_dot, phi_dot * sin[0],
-                        phi_dot * cos[0]]).T
-    out = _drive(weights, vec, _FRAME_DRIVE)
-    out -= _frame_damping(vec, _frame_map(cos, sin), weighted)
+    return np.column_stack([np.sqrt((omega * omega).sum(1)), theta_dot, phi_dot * sin[0],
+                            phi_dot * cos[0], _harmonics(cos, sin)])
+
+
+# the slow functions as Chebyshev series of degree 15 on dyadic panels of [0, 1] (_panels)
+_DEGREE = 15
+_TAIL = 1e-14
+_NOISE = 1e-10
+# a guard that ends any splitting; the keys member * 2^depth stay well inside int64
+_MAX_DEPTH = 30
+_ORDERS = np.arange(_DEGREE + 1)
+# the first-kind nodes as fractions of a panel, and the cosine transform a_k = C[k] @ f(x_j),
+# in long double: nodes rounded to float64 values of s would cost up to |f'| ulp(s)
+_ANGLES = np.arccos(np.longdouble(-1.0)) * (_ORDERS + 0.5) / (_DEGREE + 1)
+_NODES = 0.5 * (1.0 + np.cos(_ANGLES))
+_COSINE = np.cos(np.outer(_ORDERS, _ANGLES)) * np.where(_ORDERS == 0, 1.0, 2.0)[:, None] / (
+    _DEGREE + 1)
+# the drive weights and the harmonics: functions summed into the same terms
+_GROUPS = np.repeat([0, 1], [4, 25])
+
+
+@lru_cache(maxsize=1)
+def _panels(batch: Batch) -> tuple:
+    """Each member's piecewise Chebyshev series of the 29 slow functions (_slow_functions).
+
+    Every member starts from one panel, [0, 1].  All open panels are sampled at their 16
+    first-kind nodes in one long-double _slow_functions pass per depth, and a panel is
+    split in two until the last three coefficients of every function are at most _TAIL
+    of that function's largest sample on the member's window.  A function that is
+    rounding alone, such as theta' at tau = 0, never gets there; its tails stop falling
+    instead, so a panel whose tails are each at least a quarter of its parent's and at
+    most _NOISE of the largest function of their group is kept too.  Each member is split
+    on its own samples, and every step is elementwise or a sum in a fixed order (NumPy's
+    long-double matmul has no BLAS), so a member's series have the same bits alone or in
+    any batch.
+
+    Returns the sorted integer keys member * 2^D + first cell of each panel on the 2^D
+    cells of the deepest panel, 2^D, each member's first key, each panel's 2^(d + 1) and
+    2k + 1 (panel k of depth d), and the (P, 29, 16) float64 coefficients.  Built on the
+    first eigenframe call of a batch; a bare solve builds none.
+    """
+    centres, neg_k, amplitudes = _constants(batch)[:3]
+    member = np.arange(len(batch))
+    depth, index = np.zeros_like(member), np.zeros_like(member)
+    parent, scale = np.full((len(batch), 29), np.inf), np.zeros((len(batch), 29))
+    done = []
+    while member.size:
+        s = ((index[:, None] + _NODES) * 0.5 ** depth[:, None]).reshape(-1, 1)
+        at = np.repeat(member, _DEGREE + 1)
+        values = _slow_functions(s - centres[at], neg_k[at], amplitudes[at]).reshape(
+            len(member), _DEGREE + 1, 29)
+        np.maximum.at(scale, member, np.abs(values).max(1).astype(float))
+        coefs = (values.swapaxes(1, 2) @ _COSINE.T).astype(float)
+        tail = np.abs(coefs[:, :, -3:]).max(2)
+        own = scale[member]
+        group = np.maximum.reduceat(own, [0, 4], axis=1)[:, _GROUPS]
+        settled = (tail <= _TAIL * own) | ((tail >= 0.25 * parent) & (tail <= _NOISE * group))
+        ok = settled.all(1) | (depth >= _MAX_DEPTH)
+        done.append((member[ok], depth[ok], index[ok], coefs[ok]))
+        member, depth = np.repeat(member[~ok], 2), np.repeat(depth[~ok] + 1, 2)
+        index = (2 * index[~ok, None] + np.array([0, 1])).ravel()
+        parent = np.repeat(tail[~ok], 2, axis=0)
+    member, depth, index, coefs = (np.concatenate(parts) for parts in zip(*done))
+    cells = 2 ** int(depth.max())
+    keys = member * cells + index * (cells >> depth)
+    order = np.argsort(keys)
+    return (keys[order], cells, np.arange(len(batch)) * cells, 2.0 ** (depth[order] + 1),
+            2.0 * index[order] + 1.0, coefs[order])
+
+
+def _slow_series(s, batch: Batch) -> np.ndarray:
+    """The (B, 29) slow functions of every member at s, from its panels (_panels).
+
+    s is held to [0, 1]: a Runge-Kutta stage at t + h with h = 1 - t can pass 1 by an ulp.
+    """
+    keys, cells, first, rate, shift, coefs = _panels(batch)
+    s = min(max(s, 0.0), 1.0)
+    p = keys.searchsorted(first + min(int(s * cells), cells - 1), side="right") - 1
+    # s on its panel as x in [-1, 1], exact but on a member's first panel; T_k(x) = cos(k arccos x)
+    x = s * rate[p] - shift[p]
+    return (coefs[p] * np.cos(np.arccos(x)[:, None] * _ORDERS)[:, None]).sum(2)
+
+
+def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
+    """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
+
+    On the times, coordinates and shapes of rhs_bare, for s in [0, 1].  H_a =
+    diag(0, 0, Omega/2, -Omega/2) and W = tripod.frame_generator make the coherent part one
+    contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the
+    real frame map.  The weights and T's harmonics are read from each member's Chebyshev
+    panels (_slow_series), within a few ulps of their closed forms (_slow_functions).
+    """
+    vec = c.reshape(len(batch), 16)
+    slow = _slow_series(s, batch)
+    out = _drive(slow[:, :4], vec, _FRAME_DRIVE)
+    out -= _frame_damping(vec, (slow[:, 4:] @ _frame_terms()).reshape(-1, 16, 16),
+                          _constants(batch)[4])
     return out.reshape(c.shape)
 
 
@@ -304,15 +390,23 @@ def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: 
 
 
 def _invariants(states: np.ndarray) -> dict:
-    """Trace and Hermiticity errors and the least eigenvalue of a stack of states, in any basis.
+    """Trace and Hermiticity errors and a least eigenvalue of a stack of states, in any basis.
 
-    density builds exactly Hermitian states, so eigvalsh, which reads one triangle, takes
-    them as they are.
+    One Cholesky factorisation of the stack shifted by 1e-12 certifies that no sample has an
+    eigenvalue below about -1e-12; then min_eigenvalue is the final sample's least one.
+    Where it fails, min_eigenvalue is the least over the whole stack, so it is exact
+    whenever some sample can lie below -1e-12.  density builds exactly Hermitian states,
+    so eigvalsh and cholesky, which read one triangle, take them as they are.
     """
+    try:
+        np.linalg.cholesky(states + 1e-12 * np.eye(4))
+        checked = states[-1:]
+    except np.linalg.LinAlgError:
+        checked = states
     return {
         "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
         "hermiticity_error": float(np.max(np.abs(states - np.conj(states.swapaxes(1, 2))))),
-        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(states)[:, 0])),
+        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(checked)[:, 0])),
     }
 
 

@@ -83,6 +83,14 @@ def test_csv_rows_match_the_per_value_writer(tmp_path, rng):
     assert lines[:2] == ["# k=1.5", "a,b,c,d,e,f"]
     assert lines[2:] == [",".join(_loop_fmt(x) for x in row) for row in rows]
     assert info["bytes"] == len((tmp_path / "t.csv").read_bytes())
+    # a 2-D float array takes one %-format over its flattened values
+    table = np.concatenate([floats, [[1e300, -1e300, 1e-300, -1e-300, 0.0]]])
+    info = cli._write_csv(tmp_path / "a.csv", {"k": 1.5}, list("abcde"), table)
+    lines = (tmp_path / "a.csv").read_text().splitlines()
+    assert lines[:2] == ["# k=1.5", "a,b,c,d,e"]
+    assert lines[2:] == [",".join(_loop_fmt(x) for x in row) for row in table.tolist()]
+    assert lines[-2:] == ["nan,nan,inf,-inf,-0", "1e+300,-1e+300,1e-300,-1e-300,0"]
+    assert info["bytes"] == len((tmp_path / "a.csv").read_bytes())
 
 
 # ----------------------------------------------------------------- simulate
@@ -114,6 +122,12 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
     assert entry["bytes"] == len(blob)
     assert manifest["wall_clock_s"] >= 0.0
+    # the trajectory's solve and invariant errors go to the manifest, not to the CSV
+    stats = manifest["stats"]
+    assert set(stats) == {"nfev", "trace_error", "hermiticity_error", "min_eigenvalue"}
+    assert isinstance(stats["nfev"], int) and stats["nfev"] > 0
+    assert stats["trace_error"] < 1e-9 and stats["hermiticity_error"] == 0.0
+    assert stats["min_eigenvalue"] > -1e-8
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ def test_invariants_read_the_states_as_density_builds_them(rng):
     assert stats["min_eigenvalue"] == np.min(np.linalg.eigvalsh(hermitian_part)[:, 0])
 
 
+def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
+    # a stack that passes the Cholesky certificate reports its final sample's least
+    # eigenvalue; one that fails reports the least over the whole stack, and warns below -1e-6
+    a = rng.normal(size=(60, 4, 4)) + 1j * rng.normal(size=(60, 4, 4))
+    mixed = a @ np.conj(a.swapaxes(1, 2))
+    states = density(coords(mixed / np.einsum("nii->n", mixed).real[:, None, None]))
+
+    def run(stack):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = liouville._trajectory(_cfg(), Basis.BARE, stack, 0, 0.0).stats
+        return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
+
+    assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
+    for least, warns in ((-2e-6, True), (-5e-7, False)):
+        values, vectors = np.linalg.eigh(states[17])
+        values[0] = least
+        stack = states.copy()
+        stack[17] = density(coords((vectors * values) @ np.conj(vectors.T)))
+        value, caught = run(stack)
+        assert value == np.min(np.linalg.eigvalsh(stack)[:, 0])
+        assert abs(value - least) < 1e-15
+        assert bool(caught) is warns and all("lost positivity" in text for text in caught)
+
+
 @pytest.mark.parametrize("name,levels", [("L_PUMP", (0, 1)), ("L_STOKES", (1, 2)),
                                          ("L_CONTROL", (1, 3))])
 def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
@@ -213,15 +239,36 @@ def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
 
 def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
     # 25 harmonics x 16 x 16, 219 nonzero coefficients, all multiples of 1/8; a bare
-    # solve never builds the table, the first eigenframe derivative does
+    # solve never builds the table or any Chebyshev panels, the first eigenframe
+    # derivative builds both
     liouville._frame_terms.cache_clear()
+    liouville._panels.cache_clear()
     liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=20)
     assert liouville._frame_terms.cache_info().currsize == 0
+    assert liouville._panels.cache_info().currsize == 0
     rhs_adiabatic(0.5, np.eye(16)[0], Batch.of([_cfg()]))
+    assert liouville._panels.cache_info().currsize == 1
     terms = liouville._frame_terms()
     assert liouville._frame_terms.cache_info().currsize == 1
     assert terms.shape == (25, 256) and np.count_nonzero(terms) == 219
     assert np.array_equal(8.0 * terms, np.round(8.0 * terms))
+
+
+def test_panels_match_the_closed_forms_with_the_same_bits_in_any_batch(rng):
+    # the 29 slow functions of the eigenframe derivative from each member's Chebyshev
+    # panels, against their closed forms at 10^3 random s and the window's ends, the
+    # clamp member's exponent clamp included; a member alone reads the same bits
+    cfgs = _rhs_batch(rng)
+    batch = Batch.of(cfgs)
+    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
+    s = np.concatenate([rng.random(1000), [0.0, 1.0]])
+    got = np.array([liouville._slow_series(x, batch) for x in s])
+    for b, cfg in enumerate(cfgs):
+        want = liouville._slow_functions(s[:, None] - centres[b], neg_k[b], amplitudes[b])
+        assert np.all(np.abs(got[:, b] - want) <= 1e-13 * np.abs(want).max(0))
+        one = Batch.of([cfg])
+        assert np.array_equal(np.array([liouville._slow_series(x, one)[0] for x in s]),
+                              got[:, b])
 
 
 def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
