@@ -286,7 +286,9 @@ class Figure:
     value; a trajectory figure has no rows axis and writes the time samples
     of each axis value in turn.  A cell holds the final F2, the final
     populations (written next to their closed forms as a second CSV), the
-    whole trajectory or the transition time T_tr.
+    whole trajectory or the transition time T_tr.  The two final-state cells
+    are solved with no output grid; only the trajectory and T_tr cells are
+    sampled at `--samples` points.
     """
 
     ordering: Ordering
@@ -337,9 +339,19 @@ def _figure_config(fig: Figure, point: dict) -> PulseConfig:
     return PulseConfig(ordering=fig.ordering, gamma=DephasingMatrix.equal(gamma), **params)
 
 
+def _solve_report(stats) -> dict:
+    """A master batch for the manifest: its derivative calls, once, and the worst
+    invariant errors over the members' `stats`."""
+    return {"nfev": stats[0]["nfev"],
+            "trace_error": max(member["trace_error"] for member in stats),
+            "hermiticity_error": max(member["hermiticity_error"] for member in stats),
+            "min_eigenvalue": min(member["min_eigenvalue"] for member in stats)}
+
+
 def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     """(filename, comment entries, header, rows) of every CSV the figure writes, and the
-    manifest's sweep report of a T_tr figure (None for the others)."""
+    figure's manifest sections: the sweep report of a T_tr figure, the solve report of a
+    final-state figure."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
         value = s.get(key, None, parse)
@@ -363,26 +375,31 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
                                 samples=samples, eps=settings["epsilon"])
         rows = zip(result.values.tolist(), result.T_tr.tolist(), map(_marker, result.errors))
         header = [fig.rows, "T_tr", "error_marker"]
-        return [(f"{name}.csv", entries, header, rows)], _sweep_report(result)
+        return [(f"{name}.csv", entries, header, rows)], {"sweep": _sweep_report(result)}
 
-    trajs = liouville.integrate_many(cfgs, samples=samples)
     if fig.cell == "trajectory":
+        trajs = liouville.integrate_many(cfgs, samples=samples)
         rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
                                for v, traj in zip(grids[axes[0]], trajs)])
-        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], None
+        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], {}
 
+    # the final state of each member, solved with no output grid
+    finals, stats = zip(*((traj.populations[-1] if fig.cell == "populations"
+                           else traj.fidelity[-1], traj.stats)
+                          for traj in liouville.integrate_many(cfgs, samples=None)))
+    sections = {"solve": _solve_report(stats)}
     grid = grids[fig.rows]
     at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
     if fig.cell == "populations":
         header = [fig.rows, "rho11", "rho22", "rho33", "rho44"]
-        rows = np.column_stack([grid, [traj.populations[-1] for traj in trajs]])
+        rows = np.column_stack([grid, finals])
         p = dk.analytic_dark_observables(at["gamma"], cfgs[0], 0.0, tau=at["tau"])[0]
         q = 0.5 - p
         return [(f"{name}_numeric.csv", {**entries, "engine": "master"}, header, rows),
                 (f"{name}_analytic.csv", {**entries, "engine": "analytic"}, header,
-                 np.column_stack([grid, q, q, p, p]))], None
+                 np.column_stack([grid, q, q, p, p]))], sections
 
-    f2 = np.reshape([traj.fidelity[-1] for traj in trajs], [len(g) for g in grids.values()])
+    f2 = np.reshape(finals, [len(g) for g in grids.values()])
     columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{_fmt(v)}" for axis in axes if axis != fig.rows
                for v in grids[axis]] or ["f2_master"]
     table = [grid, f2 if axes[0] == fig.rows else f2.T]
@@ -391,7 +408,7 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
                  for column in fig.closed_form]
         table += list(dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"]))
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
-             np.column_stack(table))], None
+             np.column_stack(table))], sections
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -401,7 +418,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if name not in FIGURES:
         raise ValueError(f"unknown figure {args.name!r} (expected one of: {', '.join(FIGURES)})")
     samples = s.get("samples", 2000, int)
-    tables, sweep = _figure_tables(name, FIGURES[name], s, samples)
+    # written to the comment line of every figure, so checked even where nothing is sampled
+    liouville.check_samples(samples)
+    tables, sections = _figure_tables(name, FIGURES[name], s, samples)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,7 +430,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         outputs.append(_write_csv(out_dir / filename,
                                   {**entries_all, **entries}, header, rows))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,
-                    outputs, time.perf_counter() - t0, sweep=sweep)
+                    outputs, time.perf_counter() - t0, **sections)
     return 0
 
 

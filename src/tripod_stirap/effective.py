@@ -23,7 +23,7 @@ import numpy as np
 from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
                      mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch,
+from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch, _times,
                         _trajectory)
 
 _SQRT2 = np.sqrt(2.0)
@@ -159,7 +159,7 @@ def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
     centres, neg_k, table = _suv_constants(batch, mode)
     d = x - centres
     neg_kd = neg_k * d
-    cos, sin, _, phi_dot = _frame_angles(neg_kd * d, -2.0 * neg_kd)
+    cos, sin, phi_dot = _frame_angles(neg_kd * d, -2.0 * neg_kd)
     gen = _monomials(cos, sin, phi_dot)[:, None] @ table
     return (gen.reshape(-1, 3, 3) @ y.T[:, :, None])[:, :, 0].T
 
@@ -269,9 +269,10 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
 
     def member(b: int, cfg: PulseConfig, theta_g: float) -> EffectiveTrajectory:
         dark = s[b], u[b], v[b]
-        traj = _trajectory(cfg, Basis.ADIABATIC, dark_density(*dark), int(sol.nfev), theta_g,
-                           dark_invariants(*dark), lambda target, t: _dark_fidelity(
-                               target.amplitudes, mixing_angles(t, cfg), *dark))
+        traj = _trajectory(cfg, Basis.ADIABATIC, _times(cfg, sol.t, samples), dark_density(*dark),
+                           int(sol.nfev), theta_g, dark_invariants(*dark),
+                           lambda target, t: _dark_fidelity(target.amplitudes,
+                                                            mixing_angles(t, cfg), *dark))
         return EffectiveTrajectory(**vars(traj), mode=mode, s=s[b], u=u[b], v=v[b])
 
     return (member(b, cfg, theta_g)

@@ -120,11 +120,13 @@ def _constants(batch: Batch) -> tuple:
     s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
     negates nothing; the amplitudes omega0 and the coordinate damping gamma_c carry
     span, and so does N gamma_c, the damping of the frame dephasing (_frame_damping).
+    Every array has the shape of its use: (B, 3) per pulse, (B, 16) per coordinate,
+    since a broadcast (B, 1) operand makes a derivative's multiply about twice as slow.
     """
     span = batch.span[:, None]
     damping = batch.rates.take(_POS, axis=1) * span
     return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
-            batch.omega0 * span, damping, damping * _NORM2)
+            np.repeat(batch.omega0 * span, 3, axis=1), damping, damping * _NORM2)
 
 
 def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -230,7 +232,11 @@ def _slow_functions(d: np.ndarray, neg_k: np.ndarray, amplitudes: np.ndarray) ->
     """
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
-    cos, sin, theta_dot, phi_dot = _frame_angles(neg_a, -2.0 * neg_k * d)
+    rates = -2.0 * neg_k * d
+    cos, sin, phi_dot = _frame_angles(neg_a, rates)
+    # theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p')
+    rate_p, rate_s, rate_c = rates.T
+    theta_dot = sin[0] * cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
     return np.column_stack([np.sqrt((omega * omega).sum(1)), theta_dot, phi_dot * sin[0],
                             phi_dot * cos[0], _harmonics(cos, sin)])
 
@@ -333,11 +339,11 @@ def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one run, with derived observables.
+    """Solution of one run at its output samples or the solver's accepted steps, with
+    derived observables.
 
-    `states` holds the samples in the basis the engine solved in; the other
-    basis is built on its first read through to_adiabatic or from_adiabatic
-    and kept.
+    `states` holds them in the basis the engine solved in; the other basis is
+    built on its first read through to_adiabatic or from_adiabatic and kept.
     """
 
     cfg: PulseConfig
@@ -410,27 +416,26 @@ def _invariants(states: np.ndarray) -> dict:
     }
 
 
-def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
+def _trajectory(cfg: PulseConfig, basis: Basis, t: np.ndarray, states: np.ndarray, nfev: int,
                 theta_g: float, invariants: dict | None = None,
                 fidelity: Callable[[TargetState, np.ndarray], np.ndarray] | None = None
                 ) -> Trajectory:
-    """Fidelity and invariant errors of one member's sampled states, in the basis solved in.
+    """Fidelity and invariant errors of one member's states at times t, in the basis solved in.
 
     The target state takes the member's geometric angle theta_g, which both
     engines evaluate once per batch.  In the adiabatic basis the fidelity is
-    <R^dag psi| rho^a |R^dag psi>, with R the frame at each sample.  The
+    <R^dag psi| rho^a |R^dag psi>, with R the frame at each time.  The
     invariants, and the fidelity as a function of the target state and the
-    sample times, are taken from the states unless the engine supplies them.
+    times, are taken from the states unless the engine supplies them.
     """
-    t_eval = np.linspace(cfg.start, cfg.end, len(states))
     tgt = target_state(cfg, theta_g)
     if fidelity is not None:
-        fid = fidelity(tgt, t_eval)
+        fid = fidelity(tgt, t)
     elif basis is Basis.BARE:
         fid = tgt.expectation(states)
     else:
         # row n is R_n^dag psi
-        amps = tgt.amplitudes @ np.conj(frame_matrix(mixing_angles(t_eval, cfg)))
+        amps = tgt.amplitudes @ np.conj(frame_matrix(mixing_angles(t, cfg)))
         fid = np.real(np.einsum("ni,nij,nj->n", np.conj(amps), states, amps))
 
     if invariants is None:
@@ -438,23 +443,40 @@ def _trajectory(cfg: PulseConfig, basis: Basis, states: np.ndarray, nfev: int,
     if invariants["min_eigenvalue"] < -1e-6:
         warnings.warn("density matrix lost positivity: "
                       f"min eigenvalue {invariants['min_eigenvalue']:.3e}")
-    return Trajectory(cfg=cfg, basis=basis, t=t_eval, states=states, fidelity=fid,
+    return Trajectory(cfg=cfg, basis=basis, t=t, states=states, fidelity=fid,
                       target=tgt, stats={"nfev": nfev, **invariants})
 
 
-def _solve_batch(derivative, y0: np.ndarray, batch: Batch, samples: int, method: str,
+def check_samples(samples: int) -> None:
+    """An output grid needs both ends of the window."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+
+
+def _times(cfg: PulseConfig, s: np.ndarray, samples: int | None) -> np.ndarray:
+    """A member's times at the solution points s of _solve_batch: np.linspace(start, end,
+    samples) on an output grid, start + s * span at the accepted steps (samples None)."""
+    if samples is None:
+        return cfg.start + s * (cfg.end - cfg.start)
+    return np.linspace(cfg.start, cfg.end, samples)
+
+
+def _solve_batch(derivative, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
                  budget: str):
     """The scaffold of both ODE engines: one solve of derivative(s, y) = dy/ds on the flat
-    batch state y over s in [0, 1], sampled at np.linspace(0, 1, samples).  Past MAX_NFEV
-    calls, read at call time, it raises StepBudgetExceeded with `budget` formatted with the count.
+    batch state y over s in [0, 1], sampled at np.linspace(0, 1, samples).  With samples
+    None there is no output grid: the solution holds the solver's own states at its
+    accepted steps, the same steps without the dense-output calls (three per DOP853 step
+    that holds a sample).  Past MAX_NFEV calls, read at call time, it raises
+    StepBudgetExceeded with `budget` formatted with the count.
 
     No step is longer than a member's default window (PulseConfig.reach): on a wider custom
     window the step would otherwise grow across the quiet edges and pass over the pulses
     without a stage landing on them.  On a window no wider than the default the bound is
     at least the whole window, and the solve is the unbounded one.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
+    if samples is not None:
+        check_samples(samples)
     calls = 0
 
     def fun(s, y):
@@ -465,11 +487,12 @@ def _solve_batch(derivative, y0: np.ndarray, batch: Batch, samples: int, method:
         return derivative(s, y)
 
     max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
-    return _solve(fun, (0.0, 1.0), y0, method, np.linspace(0.0, 1.0, samples), max_step=max_step)
+    t_eval = None if samples is None else np.linspace(0.0, 1.0, samples)
+    return _solve(fun, (0.0, 1.0), y0, method, t_eval, max_step=max_step)
 
 
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
-                   samples: int = 2000) -> Iterator[Trajectory]:
+                   samples: int | None = 2000) -> Iterator[Trajectory]:
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
@@ -481,9 +504,13 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole F2 trajectory
     within 1.1e-8, of a lone solve at rtol 1e-13.  On _solve_batch, the scaffold
     shared with effective.integrate_many, each trajectory is sampled at
-    np.linspace(start, end, samples); its `nfev` counts the calls of the batch
-    derivative, rhs_bare or rhs_adiabatic (from R^dag rho R), looked up by
-    name at every call.  A solve past MAX_NFEV calls raises
+    np.linspace(start, end, samples); with samples None it holds the states at
+    the solver's accepted steps instead, at times start + s * span, for callers
+    that read only the final state.  That state is the solver's own at s = 1,
+    where a grid reads its interpolant, y_old + (y_new - y_old), equal to it up
+    to an ulp.  Its `nfev` counts the calls of the batch derivative, rhs_bare
+    or rhs_adiabatic (from R^dag rho R), looked up by name at every call.  A
+    solve past MAX_NFEV calls raises
     StepBudgetExceeded; like any failed solve it raises for the whole batch at
     the call.  The trajectories are built as the caller iterates, and only
     there do their states become complex 4x4 matrices.
@@ -501,8 +528,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     sol = _solve_batch(derivative, y0, batch, samples, METHOD, "the master solve stopped at its "
                        "budget of {} derivative calls (about 45 per unit of Omega0); --engine "
                        "effective takes about 900 at any Omega0")
-    return (_trajectory(cfg, basis, density(c.T), int(sol.nfev), theta_g)
-            for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, samples),
+    return (_trajectory(cfg, basis, _times(cfg, sol.t, samples), density(c.T), int(sol.nfev),
+                        theta_g)
+            for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, -1),
                                        geometric_phases(batch.cfgs)))
 
 

@@ -306,22 +306,19 @@ def _angles(a, adot) -> MixingAngles:
 
 
 def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
-    """cos and sin of (theta, phi), (2, B) each, and theta', phi' from (B, 3) -a_k and a_k'.
+    """cos and sin of (theta, phi), (2, B) each, and phi' from (B, 3) -a_k and a_k'.
 
     The mixing angles of _angles with no arctan: x_k is Omega_k over the larger of
     Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
     and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
-    exp(-r).  Then theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') and
-    phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called by the effective
-    derivative effective._suv_rhs and by liouville._slow_functions, the closed forms of the
-    eigenframe derivative's panels, which form the exponents in s themselves.
+    exp(-r).  Then phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called
+    by the effective derivative effective._suv_rhs and by liouville._slow_functions, the
+    closed forms of the eigenframe derivative's panels, which form the exponents in s
+    themselves and theta' from these cos and sin.
     """
     x_p, x_s, x_c = x = np.exp(np.minimum(
         neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T
     adjacent, opposite = np.array([np.hypot(x_s, x_c), x_s]), x[::2]
     norm = np.hypot(adjacent, opposite)
     cos, sin = adjacent / norm, opposite / norm
-    sin_cos = sin * cos
-    rate_p, rate_s, rate_c = rates.T
-    theta_dot = sin_cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
-    return cos, sin, theta_dot, sin_cos[1] * (rate_s - rate_c)
+    return cos, sin, sin[1] * cos[1] * (rates[:, 1] - rates[:, 2])

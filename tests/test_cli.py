@@ -644,8 +644,19 @@ TINY_FIGURES = [
 
 @pytest.mark.parametrize("name,flags,headers,n_rows,keys", TINY_FIGURES,
                          ids=[case[0] for case in TINY_FIGURES])
-def test_every_figure_at_a_tiny_grid(tmp_path, name, flags, headers, n_rows, keys):
+def test_every_figure_at_a_tiny_grid(tmp_path, monkeypatch, name, flags, headers, n_rows, keys):
+    # the F2 and population cells read only each member's final state, so their master
+    # batch has no output grid; the trajectory and T_tr cells keep theirs
+    asked = []
+    solve = liouville.integrate_many
+
+    def record(cfgs, *args, samples=2000, **kwargs):
+        asked.append(samples)
+        return solve(cfgs, *args, samples=samples, **kwargs)
+
+    monkeypatch.setattr(liouville, "integrate_many", record)
     assert main(["figures", name, *flags, "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    assert asked == ([None] if FIGURES[name].cell in ("f2", "populations") else [60])
     manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
     assert manifest["config"] == {"command": "figures", "figure": name}
     assert [entry["path"] for entry in manifest["outputs"]] == list(headers)
@@ -659,6 +670,47 @@ def test_every_figure_at_a_tiny_grid(tmp_path, name, flags, headers, n_rows, key
         blob = (tmp_path / filename).read_bytes()
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
         assert entry["bytes"] == len(blob)
+
+
+def test_final_state_figure_rows_do_not_depend_on_samples(tmp_path):
+    rows = []
+    for samples in ("2", "2000"):
+        out = tmp_path / samples
+        assert main(["figures", "fig6", "--gamma-grid", "0,1", "--tau-grid", "1,2",
+                     "--samples", samples, "--out-dir", str(out)]) == 0
+        config_line, _, table = _read_csv(out / "fig6.csv")
+        assert _config_dict(config_line)["samples"] == samples
+        rows.append(table)
+    assert rows[0] == rows[1]
+
+
+def test_final_state_figure_manifest_records_its_solve(tmp_path):
+    # the batch's derivative calls once and its worst member invariants, from the same
+    # solve as a direct integrate_many with no output grid, whose final F2 the CSV holds
+    assert main(["figures", "fig6", "--gamma-grid", "0,1", "--tau-grid", "1,2",
+                 "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "fig6.manifest.json").read_text())
+    trajs = list(liouville.integrate_many(
+        [PulseConfig(ordering="scp", omega0=200.0, tau=tau, gamma=DephasingMatrix.equal(g))
+         for g in (0.0, 1.0) for tau in (1.0, 2.0)], samples=None))
+    assert manifest["solve"] == {
+        "nfev": trajs[0].stats["nfev"],
+        "trace_error": max(traj.stats["trace_error"] for traj in trajs),
+        "hermiticity_error": max(traj.stats["hermiticity_error"] for traj in trajs),
+        "min_eigenvalue": min(traj.stats["min_eigenvalue"] for traj in trajs),
+    }
+    assert "sweep" not in manifest
+    _, _, rows = _read_csv(tmp_path / "fig6.csv")
+    assert [row[1:] for row in rows] == [[_loop_fmt(traj.fidelity[-1]) for traj in pair]
+                                         for pair in (trajs[:2], trajs[2:])]
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig6", "fig9a"])
+def test_figures_reject_bad_samples(tmp_path, capsys, name):
+    # a final-state figure samples nothing, but --samples still goes to its comment line
+    assert main(["figures", name, "--samples", "1", "--out-dir", str(tmp_path)]) == 2
+    assert "samples must be at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fig7_manifest_lists_its_ambiguous_crossing(tmp_path):

@@ -337,9 +337,10 @@ def test_suv_rhs_matches_the_rates_assembly(ordering, tau, x, seed, mode):
     got = effective._suv_rhs(x, y, batch, mode)
     # at the derivative's own angles, from the exponents in s, the table is the closed form
     # to a few ulps of the largest entry
-    centres, neg_k = liouville._constants(batch)[:2]
+    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
     d = x - centres
-    cos, sin, theta_dot, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+    cos, sin, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+    theta_dot = liouville._slow_functions(d, neg_k, amplitudes)[:, 1]
     theta, phi = np.arctan2(sin, cos)
     want, largest = _rates_assembly(y, MixingAngles(theta, phi, theta_dot / batch.span,
                                                     phi_dot / batch.span), batch, mode)

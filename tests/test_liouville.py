@@ -140,10 +140,13 @@ def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
     mixed = a @ np.conj(a.swapaxes(1, 2))
     states = density(coords(mixed / np.einsum("nii->n", mixed).real[:, None, None]))
 
+    cfg = _cfg()
+
     def run(stack):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stats = liouville._trajectory(_cfg(), Basis.BARE, stack, 0, 0.0).stats
+            t = np.linspace(cfg.start, cfg.end, len(stack))
+            stats = liouville._trajectory(cfg, Basis.BARE, t, stack, 0, 0.0).stats
         return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
 
     assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
@@ -271,6 +274,19 @@ def test_panels_match_the_closed_forms_with_the_same_bits_in_any_batch(rng):
                               got[:, b])
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 on this platform")
+def test_panels_of_the_wide_window_member_are_built_on_long_double_nodes(rng):
+    # on the +-60 member the panels lie within ~8e-16 of each function's scale from the
+    # closed forms; panel nodes rounded to float64 values of s put them ~1e-14 away
+    batch = Batch.of(_rhs_batch(rng)[-1:])
+    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
+    s = np.concatenate([rng.random(2000), [0.0, 1.0]])
+    got = np.array([liouville._slow_series(x, batch)[0] for x in s])
+    want = liouville._slow_functions(s[:, None] - centres[0], neg_k[0], amplitudes[0])
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want).max(0))
+
+
 def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
     # -N^-1 T^T (N gamma_c (.) T c) is coords(-R^dag (gamma (.) (R rho^a R^dag)) R), at the
     # angles of every member of the mixed batch, the clamp member's window edges included
@@ -291,10 +307,11 @@ def test_frame_angles_match_the_mixing_angles(rng):
     # pulses.mixing_angles on the mixed batch across the window; the exponents in s and in
     # t differ by ulps of exponents up to ~1e4, which moves the angles by up to ~1e-14
     batch = Batch.of(_rhs_batch(rng))
-    centres, neg_k = liouville._constants(batch)[:2]
+    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
     for s in np.linspace(0.0, 1.0, 41):
         d = s - centres
-        cos, sin, theta_dot, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+        cos, sin, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
+        theta_dot = liouville._slow_functions(d, neg_k, amplitudes)[:, 1]
         ang = mixing_angles(batch.start + s * batch.span, batch)
         angle = np.array([ang.theta, ang.phi])
         assert np.max(np.abs(cos - np.cos(angle))) < 1e-14
