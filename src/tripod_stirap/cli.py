@@ -154,25 +154,15 @@ def _sweep_report(result: analysis.SweepResult) -> dict:
     }
 
 
-def _row_format(types: tuple) -> str:
-    """One %-format string for a row with these cell types, equal to _fmt cell by cell."""
-    return ",".join("%s" if issubclass(t, str) else "%d" if issubclass(t, (int, np.integer))
-                    else "%.12g" for t in types)
-
-
-def _write_csv(path: Path, entries: dict, header: list[str], rows) -> dict:
-    """Write the comment line, the header and the rows: a 2-D float array in one %-format
-    over its flattened values, any other rows with one format per row's cell types."""
-    lines = ["# " + _config_line(entries), ",".join(header)]
-    if isinstance(rows, np.ndarray):
-        row = ",".join(["%.12g"] * rows.shape[1])
-        lines.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
-    else:
-        formats = {}
-        for row in rows:
-            types = tuple(map(type, row))
-            fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
-            lines.append(fmt % tuple(row))
+def _write_csv(path: Path, entries: dict, header: list[str], table: np.ndarray,
+               markers=None) -> dict:
+    """Write the comment line, the header and the rows of a 2-D float table, in one %-format
+    over its flattened values; with `markers`, each row ends in its string marker."""
+    row = ",".join(["%.12g"] * table.shape[1])
+    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+    if markers is not None:
+        body = "\n".join(f"{cells},{marker}" for cells, marker in zip(body.split("\n"), markers))
+    lines = ["# " + _config_line(entries), ",".join(header), body]
     blob = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(blob)
     return {"path": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
@@ -262,11 +252,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                **entries}
 
     header = [axis, "F2_final", "F2_tmax", "T_tr", "theta_g", "error_marker"]
-    columns = (result.values, result.F2_final, result.F2_tmax, result.T_tr, result.theta_g)
-    rows = zip(*(column.tolist() for column in columns), map(_marker, result.errors))
+    table = np.column_stack([result.values, result.F2_final, result.F2_tmax, result.T_tr,
+                             result.theta_g])
 
     out = Path(args.out)
-    outputs = [_write_csv(out, entries, header, rows)]
+    outputs = [_write_csv(out, entries, header, table, map(_marker, result.errors))]
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep", entries,
                     outputs, time.perf_counter() - t0, sweep=_sweep_report(result))
     if result.succeeded() == 0:
@@ -349,9 +339,9 @@ def _solve_report(stats) -> dict:
 
 
 def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
-    """(filename, comment entries, header, rows) of every CSV the figure writes, and the
-    figure's manifest sections: the sweep report of a T_tr figure, the solve report of a
-    final-state figure."""
+    """(filename, comment entries, header, table[, markers]) of every CSV the figure writes,
+    and the figure's manifest sections: the sweep report of a T_tr figure, the solve report
+    of a final-state figure."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
         value = s.get(key, None, parse)
@@ -373,9 +363,9 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     if fig.cell == "T_tr":
         result = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.MASTER,
                                 samples=samples, eps=settings["epsilon"])
-        rows = zip(result.values.tolist(), result.T_tr.tolist(), map(_marker, result.errors))
         header = [fig.rows, "T_tr", "error_marker"]
-        return [(f"{name}.csv", entries, header, rows)], {"sweep": _sweep_report(result)}
+        return [(f"{name}.csv", entries, header, np.column_stack([result.values, result.T_tr]),
+                 map(_marker, result.errors))], {"sweep": _sweep_report(result)}
 
     if fig.cell == "trajectory":
         trajs = liouville.integrate_many(cfgs, samples=samples)
@@ -426,9 +416,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     entries_all = {"command": "figures", "figure": name}
-    for filename, entries, header, rows in tables:
-        outputs.append(_write_csv(out_dir / filename,
-                                  {**entries_all, **entries}, header, rows))
+    for filename, entries, header, *table in tables:
+        outputs.append(_write_csv(out_dir / filename, {**entries_all, **entries}, header, *table))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,
                     outputs, time.perf_counter() - t0, **sections)
     return 0

@@ -100,7 +100,7 @@ def su_two_level(t: float, gamma: float, cfg: PulseConfig):
     """(Omega_su, Delta_su, Gamma_v) of the reduced (s, u) two-level system."""
     _require_overlap_equal(cfg)
     ang = mixing_angles(t, cfg)
-    st, ct = math.sin(ang.theta), math.cos(ang.theta)
+    st, ct = ang.sin_theta, ang.cos_theta
     s2t2 = (2.0 * st * ct) ** 2
     omega_su = 0.25 * gamma * (s2t2 - ct * ct * (1.0 + st * st))
     delta_su = 0.25 * gamma * (0.75 * s2t2 + ct * ct) - gamma * st * st

@@ -62,8 +62,8 @@ def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -
     so its coherence must decay at gamma_14, not gamma_13.
     """
     g13, g14, g34 = gamma[0, 2], gamma[0, 3], gamma[2, 3]
-    phi2 = 2.0 * angles.phi
-    st, ct, s2p, c2p = np.sin(angles.theta), np.cos(angles.theta), np.sin(phi2), np.cos(phi2)
+    st, ct, sp, cp = angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi
+    s2p, c2p = 2.0 * sp * cp, cp * cp - sp * sp
     st2, ct2, gdiff = st * st, ct * ct, g14 - g13
     # g1 = cos^2(phi) g13 + sin^2(phi) g14; g1bar swaps the weights
     gmean, tilt = 0.5 * (g13 + g14), 0.5 * c2p * gdiff
@@ -120,8 +120,9 @@ _COUPLINGS = ~np.eye(3, dtype=bool).ravel()
 
 @lru_cache(maxsize=4)
 def _suv_constants(batch: Batch, mode: Mode) -> tuple:
-    """Per-batch constants of _suv_rhs: s_k and -k_k of liouville._constants and a
-    (B, 30, 9) table taking _monomials to the row-major (s, u, v) generator, per unit s.
+    """Per-batch constants of _suv_rhs: s_k and -k_k of liouville._constants, pulse axis
+    first, and a (B, 30, 9) table taking _monomials to the row-major (s, u, v) generator,
+    per unit s.
 
     The rates are linear in (g13 + g14)/2, g14 - g13 and g34, so effective_rates at unit
     values of each, on a grid of angles, fixes their coefficients in the monomials.  These
@@ -130,12 +131,13 @@ def _suv_constants(batch: Batch, mode: Mode) -> tuple:
     rates and window span; the geometric rate +-2 phi' sin(theta) is per unit s already.
     """
     theta, phi = np.meshgrid(np.linspace(0.1, 1.4, 6), np.linspace(0.1, 1.5, 6))
-    angle = np.array([theta.ravel(), phi.ravel()])
+    grid = MixingAngles.at(theta.reshape(-1, 1), phi.reshape(-1, 1))
     unit = np.zeros((4, 4, 3))  # (g13 + g14)/2, g14 - g13 and g34 at 1, one at a time
     unit[0, 2], unit[0, 3], unit[2, 3] = [1.0, -0.5, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]
-    rates = effective_rates(MixingAngles(angle[0, :, None], angle[1, :, None], 0.0, 0.0), unit)
+    rates = effective_rates(grid, unit)
     values = np.stack([getattr(rates, f.name) for f in fields(EffectiveRates)], -1)
-    monomials = _monomials(np.cos(angle), np.sin(angle), np.zeros(angle.shape[1]))
+    monomials = _monomials(np.hstack([grid.cos_theta, grid.cos_phi]).T,
+                           np.hstack([grid.sin_theta, grid.sin_phi]).T, np.zeros(theta.size))
     fit = np.linalg.lstsq(monomials, values.reshape(len(monomials), -1), rcond=None)[0]
     terms = (np.round(8.0 * fit) / 8.0).reshape(-1, 3, 6) @ _TO_GEN
     if mode is Mode.WEAK_DEPHASING:  # the decay rates alone
@@ -146,15 +148,15 @@ def _suv_constants(batch: Batch, mode: Mode) -> tuple:
     table = np.einsum("bk,fkg->bfg", weights * batch.span[:, None], terms)
     table[:, _GEOMETRIC, 5], table[:, _GEOMETRIC, 7] = 2.0, -2.0  # +g at (u, v), -g at (v, u)
     centres, neg_k = _constants(batch)[:2]
-    return centres, neg_k, table
+    return centres.T, neg_k.T, table
 
 
 def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
     """d(s, u, v)/dx of every member, on states of shape (3, B), at the normalised time x.
 
-    The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), with
-    no arctan, so phi' is per unit x like the table of _suv_constants; the generator is one
-    contraction of the monomials with that table.
+    The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), so
+    phi' is per unit x like the table of _suv_constants; the generator is one contraction of
+    the monomials with that table.
     """
     centres, neg_k, table = _suv_constants(batch, mode)
     d = x - centres
@@ -189,8 +191,7 @@ def _dark_fidelity(amplitudes: np.ndarray, angles: MixingAngles, s, u, v) -> np.
     little rounding beyond that of its operands.
     """
     inv = 1.0 / _SQRT2
-    trig = np.array([np.sin(angles.theta), np.cos(angles.theta),
-                     np.sin(angles.phi), np.cos(angles.phi)])
+    trig = np.array([angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi])
     psi = amplitudes.real.astype(np.longdouble)
 
     def entry(x):
@@ -231,12 +232,15 @@ def dark_invariants(s, u, v) -> dict:
     """Invariant errors of dark_density(s, u, v) over the samples, in closed form.
 
     The state is Hermitian by construction and its spectrum is {p +- |c|, q, q}.
+    min_eigenvalue follows liouville._invariants: the final sample's least eigenvalue, or
+    the least over the samples if one of them lies at or below -1e-12.
     """
     p, q, coh = _dark_block(s, u, v)
+    least = np.minimum(p - np.abs(coh), q)
     return {
         "trace_error": float(np.max(np.abs(2.0 * (p + q) - 1.0))),
         "hermiticity_error": 0.0,
-        "min_eigenvalue": float(min(np.min(p - np.abs(coh)), np.min(q))),
+        "min_eigenvalue": float(least[-1] if np.all(least > -1e-12) else least.min()),
     }
 
 

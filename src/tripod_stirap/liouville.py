@@ -41,7 +41,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
 from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig,
-                     _frame_angles, mixing_angles)
+                     _frame_angles, _theta_dot, mixing_angles)
 from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
@@ -64,11 +64,23 @@ _TO_VEC[np.concatenate([_DIAG, 4 * _J + _I, 4 * _J + _I]), np.arange(16)] = _UNI
 _NORM2 = np.repeat([1.0, 2.0], [4, 12])
 # the columns are orthogonal: the inverse is the adjoint over the squared column norms
 _FROM_VEC = _TO_VEC.conj().T / _NORM2[:, None]
+# each real and imaginary part of vec(rho), interleaved, is one coordinate times 1, -1 or 0
+_PARTS = np.stack([_TO_VEC.real, _TO_VEC.imag], 1).reshape(32, 16)
+_GATHER = np.abs(_PARTS).argmax(1)
+_SIGN = _PARTS[np.arange(32), _GATHER]
 
 
 def density(c: np.ndarray) -> np.ndarray:
-    """Hermitian rho of shape S + (4, 4) from real coordinates of shape S + (16,)."""
-    return (c @ _TO_VEC.T).reshape(np.shape(c)[:-1] + (4, 4))
+    """Hermitian rho of shape S + (4, 4) from real coordinates of shape S + (16,).
+
+    A gather with the bits of c @ _TO_VEC.T: adding 0.0 turns -0.0 into 0.0 as the sums of
+    the product do.  mode "clip" writes straight to `parts`, which "raise" would buffer.
+    """
+    parts = np.empty(np.shape(c)[:-1] + (32,))
+    np.take(c, _GATHER, axis=-1, out=parts, mode="clip")
+    parts *= _SIGN
+    parts += 0.0
+    return parts.view(complex).reshape(np.shape(c)[:-1] + (4, 4))
 
 
 def coords(rho: np.ndarray) -> np.ndarray:
@@ -98,8 +110,8 @@ _DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
 # the same for H_a - i W at unit Omega_rms, theta', phi' sin(theta) and phi' cos(theta), with
 # diag(1, -1, 0, 0) exact: frame_generator at theta = pi/2 would keep a cos of 6e-17
 _FRAME_DRIVE = np.concatenate([_commutator_superop(m).T for m in (
-    np.diag([0.0, 0.0, 0.5, -0.5]), -1j * frame_generator(MixingAngles(0.0, 0.0, 1.0, 0.0)),
-    np.diag([1.0, -1.0, 0.0, 0.0]), -1j * frame_generator(MixingAngles(0.0, 0.0, 0.0, 1.0)))], 1)
+    np.diag([0.0, 0.0, 0.5, -0.5]), -1j * frame_generator(MixingAngles.at(0, 0, theta_dot=1.0)),
+    np.diag([1.0, -1.0, 0.0, 0.0]), -1j * frame_generator(MixingAngles.at(0, 0, phi_dot=1.0)))], 1)
 
 
 class Basis(enum.Enum):
@@ -190,11 +202,12 @@ def _frame_terms() -> np.ndarray:
     Built on first use.
     """
     nodes = 0.4 * np.pi * np.arange(5)
-    grid = np.array([np.repeat(nodes, 5), np.tile(nodes, 5)])  # (theta, phi) of 25 points
-    r = frame_matrix(MixingAngles(grid[0], grid[1], 0.0, 0.0))[:, None]
+    grid = MixingAngles.at(np.repeat(nodes, 5), np.tile(nodes, 5))  # 25 (theta, phi) points
+    r = frame_matrix(grid)[:, None]
     # column l of T at a grid point is coords(R E_l R^dag), E_l the l-th basis matrix
     values = coords(r @ density(np.eye(16)) @ r.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
-    h = _harmonics(np.cos(grid), np.sin(grid))
+    h = _harmonics(np.array([grid.cos_theta, grid.cos_phi]),
+                   np.array([grid.sin_theta, grid.sin_phi]))
     # the harmonics are orthogonal on the grid: solving is projecting onto each of them
     terms = (h.T @ values.reshape(25, 256)) / (h * h).sum(0)[:, None]
     return np.round(8.0 * terms) / 8.0
@@ -208,9 +221,9 @@ def frame_map(angles: MixingAngles) -> np.ndarray:
     T = sum_k h_k(theta, phi) T_k over the 25 harmonics of _harmonics.  Scalar angles give
     one (16, 16) map; angles of shape S, such as (n, B), give S + (16, 16) in one matmul.
     """
-    angle = np.array([angles.theta, angles.phi])
-    cos = np.cos(angle)
-    return (_harmonics(cos, np.sin(angle)) @ _frame_terms()).reshape(cos.shape[1:] + (16, 16))
+    cos = np.array([angles.cos_theta, angles.cos_phi])
+    sin = np.array([angles.sin_theta, angles.sin_phi])
+    return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (16, 16))
 
 
 def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.ndarray:
@@ -228,17 +241,14 @@ def _slow_functions(d: np.ndarray, neg_k: np.ndarray, amplitudes: np.ndarray) ->
 
     Per unit s: Omega_rms, theta', phi' sin(theta) and phi' cos(theta), the weights of
     _FRAME_DRIVE, then the 25 harmonics of the frame map; shape (N, 29).  The angles come
-    from the Gaussian exponents with no arctan (pulses._frame_angles).
+    from the Gaussian exponents as in pulses.mixing_angles.
     """
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
-    rates = -2.0 * neg_k * d
-    cos, sin, phi_dot = _frame_angles(neg_a, rates)
-    # theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p')
-    rate_p, rate_s, rate_c = rates.T
-    theta_dot = sin[0] * cos[0] * (cos[1] * cos[1] * rate_s + sin[1] * sin[1] * rate_c - rate_p)
-    return np.column_stack([np.sqrt((omega * omega).sum(1)), theta_dot, phi_dot * sin[0],
-                            phi_dot * cos[0], _harmonics(cos, sin)])
+    rates = (-2.0 * neg_k * d).T
+    cos, sin, phi_dot = _frame_angles(neg_a.T, rates)
+    return np.column_stack([np.sqrt((omega * omega).sum(1)), _theta_dot(cos, sin, rates),
+                            phi_dot * sin[0], phi_dot * cos[0], _harmonics(cos, sin)])
 
 
 # the slow functions as Chebyshev series of degree 15 on dyadic panels of [0, 1] (_panels)

@@ -11,8 +11,9 @@ mixing angles derived from the envelopes,
     tan(theta) = Omega_p / sqrt(Omega_s^2 + Omega_c^2),
 
 are evaluated from differences of the Gaussian exponents so that they stay
-finite and smooth even where every envelope has underflowed to zero: as
-angles through arctan (_angles) and as cosines and sines with none (_frame_angles).
+finite and smooth even where every envelope has underflowed to zero.  They are
+formed as cosines and sines, with no arctan (_frame_angles): every consumer
+reads those, never the angles themselves.
 """
 
 from __future__ import annotations
@@ -197,12 +198,20 @@ class PulseConfig:
 
 @dataclass(frozen=True)
 class MixingAngles:
-    """theta, phi and their time derivatives at one instant."""
+    """cos and sin of theta and phi, and the angles' time derivatives, at one instant or at
+    every sample of a stack."""
 
-    theta: float
-    phi: float
+    cos_theta: float
+    sin_theta: float
+    cos_phi: float
+    sin_phi: float
     theta_dot: float
     phi_dot: float
+
+    @classmethod
+    def at(cls, theta, phi, theta_dot=0.0, phi_dot=0.0) -> "MixingAngles":
+        """The mixing angles of given theta and phi, scalars or arrays."""
+        return cls(np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi), theta_dot, phi_dot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,26 +245,24 @@ class Batch:
 
 
 def _exponents(t, cfg: PulseConfig | Batch):
-    """Gaussian exponents a_k = (t - c_k)^2 / (w_k T^2) and their rates a_k'.
+    """Gaussian exponents -a_k = -(t - c_k)^2 / (w_k T^2) and their rates a_k', pulse axis first.
 
-    A Batch takes one time per member, shape (B,), or n of them, shape
-    (n, B), and gives rows of that shape.
+    One run takes times of any shape S and gives (3,) + S; a Batch takes one time per
+    member, shape (B,), or n of them, shape (n, B), and gives (3, B) or (3, n, B).
     """
     if isinstance(cfg, Batch):
-        centers, widths = cfg.centers.T, cfg.widths.T
-        if np.ndim(t) == 2:
-            centers, widths = centers[:, None], widths[:, None]
-        dt = t - centers
-        return dt * dt / widths, 2.0 * dt / widths
-    t = np.asarray(t, dtype=float)
-    terms = [(t - center, wmul * (cfg.width * cfg.width)) for center, wmul in cfg.shapes()]
-    return [dt * dt / w for dt, w in terms], [2.0 * dt / w for dt, w in terms]
+        centers, widths, lead = cfg.centers.T, cfg.widths.T, np.ndim(t) - 1
+    else:
+        centers, widths = np.array(cfg.shapes()).T
+        widths, lead = widths * (cfg.width * cfg.width), np.ndim(t)
+    expand = (slice(None),) + (None,) * lead
+    dt = t - centers[expand]
+    return dt * -dt / widths[expand], 2.0 * dt / widths[expand]
 
 
 def pulse_envelopes(t, cfg: PulseConfig):
     """Instantaneous (Omega_p, Omega_s, Omega_c); accepts scalars or arrays."""
-    a, _ = _exponents(t, cfg)
-    return tuple(cfg.omega0 * np.exp(-np.minimum(ak, _EXP_CLAMP)) for ak in a)
+    return tuple(cfg.omega0 * np.exp(np.maximum(_exponents(t, cfg)[0], -_EXP_CLAMP)))
 
 
 def rms_rabi(t, cfg: PulseConfig):
@@ -268,57 +275,35 @@ def mixing_angles(t, cfg: PulseConfig | Batch) -> MixingAngles:
     """Mixing angles and derivatives, stable against envelope underflow.
 
     Takes one run at any times, or a Batch at times of shape (B,) or (n, B),
-    the last axis running over the members.  phi
-    depends only on the Stokes/control exponent difference; theta is
-    evaluated with the smallest exponent factored out, so ratios of
-    underflowed envelopes never appear.
+    the last axis running over the members; scalar times give floats.
     """
-    return _angles(*_exponents(t, cfg))
-
-
-def _angles(a, adot) -> MixingAngles:
-    """mixing_angles of exponents a_k and rates a_k'; rates per unit s give angle rates per s.
-
-    Called by mixing_angles alone.  F2 is pinned to these arctan bits: _frame_angles' cos and
-    sin in their place fail a 4-ulp F2 test (CHANGES.md FOUND (c)).
-    """
-    (ap, as_, ac), (dp, ds, dc) = a, adot
-
-    # np.minimum(np.maximum(.)) is np.clip without its per-call overhead
-    da = np.minimum(np.maximum(as_ - ac, -_EXP_CLAMP), _EXP_CLAMP)
-    phi = np.arctan(np.exp(da))
-    phi_dot = (ds - dc) / (2.0 * np.cosh(da))
-
-    m = np.minimum(as_, ac)
-    es, ec = np.exp(-2.0 * (as_ - m)), np.exp(-2.0 * (ac - m))
-    q2 = es + ec
-    # r is half-clamped: only exp(-2r) is ever formed
-    r = np.minimum(np.maximum(ap - m, -0.5 * _EXP_CLAMP), 0.5 * _EXP_CLAMP)
-    er = np.exp(-r)
-    q = np.sqrt(q2)
-    theta = np.arctan2(er, q)
-
-    lever = -dp + es / q2 * ds + ec / q2 * dc
-    sin_cos = q * er / (q2 + np.exp(-2.0 * r))
-    theta_dot = sin_cos * lever
-
-    return MixingAngles(*(x if x.ndim else float(x) for x in (theta, phi, theta_dot, phi_dot)))
+    neg_a, rates = _exponents(t, cfg)
+    cos, sin, phi_dot = _frame_angles(neg_a, rates)
+    values = (cos[0], sin[0], cos[1], sin[1], _theta_dot(cos, sin, rates), phi_dot)
+    return MixingAngles(*(x if x.ndim else float(x) for x in values))
 
 
 def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
-    """cos and sin of (theta, phi), (2, B) each, and phi' from (B, 3) -a_k and a_k'.
+    """cos and sin of (theta, phi), (2,) + S each, and phi' from -a_k and a_k' of shape (3,) + S.
 
-    The mixing angles of _angles with no arctan: x_k is Omega_k over the larger of
-    Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s, x_c in [0, 1], one of them 1,
-    and tan(theta) = x_p / |(x_s, x_c)|, x_p capped at exp(_EXP_CLAMP / 2) as _angles caps
-    exp(-r).  Then phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of time.  Called
-    by the effective derivative effective._suv_rhs and by liouville._slow_functions, the
-    closed forms of the eigenframe derivative's panels, which form the exponents in s
-    themselves and theta' from these cos and sin.
+    x_k is Omega_k over the larger of Omega_s and Omega_c, so tan(phi) = x_c / x_s with x_s,
+    x_c in [0, 1], one of them 1, and tan(theta) = x_p / |(x_s, x_c)|, with x_p capped at
+    exp(_EXP_CLAMP / 2): no envelope ratio is formed, and the squares below neither overflow
+    nor lose the larger side.  Then phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of
+    time.  Called by mixing_angles, by the effective derivative effective._suv_rhs and by
+    liouville._slow_functions, the closed forms of the eigenframe derivative's panels; the
+    last two form the exponents in the normalised time themselves.
     """
-    x_p, x_s, x_c = x = np.exp(np.minimum(
-        neg_a - np.maximum(neg_a[:, 1], neg_a[:, 2])[:, None], 0.5 * _EXP_CLAMP)).T
-    adjacent, opposite = np.array([np.hypot(x_s, x_c), x_s]), x[::2]
-    norm = np.hypot(adjacent, opposite)
-    cos, sin = adjacent / norm, opposite / norm
-    return cos, sin, sin[1] * cos[1] * (rates[:, 1] - rates[:, 2])
+    x_p, x_s, x_c = np.exp(np.minimum(neg_a - np.maximum(neg_a[1], neg_a[2]), 0.5 * _EXP_CLAMP))
+    q = np.sqrt(x_s * x_s + x_c * x_c)
+    # q * q, not the sum it rounds: with the sum, effective F2 lay 3.3e-16 from the
+    # per-sample loop of test_reconstruction_matches_the_per_sample_loop, against 2.2e-16
+    norm = np.array([np.sqrt(q * q + x_p * x_p), q])
+    cos, sin = np.array([q, x_s]) / norm, np.array([x_p, x_c]) / norm
+    return cos, sin, sin[1] * cos[1] * (rates[1] - rates[2])
+
+
+def _theta_dot(cos: np.ndarray, sin: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """theta' = sin cos(theta) (cos^2(phi) a_s' + sin^2(phi) a_c' - a_p') from _frame_angles'
+    cos and sin and the rates a_k', pulse axis first."""
+    return sin[0] * cos[0] * (cos[1] * cos[1] * rates[1] + sin[1] * sin[1] * rates[2] - rates[0])

@@ -42,8 +42,7 @@ def frame_matrix(angles: MixingAngles) -> np.ndarray:
     Scalar angles give one (4, 4) matrix; array angles of shape S give the
     stack of shape S + (4, 4), one frame per sample.
     """
-    st, ct = np.sin(angles.theta), np.cos(angles.theta)
-    sp, cp = np.sin(angles.phi), np.cos(angles.phi)
+    st, ct, sp, cp = angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi
     columns = (
         (ct, 0.0, -(st * cp + 1j * sp), -(st * sp - 1j * cp)),
         (ct, 0.0, -(st * cp - 1j * sp), -(st * sp + 1j * cp)),
@@ -65,8 +64,8 @@ def frame_generator(angles: MixingAngles) -> np.ndarray:
     [-n, -m, 0, 0]]: anti-Hermitian, with the geometric rate +-p on the dark doublet.
     """
     a = angles.theta_dot
-    p = angles.phi_dot * np.sin(angles.theta)
-    q = angles.phi_dot * np.cos(angles.theta)
+    p = angles.phi_dot * angles.sin_theta
+    q = angles.phi_dot * angles.cos_theta
     m, n = 0.5 * (a - 1j * q), 0.5 * (a + 1j * q)
     return np.array([[1j * p, 0.0, m, m], [0.0, -1j * p, n, n],
                      [-n, -m, 0.0, 0.0], [-n, -m, 0.0, 0.0]])
@@ -126,7 +125,7 @@ def geometric_phases(cfgs) -> np.ndarray:
         ang = mixing_angles(batch.start + length * offsets, batch)
         # members with fewer panels add exact zeros past their window end
         rate = np.where(np.repeat(k, _GL_NODES.size)[:, None] < panels,
-                        np.tile(_GL_WEIGHTS, k.size)[:, None] * ang.phi_dot * np.sin(ang.theta),
+                        np.tile(_GL_WEIGHTS, k.size)[:, None] * ang.phi_dot * ang.sin_theta,
                         0.0)
         # a running sum down the nodes: the order does not depend on the pass size
         total = np.cumsum(np.vstack([total, rate]), axis=0)[-1]

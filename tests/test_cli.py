@@ -70,15 +70,15 @@ def test_number_format_matches_the_reference_on_random_floats():
 
 
 def test_csv_rows_match_the_per_value_writer(tmp_path, rng):
-    # one %-format string per row must write the bytes of _loop_fmt cell by cell,
-    # also where the cell types change from row to row
+    # one %-format string over the table must write the bytes of _loop_fmt cell by cell,
+    # with each row's string marker last
     floats = np.concatenate([rng.normal(size=(40, 5)) * np.exp(rng.uniform(-300, 300, (40, 5))),
                              [[math.nan, -math.nan, math.inf, -math.inf, -0.0]]])
-    markers = ["", "NoCrossing: fidelity never rises through 0.1", "StepSizeUnderflow: x; y"]
-    rows = [[*row, markers[i % 3]] for i, row in enumerate(floats.tolist())]
-    rows += [[np.float64(0.1), np.int64(42), 7, -3, True, "overlap"],
-             [0.5, 2.0, 3.0, 4.0, 5.0, 6.0], list(floats[-1]) + ["nan"]]
-    info = cli._write_csv(tmp_path / "t.csv", {"k": 1.5}, list("abcdef"), rows)
+    markers = ["", "NoCrossing: fidelity never rises through 0.1", "StepSizeUnderflow: x; y",
+               "nan"]
+    rows = [[*row, markers[i % 4]] for i, row in enumerate(floats.tolist())]
+    info = cli._write_csv(tmp_path / "t.csv", {"k": 1.5}, list("abcdef"), floats,
+                          (row[-1] for row in rows))
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[:2] == ["# k=1.5", "a,b,c,d,e,f"]
     assert lines[2:] == [",".join(_loop_fmt(x) for x in row) for row in rows]
@@ -174,6 +174,27 @@ def test_simulate_rows_match_the_per_sample_loop(tmp_path, engine, basis):
                traj.fidelity[i]]
         expected.append(",".join(_loop_fmt(x) for x in row))
     assert out.read_text().splitlines()[2:] == expected
+
+
+def test_both_engines_report_min_eigenvalue_by_one_rule(tmp_path):
+    # no sample lies below -1e-12, so each manifest holds its final state's least eigenvalue,
+    # from LAPACK on the master engine and in closed form on the effective one; the dephased
+    # end state is mixed, so that is not the least over the run, which starts pure
+    cfg = PulseConfig(ordering=Ordering.SCP, omega0=50.0, tau=1.5,
+                      gamma=DephasingMatrix.equal(0.3))
+    runs = {"master": liouville.integrate(cfg, samples=60),
+            "effective": effective.integrate_suv(cfg, samples=60)}
+    reported = {}
+    for engine, traj in runs.items():
+        out = tmp_path / f"{engine}.csv"
+        assert main(["simulate", "--ordering", "scp", "--gamma", "0.3", "--samples", "60",
+                     "--engine", engine, "--out", str(out)]) == 0
+        stats = json.loads(out.with_name(out.name + ".manifest.json").read_text())["stats"]
+        least = np.linalg.eigvalsh(traj.rho)[:, 0]
+        assert least.min() > -1e-12 and least[-1] > 0.05
+        assert abs(stats["min_eigenvalue"] - least[-1]) <= 1e-15
+        reported[engine] = stats["min_eigenvalue"]
+    assert abs(reported["master"] - reported["effective"]) < 1e-2
 
 
 def test_simulate_effective_engine(tmp_path):

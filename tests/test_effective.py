@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -22,10 +23,6 @@ from tripod_stirap.tripod import frame_matrix, geometric_phase
 _ORDERINGS = ["overlap", "scp", "csp", "fractional"]
 
 
-def _angles(theta: float, phi: float) -> MixingAngles:
-    return MixingAngles(theta=theta, phi=phi, theta_dot=0.0, phi_dot=0.0)
-
-
 def _random_gamma(rng: np.random.Generator) -> DephasingMatrix:
     m = rng.uniform(0.1, 2.0, size=(4, 4))
     m = 0.5 * (m + m.T)
@@ -35,7 +32,7 @@ def _random_gamma(rng: np.random.Generator) -> DephasingMatrix:
 
 def test_rates_vanish_without_dephasing(rng):
     theta, phi = rng.uniform(0.0, np.pi / 2, size=2)
-    r = effective_rates(_angles(theta, phi), DephasingMatrix.zeros())
+    r = effective_rates(MixingAngles.at(theta, phi), DephasingMatrix.zeros())
     assert all(getattr(r, f) == 0.0 for f in
                ("Gamma_s", "Gamma_u", "Gamma_v", "Omega_su", "Omega_sv", "Omega_uv"))
 
@@ -47,7 +44,7 @@ def test_rates_vanish_without_dephasing(rng):
 ])
 def test_equal_rate_spot_values(theta, expected):
     g = 0.8
-    r = effective_rates(_angles(theta, math.pi / 4), DephasingMatrix.equal(g))
+    r = effective_rates(MixingAngles.at(theta, math.pi / 4), DephasingMatrix.equal(g))
     got = (r.Gamma_s, r.Gamma_u, r.Gamma_v, r.Omega_su)
     assert got == pytest.approx(tuple(g * e for e in expected), abs=1e-14)
     assert r.Omega_sv == pytest.approx(0.0, abs=1e-14)
@@ -59,10 +56,11 @@ def test_rates_work_elementwise(rng):
     # a DephasingMatrix with scalar angles gives floats
     gammas = [_random_gamma(rng) for _ in range(5)]
     theta, phi = rng.uniform(0.0, np.pi / 2, size=(2, 5))
-    stacked = effective_rates(_angles(theta, phi), np.stack([g.rates for g in gammas], axis=-1))
+    stacked = effective_rates(MixingAngles.at(theta, phi),
+                              np.stack([g.rates for g in gammas], axis=-1))
     fields = ("Gamma_s", "Gamma_u", "Gamma_v", "Omega_su", "Omega_sv", "Omega_uv")
     for b, gamma in enumerate(gammas):
-        one = effective_rates(_angles(float(theta[b]), float(phi[b])), gamma)
+        one = effective_rates(MixingAngles.at(float(theta[b]), float(phi[b])), gamma)
         for f in fields:
             assert isinstance(getattr(one, f), float)
             assert getattr(stacked, f)[b] == pytest.approx(getattr(one, f), rel=0.0, abs=1e-15)
@@ -75,9 +73,9 @@ def test_coherence_decay_uses_the_complementary_pair_weight():
     m = np.zeros((4, 4))
     m[0, 2] = m[2, 0] = 0.3   # gamma_13
     m[0, 3] = m[3, 0] = 1.1   # gamma_14
-    r = effective_rates(_angles(0.0, 0.0), DephasingMatrix(m))
+    r = effective_rates(MixingAngles.at(0.0, 0.0), DephasingMatrix(m))
     assert r.Gamma_v == pytest.approx(1.1, abs=1e-14)
-    phi90 = effective_rates(_angles(0.0, math.pi / 2), DephasingMatrix(m))
+    phi90 = effective_rates(MixingAngles.at(0.0, math.pi / 2), DephasingMatrix(m))
     assert phi90.Gamma_v == pytest.approx(0.3, abs=1e-14)
 
 
@@ -158,8 +156,10 @@ def test_effective_runs_carry_the_invariant_errors(ordering):
         assert traj.stats["trace_error"] < 1e-12
         assert traj.stats["hermiticity_error"] < 1e-12
         assert traj.stats["min_eigenvalue"] > -1e-8
-        # the closed-form spectrum {p +- |c|, q, q} against LAPACK on the bare states
-        lapack = np.min(np.linalg.eigvalsh(traj.rho)[:, 0])
+        # the closed-form spectrum {p +- |c|, q, q} against LAPACK on the bare states, read
+        # as liouville._invariants reads the master engine's states
+        least = np.linalg.eigvalsh(traj.rho)[:, 0]
+        lapack = least[-1] if np.all(least > -1e-12) else least.min()
         assert abs(traj.stats["min_eigenvalue"] - lapack) <= 1e-15
 
 
@@ -173,6 +173,11 @@ def test_dark_invariants_match_the_reconstructed_states(rng):
     assert abs(stats["trace_error"]
                - np.max(np.abs(np.trace(rho_a, axis1=1, axis2=2) - 1.0))) <= 4e-16
     assert abs(stats["min_eigenvalue"] - np.min(np.linalg.eigvalsh(rho_a))) <= 1e-15
+    # with |c| < p at every sample no eigenvalue is negative: the final sample's least one
+    u, v = 0.5 * u * (0.25 - 0.5 * s), 0.5 * v * (0.25 - 0.5 * s)
+    least = np.linalg.eigvalsh(dark_density(s, u, v))[:, 0]
+    assert least.min() > 0.0 and least[-1] > least.min()
+    assert abs(dark_invariants(s, u, v)["min_eigenvalue"] - least[-1]) <= 1e-15
 
 
 def test_effective_sweep_builds_no_second_basis(monkeypatch):
@@ -302,9 +307,10 @@ def test_dark_fidelity_in_passes_is_the_fidelity_of_each_sample(rng):
     s, u, v = rng.uniform(-0.5, 0.5, size=(3, n))
     ang = mixing_angles(np.linspace(cfg.start, cfg.end, n), cfg)
     amps = tripod.target_state(cfg, 0.4).amplitudes
-    alone = [effective._dark_fidelity(amps, MixingAngles(ang.theta[i:i + 1], ang.phi[i:i + 1],
-                                                         0.0, 0.0), s[i:i + 1], u[i:i + 1],
-                                      v[i:i + 1])[0] for i in range(n)]
+    one = [MixingAngles(*(getattr(ang, f.name)[i:i + 1] for f in dataclasses.fields(ang)))
+           for i in range(n)]
+    alone = [effective._dark_fidelity(amps, one[i], s[i:i + 1], u[i:i + 1], v[i:i + 1])[0]
+             for i in range(n)]
     assert np.array_equal(effective._dark_fidelity(amps, ang, s, u, v), alone)
 
 
@@ -315,7 +321,7 @@ def _rates_assembly(y: np.ndarray, ang: MixingAngles, batch: Batch, mode: Mode) 
     derivative and each member's largest generator entry, both per unit s.
     """
     r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
-    geo = 2.0 * ang.phi_dot * np.sin(ang.theta)
+    geo = 2.0 * ang.phi_dot * ang.sin_theta
     su, sv, uv = math.sqrt(2.0) * r.Omega_su, math.sqrt(2.0) * r.Omega_sv, r.Omega_uv
     if mode is Mode.WEAK_DEPHASING:
         su = sv = uv = 0.0
@@ -337,16 +343,14 @@ def test_suv_rhs_matches_the_rates_assembly(ordering, tau, x, seed, mode):
     got = effective._suv_rhs(x, y, batch, mode)
     # at the derivative's own angles, from the exponents in s, the table is the closed form
     # to a few ulps of the largest entry
-    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
-    d = x - centres
-    cos, sin, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
-    theta_dot = liouville._slow_functions(d, neg_k, amplitudes)[:, 1]
-    theta, phi = np.arctan2(sin, cos)
-    want, largest = _rates_assembly(y, MixingAngles(theta, phi, theta_dot / batch.span,
+    centres, neg_k = liouville._constants(batch)[:2]
+    d = (x - centres).T
+    cos, sin, phi_dot = pulses._frame_angles(neg_k.T * d * d, -2.0 * neg_k.T * d)
+    want, largest = _rates_assembly(y, MixingAngles(cos[0], sin[0], cos[1], sin[1], 0.0,
                                                     phi_dot / batch.span), batch, mode)
     assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * largest * np.sum(np.abs(y)))
-    # the arctan angles of mixing_angles at t lie up to ~1e-14 from these near the window
-    # edges (test_frame_angles_match_the_mixing_angles)
+    # mixing_angles at t forms the exponents in t, which differ from those in x by ulps of
+    # exponents up to ~1e4: the angles move by up to ~1e-14 near the window edges
     want, largest = _rates_assembly(y, mixing_angles(batch.start + x * batch.span, batch),
                                     batch, mode)
     assert np.all(np.abs(got - want) <= 5e-14 * largest * np.sum(np.abs(y)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import signal
 import warnings
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tripod_stirap import effective, liouville, pulses, tripod
+from arctan_angles import arctan_angles
+from tripod_stirap import effective, liouville, tripod
 from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
 from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, frame_map,
                                       rhs_adiabatic, rhs_bare)
@@ -87,9 +89,9 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
     frame = adiabatic_frame(t, cfg)
     rho = frame.R @ rho_a @ frame.R.conj().T
     h, ang = 1e-6, frame.angles
-    shifted = lambda sgn: frame_matrix(MixingAngles(
-        theta=ang.theta + sgn * h * ang.theta_dot, phi=ang.phi + sgn * h * ang.phi_dot,
-        theta_dot=0.0, phi_dot=0.0))
+    theta, phi = math.atan2(ang.sin_theta, ang.cos_theta), math.atan2(ang.sin_phi, ang.cos_phi)
+    shifted = lambda sgn: frame_matrix(MixingAngles.at(theta + sgn * h * ang.theta_dot,
+                                                       phi + sgn * h * ang.phi_dot))
     w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
     expected = (frame.R.conj().T @ density(_rhs_at(rhs_bare, t, coords(rho), cfg)) @ frame.R
                 - (w @ rho_a - rho_a @ w))
@@ -115,6 +117,18 @@ def test_coordinates_round_trip_exactly(rng):
     assert np.array_equal(coords(density(c)), c)
     rho = _random_hermitian(rng)
     assert np.max(np.abs(density(coords(rho)) - rho)) < 1e-16
+
+
+@pytest.mark.parametrize("n", [1, 7, 622, 10_000])
+def test_density_has_the_bits_of_the_complex_product(rng, n):
+    # the gather against c @ _TO_VEC.T, signed zeros included, on row-major and transposed
+    # stacks of states and on one state
+    c = rng.normal(size=(n, 16))
+    c[rng.random(c.shape) < 0.1] = -0.0
+    c[rng.random(c.shape) < 0.1] = 0.0
+    for states in (c, np.ascontiguousarray(c.T).T, c[0]):
+        want = (states @ liouville._TO_VEC.T).reshape(np.shape(states)[:-1] + (4, 4))
+        assert np.array_equal(density(states).view(np.uint64), want.view(np.uint64))
 
 
 def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
@@ -217,7 +231,7 @@ def test_frame_map_is_the_conjugation_by_the_frame(theta, phi, seed):
     # T c = coords(R rho R^dag) for any angles, and N^-1 T^T N undoes it
     rng = np.random.default_rng(seed)
     c = rng.normal(size=16)
-    ang = MixingAngles(theta, phi, 0.0, 0.0)
+    ang = MixingAngles.at(theta, phi)
     t = frame_map(ang)
     assert t.shape == (16, 16) and t.dtype == np.float64
     assert np.max(np.abs(t @ c - _conjugated(frame_matrix(ang), c))) < 4e-15 * np.max(np.abs(c))
@@ -226,8 +240,8 @@ def test_frame_map_is_the_conjugation_by_the_frame(theta, phi, seed):
 
 def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
     # (n, B) angles, as the sample times of a batch give them, map in one call
-    ang = MixingAngles(rng.uniform(0.0, np.pi / 2, (7, 5)), rng.uniform(0.0, np.pi / 2, (7, 5)),
-                       0.0, 0.0)
+    theta, phi = rng.uniform(0.0, np.pi / 2, (2, 7, 5))
+    ang = MixingAngles.at(theta, phi)
     t = frame_map(ang)
     assert t.shape == (7, 5, 16, 16)
     c = rng.normal(size=(7, 5, 16))
@@ -236,7 +250,7 @@ def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
     back = ((t.swapaxes(-1, -2) * _NORM2 / _NORM2[:, None]) @ got[..., None])[..., 0]
     assert np.max(np.abs(back - c)) < 1e-14 * np.max(np.abs(c))
     for i, j in ((0, 0), (3, 4), (6, 2)):
-        one = frame_map(MixingAngles(ang.theta[i, j], ang.phi[i, j], 0.0, 0.0))
+        one = frame_map(MixingAngles.at(theta[i, j], phi[i, j]))
         assert np.max(np.abs(t[i, j] - one)) < 1e-15
 
 
@@ -302,24 +316,26 @@ def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_frame_angles_match_the_mixing_angles(rng):
-    # cos and sin of theta and phi and the angle rates, formed with no arctan, against
-    # pulses.mixing_angles on the mixed batch across the window; the exponents in s and in
-    # t differ by ulps of exponents up to ~1e4, which moves the angles by up to ~1e-14
+def test_slow_function_angles_match_the_arctan_oracle(rng):
+    # cos and sin of theta and phi and the angle rates of the eigenframe derivative, from the
+    # exponents in s, against the arctan angles at t on the mixed batch across the window;
+    # the exponents in s and in t differ by ulps of exponents up to ~1e4, which moves the
+    # angles by up to ~1e-14
     batch = Batch.of(_rhs_batch(rng))
     centres, neg_k, amplitudes = liouville._constants(batch)[:3]
     for s in np.linspace(0.0, 1.0, 41):
-        d = s - centres
-        cos, sin, phi_dot = pulses._frame_angles(neg_k * d * d, -2.0 * neg_k * d)
-        theta_dot = liouville._slow_functions(d, neg_k, amplitudes)[:, 1]
-        ang = mixing_angles(batch.start + s * batch.span, batch)
-        angle = np.array([ang.theta, ang.phi])
-        assert np.max(np.abs(cos - np.cos(angle))) < 1e-14
-        assert np.max(np.abs(sin - np.sin(angle))) < 1e-14
-        # the rates of mixing_angles are per unit t; these are per unit s
-        scale = 1e-14 * (1.0 + np.abs(ang.theta_dot) + np.abs(ang.phi_dot))
-        assert np.all(np.abs(theta_dot / batch.span - ang.theta_dot) < scale)
-        assert np.all(np.abs(phi_dot / batch.span - ang.phi_dot) < scale)
+        slow = liouville._slow_functions(s - centres, neg_k, amplitudes)
+        theta, phi, theta_dot, phi_dot = arctan_angles(batch.start + s * batch.span, batch)
+        # the harmonics at k = 1: (cos, sin)(theta) in columns 5 and 10, of phi in 1 and 2
+        harmonics = slow[:, 4:]
+        for column, want in ((5, np.cos(theta)), (10, np.sin(theta)),
+                             (1, np.cos(phi)), (2, np.sin(phi))):
+            assert np.max(np.abs(harmonics[:, column] - want)) < 1e-14
+        # the rates of the oracle are per unit t; these are per unit s
+        scale = 1e-14 * (1.0 + np.abs(theta_dot) + np.abs(phi_dot))
+        assert np.all(np.abs(slow[:, 1] / batch.span - theta_dot) < scale)
+        sin_theta = harmonics[:, 10]
+        assert np.all(np.abs(slow[:, 2] / batch.span - phi_dot * sin_theta) < scale)
 
 
 def test_rhs_adiabatic_forms_no_complex_frame_per_call(monkeypatch):
@@ -343,7 +359,7 @@ def test_an_eigenframe_solve_builds_two_complex_frames_whatever_its_length(monke
     calls = []
 
     def counted(angles):
-        calls.append(np.shape(angles.theta))
+        calls.append(np.shape(angles.cos_theta))
         return frame_matrix(angles)
 
     monkeypatch.setattr(liouville, "frame_matrix", counted)

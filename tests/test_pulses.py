@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arctan_angles import arctan_angles
 from tripod_stirap.pulses import (
     Batch,
     DephasingMatrix,
+    MixingAngles,
     Ordering,
     PulseConfig,
     mixing_angles,
@@ -218,17 +221,20 @@ def test_mixing_angles_match_envelope_ratios_mid_window() -> None:
     for t in np.linspace(-2.0, 2.0, 17):
         op, os_, oc = pulse_envelopes(t, cfg)
         ang = mixing_angles(t, cfg)
-        assert math.isclose(math.tan(ang.phi), oc / os_, rel_tol=1e-12)
-        assert math.isclose(math.tan(ang.theta), op / math.hypot(os_, oc), rel_tol=1e-12)
+        assert math.isclose(ang.sin_phi / ang.cos_phi, oc / os_, rel_tol=1e-12)
+        assert math.isclose(ang.sin_theta / ang.cos_theta, op / math.hypot(os_, oc),
+                            rel_tol=1e-12)
 
 
 def test_mixing_angles_overlap_limits() -> None:
+    # theta runs from 0 to pi/2 and phi stays at pi/4, where cos and sin are the same bits
     cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.5)
     early, late = mixing_angles(cfg.start, cfg), mixing_angles(cfg.end, cfg)
-    assert early.theta < 1e-5
-    assert abs(late.theta - math.pi / 2) < 1e-5
+    assert early.sin_theta < 1e-5
+    assert late.cos_theta < 1e-5
     for ang in (early, late):
-        assert math.isclose(ang.phi, math.pi / 4, rel_tol=1e-12)
+        assert math.isclose(ang.cos_phi, math.sqrt(0.5), rel_tol=1e-12)
+        assert ang.sin_phi == ang.cos_phi
         assert ang.phi_dot == 0.0
 
 
@@ -236,7 +242,7 @@ def test_mixing_angles_survive_extreme_times() -> None:
     cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
     for t in (-1e3, -50.0, 50.0, 1e3):
         ang = mixing_angles(t, cfg)
-        assert np.isfinite([ang.theta, ang.phi, ang.theta_dot, ang.phi_dot]).all()
+        assert np.isfinite([getattr(ang, f.name) for f in fields(MixingAngles)]).all()
 
 
 def test_mixing_angles_array_matches_scalars() -> None:
@@ -245,8 +251,9 @@ def test_mixing_angles_array_matches_scalars() -> None:
     arr = mixing_angles(t, cfg)
     for i, ti in enumerate(t):
         one = mixing_angles(float(ti), cfg)
-        assert math.isclose(arr.theta[i], one.theta, rel_tol=0.0, abs_tol=1e-15)
-        assert math.isclose(arr.phi_dot[i], one.phi_dot, rel_tol=0.0, abs_tol=1e-15)
+        for name in ("cos_theta", "sin_theta", "phi_dot"):
+            assert math.isclose(getattr(arr, name)[i], getattr(one, name), rel_tol=0.0,
+                                abs_tol=1e-15)
 
 
 def test_mixing_angles_of_a_batch_equal_each_member_bit_for_bit() -> None:
@@ -258,8 +265,34 @@ def test_mixing_angles_of_a_batch_equal_each_member_bit_for_bit() -> None:
         got = mixing_angles(t, batch)
         for b, cfg in enumerate(cfgs):
             one = mixing_angles(float(t[b]), cfg)
-            for name in ("theta", "phi", "theta_dot", "phi_dot"):
-                assert getattr(got, name)[b] == getattr(one, name), (cfg, s, name)
+            for f in fields(MixingAngles):
+                assert getattr(got, f.name)[b] == getattr(one, f.name), (cfg, s, f.name)
+
+
+def test_mixing_angles_of_given_angles_are_their_cos_and_sin() -> None:
+    ang = MixingAngles.at(0.3, np.array([0.1, 1.2]), phi_dot=2.0)
+    assert (ang.cos_theta, ang.sin_theta) == (math.cos(0.3), math.sin(0.3))
+    assert np.array_equal(ang.cos_phi, np.cos([0.1, 1.2]))
+    assert np.array_equal(ang.sin_phi, np.sin([0.1, 1.2]))
+    assert (ang.theta_dot, ang.phi_dot) == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_mixing_angles_match_the_arctan_oracle(ordering: str) -> None:
+    # cos and sin of the arctan angles, and the same rates, across a window and far past
+    # its edges, where every envelope has underflowed and the exponents are clamped
+    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=1.3, width=0.7)
+    t = np.concatenate([np.linspace(cfg.start, cfg.end, 401), [-1e3, -60.0, 60.0, 1e3]])
+    ang = mixing_angles(t, cfg)
+    theta, phi, theta_dot, phi_dot = arctan_angles(t, cfg)
+    for got, want in ((ang.cos_theta, np.cos(theta)), (ang.sin_theta, np.sin(theta)),
+                      (ang.cos_phi, np.cos(phi)), (ang.sin_phi, np.sin(phi))):
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+    # theta' cancels in its lever near the edges; past them the arctan form holds tan(theta)
+    # above exp(-350), where these sines reach 0
+    scale = 1e-14 * (np.abs(theta_dot) + np.abs(phi_dot)) + 1e-140
+    assert np.all(np.abs(ang.theta_dot - theta_dot) <= scale)
+    assert np.all(np.abs(ang.phi_dot - phi_dot) <= scale)
 
 
 @given(
@@ -269,8 +302,9 @@ def test_mixing_angles_of_a_batch_equal_each_member_bit_for_bit() -> None:
 )
 def test_mixing_angles_stay_in_quadrant(ordering: str, t: float, tau: float) -> None:
     ang = mixing_angles(t, PulseConfig(ordering=ordering, omega0=50.0, tau=tau))
-    assert 0.0 <= ang.theta <= math.pi / 2
-    assert 0.0 <= ang.phi <= math.pi / 2
+    for cos, sin in ((ang.cos_theta, ang.sin_theta), (ang.cos_phi, ang.sin_phi)):
+        assert 0.0 <= cos <= 1.0 and 0.0 <= sin <= 1.0
+        assert math.isclose(cos * cos + sin * sin, 1.0, rel_tol=1e-15)
 
 
 @given(
@@ -283,7 +317,9 @@ def test_mixing_angle_rates_match_finite_differences(ordering: str, t: float, ta
     h = 1e-6
     plus, minus = mixing_angles(t + h, cfg), mixing_angles(t - h, cfg)
     ang = mixing_angles(t, cfg)
-    assert math.isclose(ang.theta_dot, (plus.theta - minus.theta) / (2 * h),
+    theta = [math.atan2(a.sin_theta, a.cos_theta) for a in (plus, minus)]
+    phi = [math.atan2(a.sin_phi, a.cos_phi) for a in (plus, minus)]
+    assert math.isclose(ang.theta_dot, (theta[0] - theta[1]) / (2 * h),
                         rel_tol=1e-4, abs_tol=1e-7)
-    assert math.isclose(ang.phi_dot, (plus.phi - minus.phi) / (2 * h),
+    assert math.isclose(ang.phi_dot, (phi[0] - phi[1]) / (2 * h),
                         rel_tol=1e-4, abs_tol=1e-7)
