@@ -154,18 +154,32 @@ def _sweep_report(result: analysis.SweepResult) -> dict:
     }
 
 
+# rows formatted, written and hashed at a time by _write_csv
+_CSV_ROWS = 2048
+
+
 def _write_csv(path: Path, entries: dict, header: list[str], table: np.ndarray,
                markers=None) -> dict:
-    """Write the comment line, the header and the rows of a 2-D float table, in one %-format
-    over its flattened values; with `markers`, each row ends in its string marker."""
+    """Write the comment line, the header and the rows of a 2-D float table; with `markers`,
+    each row ends in its string marker.  Blocks of _CSV_ROWS rows are formatted in one
+    %-format over their flattened values, then written and hashed, so a long table never
+    exists as one string.  A table with no rows leaves one empty line."""
     row = ",".join(["%.12g"] * table.shape[1])
-    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-    if markers is not None:
-        body = "\n".join(f"{cells},{marker}" for cells, marker in zip(body.split("\n"), markers))
-    lines = ["# " + _config_line(entries), ",".join(header), body]
-    blob = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(blob)
-    return {"path": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    markers = None if markers is None else iter(markers)
+    digest = hashlib.sha256()
+    with path.open("wb") as f:
+        for first in range(0, max(len(table), 1), _CSV_ROWS):
+            block = table[first:first + _CSV_ROWS]
+            body = "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+            if markers is not None:
+                body = "\n".join(f"{cells},{marker}"
+                                 for cells, marker in zip(body.split("\n"), markers))
+            if first == 0:
+                body = f"# {_config_line(entries)}\n{','.join(header)}\n{body}"
+            blob = (body + "\n").encode("utf-8")
+            f.write(blob)
+            digest.update(blob)
+        return {"path": path.name, "sha256": digest.hexdigest(), "bytes": f.tell()}
 
 
 def _write_manifest(path: Path, command: str, entries: dict, outputs: list[dict],
@@ -230,7 +244,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         engine = analysis.Engine(engine_name)
     except ValueError:
-        raise ValueError(f"engine must be master, effective or analytic, got {engine_name!r}") from None
+        raise ValueError("engine must be master, effective or analytic, "
+                         f"got {engine_name!r}") from None
     samples = s.get("samples", 2000, int)
     eps = s.get("epsilon", 0.1, float)
     t_max_eval = s.get("t_max_eval", None, float)

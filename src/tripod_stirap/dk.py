@@ -21,10 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from .errors import GammaPole, WrongOrdering, ZeroDelay
-from .liouville import _solve
+from .errors import GammaPole, StepSizeUnderflow, WrongOrdering, ZeroDelay
 from .pulses import Ordering, PulseConfig, mixing_angles
 
 # total swing of the rotation angle xi; also fixes the sech pulse area
@@ -207,7 +206,9 @@ def dk_amplitudes_ode(p: DKParams) -> DKAmplitudes:
         phi = dressing(t)
         return [rate * math.exp(phi) * c_p, -rate * math.exp(-phi) * c_m]
 
-    sol = _solve(rhs, (t0, t1), [0.0, 1.0], "RK45", rtol=1e-10, atol=1e-13)
+    sol = solve_ivp(rhs, (t0, t1), [0.0, 1.0], method="RK45", rtol=1e-10, atol=1e-13)
+    if not sol.success:
+        raise StepSizeUnderflow(sol.message)
     c_m, c_p = sol.y[0, -1], sol.y[1, -1]
     return DKAmplitudes(U_pp=float(c_p), U_mp=float(c_m))
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
                      mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch, _times,
+from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch,
                         _trajectory)
 
 _SQRT2 = np.sqrt(2.0)
@@ -152,7 +152,8 @@ def _suv_constants(batch: Batch, mode: Mode) -> tuple:
 
 
 def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
-    """d(s, u, v)/dx of every member, on states of shape (3, B), at the normalised time x.
+    """d(s, u, v)/dx of every member at the normalised time x, on the solver's flat state
+    (s of every member, then u, then v) or its (3, B) form, in the shape of y.
 
     The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), so
     phi' is per unit x like the table of _suv_constants; the generator is one contraction of
@@ -163,7 +164,7 @@ def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
     neg_kd = neg_k * d
     cos, sin, phi_dot = _frame_angles(neg_kd * d, -2.0 * neg_kd)
     gen = _monomials(cos, sin, phi_dot)[:, None] @ table
-    return (gen.reshape(-1, 3, 3) @ y.T[:, :, None])[:, :, 0].T
+    return (gen.reshape(-1, 3, 3) @ y.reshape(3, -1).T[:, :, None])[:, :, 0].T.reshape(y.shape)
 
 
 def _dark_block(s, u, v):
@@ -258,23 +259,23 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                    samples: int = 2000) -> Iterator[EffectiveTrajectory]:
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
-    One shared RK45 solve of _suv_rhs, looked up by name at every call, on the
-    scaffold of liouville.integrate_many (_solve_batch: window, samples, budget);
-    each member keeps dark_density(s, u, v) in the adiabatic basis, with its
+    One shared RK45 solve of _suv_rhs, bound once per solve, on the step loop of
+    liouville.integrate_many (_solve_batch: window, samples, budget); each
+    member keeps dark_density(s, u, v) in the adiabatic basis, with its
     invariant errors in closed form (dark_invariants) and theta_g from
     tripod.geometric_phases.
     """
     batch = Batch.of(cfgs)
-    sol = _solve_batch(lambda s, y: _suv_rhs(s, y.reshape(3, -1), batch, mode).ravel(),
-                       np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples, METHOD,
-                       "the effective solve stopped at its budget of {} derivative calls "
-                       "(about 30 per unit of gamma)")
-    s, u, v = sol.y.reshape(3, -1, samples)
+    y, nfev = _solve_batch(partial(_suv_rhs, batch=batch, mode=mode),
+                           np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples,
+                           METHOD, "the effective solve stopped at its budget of {} derivative "
+                           "calls (about 30 per unit of gamma)")
+    s, u, v = y.reshape(3, -1, samples)
 
     def member(b: int, cfg: PulseConfig, theta_g: float) -> EffectiveTrajectory:
         dark = s[b], u[b], v[b]
-        traj = _trajectory(cfg, Basis.ADIABATIC, _times(cfg, sol.t, samples), dark_density(*dark),
-                           int(sol.nfev), theta_g, dark_invariants(*dark),
+        traj = _trajectory(cfg, Basis.ADIABATIC, samples, dark_density(*dark),
+                           nfev, theta_g, dark_invariants(*dark),
                            lambda target, t: _dark_fidelity(target.amplitudes,
                                                             mixing_angles(t, cfg), *dark))
         return EffectiveTrajectory(**vars(traj), mode=mode, s=s[b], u=u[b], v=v[b])

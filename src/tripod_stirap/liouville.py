@@ -18,9 +18,9 @@ with constant real 16x16 matrices L_k, the coordinate form of -i [H_k, .],
 and the diagonal L_gamma, which damps Re rho_ij and Im rho_ij at gamma_ij.
 Runs are integrated as a batch: every member is mapped onto the
 normalised time s in [0, 1] and all of them advance through one shared
-eighth-order Dormand-Prince (DOP853) solve on (B, 16) real states.  The
-derivatives take s itself and return dc/ds from constants built once per
-batch (_constants), each member's window span folded in.  In the
+eighth-order Dormand-Prince (DOP853) solve on the flat (B * 16,) real
+state.  The derivatives take s itself and return dc/ds from constants built
+once per batch (_constants), each member's window span folded in.  In the
 instantaneous eigenframe the equation has four constant terms of the same
 kind plus the dephasing rotated into the frame by a real 16x16 map
 (frame_map, rhs_adiabatic), their weights and the map's harmonics read from
@@ -34,10 +34,10 @@ import enum
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy.integrate
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
 from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig,
@@ -132,31 +132,33 @@ def _constants(batch: Batch) -> tuple:
     s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
     negates nothing; the amplitudes omega0 and the coordinate damping gamma_c carry
     span, and so does N gamma_c, the damping of the frame dephasing (_frame_damping).
-    Every array has the shape of its use: (B, 3) per pulse, (B, 16) per coordinate,
-    since a broadcast (B, 1) operand makes a derivative's multiply about twice as slow.
+    Every array has the shape of its use: (B, 3) per pulse, (B, 16) per coordinate and the
+    flat (B * 16,) damping of rhs_bare, since a broadcast (B, 1) operand makes a
+    derivative's multiply about twice as slow.
     """
     span = batch.span[:, None]
     damping = batch.rates.take(_POS, axis=1) * span
     return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
-            np.repeat(batch.omega0 * span, 3, axis=1), damping, damping * _NORM2)
+            np.repeat(batch.omega0 * span, 3, axis=1), damping.ravel(), damping * _NORM2)
 
 
-def _drive(weights: np.ndarray, vec: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """sum_k weights[:, k] L_k c for (B, K) weights and the K superoperators of `stacked`."""
-    return (weights[:, None] @ (vec @ stacked).reshape(len(vec), -1, 16)).reshape(vec.shape)
+def _drive(weights: np.ndarray, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """sum_k weights[:, k] L_k c, flat, for (B, K) weights, the flat state c and the K
+    superoperators of `stacked`."""
+    return (weights[:, None] @ (c.reshape(-1, 16) @ stacked).reshape(len(weights), -1, 16)
+            ).ravel()
 
 
 def rhs_bare(s, c: np.ndarray, batch: Batch) -> np.ndarray:
     """Bare-basis c' = (sum_k Omega_k L_k + L_gamma) c in the real coordinates.
 
-    dc/ds at the normalised time s for states c of shape (B, 16) or flat, in the shape of c.
+    dc/ds at the normalised time s on the flat (B * 16,) state, as the solver holds it.
     """
     centres, neg_k, amplitudes, damping, _ = _constants(batch)
-    vec = c.reshape(len(batch), 16)
     d = s - centres
-    out = _drive(amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)), vec, _DRIVE)
-    out -= damping * vec
-    return out.reshape(c.shape)
+    out = _drive(amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)), c, _DRIVE)
+    out -= damping * c
+    return out
 
 
 def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
@@ -333,24 +335,23 @@ def _slow_series(s, batch: Batch) -> np.ndarray:
 def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
     """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
 
-    On the times, coordinates and shapes of rhs_bare, for s in [0, 1].  H_a =
+    On the times and flat coordinates of rhs_bare, for s in [0, 1].  H_a =
     diag(0, 0, Omega/2, -Omega/2) and W = tripod.frame_generator make the coherent part one
     contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the
     real frame map.  The weights and T's harmonics are read from each member's Chebyshev
     panels (_slow_series), within a few ulps of their closed forms (_slow_functions).
     """
-    vec = c.reshape(len(batch), 16)
     slow = _slow_series(s, batch)
-    out = _drive(slow[:, :4], vec, _FRAME_DRIVE)
-    out -= _frame_damping(vec, (slow[:, 4:] @ _frame_terms()).reshape(-1, 16, 16),
-                          _constants(batch)[4])
-    return out.reshape(c.shape)
+    out = _drive(slow[:, :4], c, _FRAME_DRIVE)
+    out -= _frame_damping(c.reshape(-1, 16), (slow[:, 4:] @ _frame_terms()).reshape(-1, 16, 16),
+                          _constants(batch)[4]).ravel()
+    return out
 
 
 @dataclass
 class Trajectory:
-    """Solution of one run at its output samples or the solver's accepted steps, with
-    derived observables.
+    """Solution of one run at its output samples or at its window's end alone, with derived
+    observables.
 
     `states` holds them in the basis the engine solved in; the other basis is
     built on its first read through to_adiabatic or from_adiabatic and kept.
@@ -387,50 +388,60 @@ class Trajectory:
         return np.real(np.einsum("nii->ni", self.rho_a))
 
 
-def _solve(fun, t_span, y0, method: str, t_eval=None, rtol: float = RTOL, atol: float = ATOL,
-           max_step: float = np.inf):
-    """solve_ivp with the engine's explicit Runge-Kutta method; a failure raises a typed error.
+def _certified(states: np.ndarray) -> bool:
+    """Whether one Cholesky factorisation of the stack shifted by 1e-12 passes: then no state
+    has an eigenvalue below about -1e-12."""
+    try:
+        np.linalg.cholesky(states + 1e-12 * np.eye(4))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    A non-finite derivative at the start would make the first step size
-    NaN, and the step loop would then never end, so it is refused up front.
-    Without events, a failed Runge-Kutta solve (status -1) is a step-size
-    underflow.
+
+class _Invariants:
+    """Each member's trace and Hermiticity errors and a least eigenvalue, folded over the
+    (n, B, 4, 4) stacks of its states handed to `add`, in any basis.
+
+    Where a member's stacks pass the positivity certificate (_certified), min_eigenvalue is
+    its final state's least eigenvalue.  Where one fails, it is the least over the stacks
+    that fail, which hold every eigenvalue below about -1e-12; on a single stack that is the
+    least over the whole stack.  density builds exactly Hermitian states, so eigvalsh and
+    cholesky, which read one triangle, take them as they are.
     """
-    if not np.all(np.isfinite(fun(t_span[0], y0))):
-        raise ToleranceNotMet("non-finite derivative at the start of the window")
-    sol = solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, rtol=rtol, atol=atol,
-                    max_step=max_step)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    return sol
+
+    def __init__(self, members: int):
+        self.errors, self.least, self.last = np.zeros((2, members)), np.full(members, np.inf), None
+
+    def add(self, states: np.ndarray) -> None:
+        np.maximum(self.errors, [np.abs(np.einsum("nbii->nb", states) - 1.0).max(0),
+                                 np.abs(states - np.conj(states.swapaxes(-1, -2))).max((0, 2, 3))],
+                   out=self.errors)
+        for b in [] if _certified(states) else range(states.shape[1]):
+            if not _certified(states[:, b]):
+                self.least[b] = min(self.least[b], np.linalg.eigvalsh(states[:, b])[:, 0].min())
+        self.last = states[-1]
+
+    def stats(self) -> list[dict]:
+        least = np.where(np.isinf(self.least), np.linalg.eigvalsh(self.last)[:, 0], self.least)
+        return [{"trace_error": float(trace), "hermiticity_error": float(hermiticity),
+                 "min_eigenvalue": float(value)}
+                for trace, hermiticity, value in zip(*self.errors, least)]
 
 
 def _invariants(states: np.ndarray) -> dict:
-    """Trace and Hermiticity errors and a least eigenvalue of a stack of states, in any basis.
-
-    One Cholesky factorisation of the stack shifted by 1e-12 certifies that no sample has an
-    eigenvalue below about -1e-12; then min_eigenvalue is the final sample's least one.
-    Where it fails, min_eigenvalue is the least over the whole stack, so it is exact
-    whenever some sample can lie below -1e-12.  density builds exactly Hermitian states,
-    so eigvalsh and cholesky, which read one triangle, take them as they are.
-    """
-    try:
-        np.linalg.cholesky(states + 1e-12 * np.eye(4))
-        checked = states[-1:]
-    except np.linalg.LinAlgError:
-        checked = states
-    return {
-        "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
-        "hermiticity_error": float(np.max(np.abs(states - np.conj(states.swapaxes(1, 2))))),
-        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(checked)[:, 0])),
-    }
+    """_Invariants of one (n, 4, 4) stack of states."""
+    folded = _Invariants(1)
+    folded.add(states[:, None])
+    return folded.stats()[0]
 
 
-def _trajectory(cfg: PulseConfig, basis: Basis, t: np.ndarray, states: np.ndarray, nfev: int,
-                theta_g: float, invariants: dict | None = None,
+def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.ndarray,
+                nfev: int, theta_g: float, invariants: dict | None = None,
                 fidelity: Callable[[TargetState, np.ndarray], np.ndarray] | None = None
                 ) -> Trajectory:
-    """Fidelity and invariant errors of one member's states at times t, in the basis solved in.
+    """Fidelity and invariant errors of one member's states in the basis solved in, at the
+    output of _solve_batch: np.linspace(start, end, samples), or the window's end alone with
+    samples None.
 
     The target state takes the member's geometric angle theta_g, which both
     engines evaluate once per batch.  In the adiabatic basis the fidelity is
@@ -438,6 +449,7 @@ def _trajectory(cfg: PulseConfig, basis: Basis, t: np.ndarray, states: np.ndarra
     invariants, and the fidelity as a function of the target state and the
     times, are taken from the states unless the engine supplies them.
     """
+    t = np.linspace(cfg.start, cfg.end, samples) if samples else np.array([cfg.end])
     tgt = target_state(cfg, theta_g)
     if fidelity is not None:
         fid = fidelity(tgt, t)
@@ -463,42 +475,63 @@ def check_samples(samples: int) -> None:
         raise ValueError("samples must be at least 2")
 
 
-def _times(cfg: PulseConfig, s: np.ndarray, samples: int | None) -> np.ndarray:
-    """A member's times at the solution points s of _solve_batch: np.linspace(start, end,
-    samples) on an output grid, start + s * span at the accepted steps (samples None)."""
-    if samples is None:
-        return cfg.start + s * (cfg.end - cfg.start)
-    return np.linspace(cfg.start, cfg.end, samples)
+# member states a final-state solve folds at a time: _FOLD // B accepted steps of B members,
+# at least one step
+_FOLD = 384
 
 
-def _solve_batch(derivative, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
-                 budget: str):
-    """The scaffold of both ODE engines: one solve of derivative(s, y) = dy/ds on the flat
-    batch state y over s in [0, 1], sampled at np.linspace(0, 1, samples).  With samples
-    None there is no output grid: the solution holds the solver's own states at its
-    accepted steps, the same steps without the dense-output calls (three per DOP853 step
-    that holds a sample).  Past MAX_NFEV calls, read at call time, it raises
-    StepBudgetExceeded with `budget` formatted with the count.
+def _solve_batch(rhs, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
+                 budget: str, fold: Callable[[np.ndarray], None] | None = None) -> tuple:
+    """The step loop of both ODE engines: one solve of rhs(s, y) = dy/ds on the flat batch
+    state y over s in [0, 1] by SciPy's `method` solver object, at RTOL and ATOL.
+
+    Returns the states and the derivative calls.  On an output grid the states are
+    (len(y0), samples) at np.linspace(0, 1, samples), read from dense_output() on the steps
+    that hold samples, with solve_ivp's arithmetic.  With samples None they are the final
+    state alone, (len(y0), 1), and fold is handed the accepted states, y0 first, in
+    (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
+
+    A non-finite derivative at the start would make the first step size NaN, and the step
+    loop would then never end, so it is refused up front.  A solve that needs more than
+    MAX_NFEV calls, that check's included, raises StepBudgetExceeded with `budget` formatted
+    with MAX_NFEV (both read at call time); the count is the solver's `nfev`, read after
+    each step.  A failed step is a step-size underflow.
 
     No step is longer than a member's default window (PulseConfig.reach): on a wider custom
     window the step would otherwise grow across the quiet edges and pass over the pulses
     without a stage landing on them.  On a window no wider than the default the bound is
     at least the whole window, and the solve is the unbounded one.
     """
-    if samples is not None:
+    if samples is None:
+        rows = np.empty((max(_FOLD // len(batch), 1), len(y0)))
+        rows[0], done = y0, 1
+    else:
         check_samples(samples)
-    calls = 0
-
-    def fun(s, y):
-        nonlocal calls
-        if calls >= MAX_NFEV:
-            raise StepBudgetExceeded(budget.format(calls))
-        calls += 1
-        return derivative(s, y)
-
-    max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
-    t_eval = None if samples is None else np.linspace(0.0, 1.0, samples)
-    return _solve(fun, (0.0, 1.0), y0, method, t_eval, max_step=max_step)
+        grid, out, done = np.linspace(0.0, 1.0, samples), np.empty((len(y0), samples)), 0
+    if not np.all(np.isfinite(rhs(0.0, y0))):
+        raise ToleranceNotMet("non-finite derivative at the start of the window")
+    solver = getattr(scipy.integrate, method)(
+        rhs, 0.0, y0, 1.0, rtol=RTOL, atol=ATOL,
+        max_step=min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span)))
+    while solver.status == "running":
+        message = solver.step()
+        if solver.nfev >= MAX_NFEV:
+            raise StepBudgetExceeded(budget.format(MAX_NFEV))
+        if solver.status == "failed":
+            raise StepSizeUnderflow(message)
+        if samples is None:
+            if done == len(rows):
+                fold(rows)
+                done = 0
+            rows[done] = solver.y
+            done += 1
+        elif (end := grid.searchsorted(solver.t, side="right")) > done:
+            out[:, done:end] = solver.dense_output()(grid[done:end])
+            done = end
+    if samples is None:
+        fold(rows[:done])
+        return solver.y[:, None], solver.nfev
+    return out, solver.nfev
 
 
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
@@ -506,42 +539,42 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     """Propagate |psi_1><psi_1| for every configuration in one shared solve.
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
-    members with different windows share every DOP853 step on their (B, 16)
-    real coordinates.  The step size follows the hardest member and the error
-    norm spans the batch, so a member's values depend on the batch at the
-    level of the solver's own error, and the same batch gives the same values.
-    On the default fig5a, fig5b, fig6 and fig8 grids every member's final F2
-    lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole F2 trajectory
-    within 1.1e-8, of a lone solve at rtol 1e-13.  On _solve_batch, the scaffold
-    shared with effective.integrate_many, each trajectory is sampled at
-    np.linspace(start, end, samples); with samples None it holds the states at
-    the solver's accepted steps instead, at times start + s * span, for callers
-    that read only the final state.  That state is the solver's own at s = 1,
-    where a grid reads its interpolant, y_old + (y_new - y_old), equal to it up
-    to an ulp.  Its `nfev` counts the calls of the batch derivative, rhs_bare
-    or rhs_adiabatic (from R^dag rho R), looked up by name at every call.  A
-    solve past MAX_NFEV calls raises
-    StepBudgetExceeded; like any failed solve it raises for the whole batch at
-    the call.  The trajectories are built as the caller iterates, and only
-    there do their states become complex 4x4 matrices.
+    members with different windows share every DOP853 step on the flat state
+    of their (B, 16) real coordinates.  The step size follows the hardest
+    member and the error norm spans the batch, so a member's values depend on
+    the batch at the level of the solver's own error, and the same batch gives
+    the same values.  On the default fig5a, fig5b, fig6 and fig8 grids every
+    member's final F2 lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole
+    F2 trajectory within 1.1e-8, of a lone solve at rtol 1e-13.  On
+    _solve_batch, the step loop shared with effective.integrate_many, each
+    trajectory is sampled at np.linspace(start, end, samples).  With samples
+    None it keeps only the final state, the solver's own at s = 1, where a grid
+    reads its interpolant, y_old + (y_new - y_old), equal to it up to an ulp;
+    its invariants are folded over the states at the solver's accepted steps
+    as the solve takes them, with no output grid and no stack of the steps.
+    Its `nfev` counts the calls of the batch derivative, rhs_bare or
+    rhs_adiabatic (from R^dag rho R), bound once per solve.  A solve past
+    MAX_NFEV calls raises StepBudgetExceeded; like any failed solve it raises
+    for the whole batch at the call.  The trajectories are built as the
+    caller iterates, and only there do their states become complex 4x4
+    matrices.
     """
     batch = Batch.of(cfgs)
     n = len(batch)
     c0 = np.eye(16)[0]  # rho_11 = 1
     y0 = (np.tile(c0, n) if basis is Basis.BARE
           else coords(to_adiabatic(density(c0), batch.start, batch)).ravel())
-
-    def derivative(s, y):
-        rhs = rhs_bare if basis is Basis.BARE else rhs_adiabatic
-        return rhs(s, y.reshape(n, 16), batch).ravel()
-
-    sol = _solve_batch(derivative, y0, batch, samples, METHOD, "the master solve stopped at its "
-                       "budget of {} derivative calls (about 45 per unit of Omega0); --engine "
-                       "effective takes about 900 at any Omega0")
-    return (_trajectory(cfg, basis, _times(cfg, sol.t, samples), density(c.T), int(sol.nfev),
-                        theta_g)
-            for cfg, c, theta_g in zip(batch.cfgs, sol.y.reshape(n, 16, -1),
-                                       geometric_phases(batch.cfgs)))
+    folded = _Invariants(n)
+    y, nfev = _solve_batch(partial(rhs_bare if basis is Basis.BARE else rhs_adiabatic,
+                                   batch=batch), y0, batch, samples, METHOD,
+                           "the master solve stopped at its budget of {} derivative calls "
+                           "(about 45 per unit of Omega0); --engine effective takes about 900 "
+                           "at any Omega0",
+                           lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))
+    stats = folded.stats() if samples is None else [None] * n
+    return (_trajectory(cfg, basis, samples, density(c.T), nfev, theta_g, member)
+            for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 16, -1),
+                                               geometric_phases(batch.cfgs), stats))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tripod_stirap import dk, effective, liouville
+from tripod_stirap import dk, effective
 from tripod_stirap.analysis import transition_time
 from tripod_stirap.cli import main as cli_main
 from tripod_stirap.effective import dissipator_tensor, effective_rates, tensor_rates

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tripod_stirap import analysis, dk, effective, liouville
+from tripod_stirap import dk, effective, liouville
 from tripod_stirap.analysis import Engine, _series_row, sweep, transition_time
 from tripod_stirap.errors import (
     AmbiguousCrossing, GammaPole, NoCrossing, StepBudgetExceeded, StepSizeUnderflow, TripodError,
@@ -271,12 +271,13 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
     module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
     rhs = getattr(module, name)
 
-    def poisoned(s, y, batch, *mode):
-        out = rhs(s, y, batch, *mode)
+    def poisoned(s, y, batch, **mode):
+        out = rhs(s, y, batch, **mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
         bad = (rates == 0.5) & (batch.start + s * batch.span > 0.0)
-        # master states are (B, 16), effective ones (3, B)
-        out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
+        # the flat master state is (B, 16) member by member, the effective one (3, B)
+        members = out.reshape(len(batch), 16) if engine is Engine.MASTER else out.reshape(3, -1).T
+        members[bad] = np.nan
         return out
 
     monkeypatch.setattr(module, name, poisoned)
@@ -317,15 +318,20 @@ def test_a_one_row_sweep_past_the_budget_is_solved_once(monkeypatch, engine):
     module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
     rhs, calls = getattr(module, name), []
 
-    def counted(s, y, batch, *mode):
+    def counted(s, y, batch, **mode):
         calls.append(s)
-        return rhs(s, y, batch, *mode)
+        return rhs(s, y, batch, **mode)
 
     monkeypatch.setattr(module, name, counted)
     res = sweep(_cfg(_BUDGET_ORDERINGS[engine]), "gamma", [0.5], engine, samples=50)
     assert [p.error for p in res.points] == [
         f"{StepBudgetExceeded.__name__}: {_BUDGET_ERRORS[engine]}"]
-    assert len(calls) == 500
+    swept = len(calls)
+    calls.clear()
+    with pytest.raises(StepBudgetExceeded):
+        module.integrate_many([_cfg(_BUDGET_ORDERINGS[engine], 0.5)], samples=50)
+    # the budget is read after each step, so the step that passes it is finished first
+    assert swept == len(calls) and 500 <= swept < 500 + 64
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -446,11 +452,13 @@ def _poisoned(monkeypatch, engine, rate):
     module, name = (liouville, "rhs_bare") if engine is Engine.MASTER else (effective, "_suv_rhs")
     rhs = getattr(module, name)
 
-    def poisoned(s, y, batch, *mode):
-        out = rhs(s, y, batch, *mode)
+    def poisoned(s, y, batch, **mode):
+        out = rhs(s, y, batch, **mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
         bad = (rates == rate) & (batch.start + s * batch.span > 0.0)
-        out[bad if engine is Engine.MASTER else (slice(None), bad)] = np.nan
+        # the flat master state is (B, 16) member by member, the effective one (3, B)
+        members = out.reshape(len(batch), 16) if engine is Engine.MASTER else out.reshape(3, -1).T
+        members[bad] = np.nan
         return out
 
     monkeypatch.setattr(module, name, poisoned)

@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from tripod_stirap import analysis, cli, dk, effective, liouville
 from tripod_stirap.cli import FIGURES, _figure_config, _fmt, main
@@ -93,6 +95,22 @@ def test_csv_rows_match_the_per_value_writer(tmp_path, rng):
     assert info["bytes"] == len((tmp_path / "a.csv").read_bytes())
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2048, 2049, 5000])
+def test_csv_blocks_write_the_bytes_of_one_pass(tmp_path, rng, rows):
+    # blocks of _CSV_ROWS rows, markers included, give the bytes and the digest of the
+    # whole table formatted at once
+    table = rng.normal(size=(rows, 3)) * np.exp(rng.uniform(-30, 30, (rows, 3)))
+    markers = [f"E{i}" if i % 3 else "" for i in range(rows)]
+    cells = "\n".join([",".join(["%.12g"] * 3)] * rows) % tuple(table.ravel().tolist())
+    body = "\n".join(f"{line},{marker}" for line, marker in zip(cells.split("\n"), markers))
+    want = f"# k=1.5\na,b,c,marker\n{body}\n".encode()
+    info = cli._write_csv(tmp_path / "t.csv", {"k": 1.5}, ["a", "b", "c", "marker"], table,
+                          iter(markers))
+    assert (tmp_path / "t.csv").read_bytes() == want
+    assert info == {"path": "t.csv", "sha256": hashlib.sha256(want).hexdigest(),
+                    "bytes": len(want)}
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_writes_csv_and_manifest(tmp_path):
@@ -151,6 +169,33 @@ def test_simulate_past_the_derivative_budget_exits_2_with_a_hint(tmp_path, monke
     # only the master message points to the other engine
     assert ("--engine effective" in err) is (engine == "master")
     assert not out.exists()
+
+
+def test_final_state_figure_past_the_derivative_budget_exits_2(tmp_path, monkeypatch, capsys):
+    # the final-state path stops at the same budget as simulate, and writes nothing
+    monkeypatch.setattr(liouville, "MAX_NFEV", 500)
+    assert main(["figures", "fig6", "--gamma-grid", "0", "--tau-grid", "1", "--samples", "2",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert ("the master solve stopped at its budget of 500 derivative calls"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "fig6.csv").exists()
+
+
+def test_a_final_state_figure_batch_holds_no_stack_of_its_steps():
+    # the default fig8 batch (27 members, 17318 calls) keeps its last state and folds its
+    # invariants in chunks: 0.63 MB at the peak; a stack of every accepted step, and the
+    # complex states built from it, take 16 MB
+    fig = FIGURES["fig8"]
+    cfgs = [_figure_config(fig, dict(zip(fig.axes, point)))
+            for point in itertools.product(*fig.axes.values())]
+    tracemalloc.start()
+    try:
+        stats = [traj.stats for traj in liouville.integrate_many(cfgs, samples=None)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 27 and stats[0]["nfev"] == 17318
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("engine,basis", [("master", "bare"), ("master", "adiabatic"),
@@ -471,7 +516,9 @@ def test_sweep_manifest_counts_each_batch_once(tmp_path, monkeypatch):
     def poisoned(s, y, batch):
         out = rhs(s, y, batch)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
-        out[(rates == 0.05) & (batch.start + s * batch.span > 0.0)] = np.nan
+        # the flat state is (B, 16) member by member
+        bad = (rates == 0.05) & (batch.start + s * batch.span > 0.0)
+        out.reshape(len(batch), 16)[bad] = np.nan
         return out
 
     monkeypatch.setattr(liouville, "rhs_bare", poisoned)
@@ -608,9 +655,8 @@ def test_default_fig5a_batch_meets_the_per_member_contract():
     alone = Batch.of([cfgs[b]])
     y0 = np.zeros(16)
     y0[0] = 1.0
-    sol = liouville._solve(lambda s, y: liouville.rhs_bare(s, y, alone),
-                           (0.0, 1.0), y0, method="DOP853", t_eval=np.linspace(0.0, 1.0, 2000),
-                           rtol=1e-13, atol=1e-15)
+    sol = solve_ivp(liouville.rhs_bare, (0.0, 1.0), y0, method="DOP853",
+                    t_eval=np.linspace(0.0, 1.0, 2000), args=(alone,), rtol=1e-13, atol=1e-15)
     reference = traj.target.expectation(liouville.density(sol.y.T))
     assert abs(traj.fidelity[-1] - reference[-1]) < 1e-8
     # and over the whole sampled trajectory, as integrate_many states

@@ -16,8 +16,7 @@ from tripod_stirap.effective import (
     integrate_suv, tensor_rates,
 )
 from tripod_stirap.liouville import Basis, Trajectory
-from tripod_stirap.pulses import (Batch, DephasingMatrix, MixingAngles, Ordering, PulseConfig,
-                                  mixing_angles)
+from tripod_stirap.pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
 from tripod_stirap.tripod import frame_matrix, geometric_phase
 
 _ORDERINGS = ["overlap", "scp", "csp", "fractional"]

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import signal
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, strategies as st
 
 from arctan_angles import arctan_angles
@@ -159,8 +161,7 @@ def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
     def run(stack):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            t = np.linspace(cfg.start, cfg.end, len(stack))
-            stats = liouville._trajectory(cfg, Basis.BARE, t, stack, 0, 0.0).stats
+            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), stack, 0, 0.0).stats
         return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
 
     assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
@@ -212,7 +213,8 @@ def test_batched_rhs_matches_each_member(rng, rhs):
     batch = Batch.of(cfgs)
     for s in (0.0, 0.13, 0.5, 0.77, 1.0):
         c = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
-        got = rhs(s, c, batch)
+        # the flat state holds the members one after another
+        got = rhs(s, c.ravel(), batch).reshape(len(cfgs), 16)
         for b, cfg in enumerate(cfgs):
             assert np.max(np.abs(got[b] - rhs(s, c[b], Batch.of([cfg])))) < 1e-15 * cfg.omega0
 
@@ -374,13 +376,14 @@ def test_a_wide_window_does_not_step_over_the_pulses(monkeypatch, engine):
     # over the pulses (bare F2 0 in 95 calls): no step is longer than the default window,
     # and the end state is that of a solve started at the default window's start
     steps = []
-    real = liouville.solve_ivp
+    for name in ("DOP853", "RK45"):
+        real = getattr(scipy.integrate, name)
 
-    def recorded(*args, **kwargs):
-        steps.append(kwargs["max_step"])
-        return real(*args, **kwargs)
+        def recorded(*args, real=real, **kwargs):
+            steps.append(kwargs["max_step"])
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(liouville, "solve_ivp", recorded)
+        monkeypatch.setattr(scipy.integrate, name, recorded)
     run = _ENGINES[engine][2]
     wide = PulseConfig(ordering="scp", omega0=50.0, tau=1.5, width=0.5, t_start=-60.0,
                        t_end=60.0, gamma=DephasingMatrix.equal(0.3))
@@ -393,7 +396,7 @@ def test_a_wide_window_does_not_step_over_the_pulses(monkeypatch, engine):
     assert default.fidelity[-1] > 0.9
 
 
-# the derivative each engine solves, looked up by name, and a run of that engine
+# the derivative each engine binds by name, and a run of that engine
 _ENGINES = {
     "bare": (liouville, "rhs_bare", lambda cfg, samples: liouville.integrate(cfg, samples=samples)),
     "adiabatic": (liouville, "rhs_adiabatic",
@@ -404,14 +407,14 @@ _ENGINES = {
 
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_engine_derivative_is_called_by_name(monkeypatch, engine):
-    # the engine looks the derivative up in the module on every call: the solver's
-    # evaluations plus _solve's finiteness check at the start
+    # the engine looks the derivative up in the module once per solve and binds it: every
+    # call is the solver's evaluations plus _solve_batch's finiteness check at the start
     module, name, run = _ENGINES[engine]
     rhs, calls = getattr(module, name), []
 
-    def counted(s, c, batch, *mode):
+    def counted(s, c, batch, **mode):
         calls.append(s)
-        return rhs(s, c, batch, *mode)
+        return rhs(s, c, batch, **mode)
 
     monkeypatch.setattr(module, name, counted)
     traj = run(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), 50)
@@ -564,3 +567,75 @@ def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# ------------------------------------------------------------------ the step loop
+
+def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, method: str, samples: int | None):
+    """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound."""
+    max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
+    return scipy.integrate.solve_ivp(
+        rhs, (0.0, 1.0), y0, method=method, rtol=liouville.RTOL, atol=liouville.ATOL,
+        max_step=max_step, t_eval=None if samples is None else np.linspace(0.0, 1.0, samples))
+
+
+def _stacked_invariants(states: np.ndarray) -> dict:
+    """The invariants of one (n, 4, 4) stack in a single pass: trace and Hermiticity errors,
+    and the final state's least eigenvalue if the shifted stack passes a Cholesky
+    factorisation, else the least over the stack."""
+    try:
+        np.linalg.cholesky(states + 1e-12 * np.eye(4))
+        checked = states[-1:]
+    except np.linalg.LinAlgError:
+        checked = states
+    return {
+        "trace_error": float(np.max(np.abs(np.einsum("nii->n", states) - 1.0))),
+        "hermiticity_error": float(np.max(np.abs(states - np.conj(states.swapaxes(1, 2))))),
+        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(checked)[:, 0])),
+    }
+
+
+@pytest.mark.parametrize("engine", ["master", "effective"])
+def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine):
+    # dense output on the steps that hold samples, with solve_ivp's arithmetic
+    batch = Batch.of(_MIXED_ORDERINGS[:3])
+    if engine == "master":
+        rhs, y0 = partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3)
+        method = liouville.METHOD
+    else:
+        rhs = partial(effective._suv_rhs, batch=batch, mode=effective.Mode.FULL)
+        y0, method = np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], 3), effective.METHOD
+    y, nfev = liouville._solve_batch(rhs, y0, batch, 70, method, "{}")
+    ref = _solve_ivp(rhs, y0, batch, method, 70)
+    assert y.shape == (len(y0), 70) and nfev == ref.nfev
+    assert np.array_equal(y.view(np.uint64), ref.y.view(np.uint64))
+
+
+def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
+    # no output grid: the solver's own last state, and invariants folded chunk by chunk
+    # that equal one pass over solve_ivp's stack of every accepted step
+    batch = Batch.of(_MIXED_ORDERINGS[:3])
+    ref = _solve_ivp(partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3), batch,
+                     liouville.METHOD, None)
+    steps = ref.y.T.reshape(-1, 3, 16)
+    assert len(steps) > 2 * (liouville._FOLD // 3)  # three chunks
+    for b, traj in enumerate(liouville.integrate_many(batch.cfgs, samples=None)):
+        assert traj.t.shape == traj.fidelity.shape == (1,) and traj.states.shape == (1, 4, 4)
+        assert np.array_equal(coords(traj.states[0]), steps[-1, b])
+        assert traj.stats == {"nfev": ref.nfev, **_stacked_invariants(density(steps[:, b]))}
+
+
+def test_folded_invariants_match_one_pass_where_the_certificate_fails(rng):
+    # one member's state 17 has an eigenvalue of -2e-6: folded in chunks of 7 states, that
+    # member reports the least over its stack, the others their final state's least
+    a = rng.normal(size=(60, 3, 4, 4)) + 1j * rng.normal(size=(60, 3, 4, 4))
+    mixed = a @ np.conj(a.swapaxes(-1, -2))
+    states = density(coords(mixed / np.einsum("nbii->nb", mixed).real[..., None, None]))
+    values, vectors = np.linalg.eigh(states[17, 1])
+    values[0] = -2e-6
+    states[17, 1] = density(coords((vectors * values) @ np.conj(vectors.T)))
+    folded = liouville._Invariants(3)
+    for first in range(0, 60, 7):
+        folded.add(states[first:first + 7])
+    assert folded.stats() == [_stacked_invariants(states[:, b]) for b in range(3)]
+    assert abs(folded.stats()[1]["min_eigenvalue"] + 2e-6) < 1e-15
