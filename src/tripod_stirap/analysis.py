@@ -3,8 +3,10 @@
 A sweep returns its rows as columns (SweepResult): float arrays for
 F2_final, F2_tmax, T_tr and theta_g, and per row the error text, the
 warning texts and the batch it was solved in, with each batch's derivative
-calls counted once.  SweepResult.points gives the same rows as SweepPoints,
-built from the columns on first read.
+calls counted once.  sweep allocates the columns once and fills them in
+place; a grid that fails fills nothing, and its rows are then solved alone.
+SweepResult.points gives the same rows as SweepPoints, built from the
+columns on first read.
 """
 
 from __future__ import annotations
@@ -108,22 +110,7 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class _Columns:
-    """The rows of a sweep, or of a slice of its grid, one array or tuple per field."""
-
-    F2_final: np.ndarray
-    F2_tmax: np.ndarray
-    T_tr: np.ndarray
-    theta_g: np.ndarray
-    errors: tuple      # per row: None, or the error text of a failed row
-    warnings: tuple    # per row: a tuple of warning texts, such as an AmbiguousCrossing
-    batch: np.ndarray  # per row: its batch's index into nfev, -1 if the row ran no solve
-    nfev: tuple        # per batch: its derivative calls, counted once
-    stats: dict        # invariant name -> one value per row, NaN where batch is -1
-
-
-@dataclass(frozen=True)
-class SweepResult(_Columns):
+class SweepResult:
     """A sweep's rows as columns: `values` and one entry per row in each of the others.
 
     F2_final, F2_tmax, T_tr and theta_g are float arrays (NaN where the row
@@ -134,6 +121,15 @@ class SweepResult(_Columns):
     in `stats` (name -> float array).  `points` is the same table row by row.
     """
 
+    F2_final: np.ndarray
+    F2_tmax: np.ndarray
+    T_tr: np.ndarray
+    theta_g: np.ndarray
+    errors: tuple      # per row: None, or the error text of a failed row
+    warnings: tuple    # per row: a tuple of warning texts, such as an AmbiguousCrossing
+    batch: np.ndarray  # per row: its batch's index into nfev, -1 if the row ran no solve
+    nfev: tuple        # per batch: its derivative calls, counted once
+    stats: dict        # invariant name -> one value per row, NaN where batch is -1
     axis: str
     values: np.ndarray
     engine: Engine
@@ -177,109 +173,21 @@ def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) 
     return float(traj.fidelity[-1]), float(interp(t_eval)), t_tr, traj.target.theta_g, error
 
 
-def _series_columns(trajs, n: int, eps: float, t_max_eval: float) -> _Columns:
-    """The n rows of one batch, filled member by member as `trajs` yields them."""
-    table = np.empty((4, n))  # F2_final, F2_tmax, T_tr, theta_g
-    errors, notes, nfev, stats = [None] * n, [()] * n, (), {}
-    for i, traj in enumerate(trajs):
-        row_notes = []
-        *cells, errors[i] = _series_row(traj, eps, t_max_eval, row_notes)
-        table[:, i] = cells
-        notes[i] = tuple(row_notes)
-        for name, value in traj.stats.items():
-            if name == "nfev":
-                nfev = (value,)
-            else:
-                stats.setdefault(name, np.full(n, math.nan))[i] = value
-    return _Columns(*table, errors=tuple(errors), warnings=tuple(notes),
-                    batch=np.zeros(n, dtype=int), nfev=nfev, stats=stats)
-
-
-def _failed_row(exc: TripodError) -> _Columns:
-    return _Columns(*np.full((4, 1), math.nan), errors=(_error_text(exc),), warnings=((),),
-                    batch=np.full(1, -1), nfev=(), stats={})
-
-
-def _join(parts: list[_Columns]) -> _Columns:
-    """Consecutive slices of a grid as one: each slice's batches follow those before it."""
-    shifts = itertools.accumulate([len(part.nfev) for part in parts[:-1]], initial=0)
-    names = dict.fromkeys(name for part in parts for name in part.stats)
-    return _Columns(
-        *(np.concatenate([getattr(part, column) for part in parts])
-          for column in ("F2_final", "F2_tmax", "T_tr", "theta_g")),
-        errors=tuple(itertools.chain.from_iterable(part.errors for part in parts)),
-        warnings=tuple(itertools.chain.from_iterable(part.warnings for part in parts)),
-        batch=np.concatenate([np.where(part.batch < 0, -1, part.batch + shift)
-                              for part, shift in zip(parts, shifts)]),
-        nfev=tuple(itertools.chain.from_iterable(part.nfev for part in parts)),
-        stats={name: np.concatenate([part.stats.get(name, np.full(len(part.errors), math.nan))
-                                     for part in parts]) for name in names})
-
-
-def _grid_or_rows(evaluate, n: int) -> _Columns:
-    """evaluate(rows) for the whole grid of n rows at once; if that raises, for each row alone.
-
-    evaluate takes a slice of the grid and returns the _Columns of the rows
-    in it.  In the row-by-row pass only the rows that fail on their own
-    become failed rows carrying the error; the others keep their results.
-    A one-row grid is not evaluated twice.
-    """
-    try:
-        return evaluate(slice(None))
-    except TripodError as exc:
-        if n == 1:
-            return _failed_row(exc)
-    return _join([_grid_or_rows(lambda rows, i=i: evaluate(slice(i, i + 1)), 1)
-                  for i in range(n)])
-
-
-def _analytic_columns(cfg: PulseConfig, gamma: np.ndarray, tau: np.ndarray, eps: float,
-                      t_max_eval: float, theta_g: float) -> _Columns:
-    """Closed-form rows for equal-length gamma and tau arrays.
-
-    F2_final and F2_tmax come from one call on the same observables; T_tr is
-    the lossless law T^2/(2 tau) * log((1-eps)/eps).
-    """
-    f2_final, f2_tmax = dk.analytic_fidelity(gamma, cfg, np.array([[math.inf], [t_max_eval]]),
-                                             tau=tau)
-    t_tr = cfg.width ** 2 / (2.0 * tau) * math.log((1.0 - eps) / eps)
-    n = len(tau)
-    return _Columns(f2_final, f2_tmax, t_tr, np.full(n, theta_g), errors=(None,) * n,
-                    warnings=((),) * n, batch=np.full(n, -1), nfev=(), stats={})
-
-
-def _analytic_sweep(cfg: PulseConfig, axis: str, values: np.ndarray, eps: float,
-                    t_max_eval: float) -> _Columns:
-    """The whole grid as one array pass through the closed forms.
-
-    If a row is rejected (tau = 0, a gamma-function pole), the pass raises
-    and each row is evaluated alone, so that only the rows that fail on
-    their own carry the error; the others get the same values.
-    """
-    # the smallest axis value goes through the config checks every engine applies
-    cfg = _point_config(cfg, axis, values[0])
-    if axis == "gamma":
-        gamma, tau = values, np.full_like(values, cfg.tau)
-    else:
-        gamma, tau = np.full_like(values, cfg.gamma.equal_rate()), values
-    # phi is constant for the overlap ordering, so theta_g = 0 at every delay
-    theta_g = geometric_phase(cfg)
-    return _grid_or_rows(lambda rows: _analytic_columns(cfg, gamma[rows], tau[rows], eps,
-                                                        t_max_eval, theta_g), len(values))
-
-
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
           samples: int = 2000, eps: float = 0.1,
           t_max_eval: float | None = None) -> SweepResult:
     """Evaluate one scalar axis (gamma or tau) over a 1-d grid of points.
 
-    The master and effective engines integrate the whole grid as one batch
-    (see liouville.integrate_many and effective.integrate_many) and fill the
-    result's columns member by member as the trajectories are built; the
-    analytic engine fills them from one array pass through the closed forms.
-    If the grid fails, each row is evaluated alone, so engine failures are
-    recorded per row instead of aborting the sweep; rows stay ordered by
-    axis value, and each row solved alone is a batch of its own.
+    The result's columns are allocated once, every row NaN and unsolved, and
+    filled in place.  The master and effective engines integrate the whole
+    grid as one batch (see liouville.integrate_many and
+    effective.integrate_many) and fill its rows member by member as the
+    trajectories are built; the analytic engine fills them from one array
+    pass through the closed forms.  A grid that fails keeps nothing from
+    its pass, and each of its rows is then evaluated alone, so engine
+    failures are recorded per row instead of aborting the sweep; rows stay
+    ordered by axis value, and each row solved alone is a batch of its own.
+    A one-row grid is evaluated once.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
@@ -293,16 +201,60 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     if t_max_eval is None:
         t_max_eval = 5.0 * cfg.width
     check_evaluation(eps, t_max_eval)
+    n = values.size
+    table = np.full((4, n), math.nan)  # F2_final, F2_tmax, T_tr, theta_g
+    # errors and notes map a written row to its error text and warning texts, so a grid
+    # that writes neither (an analytic grid that did not fail) builds its row tuples at once
+    errors, notes, batch, nfev, stats = {}, {}, np.full(n, -1), [], {}
     if engine is Engine.ANALYTIC:
         if cfg.ordering is not Ordering.OVERLAP:
             raise WrongOrdering("analytic engine requires overlap ordering")
         if axis != "gamma" and cfg.gamma.equal_rate() is None:
             raise WrongOrdering("analytic engine requires equal dephasing rates")
-        columns = _analytic_sweep(cfg, axis, values, eps, t_max_eval)
+        # the smallest axis value goes through the config checks every engine applies
+        cfg = _point_config(cfg, axis, values[0])
+        gamma = values if axis == "gamma" else np.full_like(values, cfg.gamma.equal_rate())
+        tau = values if axis == "tau" else np.full_like(values, cfg.tau)
+        times = np.array([[math.inf], [t_max_eval]])
+
+        def evaluate(rows: slice) -> None:
+            # F2_final and F2_tmax from one call; T_tr is the lossless law
+            # T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap
+            # ordering, so theta_g = 0 at every delay
+            table[:2, rows] = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
+            table[2, rows] = cfg.width ** 2 / (2.0 * tau[rows]) * math.log((1.0 - eps) / eps)
+            table[3, rows] = geometric_phase(cfg)
     else:
         cfgs = [_point_config(cfg, axis, value) for value in values]
-        engine_mod = liouville if engine is Engine.MASTER else effective
-        columns = _grid_or_rows(
-            lambda rows: _series_columns(engine_mod.integrate_many(cfgs[rows], samples=samples),
-                                         len(cfgs[rows]), eps, t_max_eval), len(values))
-    return SweepResult(axis=axis, values=values, engine=engine, **vars(columns))
+        integrate_many = (liouville if engine is Engine.MASTER else effective).integrate_many
+
+        def evaluate(rows: slice) -> None:
+            k = len(nfev)
+            for i, traj in enumerate(integrate_many(cfgs[rows], samples=samples), rows.start):
+                row_notes = []
+                *table[:, i], errors[i] = _series_row(traj, eps, t_max_eval, row_notes)
+                notes[i], batch[i], row_stats = tuple(row_notes), k, dict(traj.stats)
+                nfev[k:] = [row_stats.pop("nfev")]
+                for name, value in row_stats.items():
+                    stats.setdefault(name, np.full(n, math.nan))[i] = value
+
+    def attempt(rows: slice) -> bool:
+        """evaluate(rows); if that raises, False, with the error text on the first of the rows."""
+        try:
+            evaluate(rows)
+        except TripodError as exc:
+            errors[rows.start] = _error_text(exc)
+            return False
+        return True
+
+    if not attempt(slice(0, n)) and n > 1:
+        # the failed grid keeps nothing from its pass, and each row is then evaluated alone
+        table[:], batch[:] = math.nan, -1
+        for part in (errors, notes, nfev, stats):
+            part.clear()
+        for i in range(n):
+            attempt(slice(i, i + 1))
+    return SweepResult(*table, errors=tuple(map(errors.get, range(n))) if errors else (None,) * n,
+                       warnings=tuple(notes.get(i, ()) for i in range(n)) if notes else ((),) * n,
+                       batch=batch, nfev=tuple(nfev), stats=stats, axis=axis, values=values,
+                       engine=engine)

@@ -106,8 +106,6 @@ def _build_config(s: _Settings):
     ordering = s.get("ordering", None, Ordering.parse)
     if ordering is None:
         raise ValueError("an ordering is required (flag --ordering or config key ordering)")
-    if isinstance(ordering, str):
-        ordering = Ordering.parse(ordering)
     gamma, gamma_entry = _resolve_gamma(s)
     cfg = PulseConfig(
         ordering=ordering,

@@ -57,6 +57,15 @@ def _require_overlap_equal(cfg: PulseConfig) -> None:
         raise WrongOrdering("closed forms require equal dephasing rates")
 
 
+def _checked_tau(cfg: PulseConfig, tau=None):
+    """tau, or cfg.tau when None, for an overlap config with equal rates; no element may be 0."""
+    _require_overlap_equal(cfg)
+    tau = cfg.tau if tau is None else tau
+    if np.any(tau == 0.0):
+        raise ZeroDelay("pulse delay must be positive")
+    return tau
+
+
 def x_of_t(t: float, cfg: PulseConfig) -> float:
     """Dimensionless time x = 4 t tau / T^2."""
     return 4.0 * t * cfg.tau / (cfg.width * cfg.width)
@@ -153,10 +162,7 @@ def _params(gamma, tau, width: float) -> DKParams:
 
 
 def dk_params(gamma, cfg: PulseConfig) -> DKParams:
-    _require_overlap_equal(cfg)
-    if cfg.tau == 0.0:
-        raise ZeroDelay("pulse delay must be positive: the model parameters diverge at tau = 0")
-    return _params(gamma, cfg.tau, cfg.width)
+    return _params(gamma, _checked_tau(cfg), cfg.width)
 
 
 @dataclass(frozen=True)
@@ -242,10 +248,7 @@ def adiabatic_integrals(gamma, cfg: PulseConfig, epsabs: float = 1e-10, *,
     """
     if not (math.isfinite(epsabs) and epsabs > 0.0):
         raise ValueError(f"epsabs must be finite and positive, got {epsabs!r}")
-    _require_overlap_equal(cfg)
-    tau = cfg.tau if tau is None else tau
-    if np.any(tau == 0.0):
-        raise ZeroDelay("pulse delay must be positive: the decay integrals diverge at tau = 0")
+    tau = _checked_tau(cfg, tau)
     c_s, c_u = _decay_constants(epsabs)
     scale = gamma * cfg.width * cfg.width / (4.0 * tau)
     return AdiabaticIntegrals(I_s=-c_s * scale, I_u_finite=-c_u * scale, c_s=c_s, c_u=c_u)
@@ -260,12 +263,9 @@ def analytic_dark_observables(gamma, cfg: PulseConfig, t, *, tau=None):
     through model parameters, amplitudes and decay integrals.  Any element
     at tau = 0 or on a gamma-function pole raises for the whole call.
     """
-    _require_overlap_equal(cfg)
-    tau = cfg.tau if tau is None else tau
-    if np.any(tau == 0.0):
-        raise ZeroDelay("pulse delay must be positive")
-    amps = dk_amplitudes(_params(gamma, tau, cfg.width))
+    # the decay integrals check the ordering, the rates and the delay before _params divides
     ai = adiabatic_integrals(gamma, cfg, tau=tau)
+    amps = dk_amplitudes(_params(gamma, cfg.tau if tau is None else tau, cfg.width))
     rho_a_11 = 0.25 + math.sqrt(3.0) / 4.0 * amps.U_mp * np.exp(ai.I_s)
     re_rho_a_12 = math.sqrt(3.0 / 8.0) * amps.U_pp * np.exp(ai.I_u_finite - gamma * t)
     # exact lossless limit: U_mp -> 1/sqrt(3), U_pp -> sqrt(2/3)
@@ -289,9 +289,6 @@ def analytic_fidelity(gamma, cfg: PulseConfig, t_max_eval, *, tau=None):
 
 def analytic_fidelity_expansion(gamma: float, cfg: PulseConfig, t_max_eval: float) -> float:
     """Weak-dephasing form: unit amplitudes, adiabatic decay factors only."""
-    _require_overlap_equal(cfg)
-    if cfg.tau == 0.0:
-        raise ZeroDelay("pulse delay must be positive")
     ai = adiabatic_integrals(gamma, cfg)
     if gamma == 0.0:
         coh = 0.5

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 _EXP_CLAMP = 700.0
 
 T_SCALE = 1.0  # characteristic pulse width, all times are in units of T
+MAX_WINDOW_WIDTHS = 1e6  # longest window, in pulse widths
 
 
 class Ordering(str, enum.Enum):
@@ -144,7 +146,9 @@ class PulseConfig:
 
     Times are in units of T, rates in units of 1/T.  `t_start`/`t_end`
     default to a window wide enough that every envelope is below
-    ~1e-15 * omega0 at both edges.
+    ~1e-15 * omega0 at both edges.  The window may be at most
+    MAX_WINDOW_WIDTHS pulse widths long, and the width's square must be a
+    normal float.
     """
 
     ordering: Ordering
@@ -168,8 +172,14 @@ class PulseConfig:
             raise ValueError("tau must be non-negative")
         if self.width <= 0.0:
             raise ValueError("width must be positive")
+        if not sys.float_info.min <= self.width * self.width < math.inf:
+            raise ValueError(f"width squared must be a normal float, got width {self.width!r}")
         if self.start >= self.end:
             raise ValueError("t_start must be earlier than t_end")
+        # the geometric phase takes one quadrature panel per pulse width of the window
+        if self.end - self.start > MAX_WINDOW_WIDTHS * self.width:
+            raise ValueError(f"the window must be at most {MAX_WINDOW_WIDTHS:g} pulse widths long, "
+                             f"got {(self.end - self.start) / self.width:.6g}")
 
     @property
     def reach(self) -> float:

@@ -514,6 +514,37 @@ def test_a_failed_grid_counts_each_batch_once(monkeypatch):
     assert math.isnan(res.stats["trace_error"][1])
 
 
+def test_a_row_that_fails_alone_keeps_nothing_from_the_failed_grid(monkeypatch):
+    # the grid pass fills the first row, which warns AmbiguousCrossing, and then raises;
+    # that row then fails alone too, so the sweep must show nothing of the grid pass
+    cfg = PulseConfig(ordering="scp", omega0=200.0, tau=0.5)
+    integrate_many = liouville.integrate_many
+
+    def failing(cfgs, **kw):
+        if len(cfgs) == 1 and cfgs[0].tau == 0.5:
+            raise StepSizeUnderflow("alone")
+        trajs = integrate_many(cfgs, **kw)
+        if len(cfgs) == 1:
+            return trajs
+
+        def midway():
+            yield next(trajs)
+            raise StepSizeUnderflow("midway")
+        return midway()
+
+    monkeypatch.setattr(liouville, "integrate_many", failing)
+    with pytest.warns(AmbiguousCrossing):
+        res = sweep(cfg, "tau", [0.5, 1.0], Engine.MASTER, samples=200)
+    lone = integrate_many([cfg.with_updates(tau=1.0)], samples=200)
+    assert res.errors == ("StepSizeUnderflow: alone", None)
+    assert all(math.isnan(column[0]) for column in (res.F2_final, res.F2_tmax, res.T_tr,
+                                                     res.theta_g, *res.stats.values()))
+    assert res.warnings == ((), ()) and list(res.batch) == [-1, 0]
+    assert set(res.stats) == {"trace_error", "hermiticity_error", "min_eigenvalue"}
+    # the row solved alone is the only batch: the failed pass counts no calls
+    assert res.nfev == (next(lone).stats["nfev"],)
+
+
 def test_ambiguous_crossings_are_kept_per_row():
     # scp at tau 0.5 crosses eps = 0.1 upward more than once; tau 1 crosses once
     cfg = PulseConfig(ordering="scp", omega0=200.0, tau=0.5)

@@ -862,6 +862,25 @@ def test_non_finite_inputs_exit_2_at_once(tmp_path, capsys, flag, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(("flag", "value", "message"), [
+    ("--width", "1e-10", "pulse widths long"),
+    ("--tau", "1e20", "pulse widths long"),
+    ("--tau", "1e300", "pulse widths long"),
+    ("--width", "1e-300", "width squared must be a normal float"),
+])
+def test_windows_too_long_or_widths_too_small_exit_2_at_once(tmp_path, capsys, flag, value,
+                                                              message):
+    # a window of more than 1e6 widths would take as many geometric-phase panels; a
+    # subnormal width squared would turn every adiabatic column NaN
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--ordering", "scp", flag, value, "--samples", "50",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_fig4_rejects_a_nan_evaluation_time(tmp_path, capsys):
     t0 = time.perf_counter()
     rc = main(["figures", "fig4", "--t-max-eval", "nan", "--out-dir", str(tmp_path / "out")])

@@ -140,6 +140,26 @@ def test_config_validation() -> None:
         PulseConfig(ordering="overlap", omega0=1.0, tau=1.0, t_start=2.0, t_end=-2.0)
 
 
+def test_config_window_is_at_most_a_million_widths() -> None:
+    # the geometric phase takes one quadrature panel per width of the window
+    PulseConfig(ordering="scp", omega0=1.0, tau=1.0, t_start=-5e5, t_end=5e5)
+    PulseConfig(ordering="scp", omega0=1.0, tau=1.0, width=0.01, t_start=-5e3, t_end=5e3)
+    with pytest.raises(ValueError, match="at most 1e\\+06 pulse widths long"):
+        PulseConfig(ordering="scp", omega0=1.0, tau=1.0, t_start=-5e5, t_end=5e5 + 1.0)
+    with pytest.raises(ValueError, match="at most 1e\\+06 pulse widths long"):
+        PulseConfig(ordering="scp", omega0=1.0, tau=1e20)
+    with pytest.raises(ValueError, match="at most 1e\\+06 pulse widths long"):
+        PulseConfig(ordering="scp", omega0=1.0, tau=1.0, width=1e-10)
+
+
+def test_config_width_squared_must_be_a_normal_float() -> None:
+    # 2e-154 squared is above the smallest normal float, 1e-154 squared below it
+    PulseConfig(ordering="scp", omega0=1.0, tau=0.0, width=2e-154, t_start=-1e-150, t_end=1e-150)
+    for width in (1e-154, 1e-300, 1e155):
+        with pytest.raises(ValueError, match="width squared must be a normal float"):
+            PulseConfig(ordering="scp", omega0=1.0, tau=1.0, width=width)
+
+
 @pytest.mark.parametrize("name", ["omega0", "tau", "width", "t_start", "t_end"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_fields(name: str, value: float) -> None:
