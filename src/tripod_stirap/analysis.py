@@ -3,27 +3,28 @@
 A sweep returns its rows as columns (SweepResult): float arrays for
 F2_final, F2_tmax, T_tr and theta_g, and per row the error text, the
 warning texts and the batch it was solved in, with each batch's derivative
-calls counted once.  sweep allocates the columns once and fills them in
-place; a grid that fails fills nothing, and its rows are then solved alone.
-SweepResult.points gives the same rows as SweepPoints, built from the
-columns on first read.
+calls counted once, and the invariant errors of each solved row.  sweep
+allocates the columns once and fills them in place; a grid that fails fills
+nothing, and its rows are then solved alone.  SweepResult.points gives the
+rows as six-field SweepPoints (value, the four floats and the error text),
+built from the columns on first read; a row's stats stay in the columns.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import dk, effective, liouville
-from .errors import AmbiguousCrossing, NoCrossing, TripodError, WrongOrdering
+from .errors import AmbiguousCrossing, GammaPole, NoCrossing, TripodError, WrongOrdering
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
 
@@ -89,15 +90,11 @@ def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
     return t_high - t_low
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One row of a sweep, as SweepResult.points builds it from the columns.
+class SweepPoint(NamedTuple):
+    """One row of a sweep, as SweepResult.points reads it from the columns.
 
-    `stats` is empty for an analytic row and for a row whose solve failed.
-    For a solved row it holds `nfev`, the derivative calls of the whole
-    batch the row was solved in (every row of that batch carries the same
-    count; SweepResult.nfev counts each batch once), and the invariant
-    errors of the row's trajectory.
+    A row's derivative calls and invariant errors stay in the columns:
+    SweepResult.batch, nfev and stats.
     """
 
     value: float
@@ -105,8 +102,7 @@ class SweepPoint:
     F2_tmax: float
     T_tr: float
     theta_g: float
-    error: str | None = None
-    stats: dict = field(default_factory=dict)
+    error: str | None
 
 
 @dataclass(frozen=True)
@@ -137,15 +133,9 @@ class SweepResult:
     @cached_property
     def points(self) -> list[SweepPoint]:
         """The rows as SweepPoints with Python floats, built from the columns on first read."""
-        names = list(self.stats)
-        invariants = (np.column_stack(list(self.stats.values())).tolist() if names
-                      else itertools.repeat(()))
-        return [SweepPoint(value, f2_final, f2_tmax, t_tr, theta_g, error,
-                           {"nfev": self.nfev[k], **dict(zip(names, row))} if k >= 0 else {})
-                for value, f2_final, f2_tmax, t_tr, theta_g, error, k, row
-                in zip(self.values.tolist(), self.F2_final.tolist(), self.F2_tmax.tolist(),
-                       self.T_tr.tolist(), self.theta_g.tolist(), self.errors,
-                       self.batch.tolist(), invariants)]
+        return list(map(SweepPoint, self.values.tolist(), self.F2_final.tolist(),
+                        self.F2_tmax.tolist(), self.T_tr.tolist(), self.theta_g.tolist(),
+                        self.errors))
 
     def succeeded(self) -> int:
         return self.errors.count(None)
@@ -187,7 +177,9 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     its pass, and each of its rows is then evaluated alone, so engine
     failures are recorded per row instead of aborting the sweep; rows stay
     ordered by axis value, and each row solved alone is a batch of its own.
-    A one-row grid is evaluated once.
+    A one-row grid is evaluated once.  An analytic row whose gamma-function
+    ratios overflow (gamma T^2 / tau past about 2e3) fails as GammaPole, as
+    one on a pole does.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
@@ -211,17 +203,24 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
             raise WrongOrdering("analytic engine requires overlap ordering")
         if axis != "gamma" and cfg.gamma.equal_rate() is None:
             raise WrongOrdering("analytic engine requires equal dephasing rates")
-        # the smallest axis value goes through the config checks every engine applies
+        # the config checks every engine applies, on the smallest and the largest axis value:
+        # each of their bounds is monotone in the value
+        _point_config(cfg, axis, values[-1])
         cfg = _point_config(cfg, axis, values[0])
         gamma = values if axis == "gamma" else np.full_like(values, cfg.gamma.equal_rate())
         tau = values if axis == "tau" else np.full_like(values, cfg.tau)
         times = np.array([[math.inf], [t_max_eval]])
 
         def evaluate(rows: slice) -> None:
-            # F2_final and F2_tmax from one call; T_tr is the lossless law
-            # T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap
+            # F2_final and F2_tmax from one call; where the gamma-function ratios overflow
+            # they are NaN, so the grid fails and those rows are marked alone.  T_tr is the
+            # lossless law T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap
             # ordering, so theta_g = 0 at every delay
-            table[:2, rows] = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
+            with np.errstate(all="ignore"):
+                f2 = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
+            if not np.isfinite(f2).all():
+                raise GammaPole("the gamma-function ratios overflow (gamma T^2 / tau too large)")
+            table[:2, rows] = f2
             table[2, rows] = cfg.width ** 2 / (2.0 * tau[rows]) * math.log((1.0 - eps) / eps)
             table[3, rows] = geometric_phase(cfg)
     else:

@@ -233,8 +233,9 @@ def dark_invariants(s, u, v) -> dict:
     """Invariant errors of dark_density(s, u, v) over the samples, in closed form.
 
     The state is Hermitian by construction and its spectrum is {p +- |c|, q, q}.
-    min_eigenvalue follows liouville._invariants: the final sample's least eigenvalue, or
-    the least over the samples if one of them lies at or below -1e-12.
+    min_eigenvalue follows the master engine's fold (liouville._Invariants) in closed form:
+    the final sample's least eigenvalue, or the least over the samples if one of them lies
+    at or below -1e-12.
     """
     p, q, coh = _dark_block(s, u, v)
     least = np.minimum(p - np.abs(coh), q)

@@ -428,15 +428,8 @@ class _Invariants:
                 for trace, hermiticity, value in zip(*self.errors, least)]
 
 
-def _invariants(states: np.ndarray) -> dict:
-    """_Invariants of one (n, 4, 4) stack of states."""
-    folded = _Invariants(1)
-    folded.add(states[:, None])
-    return folded.stats()[0]
-
-
 def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.ndarray,
-                nfev: int, theta_g: float, invariants: dict | None = None,
+                nfev: int, theta_g: float, invariants: dict,
                 fidelity: Callable[[TargetState, np.ndarray], np.ndarray] | None = None
                 ) -> Trajectory:
     """Fidelity and invariant errors of one member's states in the basis solved in, at the
@@ -445,9 +438,9 @@ def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.
 
     The target state takes the member's geometric angle theta_g, which both
     engines evaluate once per batch.  In the adiabatic basis the fidelity is
-    <R^dag psi| rho^a |R^dag psi>, with R the frame at each time.  The
-    invariants, and the fidelity as a function of the target state and the
-    times, are taken from the states unless the engine supplies them.
+    <R^dag psi| rho^a |R^dag psi>, with R the frame at each time.  The engine
+    supplies the invariants, and may supply the fidelity as a function of the
+    target state and the times; else it is read from the states.
     """
     t = np.linspace(cfg.start, cfg.end, samples) if samples else np.array([cfg.end])
     tgt = target_state(cfg, theta_g)
@@ -460,8 +453,6 @@ def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.
         amps = tgt.amplitudes @ np.conj(frame_matrix(mixing_angles(t, cfg)))
         fid = np.real(np.einsum("ni,nij,nj->n", np.conj(amps), states, amps))
 
-    if invariants is None:
-        invariants = _invariants(states)
     if invariants["min_eigenvalue"] < -1e-6:
         warnings.warn("density matrix lost positivity: "
                       f"min eigenvalue {invariants['min_eigenvalue']:.3e}")
@@ -475,8 +466,8 @@ def check_samples(samples: int) -> None:
         raise ValueError("samples must be at least 2")
 
 
-# member states a final-state solve folds at a time: _FOLD // B accepted steps of B members,
-# at least one step
+# member states a solve folds at a time: _FOLD // B accepted steps or samples of B members,
+# at least one
 _FOLD = 384
 
 
@@ -487,9 +478,10 @@ def _solve_batch(rhs, y0: np.ndarray, batch: Batch, samples: int | None, method:
 
     Returns the states and the derivative calls.  On an output grid the states are
     (len(y0), samples) at np.linspace(0, 1, samples), read from dense_output() on the steps
-    that hold samples, with solve_ivp's arithmetic.  With samples None they are the final
-    state alone, (len(y0), 1), and fold is handed the accepted states, y0 first, in
-    (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
+    that hold samples, with solve_ivp's arithmetic, and fold, when given, is handed the
+    samples after the step loop.  With samples None the states are the final state alone,
+    (len(y0), 1), and fold is handed the accepted states, y0 first, as the solve takes
+    them.  Either way fold gets (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
 
     A non-finite derivative at the start would make the first step size NaN, and the step
     loop would then never end, so it is refused up front.  A solve that needs more than
@@ -502,8 +494,9 @@ def _solve_batch(rhs, y0: np.ndarray, batch: Batch, samples: int | None, method:
     without a stage landing on them.  On a window no wider than the default the bound is
     at least the whole window, and the solve is the unbounded one.
     """
+    chunk = max(_FOLD // len(batch), 1)
     if samples is None:
-        rows = np.empty((max(_FOLD // len(batch), 1), len(y0)))
+        rows = np.empty((chunk, len(y0)))
         rows[0], done = y0, 1
     else:
         check_samples(samples)
@@ -531,6 +524,8 @@ def _solve_batch(rhs, y0: np.ndarray, batch: Batch, samples: int | None, method:
     if samples is None:
         fold(rows[:done])
         return solver.y[:, None], solver.nfev
+    for first in range(0, samples, chunk) if fold else ():
+        fold(out[:, first:first + chunk].T)
     return out, solver.nfev
 
 
@@ -547,11 +542,13 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     member's final F2 lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole
     F2 trajectory within 1.1e-8, of a lone solve at rtol 1e-13.  On
     _solve_batch, the step loop shared with effective.integrate_many, each
-    trajectory is sampled at np.linspace(start, end, samples).  With samples
-    None it keeps only the final state, the solver's own at s = 1, where a grid
-    reads its interpolant, y_old + (y_new - y_old), equal to it up to an ulp;
-    its invariants are folded over the states at the solver's accepted steps
-    as the solve takes them, with no output grid and no stack of the steps.
+    trajectory is sampled at np.linspace(start, end, samples), and its
+    invariants are folded over the samples (_Invariants) a chunk at a time.
+    With samples None it keeps only the final state, the solver's own at
+    s = 1, where a grid reads its interpolant, y_old + (y_new - y_old), equal
+    to it up to an ulp; its invariants are folded over the states at the
+    solver's accepted steps as the solve takes them, with no output grid and
+    no stack of the steps.
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
     rhs_adiabatic (from R^dag rho R), bound once per solve.  A solve past
     MAX_NFEV calls raises StepBudgetExceeded; like any failed solve it raises
@@ -571,10 +568,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
                            "(about 45 per unit of Omega0); --engine effective takes about 900 "
                            "at any Omega0",
                            lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))
-    stats = folded.stats() if samples is None else [None] * n
     return (_trajectory(cfg, basis, samples, density(c.T), nfev, theta_g, member)
             for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 16, -1),
-                                               geometric_phases(batch.cfgs), stats))
+                                               geometric_phases(batch.cfgs), folded.stats()))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:

@@ -79,7 +79,7 @@ class DephasingMatrix:
             raise ValueError(f"dephasing matrix must be 4x4, got shape {rates.shape}")
         if not np.all(np.isfinite(rates)):
             raise ValueError("dephasing rates must be finite")
-        if not np.allclose(rates, rates.T, rtol=0.0, atol=1e-12):
+        if np.abs(rates - rates.T).max() > 1e-12:
             raise ValueError("dephasing matrix must be symmetric")
         if np.any(np.abs(np.diag(rates)) > 1e-12):
             raise ValueError("dephasing matrix must have a zero diagonal")
@@ -121,13 +121,7 @@ class DephasingMatrix:
     @classmethod
     def from_file(cls, path: str) -> "DephasingMatrix":
         """Read a 4x4 whitespace-separated matrix; '#' starts a comment."""
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split()])
-        values = np.array(rows, dtype=float)
+        values = np.loadtxt(path, comments="#", encoding="utf-8")
         if values.size != 16:
             raise ValueError(f"dephasing matrix file must contain 16 numbers, got {values.size}")
         return cls(values.reshape(4, 4))
@@ -135,7 +129,7 @@ class DephasingMatrix:
     def equal_rate(self) -> float | None:
         """The common off-diagonal rate, or None if the rates differ."""
         off = self._rates[~np.eye(4, dtype=bool)]
-        if np.allclose(off, off[0], rtol=0.0, atol=1e-12 * max(1.0, abs(off[0]))):
+        if np.abs(off - off[0]).max() <= 1e-12 * max(1.0, abs(off[0])):
             return float(off[0])
         return None
 

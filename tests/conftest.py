@@ -6,6 +6,7 @@ runtime, so identical configurations are integrated once and shared.
 
 from __future__ import annotations
 
+import signal
 import sys
 
 import numpy as np
@@ -78,6 +79,23 @@ def quad_calls(monkeypatch) -> list:
         if name.startswith("tripod_stirap.") and getattr(module, "quad", None) is real:
             monkeypatch.setattr(module, "quad", counted)
     return calls
+
+
+@pytest.fixture()
+def watchdog():
+    """Fail the test with TimeoutError once it has run for 30 s, so a hang fails instead of
+    stalling the suite.  SIGALRM interrupts Python code between bytecodes (main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 30 s watchdog")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

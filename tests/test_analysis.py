@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tripod_stirap import dk, effective, liouville
-from tripod_stirap.analysis import Engine, _series_row, sweep, transition_time
+from tripod_stirap.analysis import Engine, SweepPoint, _series_row, sweep, transition_time
 from tripod_stirap.errors import (
     AmbiguousCrossing, GammaPole, NoCrossing, StepBudgetExceeded, StepSizeUnderflow, TripodError,
     WrongOrdering,
@@ -239,8 +240,8 @@ def test_sweep_clamps_the_evaluation_time_to_the_window():
 
 def test_sweep_master_engine_carries_run_stats():
     res = sweep(_cfg(), "gamma", [0.5], Engine.MASTER, samples=300)
-    assert res.points[0].stats["nfev"] > 0
-    assert res.points[0].stats["trace_error"] < 1e-7
+    assert res.nfev[res.batch[0]] > 0
+    assert res.stats["trace_error"][0] < 1e-7
 
 
 def test_batched_sweep_matches_per_point():
@@ -414,6 +415,33 @@ def test_analytic_gamma_on_a_pole_fails_only_that_row():
         dk.analytic_fidelity(pole, _cfg(), math.inf)
 
 
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+def test_every_engine_checks_the_largest_axis_value(engine):
+    # a window of 2e300 widths at tau = 1e300: refused before anything is solved, also
+    # when the smallest value is fine
+    for values in ([1.0, 1e300], [1e300]):
+        with pytest.raises(ValueError, match="pulse widths long"):
+            sweep(_cfg(gamma=1.0), "tau", values, engine, samples=60)
+
+
+@pytest.mark.parametrize(("axis", "values", "base"), [
+    ("gamma", [0.0, 1e4], _cfg()), ("tau", [0.001, 1.0], _cfg(gamma=2.0))], ids=["gamma", "tau"])
+def test_analytic_rows_whose_gamma_ratios_overflow_are_marked(axis, values, base):
+    # gamma T^2 / tau past about 2e3 overflows the gamma-function ratios: that row alone
+    # becomes a GammaPole marker, with no RuntimeWarning and no NaN in the other row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sweep(base, axis, values, Engine.ANALYTIC)
+    bad = 1 if axis == "gamma" else 0
+    assert res.errors[bad] == ("GammaPole: the gamma-function ratios overflow "
+                               "(gamma T^2 / tau too large)")
+    assert all(math.isnan(x) for x in res.points[bad][1:5])
+    assert res.errors[1 - bad] is None and res.succeeded() == 1
+    assert res.points[1 - bad] == sweep(base, axis, [values[1 - bad]], Engine.ANALYTIC).points[0]
+    # a one-row grid carries the same marker
+    assert sweep(base, axis, [values[bad]], Engine.ANALYTIC).errors == (res.errors[bad],)
+
+
 def test_analytic_sweep_rejects_invalid_axis_values():
     with pytest.raises(ValueError, match="tau must be non-negative"):
         sweep(_cfg(gamma=1.0), "tau", [-0.5, 1.0], Engine.ANALYTIC)
@@ -477,40 +505,41 @@ def test_points_are_the_columns_row_by_row(monkeypatch, engine):
         _poisoned(monkeypatch, engine, 0.5)
         res = sweep(_cfg(), "gamma", [0.25, 0.5, 5.0], engine, samples=200)
     assert len(res.points) == 3 and res.succeeded() == res.errors.count(None)
+    assert SweepPoint._fields == ("value", "F2_final", "F2_tmax", "T_tr", "theta_g", "error")
     for i, p in enumerate(res.points):
         cells = (res.values, res.F2_final, res.F2_tmax, res.T_tr, res.theta_g)
-        for cell, column in zip((p.value, p.F2_final, p.F2_tmax, p.T_tr, p.theta_g), cells):
+        for cell, column in zip(p[:5], cells):
             assert type(cell) is float and _same(cell, float(column[i]))
         assert p.error == res.errors[i]
-        if res.batch[i] < 0:
-            assert p.stats == {}
-        else:
-            assert p.stats == {"nfev": res.nfev[res.batch[i]],
-                               **{name: column[i] for name, column in res.stats.items()}}
+        # a row's stats are in the columns: NaN where it ran no solve, else finite
+        ran = res.batch[i] >= 0
+        assert all(math.isfinite(column[i]) is bool(ran) for column in res.stats.values())
     failed = 0 if engine is Engine.ANALYTIC else 1
     bad = res.points[failed]
     assert bad.error.startswith("ZeroDelay" if engine is Engine.ANALYTIC else "StepSizeUnderflow")
     assert all(math.isnan(x) for x in (bad.F2_final, bad.F2_tmax, bad.T_tr, bad.theta_g))
-    assert bad.stats == {} and res.batch[failed] == -1
-    if engine is not Engine.ANALYTIC:
+    assert res.batch[failed] == -1
+    if engine is Engine.ANALYTIC:
+        assert res.stats == {} and res.nfev == ()
+    else:
         # the strongly dephased row never reaches 0.9 but keeps its values and stats
         assert res.points[2].error.startswith("NoCrossing")
-        assert set(res.points[2].stats) == {"nfev", "trace_error", "hermiticity_error",
-                                            "min_eigenvalue"}
+        assert set(res.stats) == {"trace_error", "hermiticity_error", "min_eigenvalue"}
+        assert res.batch[2] >= 0 and res.nfev[res.batch[2]] > 0
 
 
 def test_a_failed_grid_counts_each_batch_once(monkeypatch):
     values = [0.25, 0.5, 0.75]
     clean = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
-    # the clean grid is one batch: every row repeats its count, which nfev holds once
-    assert clean.nfev == (clean.points[0].stats["nfev"],) and list(clean.batch) == [0, 0, 0]
-    assert [p.stats["nfev"] for p in clean.points] == [clean.nfev[0]] * 3
+    # the clean grid is one batch, whose count nfev holds once for all three rows
+    batch = liouville.integrate_many([_cfg(gamma=g) for g in values], samples=200)
+    assert clean.nfev == (next(batch).stats["nfev"],) and list(clean.batch) == [0, 0, 0]
     _poisoned(monkeypatch, Engine.MASTER, 0.5)
     res = sweep(_cfg(), "gamma", values, Engine.MASTER, samples=200)
     # the rows around the failing one are solved alone, two batches of one row each
     lone = [liouville.integrate(_cfg(gamma=g), samples=200).stats["nfev"] for g in (0.25, 0.75)]
     assert res.nfev == tuple(lone) and list(res.batch) == [0, -1, 1]
-    assert [p.stats.get("nfev") for p in res.points] == [lone[0], None, lone[1]]
+    assert [res.nfev[k] if k >= 0 else None for k in res.batch] == [lone[0], None, lone[1]]
     assert math.isnan(res.stats["trace_error"][1])
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,34 @@ def test_sweep_rejects_analytic_with_other_orderings(tmp_path, capsys):
                "--engine", "analytic", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "analytic engine requires overlap ordering" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("watchdog")
+@pytest.mark.parametrize("values", ["1,1e300", "1e300"])
+def test_analytic_sweep_past_the_window_bound_exits_2(tmp_path, capsys, values):
+    # the largest value goes through the config checks too, not only the smallest
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--engine", "analytic", "--ordering", "overlap", "--axis", "tau",
+               "--values", values, "--gamma", "1", "--out", str(out)])
+    assert rc == 2
+    assert "pulse widths long" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--axis", "gamma", "--values", "0,1e4", "--tau", "1.5"],
+                                  ["--axis", "tau", "--values", "0.001,1", "--gamma", "2"]],
+                         ids=["gamma", "tau"])
+def test_analytic_sweep_marks_rows_whose_gamma_ratios_overflow(tmp_path, args):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--engine", "analytic", "--ordering", "overlap", *args,
+                   "--out", str(out)])
+    assert rc == 0 and not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = _read_csv(out)[2]
+    marked = [row for row in rows if row[5]]
+    assert len(marked) == 1 and marked[0][5].startswith("GammaPole: ")
+    assert all("nan" not in row for row in rows if not row[5])
 
 
 def test_sweep_rejects_unknown_engine(tmp_path, capsys):
@@ -852,6 +881,7 @@ def test_figure_config_key_outside_its_axes_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--omega0", "--tau", "--width", "--t-start", "--t-end",
                                   "--gamma"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.usefixtures("watchdog")
 def test_non_finite_inputs_exit_2_at_once(tmp_path, capsys, flag, value):
     t0 = time.perf_counter()
     rc = main(["simulate", "--ordering", "overlap", flag, value,
@@ -868,6 +898,7 @@ def test_non_finite_inputs_exit_2_at_once(tmp_path, capsys, flag, value):
     ("--tau", "1e300", "pulse widths long"),
     ("--width", "1e-300", "width squared must be a normal float"),
 ])
+@pytest.mark.usefixtures("watchdog")
 def test_windows_too_long_or_widths_too_small_exit_2_at_once(tmp_path, capsys, flag, value,
                                                               message):
     # a window of more than 1e6 widths would take as many geometric-phase panels; a
@@ -881,6 +912,7 @@ def test_windows_too_long_or_widths_too_small_exit_2_at_once(tmp_path, capsys, f
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.usefixtures("watchdog")
 def test_fig4_rejects_a_nan_evaluation_time(tmp_path, capsys):
     t0 = time.perf_counter()
     rc = main(["figures", "fig4", "--t-max-eval", "nan", "--out-dir", str(tmp_path / "out")])

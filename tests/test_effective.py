@@ -156,7 +156,7 @@ def test_effective_runs_carry_the_invariant_errors(ordering):
         assert traj.stats["hermiticity_error"] < 1e-12
         assert traj.stats["min_eigenvalue"] > -1e-8
         # the closed-form spectrum {p +- |c|, q, q} against LAPACK on the bare states, read
-        # as liouville._invariants reads the master engine's states
+        # as liouville._Invariants reads the master engine's states
         least = np.linalg.eigvalsh(traj.rho)[:, 0]
         lapack = least[-1] if np.all(least > -1e-12) else least.min()
         assert abs(traj.stats["min_eigenvalue"] - lapack) <= 1e-15

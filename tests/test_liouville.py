@@ -139,11 +139,18 @@ def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
 
 
+def _folded(states: np.ndarray) -> dict:
+    """The invariants _Invariants folds over one (n, 4, 4) stack handed to it at once."""
+    folded = liouville._Invariants(1)
+    folded.add(states[:, None])
+    return folded.stats()[0]
+
+
 def test_invariants_read_the_states_as_density_builds_them(rng):
     # density's states are exactly Hermitian, so eigvalsh, which reads one triangle, gives
     # the same bits on the states themselves as on their Hermitian part
     states = density(rng.normal(size=(200, 16)))
-    stats = liouville._invariants(states)
+    stats = _folded(states)
     hermitian_part = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
     assert stats["hermiticity_error"] == 0.0
     assert stats["min_eigenvalue"] == np.min(np.linalg.eigvalsh(hermitian_part)[:, 0])
@@ -161,7 +168,8 @@ def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
     def run(stack):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), stack, 0, 0.0).stats
+            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), stack, 0, 0.0,
+                                          _folded(stack)).stats
         return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
 
     assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
@@ -623,6 +631,24 @@ def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
         assert traj.t.shape == traj.fidelity.shape == (1,) and traj.states.shape == (1, 4, 4)
         assert np.array_equal(coords(traj.states[0]), steps[-1, b])
         assert traj.stats == {"nfev": ref.nfev, **_stacked_invariants(density(steps[:, b]))}
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_grid_solve_folds_its_samples_in_chunks(monkeypatch, basis):
+    # after the step loop the samples reach the fold _FOLD // B at a time, and the folded
+    # invariants equal one pass over each member's whole stack of samples
+    shapes, add = [], liouville._Invariants.add
+
+    def recording(self, states):
+        shapes.append(states.shape)
+        add(self, states)
+
+    monkeypatch.setattr(liouville._Invariants, "add", recording)
+    trajs = list(liouville.integrate_many(_MIXED_ORDERINGS[:3], basis=basis, samples=300))
+    assert liouville._FOLD // 3 == 128
+    assert shapes == [(128, 3, 4, 4), (128, 3, 4, 4), (44, 3, 4, 4)]
+    for traj in trajs:
+        assert traj.stats == {"nfev": traj.stats["nfev"], **_stacked_invariants(traj.states)}
 
 
 def test_folded_invariants_match_one_pass_where_the_certificate_fails(rng):

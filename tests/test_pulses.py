@@ -113,6 +113,36 @@ def test_dephasing_matrix_from_file_needs_sixteen_numbers(tmp_path) -> None:
         DephasingMatrix.from_file(str(path))
 
 
+def test_dephasing_matrix_from_file_refuses_a_ragged_matrix(tmp_path) -> None:
+    # np.loadtxt's own message: the third row has three columns
+    path = tmp_path / "ragged.txt"
+    path.write_text("0 1 1 1\n1 0 1 1\n1 1 0\n1 1 1 0 1\n")
+    with pytest.raises(ValueError, match="number of columns changed"):
+        DephasingMatrix.from_file(str(path))
+
+
+def test_dephasing_matrix_tolerances_hold_at_1e_12() -> None:
+    # symmetry and equal rates accept a gap of exactly 1e-12 and refuse the next float up,
+    # as np.allclose(..., rtol=0, atol=1e-12) does
+    for gap, ok in ((1e-12, True), (np.nextafter(1e-12, 1.0), False)):
+        assert np.allclose(gap, 0.0, rtol=0.0, atol=1e-12) is ok
+        lopsided = np.zeros((4, 4))
+        lopsided[0, 1] = gap
+        if ok:
+            assert DephasingMatrix(lopsided)[1, 0] == 0.5 * gap
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                DephasingMatrix(lopsided)
+        uneven = np.zeros((4, 4))
+        uneven[2, 3] = uneven[3, 2] = gap
+        assert (DephasingMatrix(uneven).equal_rate() == 0.0) is ok
+    # above a first rate of 1 the tolerance scales with it: 4e-12 at a first rate of 4
+    for gap, ok in ((3e-12, True), (5e-12, False)):
+        uneven = np.full((4, 4), 4.0) - 4.0 * np.eye(4)
+        uneven[2, 3] = uneven[3, 2] = 4.0 + gap
+        assert (DephasingMatrix(uneven).equal_rate() == 4.0) is ok
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_default_window_covers_the_pulses() -> None:
