@@ -147,6 +147,10 @@ def _point_config(cfg: PulseConfig, axis: str, value: float) -> PulseConfig:
     return cfg.with_updates(tau=float(value))
 
 
+# the GammaPole text of closed-form rows whose gamma-function ratios overflow
+GAMMA_OVERFLOW = "the gamma-function ratios overflow (gamma T^2 / tau too large)"
+
+
 def _error_text(exc: TripodError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -219,7 +223,7 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
             with np.errstate(all="ignore"):
                 f2 = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
             if not np.isfinite(f2).all():
-                raise GammaPole("the gamma-function ratios overflow (gamma T^2 / tau too large)")
+                raise GammaPole(GAMMA_OVERFLOW)
             table[:2, rows] = f2
             table[2, rows] = cfg.width ** 2 / (2.0 * tau[rows]) * math.log((1.0 - eps) / eps)
             table[3, rows] = geometric_phase(cfg)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dk, effective, liouville
-from .errors import StepBudgetExceeded, TripodError, WrongOrdering, ZeroDelay
+from .errors import GammaPole, StepBudgetExceeded, TripodError, WrongOrdering, ZeroDelay
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
 
@@ -354,7 +354,8 @@ def _solve_report(stats) -> dict:
 def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     """(filename, comment entries, header, table[, markers]) of every CSV the figure writes,
     and the figure's manifest sections: the sweep report of a T_tr figure, the solve report
-    of a final-state figure."""
+    of a final-state or trajectory figure, and the rows whose closed-form cells are NaN
+    because the gamma-function ratios overflow (GammaPole, as analysis.sweep marks them)."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
         value = s.get(key, None, parse)
@@ -380,17 +381,17 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
         return [(f"{name}.csv", entries, header, np.column_stack([result.values, result.T_tr]),
                  map(_marker, result.errors))], {"sweep": _sweep_report(result)}
 
+    # a trajectory is sampled; the other cells read each member's final state, solved with
+    # no output grid
+    trajs = [*liouville.integrate_many(cfgs, samples=samples if fig.cell == "trajectory" else None)]
+    sections = {"solve": _solve_report([traj.stats for traj in trajs])}
     if fig.cell == "trajectory":
-        trajs = liouville.integrate_many(cfgs, samples=samples)
         rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
                                for v, traj in zip(grids[axes[0]], trajs)])
-        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], {}
+        return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], sections
 
-    # the final state of each member, solved with no output grid
-    finals, stats = zip(*((traj.populations[-1] if fig.cell == "populations"
-                           else traj.fidelity[-1], traj.stats)
-                          for traj in liouville.integrate_many(cfgs, samples=None)))
-    sections = {"solve": _solve_report(stats)}
+    finals = [traj.populations[-1] if fig.cell == "populations" else traj.fidelity[-1]
+              for traj in trajs]
     grid = grids[fig.rows]
     at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
     if fig.cell == "populations":
@@ -409,7 +410,13 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     if fig.closed_form:
         times = [[settings["t_max_eval"] if column == "f2_analytic_tmax" else math.inf]
                  for column in fig.closed_form]
-        table += list(dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"]))
+        # NaN where the gamma-function ratios overflow; the manifest lists those rows
+        with np.errstate(all="ignore"):
+            closed = dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"])
+        table += list(closed)
+        error = analysis._error_text(GammaPole(analysis.GAMMA_OVERFLOW))
+        sections["closed_form"] = [{"row": int(i), fig.rows: float(grid[i]), "error": error}
+                                   for i in np.flatnonzero(~np.isfinite(closed).all(0))] or None
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
              np.column_stack(table))], sections
 

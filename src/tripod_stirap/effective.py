@@ -86,9 +86,12 @@ def effective_rates(angles: MixingAngles, gamma: DephasingMatrix | np.ndarray) -
 
 
 def _monomials(cos: np.ndarray, sin: np.ndarray, phi_dot: np.ndarray) -> np.ndarray:
-    """(B, 30) angle monomials: the products of a theta and a phi factor.
+    """S + (30,) angle monomials: the products of a theta and a phi factor.
 
-    cos and sin hold those of (theta, phi), (2, B) each.  With x = sin^2(theta),
+    cos and sin hold those of (theta, phi), (2,) + S each, and phi_dot has shape S.  Every
+    (B, 30) block over the last axis of S steps by B along the monomials, as one time's
+    block always did: NumPy's matmul with the table of _suv_constants takes another path, with
+    other bits, where a lone member's monomials are not adjacent.  With x = sin^2(theta),
     r = sin(theta), c = cos(2 phi) and s = sin(phi) cos(phi), the theta factors are
     (1 - x)^2, x (1 - x), x, r (1 - x) and r x, and the phi factors c^2, s^2, c, s, s c and
     phi'.  Every rate of effective_rates is a sum of these monomials, with coefficients
@@ -98,9 +101,10 @@ def _monomials(cos: np.ndarray, sin: np.ndarray, phi_dot: np.ndarray) -> np.ndar
     """
     (ct2, cp2), (st2, sp2) = cos * cos, sin * sin
     c, s = cp2 - sp2, sin[1] * cos[1]
-    theta_terms = np.array([ct2 * ct2, st2 * ct2, st2, sin[0] * ct2, sin[0] * st2]).T
-    phi_terms = np.array([c * c, s * s, c, s, s * c, phi_dot]).T
-    return (theta_terms[:, :, None] * phi_terms[:, None]).reshape(len(c), -1)
+    theta_terms = np.stack([ct2 * ct2, st2 * ct2, st2, sin[0] * ct2, sin[0] * st2], -2)
+    phi_terms = np.stack([c * c, s * s, c, s, s * c, phi_dot], -2)
+    return (theta_terms[..., None, :] * phi_terms[..., None, :, :]).reshape(
+        c.shape[:-1] + (30, -1)).swapaxes(-1, -2)
 
 
 # monomial 6 i + j is theta factor i times phi factor j: r (1 - x) phi' and r x phi' sum to
@@ -151,19 +155,27 @@ def _suv_constants(batch: Batch, mode: Mode) -> tuple:
     return centres.T, neg_k.T, table
 
 
-def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
-    """d(s, u, v)/dx of every member at the normalised time x, on the solver's flat state
-    (s of every member, then u, then v) or its (3, B) form, in the shape of y.
+def _suv_weights(x: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
+    """The (n, B, 1, 9) row-major (s, u, v) generators of every member at n stage times x.
 
     The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), so
     phi' is per unit x like the table of _suv_constants; the generator is one contraction of
     the monomials with that table.
     """
     centres, neg_k, table = _suv_constants(batch, mode)
-    d = x - centres
-    neg_kd = neg_k * d
-    cos, sin, phi_dot = _frame_angles(neg_kd * d, -2.0 * neg_kd)
-    gen = _monomials(cos, sin, phi_dot)[:, None] @ table
+    d = x[:, None] - centres[:, None]
+    neg_kd = neg_k[:, None] * d
+    return _monomials(*_frame_angles(neg_kd * d, -2.0 * neg_kd))[:, :, None] @ table
+
+
+def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode, w=None) -> np.ndarray:
+    """d(s, u, v)/dx of every member at the normalised time x, on the solver's flat state
+    (s of every member, then u, then v) or its (3, B) form, in the shape of y.
+
+    w, when given, is the (B, 1, 9) _suv_weights at x, from the step loop's one pass over
+    the stage times of a step; without it the generators are computed here.
+    """
+    gen = _suv_weights(np.array([x]), batch, mode)[0] if w is None else w
     return (gen.reshape(-1, 3, 3) @ y.reshape(3, -1).T[:, :, None])[:, :, 0].T.reshape(y.shape)
 
 
@@ -260,14 +272,17 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                    samples: int = 2000) -> Iterator[EffectiveTrajectory]:
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
-    One shared RK45 solve of _suv_rhs, bound once per solve, on the step loop of
-    liouville.integrate_many (_solve_batch: window, samples, budget); each
+    One shared RK45 solve of _suv_rhs, bound once per solve, on the
+    stage-batched step loop of liouville.integrate_many (_solve_batch:
+    window, samples, budget), with one _suv_weights pass for the generators
+    at all stage times of a step and one _suv_rhs call per stage.  Each
     member keeps dark_density(s, u, v) in the adiabatic basis, with its
     invariant errors in closed form (dark_invariants) and theta_g from
     tripod.geometric_phases.
     """
     batch = Batch.of(cfgs)
     y, nfev = _solve_batch(partial(_suv_rhs, batch=batch, mode=mode),
+                           partial(_suv_weights, batch=batch, mode=mode),
                            np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples,
                            METHOD, "the effective solve stopped at its budget of {} derivative "
                            "calls (about 30 per unit of gamma)")

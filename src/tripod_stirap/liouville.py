@@ -25,7 +25,12 @@ instantaneous eigenframe the equation has four constant terms of the same
 kind plus the dephasing rotated into the frame by a real 16x16 map
 (frame_map, rhs_adiabatic), their weights and the map's harmonics read from
 Chebyshev panels built once per batch (_panels); both bases share the
-batched solve, and the two routes are cross-checked in the tests.
+batched solve, and the two routes are cross-checked in the tests.  Either
+derivative is linear in c with coefficients in s alone, which the step loop
+(_solve_batch) evaluates at every stage time of a Runge-Kutta step in one
+array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
+stage by stage; it drives the DOP853 tableau itself, with the bits of SciPy's
+solver.
 """
 
 from __future__ import annotations
@@ -149,16 +154,22 @@ def _drive(weights: np.ndarray, c: np.ndarray, stacked: np.ndarray) -> np.ndarra
             ).ravel()
 
 
-def rhs_bare(s, c: np.ndarray, batch: Batch) -> np.ndarray:
+def _bare_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
+    """The (n, B, 3) drive weights Omega_k of rhs_bare, per unit s, at n stage times s."""
+    centres, neg_k, amplitudes = _constants(batch)[:3]
+    d = s[:, None, None] - centres
+    return amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP))
+
+
+def rhs_bare(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -> np.ndarray:
     """Bare-basis c' = (sum_k Omega_k L_k + L_gamma) c in the real coordinates.
 
-    dc/ds at the normalised time s on the flat (B * 16,) state, as the solver holds it.
+    dc/ds at the normalised time s on the flat (B * 16,) state, as the solver holds it.  w,
+    when given, is the (B, 3) _bare_weights at s, from the step loop's one pass over the
+    stage times of a step; without it the weights are computed here.
     """
-    centres, neg_k, amplitudes, damping, _ = _constants(batch)
-    d = s - centres
-    out = _drive(amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)), c, _DRIVE)
-    out -= damping * c
-    return out
+    w = _bare_weights(np.array([s]), batch)[0] if w is None else w
+    return _drive(w, c, _DRIVE) - _constants(batch)[3] * c
 
 
 def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
@@ -320,32 +331,39 @@ def _panels(batch: Batch) -> tuple:
 
 
 def _slow_series(s, batch: Batch) -> np.ndarray:
-    """The (B, 29) slow functions of every member at s, from its panels (_panels).
+    """The slow functions of every member at s, from its panels (_panels): (B, 29) at a
+    scalar s, (n, B, 29) at n times.
 
     s is held to [0, 1]: a Runge-Kutta stage at t + h with h = 1 - t can pass 1 by an ulp.
     """
     keys, cells, first, rate, shift, coefs = _panels(batch)
-    s = min(max(s, 0.0), 1.0)
-    p = keys.searchsorted(first + min(int(s * cells), cells - 1), side="right") - 1
+    s = np.minimum(np.maximum(s, 0.0), 1.0)[..., None]
+    p = keys.searchsorted(first + np.minimum((s * cells).astype(int), cells - 1), "right") - 1
     # s on its panel as x in [-1, 1], exact but on a member's first panel; T_k(x) = cos(k arccos x)
     x = s * rate[p] - shift[p]
-    return (coefs[p] * np.cos(np.arccos(x)[:, None] * _ORDERS)[:, None]).sum(2)
+    return (coefs[p] * np.cos(np.arccos(x)[..., None] * _ORDERS)[..., None, :]).sum(-1)
 
 
-def rhs_adiabatic(s, c: np.ndarray, batch: Batch) -> np.ndarray:
+def _adiabatic_weights(s: np.ndarray, batch: Batch) -> list:
+    """rhs_adiabatic's weights at n stage times s: per time, the (B, 4) weights of
+    _FRAME_DRIVE and the (B, 16, 16) frame maps T, from one _slow_series pass."""
+    slow = _slow_series(s, batch)
+    return list(zip(slow[..., :4], (slow[..., 4:] @ _frame_terms()).reshape(len(s), -1, 16, 16)))
+
+
+def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: tuple | None = None) -> np.ndarray:
     """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
 
     On the times and flat coordinates of rhs_bare, for s in [0, 1].  H_a =
     diag(0, 0, Omega/2, -Omega/2) and W = tripod.frame_generator make the coherent part one
     contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the
     real frame map.  The weights and T's harmonics are read from each member's Chebyshev
-    panels (_slow_series), within a few ulps of their closed forms (_slow_functions).
+    panels (_slow_series), within a few ulps of their closed forms (_slow_functions), by
+    _adiabatic_weights; w, when given, is those at s, from the step loop's one pass.
     """
-    slow = _slow_series(s, batch)
-    out = _drive(slow[:, :4], c, _FRAME_DRIVE)
-    out -= _frame_damping(c.reshape(-1, 16), (slow[:, 4:] @ _frame_terms()).reshape(-1, 16, 16),
-                          _constants(batch)[4]).ravel()
-    return out
+    drive, frame = _adiabatic_weights(np.array([s]), batch)[0] if w is None else w
+    return _drive(drive, c, _FRAME_DRIVE) - _frame_damping(
+        c.reshape(-1, 16), frame, _constants(batch)[4]).ravel()
 
 
 @dataclass
@@ -469,64 +487,134 @@ def check_samples(samples: int) -> None:
 # member states a solve folds at a time: _FOLD // B accepted steps or samples of B members,
 # at least one
 _FOLD = 384
+# the step-size control of SciPy's Runge-Kutta solvers
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
-def _solve_batch(rhs, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
+def _rms(x: np.ndarray) -> float:
+    """The RMS norm of SciPy's initial-step rule and RK45 error estimate."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _max_step(batch: Batch) -> float:
+    """The longest step in s: no member's default window (PulseConfig.reach) in one.
+
+    On a wider custom window the step would otherwise grow across the quiet edges and pass
+    over the pulses without a stage landing on them.  On a window no wider than the default
+    the bound is at least the whole window, and the solve is the unbounded one.
+    """
+    return min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
+
+
+def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
                  budget: str, fold: Callable[[np.ndarray], None] | None = None) -> tuple:
     """The step loop of both ODE engines: one solve of rhs(s, y) = dy/ds on the flat batch
-    state y over s in [0, 1] by SciPy's `method` solver object, at RTOL and ATOL.
+    state y over s in [0, 1] by SciPy's `method` pair (DOP853 or RK45), at RTOL and ATOL.
+
+    The derivative is linear in y with coefficients that depend on s alone: weights(ts)
+    evaluates them at an array of times in one pass, and rhs(s, y, w=w) takes those at s
+    from there instead of computing them.  Each step attempt makes one weights call for all
+    its stage times, t + C h and t + h, and each step that holds samples one more for
+    DOP853's three extra stages; rhs runs once per stage.  The tableaux are read from SciPy's
+    classes (scipy.integrate.DOP853, RK45), and the initial step, the step control, the
+    error norms, the derivative count and the dense output are those of its RungeKutta,
+    select_initial_step, RkDenseOutput and Dop853DenseOutput, operation for operation, so
+    states and counts have the bits of solve_ivp on rhs.
 
     Returns the states and the derivative calls.  On an output grid the states are
-    (len(y0), samples) at np.linspace(0, 1, samples), read from dense_output() on the steps
-    that hold samples, with solve_ivp's arithmetic, and fold, when given, is handed the
-    samples after the step loop.  With samples None the states are the final state alone,
-    (len(y0), 1), and fold is handed the accepted states, y0 first, as the solve takes
-    them.  Either way fold gets (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
+    (len(y0), samples) at np.linspace(0, 1, samples), read from the dense output on the
+    steps that hold samples, and fold, when given, is handed the samples after the step
+    loop.  With samples None the states are the final state alone, (len(y0), 1), and fold is
+    handed the accepted states, y0 first, as the solve takes them.  Either way fold gets
+    (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
 
-    A non-finite derivative at the start would make the first step size NaN, and the step
-    loop would then never end, so it is refused up front.  A solve that needs more than
-    MAX_NFEV calls, that check's included, raises StepBudgetExceeded with `budget` formatted
-    with MAX_NFEV (both read at call time); the count is the solver's `nfev`, read after
-    each step.  A failed step is a step-size underflow.
-
-    No step is longer than a member's default window (PulseConfig.reach): on a wider custom
-    window the step would otherwise grow across the quiet edges and pass over the pulses
-    without a stage landing on them.  On a window no wider than the default the bound is
-    at least the whole window, and the solve is the unbounded one.
+    A non-finite derivative at the start would make the first step size NaN, so it is
+    refused up front; that first derivative is the solve's own.  A solve that needs more
+    than MAX_NFEV calls, the count of a stage each, raises StepBudgetExceeded with `budget`
+    formatted with MAX_NFEV (both read at call time); the count is read after each step.  A
+    failed step is a step-size underflow.  No step is longer than _max_step(batch).
     """
-    chunk = max(_FOLD // len(batch), 1)
+    rk, chunk = getattr(scipy.integrate, method), max(_FOLD // len(batch), 1)
+    stages, dop853, order = rk.n_stages, method == "DOP853", rk.error_estimator_order + 1
+    # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
+    nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)
     if samples is None:
-        rows = np.empty((chunk, len(y0)))
-        rows[0], done = y0, 1
+        states = np.empty((chunk, len(y0)))
+        states[0], done = y0, 1
     else:
         check_samples(samples)
         grid, out, done = np.linspace(0.0, 1.0, samples), np.empty((len(y0), samples)), 0
-    if not np.all(np.isfinite(rhs(0.0, y0))):
+    f = rhs(0.0, y0)
+    if not np.all(np.isfinite(f)):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
-    solver = getattr(scipy.integrate, method)(
-        rhs, 0.0, y0, 1.0, rtol=RTOL, atol=ATOL,
-        max_step=min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span)))
-    while solver.status == "running":
-        message = solver.step()
-        if solver.nfev >= MAX_NFEV:
+    scale = ATOL + np.abs(y0) * RTOL  # select_initial_step
+    d0, d1 = _rms(y0 / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    d2 = _rms((rhs(h0, y0 + h0 * f) - f) / scale) / h0
+    # the step bound of select_initial_step is applied with the loop's own, below
+    h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+                else (0.01 / max(d1, d2)) ** (1 / order), 1.0)
+    t, y, nfev, k = 0.0, y0, 2, np.empty((rk.D.shape[1] if dop853 else stages + 1, len(y0)))
+    while t < 1.0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        # the growth cap falls to 1 once a step is rejected; k[0] is f at t for every attempt
+        cap, error, k[0] = _MAX_FACTOR, np.inf, f
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, 1.0)
+            h = h_abs = t_new - t
+            w = weights(ts := t + nodes * h)
+            for i, (a, s, w_s) in enumerate(zip(rk.A[1:stages], ts, w), 1):
+                k[i] = rhs(s, y + np.dot(k[:i].T, a[:i]) * h, w=w_s)
+            y_new = y + h * np.dot(k[:stages].T, rk.B)
+            k[stages] = f_new = rhs(ts[-1], y_new, w=w[-1])
+            nfev += stages
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            if dop853:
+                e5, e3 = (np.linalg.norm(np.dot(k[:stages + 1].T, e) / scale) ** 2
+                          for e in (rk.E5, rk.E3))
+                error = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            else:
+                error = _rms(np.dot(k.T, rk.E) * h / scale)
+            if error < 1:
+                break
+            h_abs, cap = h_abs * max(_MIN_FACTOR, _SAFETY * error ** (-1 / order)), 1
+        if nfev >= MAX_NFEV:
             raise StepBudgetExceeded(budget.format(MAX_NFEV))
-        if solver.status == "failed":
-            raise StepSizeUnderflow(message)
+        if not error < 1:
+            raise StepSizeUnderflow(rk.TOO_SMALL_STEP)
+        h_abs *= min(cap, _MAX_FACTOR if error == 0 else _SAFETY * error ** (-1 / order))
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         if samples is None:
-            if done == len(rows):
-                fold(rows)
+            if done == len(states):
+                fold(states)
                 done = 0
-            rows[done] = solver.y
+            states[done] = y
             done += 1
-        elif (end := grid.searchsorted(solver.t, side="right")) > done:
-            out[:, done:end] = solver.dense_output()(grid[done:end])
+        elif (end := grid.searchsorted(t, side="right")) > done:
+            x = (grid[done:end] - t_old) / h
+            if dop853:
+                ts = t_old + rk.C_EXTRA * h
+                for i, (a, s, w_s) in enumerate(zip(rk.A_EXTRA, ts, weights(ts)), stages + 1):
+                    k[i] = rhs(s, y_old + np.dot(k[:i].T, a[:i]) * h, w=w_s)
+                nfev += len(rk.C_EXTRA)
+                delta, value = y - y_old, np.zeros((len(x), len(y0)))
+                # the terms of Dop853DenseOutput, highest first
+                for i, term in enumerate([*(h * np.dot(rk.D, k))[::-1],
+                                          2 * delta - h * (f + k[0]), h * k[0] - delta, delta]):
+                    value += term
+                    value *= x[:, None] if i % 2 == 0 else 1 - x[:, None]
+                out[:, done:end] = (value + y_old).T
+            else:
+                out[:, done:end] = h * np.dot(k.T.dot(rk.P), np.cumprod(
+                    np.tile(x, (rk.P.shape[1], 1)), axis=0)) + y_old[:, None]
             done = end
     if samples is None:
-        fold(rows[:done])
-        return solver.y[:, None], solver.nfev
+        fold(states[:done])
+        return y[:, None], nfev
     for first in range(0, samples, chunk) if fold else ():
         fold(out[:, first:first + chunk].T)
-    return out, solver.nfev
+    return out, nfev
 
 
 def integrate_many(cfgs, basis: Basis = Basis.BARE,
@@ -541,20 +629,22 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     the same values.  On the default fig5a, fig5b, fig6 and fig8 grids every
     member's final F2 lies within 3.2e-9 (fig6, fig8: 6.6e-11), and its whole
     F2 trajectory within 1.1e-8, of a lone solve at rtol 1e-13.  On
-    _solve_batch, the step loop shared with effective.integrate_many, each
-    trajectory is sampled at np.linspace(start, end, samples), and its
-    invariants are folded over the samples (_Invariants) a chunk at a time.
-    With samples None it keeps only the final state, the solver's own at
-    s = 1, where a grid reads its interpolant, y_old + (y_new - y_old), equal
-    to it up to an ulp; its invariants are folded over the states at the
-    solver's accepted steps as the solve takes them, with no output grid and
-    no stack of the steps.
+    _solve_batch, the stage-batched step loop shared with
+    effective.integrate_many, each trajectory is sampled at
+    np.linspace(start, end, samples), and its invariants are folded over the
+    samples (_Invariants) a chunk at a time.  With samples None it keeps only
+    the final state, the last step's own at s = 1, where a grid reads its
+    interpolant, y_old + (y_new - y_old), equal to it up to an ulp; its
+    invariants are folded over the states at the accepted steps as the solve
+    takes them, with no output grid and no stack of the steps.
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
-    rhs_adiabatic (from R^dag rho R), bound once per solve.  A solve past
-    MAX_NFEV calls raises StepBudgetExceeded; like any failed solve it raises
-    for the whole batch at the call.  The trajectories are built as the
-    caller iterates, and only there do their states become complex 4x4
-    matrices.
+    rhs_adiabatic (from R^dag rho R), looked up by name and bound once per
+    solve, one per stage; their weights at the stage times of a step come
+    from one _bare_weights or _adiabatic_weights pass.
+    A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
+    solve it raises for the whole batch at the call.  The trajectories are
+    built as the caller iterates, and only there do their states become
+    complex 4x4 matrices.
     """
     batch = Batch.of(cfgs)
     n = len(batch)
@@ -562,11 +652,12 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     y0 = (np.tile(c0, n) if basis is Basis.BARE
           else coords(to_adiabatic(density(c0), batch.start, batch)).ravel())
     folded = _Invariants(n)
-    y, nfev = _solve_batch(partial(rhs_bare if basis is Basis.BARE else rhs_adiabatic,
-                                   batch=batch), y0, batch, samples, METHOD,
-                           "the master solve stopped at its budget of {} derivative calls "
-                           "(about 45 per unit of Omega0); --engine effective takes about 900 "
-                           "at any Omega0",
+    rhs, weights = ((rhs_bare, _bare_weights) if basis is Basis.BARE
+                    else (rhs_adiabatic, _adiabatic_weights))
+    y, nfev = _solve_batch(partial(rhs, batch=batch), partial(weights, batch=batch), y0, batch,
+                           samples, METHOD, "the master solve stopped at its budget of {} "
+                           "derivative calls (about 45 per unit of Omega0); --engine effective "
+                           "takes about 900 at any Omega0",
                            lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))
     return (_trajectory(cfg, basis, samples, density(c.T), nfev, theta_g, member)
             for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 16, -1),

@@ -542,8 +542,8 @@ def test_sweep_manifest_counts_each_batch_once(tmp_path, monkeypatch):
                                 samples=200).stats["nfev"] for g in (0.0, 0.1)]
     rhs = liouville.rhs_bare
 
-    def poisoned(s, y, batch):
-        out = rhs(s, y, batch)
+    def poisoned(s, y, batch, **weights):
+        out = rhs(s, y, batch, **weights)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
         # the flat state is (B, 16) member by member
         bad = (rates == 0.05) & (batch.start + s * batch.span > 0.0)
@@ -603,6 +603,42 @@ def test_fig4_columns(tmp_path):
     row1 = [float(x) for x in rows[1]]
     assert row1[2] > row1[3]          # finite-time value keeps some coherence
     assert abs(row1[1] - row1[2]) < 0.05
+
+
+def test_fig4_lists_the_closed_form_rows_whose_gamma_ratios_overflow(tmp_path, capsys):
+    # at gamma 3000 the gamma-function ratios overflow: the closed-form cells stay NaN in the
+    # CSV, nothing reaches stderr, and the manifest marks the row as analysis.sweep does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["figures", "fig4", "--gamma-grid", "0,3000", "--samples", "60",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows = _read_csv(tmp_path / "fig4.csv")
+    assert [row[2:] for row in rows] == [["1", "1"], ["nan", "nan"]]
+    assert float(rows[1][1]) < 0.01
+    manifest = json.loads((tmp_path / "fig4.manifest.json").read_text())
+    assert manifest["closed_form"] == [{"row": 1, "gamma": 3000.0, "error": (
+        "GammaPole: the gamma-function ratios overflow (gamma T^2 / tau too large)")}]
+    base = PulseConfig(ordering=Ordering.OVERLAP, omega0=50.0, tau=1.5)
+    marked = analysis.sweep(base, "gamma", [3000.0], analysis.Engine.ANALYTIC)
+    assert marked.errors == (manifest["closed_form"][0]["error"],)
+    # a grid whose closed forms are all finite lists none
+    assert main(["figures", "fig4", "--gamma-grid", "0,1", "--samples", "60",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "closed_form" not in json.loads((tmp_path / "fig4.manifest.json").read_text())
+
+
+def test_fig9a_manifest_records_its_solve(tmp_path):
+    # the trajectory figure reports its batch as the final-state figures do, from the same
+    # sampled solve whose F2 the CSV holds
+    assert main(["figures", "fig9a", "--tau-grid", "0.5,1.5", "--samples", "80",
+                 "--out-dir", str(tmp_path)]) == 0
+    trajs = list(liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL,
+                                                       omega0=200.0, tau=t) for t in (0.5, 1.5)],
+                                          samples=80))
+    assert json.loads((tmp_path / "fig9a.manifest.json").read_text())["solve"] == (
+        cli._solve_report([traj.stats for traj in trajs]))
+    assert trajs[0].stats["nfev"] > 0
 
 
 def test_fig5_column_layout(tmp_path):

@@ -383,15 +383,13 @@ def test_a_wide_window_does_not_step_over_the_pulses(monkeypatch, engine):
     # on +-60 around pulses of width 0.5 the step grew across the quiet edges and passed
     # over the pulses (bare F2 0 in 95 calls): no step is longer than the default window,
     # and the end state is that of a solve started at the default window's start
-    steps = []
-    for name in ("DOP853", "RK45"):
-        real = getattr(scipy.integrate, name)
+    steps, bound = [], liouville._max_step
 
-        def recorded(*args, real=real, **kwargs):
-            steps.append(kwargs["max_step"])
-            return real(*args, **kwargs)
+    def recorded(batch):
+        steps.append(bound(batch))
+        return steps[-1]
 
-        monkeypatch.setattr(scipy.integrate, name, recorded)
+    monkeypatch.setattr(liouville, "_max_step", recorded)
     run = _ENGINES[engine][2]
     wide = PulseConfig(ordering="scp", omega0=50.0, tau=1.5, width=0.5, t_start=-60.0,
                        t_end=60.0, gamma=DephasingMatrix.equal(0.3))
@@ -416,7 +414,8 @@ _ENGINES = {
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_engine_derivative_is_called_by_name(monkeypatch, engine):
     # the engine looks the derivative up in the module once per solve and binds it: every
-    # call is the solver's evaluations plus _solve_batch's finiteness check at the start
+    # call is one of the solve's evaluations, the finiteness check at the start reading the
+    # first of them
     module, name, run = _ENGINES[engine]
     rhs, calls = getattr(module, name), []
 
@@ -426,7 +425,7 @@ def test_engine_derivative_is_called_by_name(monkeypatch, engine):
 
     monkeypatch.setattr(module, name, counted)
     traj = run(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), 50)
-    assert len(calls) == traj.stats["nfev"] + 1
+    assert len(calls) == traj.stats["nfev"]
 
 
 @pytest.mark.parametrize("engine,message", [
@@ -560,8 +559,8 @@ def test_stacked_transforms_match_the_per_sample_form(rng, ordering):
 
 
 def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
-    # a NaN first derivative makes RK45's first step size NaN and its step
-    # loop never ends; the alarm turns a regression into a failure, not a hang
+    # a NaN first derivative makes the first step size NaN, on which the step loop would
+    # never end; the alarm turns a regression into a failure, not a hang
     monkeypatch.setattr(liouville, "rhs_bare", lambda t, rho, batch: np.full_like(rho, np.nan))
 
     def timeout(signum, frame):
@@ -603,20 +602,74 @@ def _stacked_invariants(states: np.ndarray) -> dict:
     }
 
 
-@pytest.mark.parametrize("engine", ["master", "effective"])
-def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine):
-    # dense output on the steps that hold samples, with solve_ivp's arithmetic
-    batch = Batch.of(_MIXED_ORDERINGS[:3])
-    if engine == "master":
-        rhs, y0 = partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3)
-        method = liouville.METHOD
-    else:
-        rhs = partial(effective._suv_rhs, batch=batch, mode=effective.Mode.FULL)
-        y0, method = np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], 3), effective.METHOD
-    y, nfev = liouville._solve_batch(rhs, y0, batch, 70, method, "{}")
+def _derivative(engine: str, batch: Batch) -> tuple:
+    """An engine's derivative on `batch` and its weights, bound as the step loop takes them,
+    and the engine's initial state."""
+    if engine == "effective":
+        mode = effective.Mode.FULL
+        return (partial(effective._suv_rhs, batch=batch, mode=mode),
+                partial(effective._suv_weights, batch=batch, mode=mode),
+                np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], len(batch)))
+    if engine == "bare":
+        return (partial(rhs_bare, batch=batch), partial(liouville._bare_weights, batch=batch),
+                np.tile(np.eye(16)[0], len(batch)))
+    c0 = liouville.to_adiabatic(density(np.eye(16)[0]), batch.start, batch)
+    return (partial(rhs_adiabatic, batch=batch),
+            partial(liouville._adiabatic_weights, batch=batch), coords(c0).ravel())
+
+
+# the wide member of _rhs_batch's kind alone: its +-60 window bounds the step at 1/12
+_WIDE = PulseConfig(ordering="scp", omega0=40.0, tau=1.0, width=0.5, t_start=-60.0, t_end=60.0,
+                    gamma=DephasingMatrix.equal(0.3))
+
+# each engine's own tableau (master: bare DOP853), then the other one and the eigenframe's;
+# the "-wide" cases run on _WIDE, where the step bound takes effect
+_GRID_CASES = {"master": ("bare", "DOP853", 0), "effective": ("effective", "RK45", 0),
+               "adiabatic": ("adiabatic", "DOP853", 0), "master-RK45": ("bare", "RK45", 0),
+               "adiabatic-RK45": ("adiabatic", "RK45", 0),
+               "effective-DOP853": ("effective", "DOP853", 0),
+               "master-wide": ("bare", "DOP853", 1), "effective-wide": ("effective", "RK45", 1)}
+
+
+@pytest.mark.parametrize("engine,method,wide", _GRID_CASES.values(), ids=list(_GRID_CASES))
+def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine, method, wide):
+    # the stage-batched step loop, its dense output on the steps that hold samples and its
+    # count are solve_ivp's on the same derivative, on both tableaux and every engine
+    batch = Batch.of([_WIDE] if wide else _MIXED_ORDERINGS[:3])
+    rhs, weights, y0 = _derivative(engine, batch)
+    y, nfev = liouville._solve_batch(rhs, weights, y0, batch, 70, method, "{}")
     ref = _solve_ivp(rhs, y0, batch, method, 70)
     assert y.shape == (len(y0), 70) and nfev == ref.nfev
     assert np.array_equal(y.view(np.uint64), ref.y.view(np.uint64))
+
+
+# a lone dephased member, whose arrays NumPy may take other paths on (at gamma 0 the
+# generator's sums are exact in any order, and no path shows), and the mixed batch
+_STAGE_BATCHES = {1: Batch.of(_MIXED_ORDERINGS[3:]), 4: Batch.of(_MIXED_ORDERINGS)}
+
+
+def _bits(weights) -> list:
+    """The bit patterns of one stage time's weights: an array, or the eigenframe's pair."""
+    return [part.view(np.uint64) for part in (weights if isinstance(weights, tuple) else
+                                              (weights,))]
+
+
+# a stage at t + h with h = 1 - t can pass 1 by an ulp
+@pytest.mark.parametrize("members", _STAGE_BATCHES)
+@given(engine=st.sampled_from(["bare", "adiabatic", "effective"]),
+       s=st.lists(st.floats(0.0, np.nextafter(1.0, 2.0)), min_size=1, max_size=13),
+       seed=st.integers(0, 2**32 - 1))
+def test_weights_at_n_stage_times_are_n_one_time_calls_to_the_bit(members, engine, s, seed):
+    # one weights pass over a step's stage times has the bits of a call per time, and the
+    # derivative handed a time's weights has the bits of the one that computes them
+    rhs, weights, y0 = _derivative(engine, _STAGE_BATCHES[members])
+    y = np.random.default_rng(seed).normal(size=y0.shape)
+    at_once = weights(np.array(s))
+    assert len(at_once) == len(s)
+    for x, w in zip(s, at_once):
+        for got, want in zip(_bits(w), _bits(weights(np.array([x]))[0]), strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rhs(x, y, w=w).view(np.uint64), rhs(x, y).view(np.uint64))
 
 
 def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
@@ -626,6 +679,8 @@ def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
     ref = _solve_ivp(partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3), batch,
                      liouville.METHOD, None)
     steps = ref.y.T.reshape(-1, 3, 16)
+    # the solve rejects steps: beyond 2 start calls, 12 per attempt and more attempts than steps
+    assert ref.nfev > 12 * (len(steps) - 1) + 2
     assert len(steps) > 2 * (liouville._FOLD // 3)  # three chunks
     for b, traj in enumerate(liouville.integrate_many(batch.cfgs, samples=None)):
         assert traj.t.shape == traj.fidelity.shape == (1,) and traj.states.shape == (1, 4, 4)
