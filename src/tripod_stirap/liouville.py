@@ -30,7 +30,8 @@ derivative is linear in c with coefficients in s alone, which the step loop
 (_solve_batch) evaluates at every stage time of a Runge-Kutta step in one
 array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
 stage by stage; it drives the DOP853 tableau itself, with the bits of SciPy's
-solver.
+solver, and so do the effective engine's (s, u, v) solves: both engines step
+one tableau.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases
 
 RTOL = 1e-9
 ATOL = 1e-12
-# the step of the master engine's solves, in both bases
-METHOD = "DOP853"
 # derivative calls one master solve may make, about 7x those of scp at Omega0 = 3200
 MAX_NFEV = 10**6
 
@@ -417,23 +416,22 @@ def _certified(states: np.ndarray) -> bool:
 
 
 class _Invariants:
-    """Each member's trace and Hermiticity errors and a least eigenvalue, folded over the
-    (n, B, 4, 4) stacks of its states handed to `add`, in any basis.
+    """Each member's trace error and a least eigenvalue, folded over the (n, B, 4, 4) stacks
+    of its states handed to `add`, in any basis.
 
     Where a member's stacks pass the positivity certificate (_certified), min_eigenvalue is
     its final state's least eigenvalue.  Where one fails, it is the least over the stacks
     that fail, which hold every eigenvalue below about -1e-12; on a single stack that is the
-    least over the whole stack.  density builds exactly Hermitian states, so eigvalsh and
-    cholesky, which read one triangle, take them as they are.
+    least over the whole stack.  density builds exactly Hermitian states, so the Hermiticity
+    error is 0.0, as in effective.dark_invariants, and eigvalsh and cholesky, which read one
+    triangle, take them as they are.
     """
 
     def __init__(self, members: int):
-        self.errors, self.least, self.last = np.zeros((2, members)), np.full(members, np.inf), None
+        self.trace, self.least, self.last = np.zeros(members), np.full(members, np.inf), None
 
     def add(self, states: np.ndarray) -> None:
-        np.maximum(self.errors, [np.abs(np.einsum("nbii->nb", states) - 1.0).max(0),
-                                 np.abs(states - np.conj(states.swapaxes(-1, -2))).max((0, 2, 3))],
-                   out=self.errors)
+        np.maximum(self.trace, np.abs(np.einsum("nbii->nb", states) - 1.0).max(0), out=self.trace)
         for b in [] if _certified(states) else range(states.shape[1]):
             if not _certified(states[:, b]):
                 self.least[b] = min(self.least[b], np.linalg.eigvalsh(states[:, b])[:, 0].min())
@@ -441,9 +439,8 @@ class _Invariants:
 
     def stats(self) -> list[dict]:
         least = np.where(np.isinf(self.least), np.linalg.eigvalsh(self.last)[:, 0], self.least)
-        return [{"trace_error": float(trace), "hermiticity_error": float(hermiticity),
-                 "min_eigenvalue": float(value)}
-                for trace, hermiticity, value in zip(*self.errors, least)]
+        return [{"trace_error": float(trace), "hermiticity_error": 0.0,
+                 "min_eigenvalue": float(value)} for trace, value in zip(self.trace, least)]
 
 
 def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.ndarray,
@@ -492,7 +489,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
 def _rms(x: np.ndarray) -> float:
-    """The RMS norm of SciPy's initial-step rule and RK45 error estimate."""
+    """The RMS norm of SciPy's initial-step rule."""
     return np.linalg.norm(x) / x.size ** 0.5
 
 
@@ -506,20 +503,21 @@ def _max_step(batch: Batch) -> float:
     return min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
 
 
-def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, method: str,
-                 budget: str, fold: Callable[[np.ndarray], None] | None = None) -> tuple:
+def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, budget: str,
+                 fold: Callable[[np.ndarray], None] | None = None) -> tuple:
     """The step loop of both ODE engines: one solve of rhs(s, y) = dy/ds on the flat batch
-    state y over s in [0, 1] by SciPy's `method` pair (DOP853 or RK45), at RTOL and ATOL.
+    state y over s in [0, 1] by the eighth-order Dormand-Prince pair (DOP853), at RTOL and
+    ATOL.
 
     The derivative is linear in y with coefficients that depend on s alone: weights(ts)
     evaluates them at an array of times in one pass, and rhs(s, y, w=w) takes those at s
     from there instead of computing them.  Each step attempt makes one weights call for all
-    its stage times, t + C h and t + h, and each step that holds samples one more for
-    DOP853's three extra stages; rhs runs once per stage.  The tableaux are read from SciPy's
-    classes (scipy.integrate.DOP853, RK45), and the initial step, the step control, the
-    error norms, the derivative count and the dense output are those of its RungeKutta,
-    select_initial_step, RkDenseOutput and Dop853DenseOutput, operation for operation, so
-    states and counts have the bits of solve_ivp on rhs.
+    its stage times, t + C h and t + h, and each step that holds samples one more for the
+    three extra stages of the dense output; rhs runs once per stage.  The tableau is read from
+    scipy.integrate.DOP853, and the initial step, the step control, the error norm, the
+    derivative count and the dense output are those of SciPy's RungeKutta,
+    select_initial_step, DOP853 and Dop853DenseOutput, operation for operation, so states and
+    counts have the bits of solve_ivp on rhs.
 
     Returns the states and the derivative calls.  On an output grid the states are
     (len(y0), samples) at np.linspace(0, 1, samples), read from the dense output on the
@@ -534,8 +532,8 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     formatted with MAX_NFEV (both read at call time); the count is read after each step.  A
     failed step is a step-size underflow.  No step is longer than _max_step(batch).
     """
-    rk, chunk = getattr(scipy.integrate, method), max(_FOLD // len(batch), 1)
-    stages, dop853, order = rk.n_stages, method == "DOP853", rk.error_estimator_order + 1
+    rk, chunk = scipy.integrate.DOP853, max(_FOLD // len(batch), 1)
+    stages, order = rk.n_stages, rk.error_estimator_order + 1
     # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
     nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)
     if samples is None:
@@ -554,7 +552,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     # the step bound of select_initial_step is applied with the loop's own, below
     h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
                 else (0.01 / max(d1, d2)) ** (1 / order), 1.0)
-    t, y, nfev, k = 0.0, y0, 2, np.empty((rk.D.shape[1] if dop853 else stages + 1, len(y0)))
+    t, y, nfev, k = 0.0, y0, 2, np.empty((rk.D.shape[1], len(y0)))
     while t < 1.0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -570,12 +568,9 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
             k[stages] = f_new = rhs(ts[-1], y_new, w=w[-1])
             nfev += stages
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            if dop853:
-                e5, e3 = (np.linalg.norm(np.dot(k[:stages + 1].T, e) / scale) ** 2
-                          for e in (rk.E5, rk.E3))
-                error = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
-            else:
-                error = _rms(np.dot(k.T, rk.E) * h / scale)
+            e5, e3 = (np.linalg.norm(np.dot(k[:stages + 1].T, e) / scale) ** 2
+                      for e in (rk.E5, rk.E3))
+            error = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
             if error < 1:
                 break
             h_abs, cap = h_abs * max(_MIN_FACTOR, _SAFETY * error ** (-1 / order)), 1
@@ -592,22 +587,18 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
             states[done] = y
             done += 1
         elif (end := grid.searchsorted(t, side="right")) > done:
-            x = (grid[done:end] - t_old) / h
-            if dop853:
-                ts = t_old + rk.C_EXTRA * h
-                for i, (a, s, w_s) in enumerate(zip(rk.A_EXTRA, ts, weights(ts)), stages + 1):
-                    k[i] = rhs(s, y_old + np.dot(k[:i].T, a[:i]) * h, w=w_s)
-                nfev += len(rk.C_EXTRA)
-                delta, value = y - y_old, np.zeros((len(x), len(y0)))
-                # the terms of Dop853DenseOutput, highest first
-                for i, term in enumerate([*(h * np.dot(rk.D, k))[::-1],
-                                          2 * delta - h * (f + k[0]), h * k[0] - delta, delta]):
-                    value += term
-                    value *= x[:, None] if i % 2 == 0 else 1 - x[:, None]
-                out[:, done:end] = (value + y_old).T
-            else:
-                out[:, done:end] = h * np.dot(k.T.dot(rk.P), np.cumprod(
-                    np.tile(x, (rk.P.shape[1], 1)), axis=0)) + y_old[:, None]
+            x = (grid[done:end] - t_old)[:, None] / h
+            ts = t_old + rk.C_EXTRA * h
+            for i, (a, s, w_s) in enumerate(zip(rk.A_EXTRA, ts, weights(ts)), stages + 1):
+                k[i] = rhs(s, y_old + np.dot(k[:i].T, a[:i]) * h, w=w_s)
+            nfev += len(rk.C_EXTRA)
+            delta, value = y - y_old, np.zeros((len(x), len(y0)))
+            # the terms of Dop853DenseOutput, highest first
+            for i, term in enumerate([*(h * np.dot(rk.D, k))[::-1],
+                                      2 * delta - h * (f + k[0]), h * k[0] - delta, delta]):
+                value += term
+                value *= x if i % 2 == 0 else 1 - x
+            out[:, done:end] = (value + y_old).T
             done = end
     if samples is None:
         fold(states[:done])
@@ -655,7 +646,7 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     rhs, weights = ((rhs_bare, _bare_weights) if basis is Basis.BARE
                     else (rhs_adiabatic, _adiabatic_weights))
     y, nfev = _solve_batch(partial(rhs, batch=batch), partial(weights, batch=batch), y0, batch,
-                           samples, METHOD, "the master solve stopped at its budget of {} "
+                           samples, "the master solve stopped at its budget of {} "
                            "derivative calls (about 45 per unit of Omega0); --engine effective "
                            "takes about 900 at any Omega0",
                            lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))

@@ -578,11 +578,11 @@ def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
 
 # ------------------------------------------------------------------ the step loop
 
-def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, method: str, samples: int | None):
+def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, samples: int | None):
     """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound."""
     max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
     return scipy.integrate.solve_ivp(
-        rhs, (0.0, 1.0), y0, method=method, rtol=liouville.RTOL, atol=liouville.ATOL,
+        rhs, (0.0, 1.0), y0, method="DOP853", rtol=liouville.RTOL, atol=liouville.ATOL,
         max_step=max_step, t_eval=None if samples is None else np.linspace(0.0, 1.0, samples))
 
 
@@ -622,23 +622,21 @@ def _derivative(engine: str, batch: Batch) -> tuple:
 _WIDE = PulseConfig(ordering="scp", omega0=40.0, tau=1.0, width=0.5, t_start=-60.0, t_end=60.0,
                     gamma=DephasingMatrix.equal(0.3))
 
-# each engine's own tableau (master: bare DOP853), then the other one and the eigenframe's;
-# the "-wide" cases run on _WIDE, where the step bound takes effect
-_GRID_CASES = {"master": ("bare", "DOP853", 0), "effective": ("effective", "RK45", 0),
-               "adiabatic": ("adiabatic", "DOP853", 0), "master-RK45": ("bare", "RK45", 0),
-               "adiabatic-RK45": ("adiabatic", "RK45", 0),
-               "effective-DOP853": ("effective", "DOP853", 0),
-               "master-wide": ("bare", "DOP853", 1), "effective-wide": ("effective", "RK45", 1)}
+# every derivative: master bare, effective and the master eigenframe; the "-wide" cases run
+# on _WIDE, where the step bound takes effect
+_GRID_CASES = {"master": ("bare", 0), "effective-DOP853": ("effective", 0),
+               "adiabatic": ("adiabatic", 0), "master-wide": ("bare", 1),
+               "effective-wide": ("effective", 1)}
 
 
-@pytest.mark.parametrize("engine,method,wide", _GRID_CASES.values(), ids=list(_GRID_CASES))
-def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine, method, wide):
+@pytest.mark.parametrize("engine,wide", _GRID_CASES.values(), ids=list(_GRID_CASES))
+def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine, wide):
     # the stage-batched step loop, its dense output on the steps that hold samples and its
-    # count are solve_ivp's on the same derivative, on both tableaux and every engine
+    # count are solve_ivp's DOP853 on the same derivative, on every engine
     batch = Batch.of([_WIDE] if wide else _MIXED_ORDERINGS[:3])
     rhs, weights, y0 = _derivative(engine, batch)
-    y, nfev = liouville._solve_batch(rhs, weights, y0, batch, 70, method, "{}")
-    ref = _solve_ivp(rhs, y0, batch, method, 70)
+    y, nfev = liouville._solve_batch(rhs, weights, y0, batch, 70, "{}")
+    ref = _solve_ivp(rhs, y0, batch, 70)
     assert y.shape == (len(y0), 70) and nfev == ref.nfev
     assert np.array_equal(y.view(np.uint64), ref.y.view(np.uint64))
 
@@ -676,8 +674,7 @@ def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
     # no output grid: the solver's own last state, and invariants folded chunk by chunk
     # that equal one pass over solve_ivp's stack of every accepted step
     batch = Batch.of(_MIXED_ORDERINGS[:3])
-    ref = _solve_ivp(partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3), batch,
-                     liouville.METHOD, None)
+    ref = _solve_ivp(partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3), batch, None)
     steps = ref.y.T.reshape(-1, 3, 16)
     # the solve rejects steps: beyond 2 start calls, 12 per attempt and more attempts than steps
     assert ref.nfev > 12 * (len(steps) - 1) + 2
