@@ -266,7 +266,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                    samples: int = 2000) -> Iterator[EffectiveTrajectory]:
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
-    One shared DOP853 solve of _suv_rhs, bound once per solve, on the
+    One shared DOP853 solve of _suv_rhs, with only `mode` bound, on the
     stage-batched step loop of liouville.integrate_many (_solve_batch:
     window, samples, budget), with one _suv_weights pass for the generators
     at all stage times of a step and one _suv_rhs call per stage.  The error
@@ -280,8 +280,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     tripod.geometric_phases.
     """
     batch = Batch.of(cfgs)
-    y, nfev = _solve_batch(partial(_suv_rhs, batch=batch, mode=mode),
-                           partial(_suv_weights, batch=batch, mode=mode),
+    y, nfev = _solve_batch(partial(_suv_rhs, mode=mode), partial(_suv_weights, mode=mode),
                            np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples,
                            "the effective solve stopped at its budget of {} derivative calls "
                            "(about 30 per unit of gamma)")

@@ -37,10 +37,11 @@ one tableau.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.integrate
@@ -488,9 +489,14 @@ _FOLD = 384
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D real array, which is sqrt(x @ x), bit for bit."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x: np.ndarray) -> float:
     """The RMS norm of SciPy's initial-step rule."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 def _max_step(batch: Batch) -> float:
@@ -505,19 +511,21 @@ def _max_step(batch: Batch) -> float:
 
 def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, budget: str,
                  fold: Callable[[np.ndarray], None] | None = None) -> tuple:
-    """The step loop of both ODE engines: one solve of rhs(s, y) = dy/ds on the flat batch
-    state y over s in [0, 1] by the eighth-order Dormand-Prince pair (DOP853), at RTOL and
-    ATOL.
+    """The step loop of both ODE engines: one solve of rhs(s, y, batch) = dy/ds on the flat
+    batch state y over s in [0, 1] by the eighth-order Dormand-Prince pair (DOP853), at RTOL
+    and ATOL.
 
-    The derivative is linear in y with coefficients that depend on s alone: weights(ts)
-    evaluates them at an array of times in one pass, and rhs(s, y, w=w) takes those at s
-    from there instead of computing them.  Each step attempt makes one weights call for all
-    its stage times, t + C h and t + h, and each step that holds samples one more for the
-    three extra stages of the dense output; rhs runs once per stage.  The tableau is read from
-    scipy.integrate.DOP853, and the initial step, the step control, the error norm, the
-    derivative count and the dense output are those of SciPy's RungeKutta,
+    The derivative is linear in y with coefficients that depend on s alone: weights(ts, batch)
+    evaluates them at an array of times in one pass, and rhs(s, y, batch, w=w) takes those at
+    s from there instead of computing them.  Both are called unbound, batch passed on each
+    call.  Each step attempt makes one weights call for all its stage times, t + C h and
+    t + h, and each step that holds samples one more for the three extra stages of the dense
+    output; rhs runs once per stage, on views of the stage table k built once per solve.  The
+    tableau is read from scipy.integrate.DOP853, and the initial step, the step control, the
+    error norm, the derivative count and the dense output are those of SciPy's RungeKutta,
     select_initial_step, DOP853 and Dop853DenseOutput, operation for operation, so states and
-    counts have the bits of solve_ivp on rhs.
+    counts have the bits of solve_ivp on rhs bound to batch.  The step control runs on
+    Python floats (math), with the bits of SciPy's NumPy scalars.
 
     Returns the states and the derivative calls.  On an output grid the states are
     (len(y0), samples) at np.linspace(0, 1, samples), read from the dense output on the
@@ -536,41 +544,46 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     stages, order = rk.n_stages, rk.error_estimator_order + 1
     # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
     nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)
+    k = np.empty((rk.D.shape[1], len(y0)))
+    # each stage i of a step and of its dense output, with the views k[:i].T and A[i, :i] it
+    # combines, and the stages of the step's new state (k_b) and of its error estimate (k_e)
+    steps, extras = ([(i, k[:i].T, a[:i]) for i, a in enumerate(rows, first)]
+                     for rows, first in ((rk.A[1:stages], 1), (rk.A_EXTRA, stages + 1)))
+    k_b, k_e = k[:stages].T, k[:stages + 1].T
     if samples is None:
         states = np.empty((chunk, len(y0)))
         states[0], done = y0, 1
     else:
         check_samples(samples)
         grid, out, done = np.linspace(0.0, 1.0, samples), np.empty((len(y0), samples)), 0
-    f = rhs(0.0, y0)
+    f = rhs(0.0, y0, batch)
     if not np.all(np.isfinite(f)):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
     scale = ATOL + np.abs(y0) * RTOL  # select_initial_step
     d0, d1 = _rms(y0 / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-    d2 = _rms((rhs(h0, y0 + h0 * f) - f) / scale) / h0
+    d2 = _rms((rhs(h0, y0 + h0 * f, batch) - f) / scale) / h0
     # the step bound of select_initial_step is applied with the loop's own, below
     h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
                 else (0.01 / max(d1, d2)) ** (1 / order), 1.0)
-    t, y, nfev, k = 0.0, y0, 2, np.empty((rk.D.shape[1], len(y0)))
+    t, y, nfev = 0.0, y0, 2
     while t < 1.0:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         # the growth cap falls to 1 once a step is rejected; k[0] is f at t for every attempt
-        cap, error, k[0] = _MAX_FACTOR, np.inf, f
+        cap, error, k[0] = _MAX_FACTOR, math.inf, f
         while h_abs >= min_step:
             t_new = min(t + h_abs, 1.0)
             h = h_abs = t_new - t
-            w = weights(ts := t + nodes * h)
-            for i, (a, s, w_s) in enumerate(zip(rk.A[1:stages], ts, w), 1):
-                k[i] = rhs(s, y + np.dot(k[:i].T, a[:i]) * h, w=w_s)
-            y_new = y + h * np.dot(k[:stages].T, rk.B)
-            k[stages] = f_new = rhs(ts[-1], y_new, w=w[-1])
+            w = weights(ts := t + nodes * h, batch)
+            for (i, k_i, a), s, w_s in zip(steps, ts, w):
+                k[i] = rhs(s, y + np.dot(k_i, a) * h, batch, w=w_s)
+            y_new = y + h * np.dot(k_b, rk.B)
+            k[stages] = f_new = rhs(ts[-1], y_new, batch, w=w[-1])
             nfev += stages
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            e5, e3 = (np.linalg.norm(np.dot(k[:stages + 1].T, e) / scale) ** 2
-                      for e in (rk.E5, rk.E3))
-            error = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            e5, e3 = (_norm(np.dot(k_e, e) / scale) ** 2 for e in (rk.E5, rk.E3))
+            error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
             if error < 1:
                 break
             h_abs, cap = h_abs * max(_MIN_FACTOR, _SAFETY * error ** (-1 / order)), 1
@@ -589,8 +602,8 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
         elif (end := grid.searchsorted(t, side="right")) > done:
             x = (grid[done:end] - t_old)[:, None] / h
             ts = t_old + rk.C_EXTRA * h
-            for i, (a, s, w_s) in enumerate(zip(rk.A_EXTRA, ts, weights(ts)), stages + 1):
-                k[i] = rhs(s, y_old + np.dot(k[:i].T, a[:i]) * h, w=w_s)
+            for (i, k_i, a), s, w_s in zip(extras, ts, weights(ts, batch)):
+                k[i] = rhs(s, y_old + np.dot(k_i, a) * h, batch, w=w_s)
             nfev += len(rk.C_EXTRA)
             delta, value = y - y_old, np.zeros((len(x), len(y0)))
             # the terms of Dop853DenseOutput, highest first
@@ -629,9 +642,10 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     invariants are folded over the states at the accepted steps as the solve
     takes them, with no output grid and no stack of the steps.
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
-    rhs_adiabatic (from R^dag rho R), looked up by name and bound once per
-    solve, one per stage; their weights at the stage times of a step come
-    from one _bare_weights or _adiabatic_weights pass.
+    rhs_adiabatic (from R^dag rho R), looked up by name once per solve and
+    handed to the step loop unbound, one call per stage; their weights at
+    the stage times of a step come from one _bare_weights or
+    _adiabatic_weights pass.
     A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
     solve it raises for the whole batch at the call.  The trajectories are
     built as the caller iterates, and only there do their states become
@@ -645,8 +659,8 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     folded = _Invariants(n)
     rhs, weights = ((rhs_bare, _bare_weights) if basis is Basis.BARE
                     else (rhs_adiabatic, _adiabatic_weights))
-    y, nfev = _solve_batch(partial(rhs, batch=batch), partial(weights, batch=batch), y0, batch,
-                           samples, "the master solve stopped at its budget of {} "
+    y, nfev = _solve_batch(rhs, weights, y0, batch, samples,
+                           "the master solve stopped at its budget of {} "
                            "derivative calls (about 45 per unit of Omega0); --engine effective "
                            "takes about 900 at any Omega0",
                            lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))

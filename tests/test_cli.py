@@ -449,11 +449,11 @@ def test_sweep_rejects_unknown_engine(tmp_path, capsys):
 
 
 def test_sweep_exit_code_when_every_point_fails(tmp_path, monkeypatch, capsys):
-    def every_row_fails(args, error):
+    def every_row_fails(args, error, code):
         out = tmp_path / f"{error}.csv"
         rc = main(["sweep", "--axis", "gamma", *args, "--out", str(out)])
-        assert rc == 3
-        assert "error: every sweep point failed" in capsys.readouterr().err
+        assert rc == code
+        assert ("error: every sweep point failed" in capsys.readouterr().err) == (code == 3)
         _, _, rows = _read_csv(out)
         assert len(rows) == 2
         for r in rows:
@@ -462,14 +462,15 @@ def test_sweep_exit_code_when_every_point_fails(tmp_path, monkeypatch, capsys):
             assert "," not in r[5]
 
     # strong dephasing saturates the fidelity near 1/4, far below the 0.9
-    # threshold, so every transition-time extraction fails
+    # threshold, so every transition-time extraction fails; the rows keep their F2 and
+    # theta_g, and the sweep exits 0
     every_row_fails(["--ordering", "overlap", "--values", "5,10", "--engine", "effective",
-                     "--samples", "300"], "NoCrossing")
-    # a master grid stopped at the derivative budget exits 3 too, where simulate exits 2:
+                     "--samples", "300"], "NoCrossing", 0)
+    # a master grid stopped at the derivative budget exits 3, where simulate exits 2:
     # the sweep still writes its rows, each with its marker
     monkeypatch.setattr(liouville, "MAX_NFEV", 500)
     every_row_fails(["--ordering", "scp", "--values", "0,0.5", "--samples", "50"],
-                    "StepBudgetExceeded")
+                    "StepBudgetExceeded", 3)
 
 
 def test_sweep_master_engine_with_epsilon(tmp_path):

@@ -579,11 +579,13 @@ def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
 # ------------------------------------------------------------------ the step loop
 
 def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, samples: int | None):
-    """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound."""
+    """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound,
+    with the derivative rhs(s, y, batch) bound to the batch."""
     max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
     return scipy.integrate.solve_ivp(
-        rhs, (0.0, 1.0), y0, method="DOP853", rtol=liouville.RTOL, atol=liouville.ATOL,
-        max_step=max_step, t_eval=None if samples is None else np.linspace(0.0, 1.0, samples))
+        partial(rhs, batch=batch), (0.0, 1.0), y0, method="DOP853", rtol=liouville.RTOL,
+        atol=liouville.ATOL, max_step=max_step,
+        t_eval=None if samples is None else np.linspace(0.0, 1.0, samples))
 
 
 def _stacked_invariants(states: np.ndarray) -> dict:
@@ -603,19 +605,16 @@ def _stacked_invariants(states: np.ndarray) -> dict:
 
 
 def _derivative(engine: str, batch: Batch) -> tuple:
-    """An engine's derivative on `batch` and its weights, bound as the step loop takes them,
-    and the engine's initial state."""
+    """An engine's derivative rhs(s, y, batch, w=None) and its weights(ts, batch), unbound
+    as the step loop takes them, and the engine's initial state on `batch`."""
     if engine == "effective":
         mode = effective.Mode.FULL
-        return (partial(effective._suv_rhs, batch=batch, mode=mode),
-                partial(effective._suv_weights, batch=batch, mode=mode),
+        return (partial(effective._suv_rhs, mode=mode), partial(effective._suv_weights, mode=mode),
                 np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], len(batch)))
     if engine == "bare":
-        return (partial(rhs_bare, batch=batch), partial(liouville._bare_weights, batch=batch),
-                np.tile(np.eye(16)[0], len(batch)))
+        return rhs_bare, liouville._bare_weights, np.tile(np.eye(16)[0], len(batch))
     c0 = liouville.to_adiabatic(density(np.eye(16)[0]), batch.start, batch)
-    return (partial(rhs_adiabatic, batch=batch),
-            partial(liouville._adiabatic_weights, batch=batch), coords(c0).ravel())
+    return rhs_adiabatic, liouville._adiabatic_weights, coords(c0).ravel()
 
 
 # the wide member of _rhs_batch's kind alone: its +-60 window bounds the step at 1/12
@@ -641,6 +640,51 @@ def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine, wide):
     assert np.array_equal(y.view(np.uint64), ref.y.view(np.uint64))
 
 
+# fig6's final-state batch on a two-value gamma grid, as perfbench's master-grid solves it
+_FIG6_BATCH = Batch.of([PulseConfig(ordering="scp", omega0=200.0, tau=tau,
+                                    gamma=DephasingMatrix.equal(g))
+                        for g in (0.8, 1.7) for tau in (1.0, 1.5, 2.0)])
+
+
+def test_final_state_of_a_fig6_batch_is_that_of_solve_ivp_to_the_bit():
+    # six dephased members at Omega0 200: the batch shape and step count of the final-state
+    # figures, on the final-state path
+    rhs, weights, y0 = _derivative("bare", _FIG6_BATCH)
+    y, nfev = liouville._solve_batch(rhs, weights, y0, _FIG6_BATCH, None, "{}", lambda rows: None)
+    ref = _solve_ivp(rhs, y0, _FIG6_BATCH, None)
+    assert y.shape == (len(y0), 1) and nfev == ref.nfev
+    assert np.array_equal(y[:, 0].view(np.uint64), ref.y[:, -1].view(np.uint64))
+
+
+@pytest.mark.parametrize("engine", ["bare", "adiabatic", "effective"])
+def test_weights_run_once_per_step_attempt_and_the_derivative_once_per_stage(engine):
+    # one weights pass for the 12 stage times of each step attempt, rejected ones included,
+    # and one for the 3 dense-output stages of each step that holds samples; the derivative
+    # runs nfev times, and every call after the two of the initial step is handed its weights
+    batch = Batch.of(_MIXED_ORDERINGS[:3])
+    rhs, weights, y0 = _derivative(engine, batch)
+    ref = _solve_ivp(rhs, y0, batch, None)
+    attempts, rest = divmod(ref.nfev - 2, 12)
+    assert rest == 0 and attempts > len(ref.t) - 1
+    # sample s > 0 lies on the first accepted step ending at or after it, s = 0 on the first
+    held = np.unique(np.maximum(ref.t.searchsorted(np.linspace(0.0, 1.0, 70)), 1)).size
+    for samples, passes in ((None, {12: attempts}), (70, {12: attempts, 3: held})):
+        sizes, handed = [], []
+
+        def counted_weights(ts, batch):
+            sizes.append(len(ts))
+            return weights(ts, batch)
+
+        def counted_rhs(s, y, batch, **w):
+            handed.append("w" in w)
+            return rhs(s, y, batch, **w)
+
+        _, nfev = liouville._solve_batch(counted_rhs, counted_weights, y0, batch, samples, "{}",
+                                         lambda rows: None)
+        assert {size: sizes.count(size) for size in sizes} == passes
+        assert len(handed) == nfev and handed == [False, False] + [True] * (nfev - 2)
+
+
 # a lone dephased member, whose arrays NumPy may take other paths on (at gamma 0 the
 # generator's sums are exact in any order, and no path shows), and the mixed batch
 _STAGE_BATCHES = {1: Batch.of(_MIXED_ORDERINGS[3:]), 4: Batch.of(_MIXED_ORDERINGS)}
@@ -660,7 +704,8 @@ def _bits(weights) -> list:
 def test_weights_at_n_stage_times_are_n_one_time_calls_to_the_bit(members, engine, s, seed):
     # one weights pass over a step's stage times has the bits of a call per time, and the
     # derivative handed a time's weights has the bits of the one that computes them
-    rhs, weights, y0 = _derivative(engine, _STAGE_BATCHES[members])
+    rhs, weights, y0 = _derivative(engine, batch := _STAGE_BATCHES[members])
+    rhs, weights = partial(rhs, batch=batch), partial(weights, batch=batch)
     y = np.random.default_rng(seed).normal(size=y0.shape)
     at_once = weights(np.array(s))
     assert len(at_once) == len(s)
@@ -674,7 +719,7 @@ def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
     # no output grid: the solver's own last state, and invariants folded chunk by chunk
     # that equal one pass over solve_ivp's stack of every accepted step
     batch = Batch.of(_MIXED_ORDERINGS[:3])
-    ref = _solve_ivp(partial(rhs_bare, batch=batch), np.tile(np.eye(16)[0], 3), batch, None)
+    ref = _solve_ivp(rhs_bare, np.tile(np.eye(16)[0], 3), batch, None)
     steps = ref.y.T.reshape(-1, 3, 16)
     # the solve rejects steps: beyond 2 start calls, 12 per attempt and more attempts than steps
     assert ref.nfev > 12 * (len(steps) - 1) + 2
