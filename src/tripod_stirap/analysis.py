@@ -17,16 +17,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import dk, effective, liouville
 from .errors import AmbiguousCrossing, GammaPole, NoCrossing, TripodError, WrongOrdering
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 
 class Engine(enum.Enum):
@@ -50,6 +51,7 @@ def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,
     i = int(hits[0])
     if d[i + 1] == 0.0:
         return float(times[i + 1])
+    from scipy.optimize import brentq
     return float(brentq(lambda t: interp(t) - threshold, times[i], times[i + 1]))
 
 
@@ -80,6 +82,7 @@ def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
     if times.ndim != 1 or times.size < 2 or times.shape != fid.shape:
         raise ValueError("need matching 1-d time and fidelity series with at least 2 samples")
     if interp is None:
+        from scipy.interpolate import PchipInterpolator
         interp = PchipInterpolator(times, fid)
     if ordering is Ordering.FRACTIONAL:
         low = (1.0 + eps) * fid[0]
@@ -137,9 +140,6 @@ class SweepResult:
                         self.F2_tmax.tolist(), self.T_tr.tolist(), self.theta_g.tolist(),
                         self.errors))
 
-    def succeeded(self) -> int:
-        return self.errors.count(None)
-
 
 def _point_config(cfg: PulseConfig, axis: str, value: float) -> PulseConfig:
     if axis == "gamma":
@@ -157,6 +157,7 @@ def _error_text(exc: TripodError) -> str:
 
 def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) -> tuple:
     """(F2_final, F2_tmax, T_tr, theta_g, error) of one sampled trajectory."""
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(traj.t, traj.fidelity)
     t_eval = min(max(t_max_eval, traj.t[0]), traj.t[-1])
     error = None

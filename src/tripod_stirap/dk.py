@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad, solve_ivp
 
 from .errors import GammaPole, StepSizeUnderflow, WrongOrdering, ZeroDelay
 from .pulses import Ordering, PulseConfig, mixing_angles
@@ -47,6 +45,7 @@ def gamma_real(x):
     pole = (n <= 0.0) & (np.abs(x - n) < 1e-12)
     if pole.any():
         raise GammaPole(f"gamma function pole at {float(x[pole][0])!r}")
+    from scipy import special
     return _out(special.gamma(x))
 
 
@@ -73,6 +72,7 @@ def x_of_t(t: float, cfg: PulseConfig) -> float:
 
 def _logistic(x):
     """q = 1/(1 + e^x), p = e^x/(1 + e^x) and S = sqrt(1 + 8 q^2), finite for every x."""
+    from scipy import special
     q, p = special.expit(-x), special.expit(x)
     return q, p, np.sqrt(1.0 + 8.0 * q * q)
 
@@ -127,6 +127,7 @@ def xi_angle(t: float, gamma: float, cfg: PulseConfig):
     """Rotation angle mixing s and u, continuous through the branch point, and its rate."""
     _require_overlap_equal(cfg)
     x = x_of_t(t, cfg)
+    from scipy import special
     xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) * special.expit(-x))
     xi_dot = cfg.tau / (cfg.width * cfg.width) * f2(x)
     return xi, xi_dot
@@ -212,6 +213,7 @@ def dk_amplitudes_ode(p: DKParams) -> DKAmplitudes:
         phi = dressing(t)
         return [rate * math.exp(phi) * c_p, -rate * math.exp(-phi) * c_m]
 
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (t0, t1), [0.0, 1.0], method="RK45", rtol=1e-10, atol=1e-13)
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
@@ -231,6 +233,7 @@ class AdiabaticIntegrals:
 
 @lru_cache(maxsize=8)
 def _decay_constants(epsabs: float) -> tuple[float, float]:
+    from scipy.integrate import quad
     opts = dict(epsabs=epsabs, epsrel=epsabs, limit=400)
     left, _ = quad(lambda x: g_plus(x) - g_s(x), -np.inf, 0.0, **opts)
     right_s, _ = quad(lambda x: g_minus(x) - g_s(x), 0.0, np.inf, **opts)

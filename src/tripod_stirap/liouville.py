@@ -31,20 +31,23 @@ derivative is linear in c with coefficients in s alone, which the step loop
 array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
 stage by stage; it drives the DOP853 tableau itself, with the bits of SciPy's
 solver, and so do the effective engine's (s, u, v) solves: both engines step
-one tableau.
+one tableau.  The tableau is read from SciPy's DOP853 coefficients file
+(_DOP853), so neither engine imports scipy.integrate.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.integrate
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
 from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig,
@@ -489,6 +492,30 @@ _FOLD = 384
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
+def _dop853() -> SimpleNamespace:
+    """The DOP853 tableau under the names and slices of scipy.integrate.DOP853.
+
+    It is read from SciPy's own coefficients module, which imports NumPy alone, loaded from
+    its file: importing the scipy.integrate package would take most of this package's import
+    time.  The file does not hold the error estimator's order or the step-underflow message,
+    literals of scipy.integrate.DOP853 and its base class.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "dop853_coefficients", Path(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    coefficients = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coefficients)
+    n, A, C = coefficients.N_STAGES, coefficients.A, coefficients.C
+    return SimpleNamespace(
+        n_stages=n, error_estimator_order=7, A=A[:n, :n], B=coefficients.B, C=C[:n],
+        E3=coefficients.E3, E5=coefficients.E5, D=coefficients.D, A_EXTRA=A[n + 1:],
+        C_EXTRA=C[n + 1:],
+        TOO_SMALL_STEP="Required step size is less than spacing between numbers.")
+
+
+_DOP853 = _dop853()
+
+
 def _norm(x: np.ndarray) -> float:
     """np.linalg.norm of a 1-D real array, which is sqrt(x @ x), bit for bit."""
     return math.sqrt(x.dot(x))
@@ -521,11 +548,12 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     call.  Each step attempt makes one weights call for all its stage times, t + C h and
     t + h, and each step that holds samples one more for the three extra stages of the dense
     output; rhs runs once per stage, on views of the stage table k built once per solve.  The
-    tableau is read from scipy.integrate.DOP853, and the initial step, the step control, the
-    error norm, the derivative count and the dense output are those of SciPy's RungeKutta,
-    select_initial_step, DOP853 and Dop853DenseOutput, operation for operation, so states and
-    counts have the bits of solve_ivp on rhs bound to batch.  The step control runs on
-    Python floats (math), with the bits of SciPy's NumPy scalars.
+    tableau is SciPy's, read from its coefficients file without importing scipy.integrate
+    (_DOP853), and the initial step, the step control, the error norm, the derivative count
+    and the dense output are those of SciPy's RungeKutta, select_initial_step, DOP853 and
+    Dop853DenseOutput, operation for operation, so states and counts have the bits of
+    solve_ivp on rhs bound to batch.  The step control runs on Python floats (math), with the
+    bits of SciPy's NumPy scalars.
 
     Returns the states and the derivative calls.  On an output grid the states are
     (len(y0), samples) at np.linspace(0, 1, samples), read from the dense output on the
@@ -540,7 +568,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     formatted with MAX_NFEV (both read at call time); the count is read after each step.  A
     failed step is a step-size underflow.  No step is longer than _max_step(batch).
     """
-    rk, chunk = scipy.integrate.DOP853, max(_FOLD // len(batch), 1)
+    rk, chunk = _DOP853, max(_FOLD // len(batch), 1)
     stages, order = rk.n_stages, rk.error_estimator_order + 1
     # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
     nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)

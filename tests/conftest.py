@@ -7,7 +7,6 @@ runtime, so identical configurations are integrated once and shared.
 from __future__ import annotations
 
 import signal
-import sys
 
 import numpy as np
 import pytest
@@ -66,7 +65,9 @@ def effective_run():
 
 @pytest.fixture()
 def quad_calls(monkeypatch) -> list:
-    """Record every scipy.integrate.quad call, through SciPy or a package module's binding."""
+    """Record every scipy.integrate.quad call.  The package binds no quad of its own: dk
+    imports it from scipy.integrate where it integrates, so the patched function is the one
+    it calls (and a module-level import would fail the cold-start tests in test_cli)."""
     real = scipy.integrate.quad
     calls = []
 
@@ -75,9 +76,6 @@ def quad_calls(monkeypatch) -> list:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tripod_stirap.") and getattr(module, "quad", None) is real:
-            monkeypatch.setattr(module, "quad", counted)
     return calls
 
 

@@ -199,7 +199,7 @@ def test_analytic_engine_requires_equal_rates_on_a_tau_axis():
 def test_analytic_gamma_sweep_values():
     values = [0.0, 0.5, 1.0]
     res = sweep(_cfg(), "gamma", values, Engine.ANALYTIC, eps=0.1)
-    assert res.succeeded() == 3
+    assert res.errors.count(None) == 3
     law = 1.0 / (2.0 * 1.5) * math.log(9.0)
     for point, g in zip(res.points, values):
         cfg_pt = _cfg(gamma=g)
@@ -223,7 +223,7 @@ def test_sweep_records_failures_per_row():
     # at gamma = 1 the fidelity saturates near 0.4 and never reaches 0.9,
     # so that row must carry a NoCrossing marker instead of aborting
     res = sweep(_cfg(), "gamma", [0.0, 1.0], Engine.EFFECTIVE, samples=400)
-    assert res.succeeded() == 1
+    assert res.errors.count(None) == 1
     ok, bad = res.points
     assert ok.error is None and math.isfinite(ok.T_tr)
     assert bad.error is not None and bad.error.startswith("NoCrossing")
@@ -378,7 +378,7 @@ def test_analytic_sweep_matches_the_per_point_route(axis, values, gamma):
     cfg = _cfg(gamma=gamma)
     res = sweep(cfg, axis, values, Engine.ANALYTIC, eps=0.05, t_max_eval=4.0)
     ref = _per_point_analytic(cfg, axis, values, 0.05, 4.0)
-    assert res.succeeded() == len(values)
+    assert res.errors.count(None) == len(values)
     for p, v, (f2_final, f2_tmax, t_tr, theta_g) in zip(res.points, values, ref):
         assert p.value == v and p.error is None
         assert p.F2_final == pytest.approx(f2_final, rel=1e-13)
@@ -436,7 +436,7 @@ def test_analytic_rows_whose_gamma_ratios_overflow_are_marked(axis, values, base
     assert res.errors[bad] == ("GammaPole: the gamma-function ratios overflow "
                                "(gamma T^2 / tau too large)")
     assert all(math.isnan(x) for x in res.points[bad][1:5])
-    assert res.errors[1 - bad] is None and res.succeeded() == 1
+    assert res.errors[1 - bad] is None and res.errors.count(None) == 1
     assert res.points[1 - bad] == sweep(base, axis, [values[1 - bad]], Engine.ANALYTIC).points[0]
     # a one-row grid carries the same marker
     assert sweep(base, axis, [values[bad]], Engine.ANALYTIC).errors == (res.errors[bad],)
@@ -504,7 +504,7 @@ def test_points_are_the_columns_row_by_row(monkeypatch, engine):
     else:
         _poisoned(monkeypatch, engine, 0.5)
         res = sweep(_cfg(), "gamma", [0.25, 0.5, 5.0], engine, samples=200)
-    assert len(res.points) == 3 and res.succeeded() == res.errors.count(None)
+    assert len(res.points) == 3
     assert SweepPoint._fields == ("value", "F2_final", "F2_tmax", "T_tr", "theta_g", "error")
     for i, p in enumerate(res.points):
         cells = (res.values, res.F2_final, res.F2_tmax, res.T_tr, res.theta_g)

@@ -6,9 +6,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1023,3 +1027,33 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --------------------------------------------------------------- cold start
+
+_NO_SCIPY = """
+import sys
+from tripod_stirap import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize("args", [
+    "", "simulate --ordering scp --gamma 0.3 --samples 60 --out {tmp}/bare.csv",
+    "simulate --basis adiabatic --ordering scp --gamma 0.3 --samples 60 --out {tmp}/adia.csv",
+    "simulate --engine effective --ordering scp --gamma 0.3 --samples 60 --out {tmp}/eff.csv",
+    "figures fig6 --gamma-grid 0.8,1.7 --out-dir {tmp}/fig6",
+    "figures fig8 --gamma-grid 0.8,1.7 --out-dir {tmp}/fig8",
+], ids=["import", "simulate-bare", "simulate-adiabatic", "simulate-effective", "fig6", "fig8"])
+def test_master_and_effective_solves_load_no_scipy_module(tmp_path, args):
+    # a fresh interpreter: the tableau comes from SciPy's coefficients file, and the T_tr,
+    # closed-form and quadrature paths import their SciPy subpackages when first called
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args.format(tmp=tmp_path).split()],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -578,6 +578,19 @@ def test_nan_derivative_at_the_start_raises_instead_of_hanging(monkeypatch):
 
 # ------------------------------------------------------------------ the step loop
 
+def test_the_tableau_read_from_the_coefficients_file_is_scipys_dop853_to_the_bit():
+    # the loop reads SciPy's coefficients file without importing scipy.integrate; its
+    # slices, shapes and the two literals the file lacks are those of the DOP853 class
+    got, want = liouville._DOP853, scipy.integrate.DOP853
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float64, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert got.n_stages == want.n_stages == 12
+    assert got.error_estimator_order == want.error_estimator_order == 7
+    assert got.TOO_SMALL_STEP == want.TOO_SMALL_STEP
+
+
 def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, samples: int | None):
     """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound,
     with the derivative rhs(s, y, batch) bound to the batch."""
