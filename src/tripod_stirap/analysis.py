@@ -147,8 +147,11 @@ def _point_config(cfg: PulseConfig, axis: str, value: float) -> PulseConfig:
     return cfg.with_updates(tau=float(value))
 
 
-# the GammaPole text of closed-form rows whose gamma-function ratios overflow
+# the GammaPole texts of closed-form rows whose gamma-function ratios overflow, and of rows
+# whose F2 leaves [0, 1] by more than rounding, such as next to a pole or before the pulses;
+# no comma, so the CSV marker reads as the manifest does
 GAMMA_OVERFLOW = "the gamma-function ratios overflow (gamma T^2 / tau too large)"
+F2_OUTSIDE = "the closed-form F2 is below 0 or above 1 (parameters outside model validity)"
 
 
 def _error_text(exc: TripodError) -> str:
@@ -183,8 +186,9 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     failures are recorded per row instead of aborting the sweep; rows stay
     ordered by axis value, and each row solved alone is a batch of its own.
     A one-row grid is evaluated once.  An analytic row whose gamma-function
-    ratios overflow (gamma T^2 / tau past about 2e3) fails as GammaPole, as
-    one on a pole does.
+    ratios overflow (gamma T^2 / tau past about 2e3), or whose F2_final or
+    F2_tmax leaves [0, 1] by more than rounding, fails as GammaPole, as one
+    on a pole does: the closed forms do not hold there.
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
@@ -218,13 +222,16 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
 
         def evaluate(rows: slice) -> None:
             # F2_final and F2_tmax from one call; where the gamma-function ratios overflow
-            # they are NaN, so the grid fails and those rows are marked alone.  T_tr is the
-            # lossless law T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap
-            # ordering, so theta_g = 0 at every delay
+            # they are NaN, and where the closed forms do not hold they leave [0, 1], so the
+            # grid fails and those rows are marked alone.  T_tr is the lossless law
+            # T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap ordering, so
+            # theta_g = 0 at every delay
             with np.errstate(all="ignore"):
                 f2 = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
             if not np.isfinite(f2).all():
                 raise GammaPole(GAMMA_OVERFLOW)
+            if f2.min() < -1e-12 or f2.max() > 1.0 + 1e-12:
+                raise GammaPole(F2_OUTSIDE)
             table[:2, rows] = f2
             table[2, rows] = cfg.width ** 2 / (2.0 * tau[rows]) * math.log((1.0 - eps) / eps)
             table[3, rows] = geometric_phase(cfg)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dk, effective, liouville
-from .errors import GammaPole, NoCrossing, StepBudgetExceeded, TripodError, WrongOrdering, ZeroDelay
+from .errors import NoCrossing, StepBudgetExceeded, TripodError, WrongOrdering, ZeroDelay
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
 
@@ -355,8 +355,8 @@ def _solve_report(stats) -> dict:
 def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     """(filename, comment entries, header, table[, markers]) of every CSV the figure writes,
     and the figure's manifest sections: the sweep report of a T_tr figure, the solve report
-    of a final-state or trajectory figure, and the rows whose closed-form cells are NaN
-    because the gamma-function ratios overflow (GammaPole, as analysis.sweep marks them)."""
+    of a final-state or trajectory figure, and the rows whose closed-form cells are NaN, with
+    the row errors of the analytic sweep that gives those cells."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
         value = s.get(key, None, parse)
@@ -381,6 +381,12 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
         header = [fig.rows, "T_tr", "error_marker"]
         return [(f"{name}.csv", entries, header, np.column_stack([result.values, result.T_tr]),
                  map(_marker, result.errors))], {"sweep": _sweep_report(result)}
+
+    if fig.closed_form:
+        # the closed-form columns along the rows axis: one analytic sweep, which marks a
+        # failing row and leaves its cells NaN; without --t-max-eval, F2_tmax is F2_final
+        closed = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.ANALYTIC,
+                                t_max_eval=settings.get("t_max_eval", math.inf))
 
     # a trajectory is sampled; the other cells read each member's final state, solved with
     # no output grid
@@ -409,15 +415,10 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
                for v in grids[axis]] or ["f2_master"]
     table = [grid, f2 if axes[0] == fig.rows else f2.T]
     if fig.closed_form:
-        times = [[settings["t_max_eval"] if column == "f2_analytic_tmax" else math.inf]
-                 for column in fig.closed_form]
-        # NaN where the gamma-function ratios overflow; the manifest lists those rows
-        with np.errstate(all="ignore"):
-            closed = dk.analytic_fidelity(at["gamma"], cfgs[0], np.array(times), tau=at["tau"])
-        table += list(closed)
-        error = analysis._error_text(GammaPole(analysis.GAMMA_OVERFLOW))
-        sections["closed_form"] = [{"row": int(i), fig.rows: float(grid[i]), "error": error}
-                                   for i in np.flatnonzero(~np.isfinite(closed).all(0))] or None
+        table += [closed.F2_tmax if column == "f2_analytic_tmax" else closed.F2_final
+                  for column in fig.closed_form]
+        sections["closed_form"] = [{"row": i, fig.rows: float(grid[i]), "error": error}
+                                   for i, error in enumerate(closed.errors) if error] or None
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
              np.column_stack(table))], sections
 

@@ -23,9 +23,9 @@ state.  The derivatives take s itself and return dc/ds from constants built
 once per batch (_constants), each member's window span folded in.  In the
 instantaneous eigenframe the equation has four constant terms of the same
 kind plus the dephasing rotated into the frame by a real 16x16 map
-(frame_map, rhs_adiabatic), their weights and the map's harmonics read from
-Chebyshev panels built once per batch (_panels); both bases share the
-batched solve, and the two routes are cross-checked in the tests.  Either
+(frame_map, rhs_adiabatic), their weights and the map evaluated from their
+closed forms in s (_slow_functions); both bases share the batched solve,
+and the two routes are cross-checked in the tests.  Either
 derivative is linear in c with coefficients in s alone, which the step loop
 (_solve_batch) evaluates at every stage time of a Runge-Kutta step in one
 array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
@@ -252,106 +252,30 @@ def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.n
     return (damped[:, None] @ t)[:, 0] / _NORM2
 
 
-def _slow_functions(d: np.ndarray, neg_k: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """The 29 slow functions of the eigenframe derivative in closed form, at (N, 3) d = s - s_k.
+def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
+    """The pulses' part of the eigenframe derivative in closed form at n times s.
 
-    Per unit s: Omega_rms, theta', phi' sin(theta) and phi' cos(theta), the weights of
-    _FRAME_DRIVE, then the 25 harmonics of the frame map; shape (N, 29).  The angles come
-    from the Gaussian exponents as in pulses.mixing_angles.
+    Per unit s, the (n, B, 4) weights of _FRAME_DRIVE: Omega_rms, theta', phi' sin(theta) and
+    phi' cos(theta); and cos and sin of (theta, phi), (2, n, B) each.  The angles come from
+    the Gaussian exponents in s (_constants) as pulses.mixing_angles forms them in t.
     """
+    centres, neg_k, amplitudes = (x.T[:, None] for x in _constants(batch)[:3])
+    d = s[:, None] - centres  # (3, n, B): the pulse axis first, as _frame_angles takes it
     neg_a = neg_k * d * d
     omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
-    rates = (-2.0 * neg_k * d).T
-    cos, sin, phi_dot = _frame_angles(neg_a.T, rates)
-    return np.column_stack([np.sqrt((omega * omega).sum(1)), _theta_dot(cos, sin, rates),
-                            phi_dot * sin[0], phi_dot * cos[0], _harmonics(cos, sin)])
-
-
-# the slow functions as Chebyshev series of degree 15 on dyadic panels of [0, 1] (_panels)
-_DEGREE = 15
-_TAIL = 1e-14
-_NOISE = 1e-10
-# a guard that ends any splitting; the keys member * 2^depth stay well inside int64
-_MAX_DEPTH = 30
-_ORDERS = np.arange(_DEGREE + 1)
-# the first-kind nodes as fractions of a panel, and the cosine transform a_k = C[k] @ f(x_j),
-# in long double: nodes rounded to float64 values of s would cost up to |f'| ulp(s)
-_ANGLES = np.arccos(np.longdouble(-1.0)) * (_ORDERS + 0.5) / (_DEGREE + 1)
-_NODES = 0.5 * (1.0 + np.cos(_ANGLES))
-_COSINE = np.cos(np.outer(_ORDERS, _ANGLES)) * np.where(_ORDERS == 0, 1.0, 2.0)[:, None] / (
-    _DEGREE + 1)
-# the drive weights and the harmonics: functions summed into the same terms
-_GROUPS = np.repeat([0, 1], [4, 25])
-
-
-@lru_cache(maxsize=1)
-def _panels(batch: Batch) -> tuple:
-    """Each member's piecewise Chebyshev series of the 29 slow functions (_slow_functions).
-
-    Every member starts from one panel, [0, 1].  All open panels are sampled at their 16
-    first-kind nodes in one long-double _slow_functions pass per depth, and a panel is
-    split in two until the last three coefficients of every function are at most _TAIL
-    of that function's largest sample on the member's window.  A function that is
-    rounding alone, such as theta' at tau = 0, never gets there; its tails stop falling
-    instead, so a panel whose tails are each at least a quarter of its parent's and at
-    most _NOISE of the largest function of their group is kept too.  Each member is split
-    on its own samples, and every step is elementwise or a sum in a fixed order (NumPy's
-    long-double matmul has no BLAS), so a member's series have the same bits alone or in
-    any batch.
-
-    Returns the sorted integer keys member * 2^D + first cell of each panel on the 2^D
-    cells of the deepest panel, 2^D, each member's first key, each panel's 2^(d + 1) and
-    2k + 1 (panel k of depth d), and the (P, 29, 16) float64 coefficients.  Built on the
-    first eigenframe call of a batch; a bare solve builds none.
-    """
-    centres, neg_k, amplitudes = _constants(batch)[:3]
-    member = np.arange(len(batch))
-    depth, index = np.zeros_like(member), np.zeros_like(member)
-    parent, scale = np.full((len(batch), 29), np.inf), np.zeros((len(batch), 29))
-    done = []
-    while member.size:
-        s = ((index[:, None] + _NODES) * 0.5 ** depth[:, None]).reshape(-1, 1)
-        at = np.repeat(member, _DEGREE + 1)
-        values = _slow_functions(s - centres[at], neg_k[at], amplitudes[at]).reshape(
-            len(member), _DEGREE + 1, 29)
-        np.maximum.at(scale, member, np.abs(values).max(1).astype(float))
-        coefs = (values.swapaxes(1, 2) @ _COSINE.T).astype(float)
-        tail = np.abs(coefs[:, :, -3:]).max(2)
-        own = scale[member]
-        group = np.maximum.reduceat(own, [0, 4], axis=1)[:, _GROUPS]
-        settled = (tail <= _TAIL * own) | ((tail >= 0.25 * parent) & (tail <= _NOISE * group))
-        ok = settled.all(1) | (depth >= _MAX_DEPTH)
-        done.append((member[ok], depth[ok], index[ok], coefs[ok]))
-        member, depth = np.repeat(member[~ok], 2), np.repeat(depth[~ok] + 1, 2)
-        index = (2 * index[~ok, None] + np.array([0, 1])).ravel()
-        parent = np.repeat(tail[~ok], 2, axis=0)
-    member, depth, index, coefs = (np.concatenate(parts) for parts in zip(*done))
-    cells = 2 ** int(depth.max())
-    keys = member * cells + index * (cells >> depth)
-    order = np.argsort(keys)
-    return (keys[order], cells, np.arange(len(batch)) * cells, 2.0 ** (depth[order] + 1),
-            2.0 * index[order] + 1.0, coefs[order])
-
-
-def _slow_series(s, batch: Batch) -> np.ndarray:
-    """The slow functions of every member at s, from its panels (_panels): (B, 29) at a
-    scalar s, (n, B, 29) at n times.
-
-    s is held to [0, 1]: a Runge-Kutta stage at t + h with h = 1 - t can pass 1 by an ulp.
-    """
-    keys, cells, first, rate, shift, coefs = _panels(batch)
-    s = np.minimum(np.maximum(s, 0.0), 1.0)[..., None]
-    p = keys.searchsorted(first + np.minimum((s * cells).astype(int), cells - 1), "right") - 1
-    # s on its panel as x in [-1, 1], exact but on a member's first panel; T_k(x) = cos(k arccos x)
-    x = s * rate[p] - shift[p]
-    return (coefs[p] * np.cos(np.arccos(x)[..., None] * _ORDERS)[..., None, :]).sum(-1)
+    rates = -2.0 * neg_k * d
+    cos, sin, phi_dot = _frame_angles(neg_a, rates)
+    drive = np.stack([np.sqrt((omega * omega).sum(0)), _theta_dot(cos, sin, rates),
+                      phi_dot * sin[0], phi_dot * cos[0]], -1)
+    return drive, cos, sin
 
 
 def _adiabatic_weights(s: np.ndarray, batch: Batch) -> list:
     """rhs_adiabatic's weights at n stage times s: per time, the (B, 4) weights of
-    _FRAME_DRIVE and the (B, 16, 16) frame maps T, from one _slow_series pass."""
-    slow = _slow_series(s, batch)
-    return list(zip(slow[..., :4], (slow[..., 4:] @ _frame_terms()).reshape(len(s), -1, 16, 16)))
+    _FRAME_DRIVE and the (B, 16, 16) frame maps T, from one closed-form pass
+    (_slow_functions) and one product of its harmonics with the table, as in frame_map."""
+    drive, cos, sin = _slow_functions(s, batch)
+    return list(zip(drive, (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 16, 16)))
 
 
 def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: tuple | None = None) -> np.ndarray:
@@ -360,9 +284,8 @@ def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: tuple | None = None) -> np.
     On the times and flat coordinates of rhs_bare, for s in [0, 1].  H_a =
     diag(0, 0, Omega/2, -Omega/2) and W = tripod.frame_generator make the coherent part one
     contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the
-    real frame map.  The weights and T's harmonics are read from each member's Chebyshev
-    panels (_slow_series), within a few ulps of their closed forms (_slow_functions), by
-    _adiabatic_weights; w, when given, is those at s, from the step loop's one pass.
+    real frame map.  The weights and T come from their closed forms (_adiabatic_weights);
+    w, when given, is those at s, from the step loop's one pass.
     """
     drive, frame = _adiabatic_weights(np.array([s]), batch)[0] if w is None else w
     return _drive(drive, c, _FRAME_DRIVE) - _frame_damping(

@@ -295,7 +295,7 @@ def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
     exp(_EXP_CLAMP / 2): no envelope ratio is formed, and the squares below neither overflow
     nor lose the larger side.  Then phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of
     time.  Called by mixing_angles, by the effective derivative effective._suv_rhs and by
-    liouville._slow_functions, the closed forms of the eigenframe derivative's panels; the
+    liouville._slow_functions, the closed forms of the eigenframe derivative's weights; the
     last two form the exponents in the normalised time themselves.
     """
     x_p, x_s, x_c = np.exp(np.minimum(neg_a - np.maximum(neg_a[1], neg_a[2]), 0.5 * _EXP_CLAMP))

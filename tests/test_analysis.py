@@ -442,6 +442,27 @@ def test_analytic_rows_whose_gamma_ratios_overflow_are_marked(axis, values, base
     assert sweep(base, axis, [values[bad]], Engine.ANALYTIC).errors == (res.errors[bad],)
 
 
+@pytest.mark.parametrize(("tau", "values", "t_max_eval", "bad"), [
+    (1.5, [0.5, 1.0], -5.0, [0, 1]), (0.25, [1.2, 1.22, 1.24], None, [1])],
+    ids=["before-the-pulses", "next-to-a-pole"])
+def test_analytic_rows_whose_f2_leaves_the_unit_interval_are_marked(tau, values, t_max_eval,
+                                                                   bad):
+    # before the pulses the closed-form F2_tmax reads 6.1 and 64.6, and at gamma 1.22, next
+    # to a pole of the coherence amplitude's gamma factors, -0.065: each such row becomes a
+    # GammaPole marker, its cells NaN, and the other rows keep their values
+    base = _cfg().with_updates(tau=tau)
+    res = sweep(base, "gamma", values, Engine.ANALYTIC, t_max_eval=t_max_eval)
+    text = ("GammaPole: the closed-form F2 is below 0 or above 1 "
+            "(parameters outside model validity)")
+    assert res.errors == tuple(text if i in bad else None for i in range(len(values)))
+    for i, point in enumerate(res.points):
+        if i in bad:
+            assert all(math.isnan(x) for x in point[1:5])
+        else:
+            assert 0.0 <= point.F2_tmax <= 1.0 and point == sweep(
+                base, "gamma", [values[i]], Engine.ANALYTIC, t_max_eval=t_max_eval).points[0]
+
+
 def test_analytic_sweep_rejects_invalid_axis_values():
     with pytest.raises(ValueError, match="tau must be non-negative"):
         sweep(_cfg(gamma=1.0), "tau", [-0.5, 1.0], Engine.ANALYTIC)

@@ -445,6 +445,27 @@ def test_analytic_sweep_marks_rows_whose_gamma_ratios_overflow(tmp_path, args):
     assert all("nan" not in row for row in rows if not row[5])
 
 
+@pytest.mark.parametrize(("args", "rc", "marked"), [
+    (["--values", "0.5,1", "--t-max-eval", "-5"], 3, [0, 1]),
+    (["--values", "1.2,1.22,1.24", "--tau", "0.25"], 0, [1])],
+    ids=["before-the-pulses", "next-to-a-pole"])
+def test_analytic_sweep_marks_rows_whose_f2_leaves_the_unit_interval(tmp_path, args, rc, marked):
+    # F2_tmax read 6.12 and 64.6 before the pulses, and -0.065 at gamma 1.22 next to a pole,
+    # written as numbers with exit 0; a sweep whose every row is marked exits 3
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--engine", "analytic", "--ordering", "overlap", "--axis", "gamma",
+                 *args, "--out", str(out)]) == rc
+    rows = _read_csv(out)[2]
+    assert [i for i, row in enumerate(rows) if row[5]] == marked
+    for i, row in enumerate(rows):
+        if i in marked:
+            assert row[1:5] == ["nan"] * 4 and row[5] == (
+                "GammaPole: the closed-form F2 is below 0 or above 1 "
+                "(parameters outside model validity)")
+        else:
+            assert all(0.0 <= float(x) <= 1.0 for x in row[1:3])
+
+
 def test_sweep_rejects_unknown_engine(tmp_path, capsys):
     rc = main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values", "1",
                "--engine", "magic", "--out", str(tmp_path / "x.csv")])
@@ -631,6 +652,45 @@ def test_fig4_lists_the_closed_form_rows_whose_gamma_ratios_overflow(tmp_path, c
     assert main(["figures", "fig4", "--gamma-grid", "0,1", "--samples", "60",
                  "--out-dir", str(tmp_path)]) == 0
     assert "closed_form" not in json.loads((tmp_path / "fig4.manifest.json").read_text())
+
+
+def test_fig4_lists_the_closed_form_rows_whose_f2_leaves_the_unit_interval(tmp_path):
+    # before the pulses the closed-form F2_tmax reads 6.12 and 64.6: both rows' closed-form
+    # cells stay NaN, listed as the analytic sweep marks them, next to the master column
+    assert main(["figures", "fig4", "--gamma-grid", "0.5,1", "--t-max-eval", "-5",
+                 "--samples", "60", "--out-dir", str(tmp_path)]) == 0
+    _, _, rows = _read_csv(tmp_path / "fig4.csv")
+    assert [row[2:] for row in rows] == [["nan", "nan"]] * 2
+    assert all(0.0 < float(row[1]) < 1.0 for row in rows)
+    error = ("GammaPole: the closed-form F2 is below 0 or above 1 "
+             "(parameters outside model validity)")
+    assert json.loads((tmp_path / "fig4.manifest.json").read_text())["closed_form"] == [
+        {"row": 0, "gamma": 0.5, "error": error}, {"row": 1, "gamma": 1.0, "error": error}]
+
+
+def test_fig5b_lists_a_zero_delay_row_and_keeps_its_master_cells(tmp_path):
+    # the closed forms diverge at tau = 0: that row's closed-form cell stays NaN and the
+    # manifest lists it, where the figure used to exit 2 after the whole master solve
+    assert main(["figures", "fig5b", "--omega0-list", "20", "--tau-grid", "0,1",
+                 "--out-dir", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "fig5b.csv")
+    assert header == ["tau", "f2_omega_20", "f2_analytic_final"]
+    assert rows[0][2] == "nan" and 0.0 < float(rows[0][1]) < 1.0
+    assert 0.0 < float(rows[1][2]) < 1.0
+    assert json.loads((tmp_path / "fig5b.manifest.json").read_text())["closed_form"] == [
+        {"row": 0, "tau": 0.0, "error": "ZeroDelay: pulse delay must be positive"}]
+
+
+@pytest.mark.parametrize("args", [["fig4", "--gamma-grid", "1,0.5"],
+                                  ["fig5b", "--tau-grid", "1,1"]], ids=["fig4", "fig5b"])
+def test_closed_form_figures_refuse_a_grid_that_does_not_increase(tmp_path, capsys, args,
+                                                                  monkeypatch):
+    # the rows axis of the closed-form columns is an analytic sweep's axis: exit 2 before
+    # any master solve
+    monkeypatch.setattr(liouville, "integrate_many", None)
+    assert main(["figures", *args, "--out-dir", str(tmp_path)]) == 2
+    assert "values must be strictly increasing" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fig9a_manifest_records_its_solve(tmp_path):

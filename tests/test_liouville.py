@@ -266,49 +266,34 @@ def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
 
 def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
     # 25 harmonics x 16 x 16, 219 nonzero coefficients, all multiples of 1/8; a bare
-    # solve never builds the table or any Chebyshev panels, the first eigenframe
-    # derivative builds both
+    # solve never builds the table, the first eigenframe derivative does
     liouville._frame_terms.cache_clear()
-    liouville._panels.cache_clear()
     liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=20)
     assert liouville._frame_terms.cache_info().currsize == 0
-    assert liouville._panels.cache_info().currsize == 0
     rhs_adiabatic(0.5, np.eye(16)[0], Batch.of([_cfg()]))
-    assert liouville._panels.cache_info().currsize == 1
-    terms = liouville._frame_terms()
     assert liouville._frame_terms.cache_info().currsize == 1
+    terms = liouville._frame_terms()
     assert terms.shape == (25, 256) and np.count_nonzero(terms) == 219
     assert np.array_equal(8.0 * terms, np.round(8.0 * terms))
 
 
-def test_panels_match_the_closed_forms_with_the_same_bits_in_any_batch(rng):
-    # the 29 slow functions of the eigenframe derivative from each member's Chebyshev
-    # panels, against their closed forms at 10^3 random s and the window's ends, the
-    # clamp member's exponent clamp included; a member alone reads the same bits
+def test_adiabatic_weights_of_a_member_have_the_same_bits_alone_and_in_any_batch(rng):
+    # the eigenframe weights and frame maps of each member of the mixed batch, the clamp
+    # member's exponent clamp included, at the times of the step loop's passes: a step's 12
+    # stage times, its 3 dense-output times, and the window's ends one at a time, as the
+    # initial-step calls take them
     cfgs = _rhs_batch(rng)
     batch = Batch.of(cfgs)
-    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
-    s = np.concatenate([rng.random(1000), [0.0, 1.0]])
-    got = np.array([liouville._slow_series(x, batch) for x in s])
-    for b, cfg in enumerate(cfgs):
-        want = liouville._slow_functions(s[:, None] - centres[b], neg_k[b], amplitudes[b])
-        assert np.all(np.abs(got[:, b] - want) <= 1e-13 * np.abs(want).max(0))
-        one = Batch.of([cfg])
-        assert np.array_equal(np.array([liouville._slow_series(x, one)[0] for x in s]),
-                              got[:, b])
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="np.longdouble is no wider than float64 on this platform")
-def test_panels_of_the_wide_window_member_are_built_on_long_double_nodes(rng):
-    # on the +-60 member the panels lie within ~8e-16 of each function's scale from the
-    # closed forms; panel nodes rounded to float64 values of s put them ~1e-14 away
-    batch = Batch.of(_rhs_batch(rng)[-1:])
-    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
-    s = np.concatenate([rng.random(2000), [0.0, 1.0]])
-    got = np.array([liouville._slow_series(x, batch)[0] for x in s])
-    want = liouville._slow_functions(s[:, None] - centres[0], neg_k[0], amplitudes[0])
-    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want).max(0))
+    rk, t, h = liouville._DOP853, rng.random(), 0.05 * rng.random()
+    for s in (t + np.append(rk.C[1:], 1.0) * h, t + rk.C_EXTRA * h, np.array([0.0]),
+              np.array([1.0])):
+        mixed = liouville._adiabatic_weights(s, batch)
+        assert len(mixed) == len(s)
+        for b, cfg in enumerate(cfgs):
+            for (drive, frame), (drive_b, frame_b) in zip(
+                    liouville._adiabatic_weights(s, Batch.of([cfg])), mixed):
+                assert np.array_equal(drive[0], drive_b[b])
+                assert np.array_equal(frame[0], frame_b[b])
 
 
 def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
@@ -332,20 +317,17 @@ def test_slow_function_angles_match_the_arctan_oracle(rng):
     # the exponents in s and in t differ by ulps of exponents up to ~1e4, which moves the
     # angles by up to ~1e-14
     batch = Batch.of(_rhs_batch(rng))
-    centres, neg_k, amplitudes = liouville._constants(batch)[:3]
-    for s in np.linspace(0.0, 1.0, 41):
-        slow = liouville._slow_functions(s - centres, neg_k, amplitudes)
-        theta, phi, theta_dot, phi_dot = arctan_angles(batch.start + s * batch.span, batch)
-        # the harmonics at k = 1: (cos, sin)(theta) in columns 5 and 10, of phi in 1 and 2
-        harmonics = slow[:, 4:]
-        for column, want in ((5, np.cos(theta)), (10, np.sin(theta)),
-                             (1, np.cos(phi)), (2, np.sin(phi))):
-            assert np.max(np.abs(harmonics[:, column] - want)) < 1e-14
-        # the rates of the oracle are per unit t; these are per unit s
-        scale = 1e-14 * (1.0 + np.abs(theta_dot) + np.abs(phi_dot))
-        assert np.all(np.abs(slow[:, 1] / batch.span - theta_dot) < scale)
-        sin_theta = harmonics[:, 10]
-        assert np.all(np.abs(slow[:, 2] / batch.span - phi_dot * sin_theta) < scale)
+    s = np.linspace(0.0, 1.0, 41)
+    drive, cos, sin = liouville._slow_functions(s, batch)
+    assert drive.shape == (41, len(batch), 4)
+    theta, phi, theta_dot, phi_dot = arctan_angles(batch.start + s[:, None] * batch.span, batch)
+    for got, want in ((cos[0], np.cos(theta)), (sin[0], np.sin(theta)), (cos[1], np.cos(phi)),
+                      (sin[1], np.sin(phi))):
+        assert np.max(np.abs(got - want)) < 1e-14
+    # the rates of the oracle are per unit t; these are per unit s
+    scale = 1e-14 * (1.0 + np.abs(theta_dot) + np.abs(phi_dot))
+    assert np.all(np.abs(drive[..., 1] / batch.span - theta_dot) < scale)
+    assert np.all(np.abs(drive[..., 2] / batch.span - phi_dot * sin[0]) < scale)
 
 
 def test_rhs_adiabatic_forms_no_complex_frame_per_call(monkeypatch):
@@ -475,14 +457,26 @@ def test_theta_g_of_a_batch_is_one_array_pass_with_exact_values(monkeypatch, qua
         assert np.array_equal(traj.fidelity, own.expectation(traj.rho))
 
 
-@pytest.mark.parametrize("cfgs", [[_cfg(0.5), _cfg(1.0).with_updates(ordering="scp", tau=1.0)],
-                                  _MIXED_ORDERINGS], ids=["two", "four-orderings"])
-def test_adiabatic_batch_matches_the_bare_batch(cfgs):
+# the +-60 windows of the console script's eigenframe cases: pulses of width 0.5 with its
+# unequal rates, where the exponents pass the clamp towards the edges, and of width 0.25
+_CLAMP_WINDOW = _cfg(0.3).with_updates(ordering="scp", width=0.5, t_start=-60.0, t_end=60.0,
+                                       gamma=DephasingMatrix([[0.0, 0.2, 0.5, 1.1],
+                                                              [0.2, 0.0, 0.7, 0.3],
+                                                              [0.5, 0.7, 0.0, 0.9],
+                                                              [1.1, 0.3, 0.9, 0.0]]))
+_NARROW_WINDOW = _cfg(0.3).with_updates(ordering="scp", width=0.25, t_start=-60.0, t_end=60.0)
+
+
+@pytest.mark.parametrize("cfgs,bound", [
+    ([_cfg(0.5), _cfg(1.0).with_updates(ordering="scp", tau=1.0)], 1e-6),
+    (_MIXED_ORDERINGS, 1e-6), ([_CLAMP_WINDOW], 1e-8), ([_NARROW_WINDOW], 1e-8)],
+    ids=["two", "four-orderings", "clamp-window", "narrow-window"])
+def test_adiabatic_batch_matches_the_bare_batch(cfgs, bound):
     bare = liouville.integrate_many(cfgs, samples=50)
     adia = liouville.integrate_many(cfgs, basis=Basis.ADIABATIC, samples=50)
     for b, a in zip(bare, adia):
         assert a.basis is Basis.ADIABATIC
-        assert np.max(np.abs(b.rho - a.rho)) < 1e-6
+        assert np.max(np.abs(b.rho - a.rho)) < bound
 
 
 def test_integrate_many_rejects_an_empty_batch():
