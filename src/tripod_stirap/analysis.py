@@ -8,6 +8,12 @@ allocates the columns once and fills them in place; a grid that fails fills
 nothing, and its rows are then solved alone.  SweepResult.points gives the
 rows as six-field SweepPoints (value, the four floats and the error text),
 built from the columns on first read; a row's stats stay in the columns.
+
+An ODE row reads F2_tmax and T_tr off the PCHIP interpolant of its
+sampled fidelity.  That interpolant is SciPy's PchipInterpolator mirrored
+in NumPy operation for operation, as the DOP853 step loop mirrors its
+solver, so the sweep path loads no SciPy module; the tests pin the
+mirror's coefficients and values to SciPy's class bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +32,6 @@ from .errors import AmbiguousCrossing, GammaPole, NoCrossing, TripodError, Wrong
 from .pulses import DephasingMatrix, Ordering, PulseConfig
 from .tripod import geometric_phase
 
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
-
 
 class Engine(enum.Enum):
     MASTER = "master"
@@ -36,8 +39,49 @@ class Engine(enum.Enum):
     ANALYTIC = "analytic"
 
 
+def _edge(h0, h1, m0, m1):
+    """PchipInterpolator._edge_case: the three-point end slope, kept to the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+
+def _pchip(times: np.ndarray, fid: np.ndarray) -> np.ndarray:
+    """The (4, n - 1) coefficients c of SciPy's PchipInterpolator(times, fid).
+
+    Operation for operation as SciPy builds them: the Fritsch-Carlson slopes of
+    _find_derivatives (zero at an extremum or a plateau, the straight line for two
+    samples), then CubicHermiteSpline's c.  Refuses what SciPy refuses.
+    """
+    h = times[1:] - times[:-1]
+    if not (np.isfinite(times).all() and np.isfinite(fid).all() and (h > 0.0).all()):
+        raise ValueError("need finite samples at strictly increasing times")
+    m = (fid[1:] - fid[:-1]) / h
+    slopes = np.concatenate([m, m])  # two samples: the straight line
+    if m.size > 1:
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(all="ignore"):  # SciPy's value wherever the mean is not finite
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        slopes = np.r_[_edge(h[0], h[1], m[0], m[1]), inner, _edge(h[-1], h[-2], m[-1], m[-2])]
+    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+    return np.stack((t / h, (m - slopes[:-1]) / h - t, slopes[:-1], fid[:-1]))
+
+
+def _cubic(c0: float, c1: float, c2: float, c3: float, s: float) -> float:
+    """One interval's cubic at offset s, summed as PPoly sums it: c3 + c2 s + c1 s^2 + c0 s^3."""
+    return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _pchip_at(times: np.ndarray, fid: np.ndarray, t: float) -> float:
+    """The interpolant at t in [times[0], times[-1]], on the interval PPoly picks."""
+    i = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
+    return _cubic(*_pchip(times, fid)[:, i].tolist(), t - times[i])
+
+
 def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,
-                           interp: PchipInterpolator, notes: list | None) -> float:
+                           c: np.ndarray, notes: list | None) -> float:
     d = fid - threshold
     hits = np.nonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))[0]
     if hits.size == 0:
@@ -51,8 +95,12 @@ def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,
     i = int(hits[0])
     if d[i + 1] == 0.0:
         return float(times[i + 1])
-    from scipy.optimize import brentq
-    return float(brentq(lambda t: interp(t) - threshold, times[i], times[i + 1]))
+    # the cubic is monotone on its bracket: bisect until the bracket is two adjacent floats
+    lo = start = float(times[i])
+    hi, coef = float(times[i + 1]), c[:, i].tolist()
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _cubic(*coef, mid - start) < threshold else (lo, mid)
+    return hi
 
 
 def check_evaluation(eps: float = 0.1, t_max_eval: float = 0.0) -> None:
@@ -63,33 +111,35 @@ def check_evaluation(eps: float = 0.1, t_max_eval: float = 0.0) -> None:
         raise ValueError("t_max_eval must be a number or inf, got nan")
 
 
-def transition_time(times: np.ndarray, fid: np.ndarray, eps: float,
-                    ordering: Ordering, interp: PchipInterpolator | None = None, *,
+def transition_time(times: np.ndarray, fid: np.ndarray, eps: float, ordering: Ordering, *,
                     notes: list | None = None) -> float:
     """Time for the fidelity to rise between its two threshold values.
 
     The lower threshold is eps, except for the fractional ordering, which
     starts at a finite fidelity and uses (1 + eps) times the initial value.
-    Crossings are located on a monotone cubic interpolant of the samples;
-    a caller that holds PchipInterpolator(times, fid) already can pass it.
-    A threshold crossed upward more than once warns AmbiguousCrossing and
-    uses the first crossing; the warning's text, prefixed by its class name,
-    is also appended to `notes` when given.
+    Crossings are located on the PCHIP interpolant of the samples, the
+    NumPy mirror of SciPy's PchipInterpolator (_pchip, pinned to SciPy's
+    coefficients bit for bit by the tests): the first sample interval that
+    rises through a threshold is bisected on its cubic, which is monotone
+    there, down to two adjacent floats, within 1e-12 of brentq on SciPy's
+    interpolant.  Samples that are not finite, or times that do not
+    strictly increase, raise ValueError as SciPy does.  A threshold crossed
+    upward more than once warns AmbiguousCrossing and uses the first
+    crossing; the warning's text, prefixed by its class name, is also
+    appended to `notes` when given.
     """
     check_evaluation(eps)
     times = np.asarray(times, dtype=float)
     fid = np.asarray(fid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times.shape != fid.shape:
         raise ValueError("need matching 1-d time and fidelity series with at least 2 samples")
-    if interp is None:
-        from scipy.interpolate import PchipInterpolator
-        interp = PchipInterpolator(times, fid)
+    c = _pchip(times, fid)
     if ordering is Ordering.FRACTIONAL:
         low = (1.0 + eps) * fid[0]
     else:
         low = eps
-    t_low = _first_upward_crossing(times, fid, low, interp, notes)
-    t_high = _first_upward_crossing(times, fid, 1.0 - eps, interp, notes)
+    t_low = _first_upward_crossing(times, fid, low, c, notes)
+    t_high = _first_upward_crossing(times, fid, 1.0 - eps, c, notes)
     return t_high - t_low
 
 
@@ -160,15 +210,26 @@ def _error_text(exc: TripodError) -> str:
 
 def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) -> tuple:
     """(F2_final, F2_tmax, T_tr, theta_g, error) of one sampled trajectory."""
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(traj.t, traj.fidelity)
-    t_eval = min(max(t_max_eval, traj.t[0]), traj.t[-1])
+    f2_tmax = _pchip_at(traj.t, traj.fidelity, min(max(t_max_eval, traj.t[0]), traj.t[-1]))
     error = None
     try:
-        t_tr = transition_time(traj.t, traj.fidelity, eps, traj.cfg.ordering, interp, notes=notes)
+        t_tr = transition_time(traj.t, traj.fidelity, eps, traj.cfg.ordering, notes=notes)
     except NoCrossing as exc:
         t_tr, error = math.nan, _error_text(exc)
-    return float(traj.fidelity[-1]), float(interp(t_eval)), t_tr, traj.target.theta_g, error
+    return float(traj.fidelity[-1]), f2_tmax, t_tr, traj.target.theta_g, error
+
+
+def check_values(values, label: str = "values") -> np.ndarray:
+    """A sweep's axis values as a float array; refuse a grid that is empty, not 1-d, not
+    finite or not strictly increasing, naming it by `label`."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{label} must be non-empty and one-dimensional")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} must be finite")
+    if values.size > 1 and np.any(np.diff(values) <= 0.0):
+        raise ValueError(f"{label} must be strictly increasing")
+    return values
 
 
 def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
@@ -192,13 +253,7 @@ def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
     """
     if axis not in ("gamma", "tau"):
         raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be non-empty and one-dimensional")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    if values.size > 1 and np.any(np.diff(values) <= 0.0):
-        raise ValueError("values must be strictly increasing")
+    values = check_values(values)
     if t_max_eval is None:
         t_max_eval = 5.0 * cfg.width
     check_evaluation(eps, t_max_eval)

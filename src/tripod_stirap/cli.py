@@ -364,6 +364,8 @@ def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
             if target not in settings:
                 raise ValueError(f"--{key.replace('_', '-')} does not apply to {name} "
                                  f"(axes of {name}: {', '.join(fig.axes)})")
+            if target == fig.rows and (fig.cell == "T_tr" or fig.closed_form):  # a sweep's grid
+                analysis.check_values(value, f"--{key.replace('_', '-')} of {name}: values")
             settings[target] = value
     analysis.check_evaluation(settings.get("epsilon", 0.1), settings.get("t_max_eval", 0.0))
     axes = list(fig.axes)

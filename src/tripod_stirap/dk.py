@@ -34,6 +34,13 @@ def _out(x):
     return x if np.ndim(x) else float(x)
 
 
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special, imported on the first call: importing dk loads no SciPy module."""
+    from scipy import special
+    return special
+
+
 def gamma_real(x):
     """Gamma function of real x, elementwise over arrays.
 
@@ -45,8 +52,7 @@ def gamma_real(x):
     pole = (n <= 0.0) & (np.abs(x - n) < 1e-12)
     if pole.any():
         raise GammaPole(f"gamma function pole at {float(x[pole][0])!r}")
-    from scipy import special
-    return _out(special.gamma(x))
+    return _out(_special().gamma(x))
 
 
 def _require_overlap_equal(cfg: PulseConfig) -> None:
@@ -72,8 +78,7 @@ def x_of_t(t: float, cfg: PulseConfig) -> float:
 
 def _logistic(x):
     """q = 1/(1 + e^x), p = e^x/(1 + e^x) and S = sqrt(1 + 8 q^2), finite for every x."""
-    from scipy import special
-    q, p = special.expit(-x), special.expit(x)
+    q, p = _special().expit(-x), _special().expit(x)
     return q, p, np.sqrt(1.0 + 8.0 * q * q)
 
 
@@ -127,8 +132,7 @@ def xi_angle(t: float, gamma: float, cfg: PulseConfig):
     """Rotation angle mixing s and u, continuous through the branch point, and its rate."""
     _require_overlap_equal(cfg)
     x = x_of_t(t, cfg)
-    from scipy import special
-    xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) * special.expit(-x))
+    xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) * _special().expit(-x))
     xi_dot = cfg.tau / (cfg.width * cfg.width) * f2(x)
     return xi, xi_dot
 

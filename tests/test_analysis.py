@@ -7,9 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from tripod_stirap import dk, effective, liouville
-from tripod_stirap.analysis import Engine, SweepPoint, _series_row, sweep, transition_time
+from tripod_stirap.analysis import (
+    Engine, SweepPoint, _first_upward_crossing, _pchip, _pchip_at, _series_row, sweep,
+    transition_time,
+)
 from tripod_stirap.errors import (
     AmbiguousCrossing, GammaPole, NoCrossing, StepBudgetExceeded, StepSizeUnderflow, TripodError,
     WrongOrdering,
@@ -157,6 +163,72 @@ def test_transition_time_warns_on_multiple_crossings():
     t_low_first = 1.0          # 0 -> 0.2 over [0, 2] crosses 0.1 at t = 1
     t_high = 6.0 + 0.7 / 0.8 * 6.0
     assert got == pytest.approx(t_high - t_low_first, rel=1e-3)
+
+
+# The PCHIP mirror against SciPy's own class: the same coefficients and values to the last
+# bit, and every crossing within 1e-12 of brentq on SciPy's interpolant.
+
+def _assert_pchip_is_scipys(times, fid, points=(), thresholds=()):
+    times, fid = np.asarray(times, dtype=float), np.asarray(fid, dtype=float)
+    with np.errstate(all="ignore"):  # slopes of subnormal steps overflow the harmonic mean
+        ref = PchipInterpolator(times, fid)
+    c = _pchip(times, fid)
+    np.testing.assert_array_equal(c, ref.c)
+    for t in [*times, *points]:  # t[0], every interior node, t[-1] and points between
+        assert _pchip_at(times, fid, t) == ref(t)
+    for threshold in thresholds:
+        d = fid - threshold
+        hits = np.nonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))[0]
+        if hits.size == 0:
+            continue
+        i = hits[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousCrossing)
+            got = _first_upward_crossing(times, fid, threshold, c, None)
+        want = times[i + 1] if d[i + 1] == 0.0 else brentq(
+            lambda t: ref(t) - threshold, times[i], times[i + 1])
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("times, fid, start_slope", [
+    ([0.0, 1.0], [0.2, 0.7], 0.5),                        # two samples: the straight line
+    ([0.0, 1.0, 2.0], [0.0, 0.1, 1.0], 0.0),              # the three-point slope turns: 0
+    ([0.0, 3.0, 4.0], [0.0, 0.3, 0.0], 0.3),              # steep against a turn: 3 m0
+    ([0.0, 1.0, 2.0, 4.0, 5.0], [0.1, 0.5, 0.5, 0.9, 0.2], 0.6),  # plateau and a turn
+], ids=["two-samples", "end-slope-zero", "end-slope-3m0", "plateau"])
+def test_pchip_mirror_takes_each_slope_branch(times, fid, start_slope):
+    _assert_pchip_is_scipys(times, fid, points=[0.5, 0.75], thresholds=[0.05, 0.3, 0.45, 0.6])
+    assert _pchip(np.array(times), np.array(fid))[2, 0] == pytest.approx(start_slope, abs=1e-15)
+
+
+_level = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+_step = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@given(n=st.integers(2, 10), data=st.data(), start=st.floats(-5.0, 5.0),
+       threshold=st.floats(0.01, 0.99), where=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_pchip_mirror_is_scipys_pchip(n, data, start, threshold, where):
+    # sampled levels give plateaus and turns, short steps next to long ones steep ends
+    fid = data.draw(st.lists(_level, min_size=n, max_size=n))
+    times = np.cumsum([start, *data.draw(st.lists(_step, min_size=n - 1, max_size=n - 1))])
+    points = [min(times[0] + u * (times[-1] - times[0]), times[-1]) for u in where]
+    # a threshold next to a sample value can sit where the cubic is flat, and there no two
+    # root finders need agree to 1e-12
+    near = np.min(np.abs(np.asarray(fid) - threshold)) <= 1e-3
+    _assert_pchip_is_scipys(times, fid, points, thresholds=[] if near else [threshold])
+
+
+@pytest.mark.parametrize("times, fid", [
+    ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+    ([0.0, math.inf, 2.0], [0.0, 0.5, 1.0]),
+    ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0]),
+    ([0.0, 2.0, 1.0], [0.0, 0.5, 1.0]),
+], ids=["nan-fidelity", "infinite-time", "repeated-time", "decreasing-time"])
+def test_transition_time_refuses_what_pchip_refuses(times, fid):
+    with pytest.raises(ValueError, match="finite|strictly increasing"):
+        transition_time(np.array(times), np.array(fid), 0.1, Ordering.OVERLAP)
+    with pytest.raises(ValueError):
+        PchipInterpolator(times, fid)
 
 
 # ---------------------------------------------------------------------- sweeps

@@ -693,6 +693,16 @@ def test_closed_form_figures_refuse_a_grid_that_does_not_increase(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [["fig4", "--gamma-grid", "1,0.5"], ["fig5b", "--tau-grid", "1,1"],
+                                  ["fig7", "--tau-grid", "2,1"]], ids=["fig4", "fig5b", "fig7"])
+def test_a_grid_that_does_not_increase_names_its_flag_and_figure(tmp_path, capsys, args,
+                                                                 monkeypatch):
+    monkeypatch.setattr(liouville, "integrate_many", None)
+    assert main(["figures", *args, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {args[1]} of {args[0]}: values must be strictly increasing\n"
+
+
 def test_fig9a_manifest_records_its_solve(tmp_path):
     # the trajectory figure reports its batch as the final-state figures do, from the same
     # sampled solve whose F2 the CSV holds
@@ -1107,10 +1117,18 @@ assert not loaded, loaded
     "simulate --engine effective --ordering scp --gamma 0.3 --samples 60 --out {tmp}/eff.csv",
     "figures fig6 --gamma-grid 0.8,1.7 --out-dir {tmp}/fig6",
     "figures fig8 --gamma-grid 0.8,1.7 --out-dir {tmp}/fig8",
-], ids=["import", "simulate-bare", "simulate-adiabatic", "simulate-effective", "fig6", "fig8"])
+    "sweep --engine effective --axis tau --ordering scp --values 1,1.5 --samples 60 "
+    "--out {tmp}/eff-sweep.csv",
+    "sweep --engine master --axis gamma --ordering scp --values 0,0.5 --samples 60 "
+    "--out {tmp}/master-sweep.csv",
+    "figures fig7 --tau-grid 1,2 --out-dir {tmp}/fig7",
+    "figures fig9b --tau-grid 1,1.25 --out-dir {tmp}/fig9b",
+], ids=["import", "simulate-bare", "simulate-adiabatic", "simulate-effective", "fig6", "fig8",
+        "sweep-effective", "sweep-master", "fig7", "fig9b"])
 def test_master_and_effective_solves_load_no_scipy_module(tmp_path, args):
-    # a fresh interpreter: the tableau comes from SciPy's coefficients file, and the T_tr,
-    # closed-form and quadrature paths import their SciPy subpackages when first called
+    # a fresh interpreter: the tableau comes from SciPy's coefficients file, T_tr and F2_tmax
+    # from the PCHIP mirror, and only the closed-form and quadrature paths import their SciPy
+    # subpackages, when first called
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
