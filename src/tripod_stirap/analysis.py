@@ -75,9 +75,15 @@ def _cubic(c0: float, c1: float, c2: float, c3: float, s: float) -> float:
 
 
 def _pchip_at(times: np.ndarray, fid: np.ndarray, t: float) -> float:
-    """The interpolant at t in [times[0], times[-1]], on the interval PPoly picks."""
+    """The interpolant at t in [times[0], times[-1]], on the interval i PPoly picks.
+
+    Interval i's coefficients read only the samples i - 1 to i + 2, so _pchip runs on those
+    alone, with the bits of the whole table's column i.
+    """
     i = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
-    return _cubic(*_pchip(times, fid)[:, i].tolist(), t - times[i])
+    first = max(i - 1, 0)
+    return _cubic(*_pchip(times[first:i + 3], fid[first:i + 3])[:, i - first].tolist(),
+                  t - times[i])
 
 
 def _first_upward_crossing(times: np.ndarray, fid: np.ndarray, threshold: float,

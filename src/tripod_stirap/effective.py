@@ -23,8 +23,7 @@ import numpy as np
 from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
                      mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import (Basis, Trajectory, _constants, _frame_dephasing, _solve_batch,
-                        _trajectory)
+from .liouville import Basis, Trajectory, _constants, _solve_batch, _trajectory
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -300,7 +299,10 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,
                   samples: int = 2000) -> EffectiveTrajectory:
-    """Propagate (s, u, v) across the window of one run: a batch of one."""
+    """Propagate (s, u, v) across the window of one run: a batch of one.
+
+    Its one caller is simulate; it stays because perfbench's trace names it as a span.
+    """
     return next(integrate_many([cfg], mode=mode, samples=samples))
 
 
@@ -316,13 +318,15 @@ def dissipator_tensor(t: float, cfg: PulseConfig) -> TensorComponents:
     """Extract D and D0 numerically by applying the dark-block map to basis matrices.
 
     The map fills the dark block of rho^a, gives each bright level half the
-    leftover population and keeps the dark block of liouville's frame
-    dephasing; the zero block and the four unit blocks take one array pass.
+    leftover population and keeps the dark block of the frame dephasing
+    -R^dag (gamma (.) (R rho^a R^dag)) R; the zero block and the four unit
+    blocks take one array pass.
     """
     rho_a = np.zeros((5, 4, 4), dtype=complex)
     rho_a[1:, :2, :2] = np.eye(4).reshape(4, 2, 2)
     rho_a[:, 2, 2] = rho_a[:, 3, 3] = 0.5 * (1.0 - np.trace(rho_a, axis1=1, axis2=2))
-    act = _frame_dephasing(rho_a, frame_matrix(mixing_angles(t, cfg)), cfg.gamma.rates)[:, :2, :2]
+    r = frame_matrix(mixing_angles(t, cfg))
+    act = -(r.conj().T @ (cfg.gamma.rates * (r @ rho_a @ r.conj().T)) @ r)[:, :2, :2]
     return TensorComponents(D=(act[0] - act[1:]).reshape(2, 2, 2, 2), D0=-act[0])
 
 

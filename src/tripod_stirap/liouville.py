@@ -5,27 +5,42 @@ The bare-basis equation of motion is
     i rho' = [H, rho] + D(rho),      D(rho) = -i * gamma (.) rho,
 
 where (.) is the elementwise (Hadamard) product, so coherences decay as
-rho_mn' = -gamma_mn rho_mn while populations are untouched.  A Hermitian
-rho has 16 real coordinates c: the populations rho_ii, then Re rho_ij and
-Im rho_ij for i < j (the coherence vector, T. F. Havel, J. Math. Phys. 44,
-534 (2003)); two constant 16x16 maps take c to the row-major vec(rho) and
-back.  In these coordinates the equation is real and linear with three
-time-dependent weights,
+rho_mn' = -gamma_mn rho_mn while populations are untouched.  The couplings
+are real, the dephasing is pure and every run starts in |psi_1><psi_1|, so
+with P = diag(1, -1, 1, 1) (the excited level is index 1) P rho* P solves
+the same equation from the same start: rho = P rho* P at all times.  With
+U = diag(1, -i, 1, 1), rho~ = U rho U^dag is then real symmetric, and
 
-    c' = (Omega_p L_p + Omega_s L_s + Omega_c L_c + L_gamma) c,
+    rho~' = [K, rho~] - gamma (.) rho~,      K = -i U H U^dag,
 
-with constant real 16x16 matrices L_k, the coordinate form of -i [H_k, .],
-and the diagonal L_gamma, which damps Re rho_ij and Im rho_ij at gamma_ij.
-Runs are integrated as a batch: every member is mapped onto the
-normalised time s in [0, 1] and all of them advance through one shared
-eighth-order Dormand-Prince (DOP853) solve on the flat (B * 16,) real
-state.  The derivatives take s itself and return dc/ds from constants built
-once per batch (_constants), each member's window span folded in.  In the
-instantaneous eigenframe the equation has four constant terms of the same
-kind plus the dephasing rotated into the frame by a real 16x16 map
-(frame_map, rhs_adiabatic), their weights and the map evaluated from their
-closed forms in s (_slow_functions); both bases share the batched solve,
-and the two routes are cross-checked in the tests.  Either
+with K real antisymmetric, sum_k Omega_k K_k over the three fields.  The
+solver's state is the 10 upper-triangle entries c of rho~ (diagonal first);
+in them the equation is real and linear with three time-dependent weights,
+c' = sum_k Omega_k L_k c - gamma_c c, with constant 10x10 maps L_k.
+density and coords map c to the complex rho and back, rho = M (.) sym(c) for
+a constant phase mask M, only where a trajectory is built.
+
+In the instantaneous eigenframe R = tripod.frame_matrix, U R = O W with O
+real orthogonal (its columns are the real and imaginary parts of the first
+dark state, the bright state and the excited level) and W a constant
+unitary.  So rho^a = R^dag rho R = W^dag rho_bar W with rho_bar = O^T rho~ O
+real symmetric, and
+
+    rho_bar' = [K_bar, rho_bar] - O^T (gamma (.) (O rho_bar O^T)) O,
+    K_bar = O^T K O - O^T O' = (Omega_rms / 2) (E_23 - E_32) - O^T O',
+
+whose four weights are Omega_rms, theta', phi' sin(theta) and
+phi' cos(theta) (_slow_functions), and whose dephasing passes through the
+real 10x10 frame map of O (frame_map, rhs_adiabatic).  Both bases solve the
+same 10 real coordinates per member.  Their error norm counts the 16 real
+coordinates of rho, six of them zero, so the tolerances are those of the
+full Hermitian state.
+
+Runs are integrated as a batch: every member is mapped onto the normalised
+time s in [0, 1] and all of them advance through one shared eighth-order
+Dormand-Prince (DOP853) solve on the flat (B * 10,) real state.  The
+derivatives take s itself and return dc/ds from constants built once per
+batch (_constants), each member's window span folded in.  Either
 derivative is linear in c with coefficients in s alone, which the step loop
 (_solve_batch) evaluates at every stage time of a Runge-Kutta step in one
 array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
@@ -50,76 +65,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import StepBudgetExceeded, StepSizeUnderflow, ToleranceNotMet
-from .pulses import (_EXP_CLAMP, Batch, DephasingMatrix, MixingAngles, PulseConfig,
-                     _frame_angles, _theta_dot, mixing_angles)
-from .tripod import TargetState, frame_generator, frame_matrix, geometric_phases, target_state
+from .pulses import (_EXP_CLAMP, Batch, MixingAngles, PulseConfig, _frame_angles, _theta_dot,
+                     mixing_angles)
+from .tripod import TargetState, frame_matrix, geometric_phases, target_state
 
 RTOL = 1e-9
 ATOL = 1e-12
 # derivative calls one master solve may make, about 7x those of scp at Omega0 = 3200
 MAX_NFEV = 10**6
-
-_I, _J = np.triu_indices(4, 1)
-_DIAG = 5 * np.arange(4)
-# vec(rho) position of each coordinate: rho_ii, then rho_ij for Re and again for Im, i < j
-_POS = np.concatenate([_DIAG, 4 * _I + _J, 4 * _I + _J])
-# vec(rho) = _TO_VEC @ c: coordinate k adds _UNIT[k] at rho_ij and its conjugate at rho_ji
-_UNIT = np.repeat([1.0, 1.0, 1j], [4, 6, 6])
-_TO_VEC = np.zeros((16, 16), dtype=complex)
-_TO_VEC[_POS, np.arange(16)] = _UNIT
-_TO_VEC[np.concatenate([_DIAG, 4 * _J + _I, 4 * _J + _I]), np.arange(16)] = _UNIT.conj()
-# squared Frobenius norms N of the coordinate basis matrices: tr(rho sigma) = c_rho @ (N c_sigma)
-_NORM2 = np.repeat([1.0, 2.0], [4, 12])
-# the columns are orthogonal: the inverse is the adjoint over the squared column norms
-_FROM_VEC = _TO_VEC.conj().T / _NORM2[:, None]
-# each real and imaginary part of vec(rho), interleaved, is one coordinate times 1, -1 or 0
-_PARTS = np.stack([_TO_VEC.real, _TO_VEC.imag], 1).reshape(32, 16)
-_GATHER = np.abs(_PARTS).argmax(1)
-_SIGN = _PARTS[np.arange(32), _GATHER]
-
-
-def density(c: np.ndarray) -> np.ndarray:
-    """Hermitian rho of shape S + (4, 4) from real coordinates of shape S + (16,).
-
-    A gather with the bits of c @ _TO_VEC.T: adding 0.0 turns -0.0 into 0.0 as the sums of
-    the product do.  mode "clip" writes straight to `parts`, which "raise" would buffer.
-    """
-    parts = np.empty(np.shape(c)[:-1] + (32,))
-    np.take(c, _GATHER, axis=-1, out=parts, mode="clip")
-    parts *= _SIGN
-    parts += 0.0
-    return parts.view(complex).reshape(np.shape(c)[:-1] + (4, 4))
-
-
-def coords(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates S + (16,) of a Hermitian rho of shape S + (4, 4); inverse of density."""
-    return (np.reshape(rho, np.shape(rho)[:-2] + (16,)) @ _FROM_VEC.T).real
-
-
-def _commutator_superop(m: np.ndarray) -> np.ndarray:
-    """-i [M, .] in the coordinates: column k is the image of the k-th basis state."""
-    basis = density(np.eye(16))
-    return coords(-1j * (m @ basis - basis @ m)).T
-
-
-def _coupling(i: int, j: int) -> np.ndarray:
-    """Hamiltonian per unit Rabi frequency of a field driving levels i and j."""
-    h = np.zeros((4, 4))
-    h[i, j] = h[j, i] = 0.5
-    return h
-
-
-# pump, Stokes and control superoperators, in the order of pulse_envelopes
-L_PUMP = _commutator_superop(_coupling(0, 1))
-L_STOKES = _commutator_superop(_coupling(1, 2))
-L_CONTROL = _commutator_superop(_coupling(1, 3))
-# c @ _DRIVE holds L_p c, L_s c and L_c c side by side
-_DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
-# the same for H_a - i W at unit Omega_rms, theta', phi' sin(theta) and phi' cos(theta), with
-# diag(1, -1, 0, 0) exact: frame_generator at theta = pi/2 would keep a cos of 6e-17
-_FRAME_DRIVE = np.concatenate([_commutator_superop(m).T for m in (
-    np.diag([0.0, 0.0, 0.5, -0.5]), -1j * frame_generator(MixingAngles.at(0, 0, theta_dot=1.0)),
-    np.diag([1.0, -1.0, 0.0, 0.0]), -1j * frame_generator(MixingAngles.at(0, 0, phi_dot=1.0)))], 1)
 
 
 class Basis(enum.Enum):
@@ -127,9 +80,57 @@ class Basis(enum.Enum):
     ADIABATIC = "adiabatic"
 
 
-def dissipator(rho: np.ndarray, gamma: DephasingMatrix) -> np.ndarray:
-    """Dephasing matrix D with D_mn = -i * gamma_mn * rho_mn, zero diagonal."""
-    return -1j * gamma.rates * rho
+_I, _J = np.triu_indices(4, 1)
+# the 10 coordinates c of a real symmetric 4x4: its diagonal, then its entries i < j
+_ROW, _COL = np.concatenate([np.arange(4), _I]), np.concatenate([np.arange(4), _J])
+# the coordinate of each entry of the row-major 4x4
+_SYM = np.empty(16, dtype=int)
+_SYM[4 * _ROW + _COL] = _SYM[4 * _COL + _ROW] = np.arange(10)
+# squared Frobenius norms N of the coordinate basis matrices: tr(x y) = c_x @ (N c_y)
+_NORM2 = np.repeat([1.0, 2.0], [4, 6])
+# U = diag(1, -i, 1, 1), and rho = U^dag sym(c) U = M (.) sym(c) with the phases M
+_U = np.diag([1.0, -1j, 1.0, 1.0])
+_MASK = _U.conj() @ np.ones((4, 4)) @ _U
+# the constant W of R = U^dag O W (tripod.frame_matrix): rho^a = W^dag sym(c) W
+_W = np.array([[1.0, 1.0, 0.0, 0.0], [1j, -1j, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -1j, 1j]]) / np.sqrt(2.0)
+
+
+def _symmetric(c: np.ndarray) -> np.ndarray:
+    """The real symmetric matrices S + (4, 4) of coordinates S + (10,)."""
+    return np.take(c, _SYM, axis=-1).reshape(np.shape(c)[:-1] + (4, 4))
+
+
+def density(c: np.ndarray, basis: Basis = Basis.BARE) -> np.ndarray:
+    """rho, or rho^a in the eigenframe, of shape S + (4, 4) from coordinates S + (10,)."""
+    s = _symmetric(c)
+    return _MASK * s if basis is Basis.BARE else _W.conj().T @ s @ _W
+
+
+def coords(rho: np.ndarray, basis: Basis = Basis.BARE) -> np.ndarray:
+    """Coordinates S + (10,) of rho, or rho^a, of shape S + (4, 4); inverse of density on the
+    states rho = P rho* P."""
+    s = _MASK.conj() * rho if basis is Basis.BARE else _W @ rho @ _W.conj().T
+    return s[..., _ROW, _COL].real
+
+
+def _commutator(i: int, j: int) -> np.ndarray:
+    """x -> [E_ij - E_ji, x] on the coordinates: column k is the image of the k-th basis
+    matrix."""
+    g = np.zeros((4, 4))
+    g[i, j], g[j, i] = 1.0, -1.0
+    basis = _symmetric(np.eye(10))
+    return (g @ basis - basis @ g)[:, _ROW, _COL].T
+
+
+# pump, Stokes and control maps, in the order of pulse_envelopes: K = sum_k Omega_k K_k with
+# K_k = (E_g1 - E_1g) / 2 from ground level g to the excited one
+L_PUMP, L_STOKES, L_CONTROL = (0.5 * _commutator(g, 1) for g in (0, 2, 3))
+# c @ _DRIVE holds L_p c, L_s c and L_c c side by side
+_DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
+# the same for K_bar at unit Omega_rms, theta', phi' sin(theta) and phi' cos(theta)
+_FRAME_DRIVE = np.concatenate([0.5 * _commutator(2, 3).T, _commutator(2, 0).T,
+                               _commutator(1, 0).T, _commutator(2, 1).T], 1)
 
 
 @lru_cache(maxsize=4)
@@ -140,20 +141,20 @@ def _constants(batch: Batch) -> tuple:
     s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
     negates nothing; the amplitudes omega0 and the coordinate damping gamma_c carry
     span, and so does N gamma_c, the damping of the frame dephasing (_frame_damping).
-    Every array has the shape of its use: (B, 3) per pulse, (B, 16) per coordinate and the
-    flat (B * 16,) damping of rhs_bare, since a broadcast (B, 1) operand makes a
+    Every array has the shape of its use: (B, 3) per pulse, (B, 10) per coordinate and the
+    flat (B * 10,) damping of rhs_bare, since a broadcast (B, 1) operand makes a
     derivative's multiply about twice as slow.
     """
     span = batch.span[:, None]
-    damping = batch.rates.take(_POS, axis=1) * span
+    damping = batch.rates.take(4 * _ROW + _COL, axis=1) * span
     return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
             np.repeat(batch.omega0 * span, 3, axis=1), damping.ravel(), damping * _NORM2)
 
 
 def _drive(weights: np.ndarray, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """sum_k weights[:, k] L_k c, flat, for (B, K) weights, the flat state c and the K
-    superoperators of `stacked`."""
-    return (weights[:, None] @ (c.reshape(-1, 16) @ stacked).reshape(len(weights), -1, 16)
+    maps of `stacked`."""
+    return (weights[:, None] @ (c.reshape(-1, 10) @ stacked).reshape(len(weights), -1, 10)
             ).ravel()
 
 
@@ -165,9 +166,10 @@ def _bare_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
 
 
 def rhs_bare(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -> np.ndarray:
-    """Bare-basis c' = (sum_k Omega_k L_k + L_gamma) c in the real coordinates.
+    """Bare-basis rho~' = [K, rho~] - gamma (.) rho~ in the coordinates: c' = sum_k Omega_k
+    L_k c - gamma_c c.
 
-    dc/ds at the normalised time s on the flat (B * 16,) state, as the solver holds it.  w,
+    dc/ds at the normalised time s on the flat (B * 10,) state, as the solver holds it.  w,
     when given, is the (B, 3) _bare_weights at s, from the step loop's one pass over the
     stage times of a step; without it the weights are computed here.
     """
@@ -191,12 +193,6 @@ def from_adiabatic(rho_a: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
     return r @ rho_a @ np.conj(np.swapaxes(r, -1, -2))
 
 
-def _frame_dephasing(rho_a: np.ndarray, r: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """-R^dag (gamma (.) (R rho^a R^dag)) R: the dephasing in the frame R, on stacks too."""
-    r_h = r.conj().swapaxes(-1, -2)
-    return -(r_h @ (rates * (r @ rho_a @ r_h)) @ r)
-
-
 def _harmonics(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """The 25 products h_k of [1, cos, sin](k theta) and [1, cos, sin](k phi), k <= 2.
 
@@ -209,43 +205,42 @@ def _harmonics(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _frame_terms() -> np.ndarray:
-    """The constant terms T_k of the frame map, T = sum_k h_k T_k, as a (25, 256) table.
+    """The constant terms T_k of the frame map, T = sum_k h_k T_k, as a (25, 100) table.
 
-    Every entry of R is +-1/sqrt(2) times products of 1, cos and sin of theta and of
-    phi, so T, bilinear in R and R^*, is a trigonometric polynomial of degree <= 2 in
-    each angle with coefficients that are multiples of 1/8.  Its values on the 5 x 5
-    grid 2 pi j / 5 fix it, and rounding to eighths removes the rounding of the fit.
-    Built on first use.
+    Every entry of O is a product of 1, cos or sin of theta and 1, cos or sin of phi, so T,
+    bilinear in O, is a trigonometric polynomial of degree <= 2 in each angle with
+    coefficients that are multiples of 1/4.  Its values on the 5 x 5 grid 2 pi j / 5 fix
+    it, and rounding to eighths removes the rounding of the fit.  Built on first use.
     """
     nodes = 0.4 * np.pi * np.arange(5)
     grid = MixingAngles.at(np.repeat(nodes, 5), np.tile(nodes, 5))  # 25 (theta, phi) points
-    r = frame_matrix(grid)[:, None]
-    # column l of T at a grid point is coords(R E_l R^dag), E_l the l-th basis matrix
-    values = coords(r @ density(np.eye(16)) @ r.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
+    o = (_U @ frame_matrix(grid) @ _W.conj().T).real[:, None]
+    # column l of T at a grid point is the coordinates of O E_l O^T, E_l the l-th basis matrix
+    values = (o @ _symmetric(np.eye(10)) @ o.swapaxes(-1, -2))[..., _ROW, _COL].swapaxes(-1, -2)
     h = _harmonics(np.array([grid.cos_theta, grid.cos_phi]),
                    np.array([grid.sin_theta, grid.sin_phi]))
     # the harmonics are orthogonal on the grid: solving is projecting onto each of them
-    terms = (h.T @ values.reshape(25, 256)) / (h * h).sum(0)[:, None]
+    terms = (h.T @ values.reshape(25, 100)) / (h * h).sum(0)[:, None]
     return np.round(8.0 * terms) / 8.0
 
 
 def frame_map(angles: MixingAngles) -> np.ndarray:
-    """rho = R rho^a R^dag on the real coordinates: coords(rho) = T coords(rho^a).
+    """rho~ = O rho_bar O^T on the coordinates: coords(rho) = T coords(rho^a, ADIABATIC).
 
-    R is tripod.frame_matrix; T is real, and N^-1 T^T N is its inverse (R is unitary and
-    tr(rho sigma) = c_rho @ (N c_sigma), N the squared norms of the basis matrices).
-    T = sum_k h_k(theta, phi) T_k over the 25 harmonics of _harmonics.  Scalar angles give
-    one (16, 16) map; angles of shape S, such as (n, B), give S + (16, 16) in one matmul.
+    O = U R W^dag is real orthogonal, so T is real and N^-1 T^T N is its inverse
+    (tr(x y) = c_x @ (N c_y)).  T = sum_k h_k(theta, phi) T_k over the 25 harmonics of
+    _harmonics.  Scalar angles give one (10, 10) map; angles of shape S, such as (n, B),
+    give S + (10, 10) in one matmul.
     """
     cos = np.array([angles.cos_theta, angles.cos_phi])
     sin = np.array([angles.sin_theta, angles.sin_phi])
-    return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (16, 16))
+    return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (10, 10))
 
 
 def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """N^-1 T^T (N gamma_c (.) T c) for (B, 16) states c, (B, 16, 16) maps T and N gamma_c.
+    """N^-1 T^T (N gamma_c (.) T c) for (B, 10) states c, (B, 10, 10) maps T and N gamma_c.
 
-    The coordinate form of R^dag (gamma (.) (R rho^a R^dag)) R: rho^a taken to the bare
+    The coordinate form of O^T (gamma (.) (O rho_bar O^T)) O: rho_bar taken to the bare
     basis, damped there as in rhs_bare (T = 1 gives gamma_c c), and taken back.
     """
     damped = weighted * (t @ vec[:, :, None])[:, :, 0]
@@ -272,24 +267,23 @@ def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
 
 def _adiabatic_weights(s: np.ndarray, batch: Batch) -> list:
     """rhs_adiabatic's weights at n stage times s: per time, the (B, 4) weights of
-    _FRAME_DRIVE and the (B, 16, 16) frame maps T, from one closed-form pass
+    _FRAME_DRIVE and the (B, 10, 10) frame maps T, from one closed-form pass
     (_slow_functions) and one product of its harmonics with the table, as in frame_map."""
     drive, cos, sin = _slow_functions(s, batch)
-    return list(zip(drive, (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 16, 16)))
+    return list(zip(drive, (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 10, 10)))
 
 
 def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: tuple | None = None) -> np.ndarray:
-    """Eigenframe rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R.
+    """Eigenframe rho_bar' = [K_bar, rho_bar] - O^T (gamma (.) (O rho_bar O^T)) O.
 
-    On the times and flat coordinates of rhs_bare, for s in [0, 1].  H_a =
-    diag(0, 0, Omega/2, -Omega/2) and W = tripod.frame_generator make the coherent part one
-    contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T the
-    real frame map.  The weights and T come from their closed forms (_adiabatic_weights);
+    On the times and flat coordinates of rhs_bare, for s in [0, 1].  K_bar = O^T K O - O^T O'
+    is one contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T
+    the frame map.  The weights and T come from their closed forms (_adiabatic_weights);
     w, when given, is those at s, from the step loop's one pass.
     """
     drive, frame = _adiabatic_weights(np.array([s]), batch)[0] if w is None else w
     return _drive(drive, c, _FRAME_DRIVE) - _frame_damping(
-        c.reshape(-1, 16), frame, _constants(batch)[4]).ravel()
+        c.reshape(-1, 10), frame, _constants(batch)[4]).ravel()
 
 
 @dataclass
@@ -343,15 +337,15 @@ def _certified(states: np.ndarray) -> bool:
 
 
 class _Invariants:
-    """Each member's trace error and a least eigenvalue, folded over the (n, B, 4, 4) stacks
-    of its states handed to `add`, in any basis.
+    """Each member's trace error and a least eigenvalue, folded over the (n, B, 4, 4) real
+    symmetric stacks of its states handed to `add`, rho~ or rho_bar, which have the trace and
+    the spectrum of rho or rho^a.
 
     Where a member's stacks pass the positivity certificate (_certified), min_eigenvalue is
     its final state's least eigenvalue.  Where one fails, it is the least over the stacks
     that fail, which hold every eigenvalue below about -1e-12; on a single stack that is the
-    least over the whole stack.  density builds exactly Hermitian states, so the Hermiticity
-    error is 0.0, as in effective.dark_invariants, and eigvalsh and cholesky, which read one
-    triangle, take them as they are.
+    least over the whole stack.  The states are symmetric by construction, so the
+    Hermiticity error is 0.0, as in effective.dark_invariants.
     """
 
     def __init__(self, members: int):
@@ -444,9 +438,9 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _rms(x: np.ndarray) -> float:
-    """The RMS norm of SciPy's initial-step rule."""
-    return _norm(x) / x.size ** 0.5
+def _rms(x: np.ndarray, size: int) -> float:
+    """The RMS norm of SciPy's initial-step rule over `size` coordinates."""
+    return _norm(x) / size ** 0.5
 
 
 def _max_step(batch: Batch) -> float:
@@ -460,7 +454,8 @@ def _max_step(batch: Batch) -> float:
 
 
 def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, budget: str,
-                 fold: Callable[[np.ndarray], None] | None = None) -> tuple:
+                 fold: Callable[[np.ndarray], None] | None = None, size: int | None = None
+                 ) -> tuple:
     """The step loop of both ODE engines: one solve of rhs(s, y, batch) = dy/ds on the flat
     batch state y over s in [0, 1] by the eighth-order Dormand-Prince pair (DOP853), at RTOL
     and ATOL.
@@ -485,13 +480,17 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     handed the accepted states, y0 first, as the solve takes them.  Either way fold gets
     (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
 
+    The RMS error norms count `size` coordinates, len(y0) unless given: the master engine's
+    10 coordinates per member stand for the 16 real ones of rho, six of them 0.0 at all
+    times, and its norms count those 16, with the tolerances of a 16-coordinate solve.
+
     A non-finite derivative at the start would make the first step size NaN, so it is
     refused up front; that first derivative is the solve's own.  A solve that needs more
     than MAX_NFEV calls, the count of a stage each, raises StepBudgetExceeded with `budget`
     formatted with MAX_NFEV (both read at call time); the count is read after each step.  A
     failed step is a step-size underflow.  No step is longer than _max_step(batch).
     """
-    rk, chunk = _DOP853, max(_FOLD // len(batch), 1)
+    rk, chunk, size = _DOP853, max(_FOLD // len(batch), 1), size or len(y0)
     stages, order = rk.n_stages, rk.error_estimator_order + 1
     # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
     nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)
@@ -511,9 +510,9 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     if not np.all(np.isfinite(f)):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
     scale = ATOL + np.abs(y0) * RTOL  # select_initial_step
-    d0, d1 = _rms(y0 / scale), _rms(f / scale)
+    d0, d1 = _rms(y0 / scale, size), _rms(f / scale, size)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-    d2 = _rms((rhs(h0, y0 + h0 * f, batch) - f) / scale) / h0
+    d2 = _rms((rhs(h0, y0 + h0 * f, batch) - f) / scale, size) / h0
     # the step bound of select_initial_step is applied with the loop's own, below
     h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
                 else (0.01 / max(d1, d2)) ** (1 / order), 1.0)
@@ -534,7 +533,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
             nfev += stages
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             e5, e3 = (_norm(np.dot(k_e, e) / scale) ** 2 for e in (rk.E5, rk.E3))
-            error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * size) if e5 or e3 else 0.0
             if error < 1:
                 break
             h_abs, cap = h_abs * max(_MIN_FACTOR, _SAFETY * error ** (-1 / order)), 1
@@ -578,7 +577,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
     members with different windows share every DOP853 step on the flat state
-    of their (B, 16) real coordinates.  The step size follows the hardest
+    of their (B, 10) real coordinates, rho~ in the bare basis and rho_bar in
+    the eigenframe, whose error norm counts 16 per member (_solve_batch).
+    The step size follows the hardest
     member and the error norm spans the batch, so a member's values depend on
     the batch at the level of the solver's own error, and the same batch gives
     the same values.  On the default fig5a, fig5b, fig6 and fig8 grids every
@@ -593,20 +594,20 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     invariants are folded over the states at the accepted steps as the solve
     takes them, with no output grid and no stack of the steps.
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
-    rhs_adiabatic (from R^dag rho R), looked up by name once per solve and
+    rhs_adiabatic (from O^T rho~ O), looked up by name once per solve and
     handed to the step loop unbound, one call per stage; their weights at
     the stage times of a step come from one _bare_weights or
     _adiabatic_weights pass.
     A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
     solve it raises for the whole batch at the call.  The trajectories are
     built as the caller iterates, and only there do their states become
-    complex 4x4 matrices.
+    complex 4x4 matrices: rho = M (.) sym(c) and rho^a = W^dag sym(c) W.
     """
     batch = Batch.of(cfgs)
     n = len(batch)
-    c0 = np.eye(16)[0]  # rho_11 = 1
+    c0 = np.eye(10)[0]  # rho = U rho U^dag = |psi_1><psi_1|
     y0 = (np.tile(c0, n) if basis is Basis.BARE
-          else coords(to_adiabatic(density(c0), batch.start, batch)).ravel())
+          else coords(to_adiabatic(density(c0), batch.start, batch), basis).ravel())
     folded = _Invariants(n)
     rhs, weights = ((rhs_bare, _bare_weights) if basis is Basis.BARE
                     else (rhs_adiabatic, _adiabatic_weights))
@@ -614,12 +615,16 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
                            "the master solve stopped at its budget of {} "
                            "derivative calls (about 45 per unit of Omega0); --engine effective "
                            "takes about 900 at any Omega0",
-                           lambda rows: folded.add(density(rows.reshape(len(rows), n, 16))))
-    return (_trajectory(cfg, basis, samples, density(c.T), nfev, theta_g, member)
-            for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 16, -1),
+                           lambda rows: folded.add(_symmetric(rows.reshape(len(rows), n, 10))),
+                           16 * n)
+    return (_trajectory(cfg, basis, samples, density(c.T, basis), nfev, theta_g, member)
+            for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 10, -1),
                                                geometric_phases(batch.cfgs), folded.stats()))
 
 
 def integrate(cfg: PulseConfig, basis: Basis = Basis.BARE, samples: int = 2000) -> Trajectory:
-    """Propagate |psi_1><psi_1| from t_start to t_end: a batch of one."""
+    """Propagate |psi_1><psi_1| from t_start to t_end: a batch of one.
+
+    Its one caller is simulate; it stays because perfbench's trace names it as a span.
+    """
     return next(integrate_many([cfg], basis=basis, samples=samples))

@@ -27,7 +27,11 @@ _PASS_NODES = 1 << 15
 
 
 def hamiltonian(t: float, cfg: PulseConfig) -> np.ndarray:
-    """4x4 rotating-frame Hamiltonian at time t (hbar = 1)."""
+    """4x4 rotating-frame Hamiltonian at time t (hbar = 1).
+
+    No solver calls it; it stays because perfbench's trace names it as a span
+    (perfbench/tracing.py SPANS), and its install fails on a missing one.
+    """
     op, os_, oc = pulse_envelopes(t, cfg)
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = 0.5 * op
@@ -83,6 +87,7 @@ class AdiabaticFrame:
 
 
 def adiabatic_frame(t: float, cfg: PulseConfig) -> AdiabaticFrame:
+    """The eigenframe at time t, for cross-checks; kept for perfbench's trace, as hamiltonian."""
     angles = mixing_angles(t, cfg)
     r = frame_matrix(angles)
     omega = float(rms_rabi(t, cfg))

@@ -348,8 +348,8 @@ def test_failing_member_is_reported_on_its_own_row(monkeypatch, engine):
         out = rhs(s, y, batch, **mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
         bad = (rates == 0.5) & (batch.start + s * batch.span > 0.0)
-        # the flat master state is (B, 16) member by member, the effective one (3, B)
-        members = out.reshape(len(batch), 16) if engine is Engine.MASTER else out.reshape(3, -1).T
+        # the flat master state is (B, 10) member by member, the effective one (3, B)
+        members = out.reshape(len(batch), 10) if engine is Engine.MASTER else out.reshape(3, -1).T
         members[bad] = np.nan
         return out
 
@@ -577,8 +577,8 @@ def _poisoned(monkeypatch, engine, rate):
         out = rhs(s, y, batch, **mode)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
         bad = (rates == rate) & (batch.start + s * batch.span > 0.0)
-        # the flat master state is (B, 16) member by member, the effective one (3, B)
-        members = out.reshape(len(batch), 16) if engine is Engine.MASTER else out.reshape(3, -1).T
+        # the flat master state is (B, 10) member by member, the effective one (3, B)
+        members = out.reshape(len(batch), 10) if engine is Engine.MASTER else out.reshape(3, -1).T
         members[bad] = np.nan
         return out
 

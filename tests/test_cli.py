@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import liouvillian16 as oracle
 from tripod_stirap import analysis, cli, dk, effective, liouville
 from tripod_stirap.cli import FIGURES, _figure_config, _fmt, main
 from tripod_stirap.errors import AmbiguousCrossing
@@ -186,13 +187,17 @@ def test_final_state_figure_past_the_derivative_budget_exits_2(tmp_path, monkeyp
     assert not (tmp_path / "fig6.csv").exists()
 
 
+def _default_batch(name: str) -> list[PulseConfig]:
+    fig = FIGURES[name]
+    return [_figure_config(fig, dict(zip(fig.axes, point)))
+            for point in itertools.product(*fig.axes.values())]
+
+
 def test_a_final_state_figure_batch_holds_no_stack_of_its_steps():
     # the default fig8 batch (27 members, 17318 calls) keeps its last state and folds its
     # invariants in chunks: 0.63 MB at the peak; a stack of every accepted step, and the
     # complex states built from it, take 16 MB
-    fig = FIGURES["fig8"]
-    cfgs = [_figure_config(fig, dict(zip(fig.axes, point)))
-            for point in itertools.product(*fig.axes.values())]
+    cfgs = _default_batch("fig8")
     tracemalloc.start()
     try:
         stats = [traj.stats for traj in liouville.integrate_many(cfgs, samples=None)]
@@ -201,6 +206,31 @@ def test_a_final_state_figure_batch_holds_no_stack_of_its_steps():
         tracemalloc.stop()
     assert len(stats) == 27 and stats[0]["nfev"] == 17318
     assert peak < 1.5e6
+
+
+def test_an_oracle_solve_of_the_default_fig6_batch_keeps_six_coordinates_at_zero():
+    # rho = P rho* P with P = diag(1, -1, 1, 1): on the 16 real coordinates of the complex
+    # Liouvillian (liouvillian16), Re rho_01, Re rho_12, Re rho_13, Im rho_02, Im rho_03 and
+    # Im rho_23 are exactly 0.0 at every accepted step of the default fig6 batch; the master
+    # engine's 10 coordinates, whose error norm counts those 16, take the same 9722 calls
+    cfgs = _default_batch("fig6")
+    batch = Batch.of(cfgs)
+    rhs, weights, y0 = oracle.derivative(liouville.Basis.BARE, batch)
+    zero = []
+    y, nfev = liouville._solve_batch(
+        rhs, weights, y0, batch, None, "{}",
+        lambda rows: zero.append(rows.reshape(len(rows), -1, 16)[..., oracle.ZERO]))
+    assert len(zero) > 1 and all(np.all(rows == 0.0) for rows in zero)
+    trajs = list(liouville.integrate_many(cfgs, samples=None))
+    assert nfev == trajs[0].stats["nfev"] == 9722
+    states = np.concatenate([traj.states for traj in trajs])
+    assert np.max(np.abs(oracle.density(y.reshape(-1, 16)) - states)) < 1e-13
+
+
+@pytest.mark.parametrize("name,nfev", [("fig5a", 15914), ("fig5b", 12950)])
+def test_default_final_state_batches_keep_their_derivative_counts(name, nfev):
+    # the counts of the 16-coordinate solve, which do not depend on the machine
+    assert next(liouville.integrate_many(_default_batch(name), samples=None)).stats["nfev"] == nfev
 
 
 @pytest.mark.parametrize("engine,basis", [("master", "bare"), ("master", "adiabatic"),
@@ -571,9 +601,9 @@ def test_sweep_manifest_counts_each_batch_once(tmp_path, monkeypatch):
     def poisoned(s, y, batch, **weights):
         out = rhs(s, y, batch, **weights)
         rates = np.array([cfg.gamma.equal_rate() for cfg in batch.cfgs])
-        # the flat state is (B, 16) member by member
+        # the flat state is (B, 10) member by member
         bad = (rates == 0.05) & (batch.start + s * batch.span > 0.0)
-        out.reshape(len(batch), 16)[bad] = np.nan
+        out.reshape(len(batch), 10)[bad] = np.nan
         return out
 
     monkeypatch.setattr(liouville, "rhs_bare", poisoned)
@@ -793,7 +823,7 @@ def test_default_fig5a_batch_meets_the_per_member_contract():
     b = next(i for i, cfg in enumerate(cfgs) if cfg.omega0 == 200.0 and cfg.tau == 0.25)
     traj = next(itertools.islice(liouville.integrate_many(cfgs), b, None))
     alone = Batch.of([cfgs[b]])
-    y0 = np.zeros(16)
+    y0 = np.zeros(10)
     y0[0] = 1.0
     sol = solve_ivp(liouville.rhs_bare, (0.0, 1.0), y0, method="DOP853",
                     t_eval=np.linspace(0.0, 1.0, 2000), args=(alone,), rtol=1e-13, atol=1e-15)

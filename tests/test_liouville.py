@@ -12,21 +12,38 @@ import pytest
 import scipy.integrate
 from hypothesis import given, strategies as st
 
+import liouvillian16 as oracle
 from arctan_angles import arctan_angles
 from tripod_stirap import effective, liouville, tripod
 from tripod_stirap.errors import StepBudgetExceeded, ToleranceNotMet
-from tripod_stirap.liouville import (Basis, Batch, coords, density, dissipator, frame_map,
-                                      rhs_adiabatic, rhs_bare)
+from tripod_stirap.liouville import (Basis, Batch, coords, density, frame_map, rhs_adiabatic,
+                                      rhs_bare)
 from tripod_stirap.pulses import (_EXP_CLAMP, DephasingMatrix, MixingAngles, PulseConfig,
                                   mixing_angles, pulse_envelopes)
 from tripod_stirap.tripod import (adiabatic_frame, frame_matrix, geometric_phase, hamiltonian,
                                   target_state)
+
+_ADIABATIC = Basis.ADIABATIC
 
 
 def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = a @ a.conj().T
     return h / np.trace(h).real
+
+
+def _mixed_states(rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+    """Real symmetric positive states of unit trace, size + (4, 4)."""
+    a = rng.normal(size=size + (4, 4))
+    s = a @ a.swapaxes(-1, -2)
+    return s / np.einsum("...ii->...", s)[..., None, None]
+
+
+def _random_state(rng: np.random.Generator, basis: Basis = Basis.BARE,
+                  size: tuple = ()) -> np.ndarray:
+    """Random states of shape size + (4, 4) with the tripod's symmetry rho = P rho* P,
+    P = diag(1, -1, 1, 1), in either basis: density of a real symmetric positive state."""
+    return density(_mixed_states(rng, size)[..., liouville._ROW, liouville._COL], basis)
 
 
 def _random_gamma(rng: np.random.Generator) -> DephasingMatrix:
@@ -41,15 +58,6 @@ def _cfg(gamma: float = 1.0) -> PulseConfig:
                        gamma=DephasingMatrix.equal(gamma))
 
 
-def test_dissipator_has_zero_diagonal_and_hadamard_action(rng):
-    rho = _random_hermitian(rng)
-    gamma = _random_gamma(rng)
-    d = dissipator(rho, gamma)
-    assert np.allclose(np.diagonal(d), 0.0, atol=1e-15)
-    # -i*D is the actual contribution to rho': pure elementwise damping
-    assert np.allclose(-1j * d, -gamma.rates * rho, atol=1e-15)
-
-
 def _rhs_at(rhs, t, c: np.ndarray, cfg: PulseConfig) -> np.ndarray:
     """dc/dt of one run at a scalar t: rhs on its batch of one at s = (t - start) / span."""
     one = Batch.of([cfg])
@@ -62,7 +70,7 @@ def test_rhs_far_outside_window_is_pure_dephasing(rng):
     cfg = _cfg()
     gamma = _random_gamma(rng)
     cfg = cfg.with_updates(gamma=gamma)
-    rho = _random_hermitian(rng)
+    rho = _random_state(rng)
     dot = density(_rhs_at(rhs_bare, 40.0, coords(rho), cfg))
     assert np.allclose(np.diagonal(dot), 0.0, atol=1e-30)
     assert np.allclose(dot, -gamma.rates * rho, atol=1e-30)
@@ -71,7 +79,7 @@ def test_rhs_far_outside_window_is_pure_dephasing(rng):
 @given(t=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
 def test_rhs_bare_preserves_trace_and_hermiticity(t, seed):
     rng = np.random.default_rng(seed)
-    rho = _random_hermitian(rng)
+    rho = _random_state(rng)
     cfg = _cfg().with_updates(gamma=_random_gamma(rng))
     dot = density(_rhs_at(rhs_bare, t, coords(rho), cfg))
     assert abs(np.trace(dot)) < 1e-12
@@ -87,7 +95,7 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
     # from a central difference of R, not from the closed form under test
     rng = np.random.default_rng(seed)
     cfg = _cfg().with_updates(ordering=ordering, gamma=_random_gamma(rng))
-    rho_a = _random_hermitian(rng)
+    rho_a = _random_state(rng, _ADIABATIC)
     frame = adiabatic_frame(t, cfg)
     rho = frame.R @ rho_a @ frame.R.conj().T
     h, ang = 1e-6, frame.angles
@@ -97,16 +105,35 @@ def test_rhs_adiabatic_is_the_transformed_bare_equation(t, seed, ordering):
     w = frame.R.conj().T @ (shifted(+1) - shifted(-1)) / (2.0 * h)
     expected = (frame.R.conj().T @ density(_rhs_at(rhs_bare, t, coords(rho), cfg)) @ frame.R
                 - (w @ rho_a - rho_a @ w))
-    got = density(_rhs_at(rhs_adiabatic, t, coords(rho_a), cfg))
+    got = density(_rhs_at(rhs_adiabatic, t, coords(rho_a, _ADIABATIC), cfg), _ADIABATIC)
     assert np.max(np.abs(got - expected)) < 1e-7 * cfg.omega0
+
+
+@given(s=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       basis=st.sampled_from(list(Basis)))
+def test_ten_coordinate_derivatives_are_the_complex_liouvillian(s, seed, basis):
+    # on states rho = P rho* P the 10-coordinate derivative of either basis is the complex
+    # 4x4 Liouvillian of the 16-coordinate oracle, member by member, on the mixed batch with
+    # unequal rates
+    rng = np.random.default_rng(seed)
+    batch = Batch.of([cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)])
+    rho = _random_state(rng, basis, (len(batch),))
+    rhs, reference = ((rhs_bare, oracle.rhs_bare) if basis is Basis.BARE
+                      else (rhs_adiabatic, oracle.rhs_adiabatic))
+    got = density(rhs(s, coords(rho, basis).ravel(), batch).reshape(-1, 10), basis)
+    want = oracle.density(reference(s, oracle.coords(rho).ravel(), batch).reshape(-1, 16))
+    scale = np.max(np.abs(want), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    if basis is Basis.BARE:  # and the oracle keeps rho = P rho* P: its other six are 0.0
+        assert np.all(oracle.coords(want)[:, oracle.ZERO] == 0.0)
 
 
 @given(t=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
 def test_superoperators_reproduce_the_commutator(t, seed):
-    # sum_k Omega_k L_k vec(rho) is vec(-i [H, rho]) with the assembled Hamiltonian
+    # sum_k Omega_k L_k c is the coordinates of -i [H, rho] with the assembled Hamiltonian
     rng = np.random.default_rng(seed)
     cfg = _cfg()
-    rho = _random_hermitian(rng)
+    rho = _random_state(rng)
     op, os_, oc = pulse_envelopes(t, cfg)
     drive = op * liouville.L_PUMP + os_ * liouville.L_STOKES + oc * liouville.L_CONTROL
     h = hamiltonian(t, cfg)
@@ -115,28 +142,37 @@ def test_superoperators_reproduce_the_commutator(t, seed):
 
 
 def test_coordinates_round_trip_exactly(rng):
-    c = rng.normal(size=(50, 16))
+    # exactly in the bare basis, where density only multiplies by 1, -1, i and -i
+    c = rng.normal(size=(50, 10))
     assert np.array_equal(coords(density(c)), c)
-    rho = _random_hermitian(rng)
+    rho = _random_state(rng)
     assert np.max(np.abs(density(coords(rho)) - rho)) < 1e-16
+    assert np.max(np.abs(coords(density(c, _ADIABATIC), _ADIABATIC) - c)) < 1e-15 * np.abs(c).max()
+    rho_a = _random_state(rng, _ADIABATIC)
+    assert np.max(np.abs(density(coords(rho_a, _ADIABATIC), _ADIABATIC) - rho_a)) < 2e-16
 
 
 @pytest.mark.parametrize("n", [1, 7, 622, 10_000])
 def test_density_has_the_bits_of_the_complex_product(rng, n):
-    # the gather against c @ _TO_VEC.T, signed zeros included, on row-major and transposed
-    # stacks of states and on one state
-    c = rng.normal(size=(n, 16))
-    c[rng.random(c.shape) < 0.1] = -0.0
+    # rho = U^dag rho~ U with U = diag(1, -i, 1, 1), formed as each entry of the real
+    # symmetric rho~ times 1, i or -i: exactly the product, up to the sign of a zero, on
+    # row-major and transposed stacks of states and on one state
+    c = rng.normal(size=(n, 10))
     c[rng.random(c.shape) < 0.1] = 0.0
+    u = np.diag([1.0, -1j, 1.0, 1.0])
     for states in (c, np.ascontiguousarray(c.T).T, c[0]):
-        want = (states @ liouville._TO_VEC.T).reshape(np.shape(states)[:-1] + (4, 4))
-        assert np.array_equal(density(states).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(density(states), u.conj().T @ liouville._symmetric(states) @ u)
 
 
 def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
-    rho = density(rng.normal(size=(50, 16)))
+    # in both bases, with the symmetry rho = P rho* P
+    p = np.diag([1.0, -1.0, 1.0, 1.0])
+    rho = density(rng.normal(size=(50, 10)))
     assert rho.shape == (50, 4, 4)
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
+    assert np.array_equal(rho, p @ rho.conj() @ p)
+    rho_a = density(rng.normal(size=(50, 10)), _ADIABATIC)
+    assert np.max(np.abs(rho_a - np.conj(np.swapaxes(rho_a, -1, -2)))) < 1e-15 * np.abs(rho_a).max()
 
 
 def _folded(states: np.ndarray) -> dict:
@@ -147,37 +183,41 @@ def _folded(states: np.ndarray) -> dict:
 
 
 def test_invariants_read_the_states_as_density_builds_them(rng):
-    # density's states are exactly Hermitian, so eigvalsh, which reads one triangle, gives
-    # the same bits on the states themselves as on their Hermitian part
-    states = density(rng.normal(size=(200, 16)))
-    stats = _folded(states)
-    hermitian_part = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+    # the fold reads the real symmetric rho~, whose spectrum is that of rho = U^dag rho~ U
+    c = rng.normal(size=(200, 10))
+    stats = _folded(liouville._symmetric(c))
     assert stats["hermiticity_error"] == 0.0
-    assert stats["min_eigenvalue"] == np.min(np.linalg.eigvalsh(hermitian_part)[:, 0])
+    assert stats["min_eigenvalue"] == np.min(np.linalg.eigvalsh(liouville._symmetric(c))[:, 0])
+    least = np.min(np.linalg.eigvalsh(density(c))[:, 0])
+    assert abs(stats["min_eigenvalue"] - least) < 1e-14 * abs(least)
+
+
+def _with_least(state: np.ndarray, least: float) -> np.ndarray:
+    """The real symmetric state with its least eigenvalue set to `least`, exactly symmetric."""
+    values, vectors = np.linalg.eigh(state)
+    values[0] = least
+    return liouville._symmetric(((vectors * values) @ vectors.T)[liouville._ROW, liouville._COL])
 
 
 def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
     # a stack that passes the Cholesky certificate reports its final sample's least
     # eigenvalue; one that fails reports the least over the whole stack, and warns below -1e-6
-    a = rng.normal(size=(60, 4, 4)) + 1j * rng.normal(size=(60, 4, 4))
-    mixed = a @ np.conj(a.swapaxes(1, 2))
-    states = density(coords(mixed / np.einsum("nii->n", mixed).real[:, None, None]))
+    states = _mixed_states(rng, (60,))
 
     cfg = _cfg()
 
     def run(stack):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), stack, 0, 0.0,
+            rho = density(stack[:, liouville._ROW, liouville._COL])
+            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), rho, 0, 0.0,
                                           _folded(stack)).stats
         return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
 
     assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
     for least, warns in ((-2e-6, True), (-5e-7, False)):
-        values, vectors = np.linalg.eigh(states[17])
-        values[0] = least
         stack = states.copy()
-        stack[17] = density(coords((vectors * values) @ np.conj(vectors.T)))
+        stack[17] = _with_least(states[17], least)
         value, caught = run(stack)
         assert value == np.min(np.linalg.eigvalsh(stack)[:, 0])
         assert abs(value - least) < 1e-15
@@ -189,11 +229,11 @@ def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
 def test_real_superoperators_are_the_coupling_commutators(rng, name, levels):
     # L_k c is the coordinate vector of -i [H_k, rho], H_k the coupling per unit Rabi frequency
     superop = getattr(liouville, name)
-    assert superop.shape == (16, 16) and superop.dtype == np.float64
+    assert superop.shape == (10, 10) and superop.dtype == np.float64
     h = np.zeros((4, 4))
     h[levels] = h[levels[::-1]] = 0.5
     for _ in range(20):
-        rho = _random_hermitian(rng)
+        rho = _random_state(rng)
         expected = -1j * (h @ rho - rho @ h)
         assert np.max(np.abs(density(superop @ coords(rho)) - expected)) < 1e-15
 
@@ -220,32 +260,32 @@ def test_batched_rhs_matches_each_member(rng, rhs):
     cfgs = _rhs_batch(rng)
     batch = Batch.of(cfgs)
     for s in (0.0, 0.13, 0.5, 0.77, 1.0):
-        c = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
+        c = rng.normal(size=(len(cfgs), 10))
         # the flat state holds the members one after another
-        got = rhs(s, c.ravel(), batch).reshape(len(cfgs), 16)
+        got = rhs(s, c.ravel(), batch).reshape(len(cfgs), 10)
         for b, cfg in enumerate(cfgs):
             assert np.max(np.abs(got[b] - rhs(s, c[b], Batch.of([cfg])))) < 1e-15 * cfg.omega0
 
 
-# squared Frobenius norms of the coordinate basis matrices: |rho_ii|, then Re and Im rho_ij
-_NORM2 = np.repeat([1.0, 2.0], [4, 12])
+# squared Frobenius norms of the coordinate basis matrices: the diagonal, then the i < j
+_NORM2 = np.repeat([1.0, 2.0], [4, 6])
 
 
 def _conjugated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """coords(R density(c) R^dag) on stacks."""
-    return coords(r @ density(c) @ r.conj().swapaxes(-1, -2))
+    """The bare coordinates of R rho^a R^dag, rho^a = density(c, ADIABATIC), on stacks."""
+    return coords(r @ density(c, _ADIABATIC) @ r.conj().swapaxes(-1, -2))
 
 
 @given(theta=st.floats(-7.0, 7.0), phi=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
 def test_frame_map_is_the_conjugation_by_the_frame(theta, phi, seed):
-    # T c = coords(R rho R^dag) for any angles, and N^-1 T^T N undoes it
+    # T c = coords(R rho^a R^dag) for any angles, and N^-1 T^T N undoes it
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=16)
+    c = rng.normal(size=10)
     ang = MixingAngles.at(theta, phi)
     t = frame_map(ang)
-    assert t.shape == (16, 16) and t.dtype == np.float64
+    assert t.shape == (10, 10) and t.dtype == np.float64
     assert np.max(np.abs(t @ c - _conjugated(frame_matrix(ang), c))) < 4e-15 * np.max(np.abs(c))
-    assert np.max(np.abs((t.T * _NORM2 / _NORM2[:, None]) @ t - np.eye(16))) < 4e-15
+    assert np.max(np.abs((t.T * _NORM2 / _NORM2[:, None]) @ t - np.eye(10))) < 4e-15
 
 
 def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
@@ -253,8 +293,8 @@ def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
     theta, phi = rng.uniform(0.0, np.pi / 2, (2, 7, 5))
     ang = MixingAngles.at(theta, phi)
     t = frame_map(ang)
-    assert t.shape == (7, 5, 16, 16)
-    c = rng.normal(size=(7, 5, 16))
+    assert t.shape == (7, 5, 10, 10)
+    c = rng.normal(size=(7, 5, 10))
     got = (t @ c[..., None])[..., 0]
     assert np.max(np.abs(got - _conjugated(frame_matrix(ang), c))) < 4e-15 * np.max(np.abs(c))
     back = ((t.swapaxes(-1, -2) * _NORM2 / _NORM2[:, None]) @ got[..., None])[..., 0]
@@ -265,15 +305,15 @@ def test_frame_map_on_a_stack_of_angles_is_one_array_pass(rng):
 
 
 def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
-    # 25 harmonics x 16 x 16, 219 nonzero coefficients, all multiples of 1/8; a bare
+    # 25 harmonics x 10 x 10, 60 nonzero coefficients, all multiples of 1/8; a bare
     # solve never builds the table, the first eigenframe derivative does
     liouville._frame_terms.cache_clear()
     liouville.integrate(PulseConfig(ordering="scp", omega0=50.0, tau=1.0), samples=20)
     assert liouville._frame_terms.cache_info().currsize == 0
-    rhs_adiabatic(0.5, np.eye(16)[0], Batch.of([_cfg()]))
+    rhs_adiabatic(0.5, np.eye(10)[0], Batch.of([_cfg()]))
     assert liouville._frame_terms.cache_info().currsize == 1
     terms = liouville._frame_terms()
-    assert terms.shape == (25, 256) and np.count_nonzero(terms) == 219
+    assert terms.shape == (25, 100) and np.count_nonzero(terms) == 60
     assert np.array_equal(8.0 * terms, np.round(8.0 * terms))
 
 
@@ -297,17 +337,19 @@ def test_adiabatic_weights_of_a_member_have_the_same_bits_alone_and_in_any_batch
 
 
 def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
-    # -N^-1 T^T (N gamma_c (.) T c) is coords(-R^dag (gamma (.) (R rho^a R^dag)) R), at the
-    # angles of every member of the mixed batch, the clamp member's window edges included
+    # -N^-1 T^T (N gamma_c (.) T c) is the coordinates of -R^dag (gamma (.) (R rho^a R^dag)) R,
+    # at the angles of every member of the mixed batch, the clamp member's window edges included
     cfgs = [cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)]
     batch = Batch.of(cfgs)
-    weighted = _NORM2 * batch.rates.take(liouville._POS, axis=1)
+    weighted = _NORM2 * batch.rates.take(4 * liouville._ROW + liouville._COL, axis=1)
     for s in (0.0, 0.02, 0.13, 0.5, 0.77, 0.98, 1.0):
         ang = mixing_angles(batch.start + s * batch.span, batch)
-        c = coords(np.stack([_random_hermitian(rng) for _ in cfgs]))
-        got = -liouville._frame_damping(c, frame_map(ang), weighted)
-        want = coords(liouville._frame_dephasing(density(c), frame_matrix(ang),
-                                                 batch.rates.reshape(-1, 4, 4)))
+        rho_a = _random_state(rng, _ADIABATIC, (len(cfgs),))
+        got = -liouville._frame_damping(coords(rho_a, _ADIABATIC), frame_map(ang), weighted)
+        r = frame_matrix(ang)
+        r_h = r.conj().swapaxes(-1, -2)
+        dephasing = -(r_h @ (batch.rates.reshape(-1, 4, 4) * (r @ rho_a @ r_h)) @ r)
+        want = coords(dephasing, _ADIABATIC)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -334,13 +376,13 @@ def test_rhs_adiabatic_forms_no_complex_frame_per_call(monkeypatch):
     # the derivative reads the real frame map: no 4x4 frame, density or coords round trip
     batch = Batch.of(_MIXED_ORDERINGS)
     liouville._frame_terms()
-    c = np.random.default_rng(1).normal(size=(len(batch), 16))
+    c = np.random.default_rng(1).normal(size=(len(batch), 10))
     want = rhs_adiabatic(0.4, c, batch)
 
     def refuse(*args):
         raise AssertionError("called on the derivative path")
 
-    for name in ("frame_matrix", "density", "coords", "_frame_dephasing", "mixing_angles"):
+    for name in ("frame_matrix", "density", "coords", "_symmetric", "mixing_angles"):
         monkeypatch.setattr(liouville, name, refuse)
     assert np.array_equal(rhs_adiabatic(0.4, c, batch), want)
 
@@ -619,9 +661,17 @@ def _derivative(engine: str, batch: Batch) -> tuple:
         return (partial(effective._suv_rhs, mode=mode), partial(effective._suv_weights, mode=mode),
                 np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], len(batch)))
     if engine == "bare":
-        return rhs_bare, liouville._bare_weights, np.tile(np.eye(16)[0], len(batch))
-    c0 = liouville.to_adiabatic(density(np.eye(16)[0]), batch.start, batch)
-    return rhs_adiabatic, liouville._adiabatic_weights, coords(c0).ravel()
+        return rhs_bare, liouville._bare_weights, np.tile(np.eye(10)[0], len(batch))
+    c0 = liouville.to_adiabatic(density(np.eye(10)[0]), batch.start, batch)
+    return rhs_adiabatic, liouville._adiabatic_weights, coords(c0, _ADIABATIC).ravel()
+
+
+def _reference(engine: str, batch: Batch) -> tuple:
+    """What the solve_ivp comparisons solve: the 16-coordinate oracle of a master basis, whose
+    error norm counts 16 coordinates per member as the master solve's does, or the effective
+    engine's own derivative."""
+    return _derivative(engine, batch) if engine == "effective" else oracle.derivative(
+        Basis(engine), batch)
 
 
 # the wide member of _rhs_batch's kind alone: its +-60 window bounds the step at 1/12
@@ -640,7 +690,7 @@ def test_grid_output_is_that_of_solve_ivp_to_the_bit(engine, wide):
     # the stage-batched step loop, its dense output on the steps that hold samples and its
     # count are solve_ivp's DOP853 on the same derivative, on every engine
     batch = Batch.of([_WIDE] if wide else _MIXED_ORDERINGS[:3])
-    rhs, weights, y0 = _derivative(engine, batch)
+    rhs, weights, y0 = _reference(engine, batch)
     y, nfev = liouville._solve_batch(rhs, weights, y0, batch, 70, "{}")
     ref = _solve_ivp(rhs, y0, batch, 70)
     assert y.shape == (len(y0), 70) and nfev == ref.nfev
@@ -656,7 +706,7 @@ _FIG6_BATCH = Batch.of([PulseConfig(ordering="scp", omega0=200.0, tau=tau,
 def test_final_state_of_a_fig6_batch_is_that_of_solve_ivp_to_the_bit():
     # six dephased members at Omega0 200: the batch shape and step count of the final-state
     # figures, on the final-state path
-    rhs, weights, y0 = _derivative("bare", _FIG6_BATCH)
+    rhs, weights, y0 = _reference("bare", _FIG6_BATCH)
     y, nfev = liouville._solve_batch(rhs, weights, y0, _FIG6_BATCH, None, "{}", lambda rows: None)
     ref = _solve_ivp(rhs, y0, _FIG6_BATCH, None)
     assert y.shape == (len(y0), 1) and nfev == ref.nfev
@@ -722,48 +772,59 @@ def test_weights_at_n_stage_times_are_n_one_time_calls_to_the_bit(members, engin
         assert np.array_equal(rhs(x, y, w=w).view(np.uint64), rhs(x, y).view(np.uint64))
 
 
-def test_final_state_call_keeps_the_last_state_and_folds_the_invariants():
-    # no output grid: the solver's own last state, and invariants folded chunk by chunk
-    # that equal one pass over solve_ivp's stack of every accepted step
+def _recorded(monkeypatch) -> list:
+    """The stacks the solves hand their folds from here on, recorded as they pass."""
+    stacks, add = [], liouville._Invariants.add
+
+    def recording(self, states):
+        stacks.append(states)
+        add(self, states)
+
+    monkeypatch.setattr(liouville._Invariants, "add", recording)
+    return stacks
+
+
+def test_final_state_call_keeps_the_last_state_and_folds_the_invariants(monkeypatch):
+    # no output grid: the solver's own last state, and invariants folded chunk by chunk that
+    # equal one pass over each member's stack of every accepted step; the steps are those of
+    # solve_ivp on the 16-coordinate oracle
     batch = Batch.of(_MIXED_ORDERINGS[:3])
-    ref = _solve_ivp(rhs_bare, np.tile(np.eye(16)[0], 3), batch, None)
-    steps = ref.y.T.reshape(-1, 3, 16)
+    ref = _solve_ivp(*_reference("bare", batch)[::2], batch, None)
     # the solve rejects steps: beyond 2 start calls, 12 per attempt and more attempts than steps
-    assert ref.nfev > 12 * (len(steps) - 1) + 2
-    assert len(steps) > 2 * (liouville._FOLD // 3)  # three chunks
-    for b, traj in enumerate(liouville.integrate_many(batch.cfgs, samples=None)):
+    assert ref.nfev > 12 * (len(ref.t) - 1) + 2
+    stacks = _recorded(monkeypatch)
+    trajs = list(liouville.integrate_many(batch.cfgs, samples=None))
+    assert [len(stack) for stack in stacks] == [128, 128, len(ref.t) - 256]  # three chunks
+    steps = np.concatenate(stacks)
+    # the step sizes differ in rounding, which moves the states by about the local error
+    assert np.max(np.abs(density(steps[..., liouville._ROW, liouville._COL])
+                         - oracle.density(ref.y.T.reshape(-1, 3, 16)))) < 1e-9
+    for b, traj in enumerate(trajs):
         assert traj.t.shape == traj.fidelity.shape == (1,) and traj.states.shape == (1, 4, 4)
-        assert np.array_equal(coords(traj.states[0]), steps[-1, b])
-        assert traj.stats == {"nfev": ref.nfev, **_stacked_invariants(density(steps[:, b]))}
+        assert np.array_equal(coords(traj.states[0]), steps[-1, b][liouville._ROW, liouville._COL])
+        assert traj.stats == {"nfev": ref.nfev, **_stacked_invariants(steps[:, b])}
 
 
 @pytest.mark.parametrize("basis", list(Basis))
 def test_grid_solve_folds_its_samples_in_chunks(monkeypatch, basis):
     # after the step loop the samples reach the fold _FOLD // B at a time, and the folded
     # invariants equal one pass over each member's whole stack of samples
-    shapes, add = [], liouville._Invariants.add
-
-    def recording(self, states):
-        shapes.append(states.shape)
-        add(self, states)
-
-    monkeypatch.setattr(liouville._Invariants, "add", recording)
+    stacks = _recorded(monkeypatch)
     trajs = list(liouville.integrate_many(_MIXED_ORDERINGS[:3], basis=basis, samples=300))
     assert liouville._FOLD // 3 == 128
-    assert shapes == [(128, 3, 4, 4), (128, 3, 4, 4), (44, 3, 4, 4)]
-    for traj in trajs:
-        assert traj.stats == {"nfev": traj.stats["nfev"], **_stacked_invariants(traj.states)}
+    assert [stack.shape for stack in stacks] == [(128, 3, 4, 4), (128, 3, 4, 4), (44, 3, 4, 4)]
+    samples = np.concatenate(stacks)
+    for b, traj in enumerate(trajs):
+        assert np.max(np.abs(density(samples[:, b, liouville._ROW, liouville._COL], basis)
+                             - traj.states)) < 1e-15
+        assert traj.stats == {"nfev": traj.stats["nfev"], **_stacked_invariants(samples[:, b])}
 
 
 def test_folded_invariants_match_one_pass_where_the_certificate_fails(rng):
     # one member's state 17 has an eigenvalue of -2e-6: folded in chunks of 7 states, that
     # member reports the least over its stack, the others their final state's least
-    a = rng.normal(size=(60, 3, 4, 4)) + 1j * rng.normal(size=(60, 3, 4, 4))
-    mixed = a @ np.conj(a.swapaxes(-1, -2))
-    states = density(coords(mixed / np.einsum("nbii->nb", mixed).real[..., None, None]))
-    values, vectors = np.linalg.eigh(states[17, 1])
-    values[0] = -2e-6
-    states[17, 1] = density(coords((vectors * values) @ np.conj(vectors.T)))
+    states = _mixed_states(rng, (60, 3))
+    states[17, 1] = _with_least(states[17, 1], -2e-6)
     folded = liouville._Invariants(3)
     for first in range(0, 60, 7):
         folded.add(states[first:first + 7])
