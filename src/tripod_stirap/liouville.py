@@ -15,8 +15,10 @@ U = diag(1, -i, 1, 1), rho~ = U rho U^dag is then real symmetric, and
 
 with K real antisymmetric, sum_k Omega_k K_k over the three fields.  The
 solver's state is the 10 upper-triangle entries c of rho~ (diagonal first);
-in them the equation is real and linear with three time-dependent weights,
-c' = sum_k Omega_k L_k c - gamma_c c, with constant 10x10 maps L_k.
+in them the equation is real and linear, c' = G c, with the generator
+G = sum_k Omega_k L_k - diag(gamma_c) over constant 10x10 maps L_k.  The
+maps' 24 nonzeros lie on disjoint entries off the diagonal, so each entry of
+G is a single product: Omega_k times +-1/2 or +-1, or -gamma_c.
 density and coords map c to the complex rho and back, rho = M (.) sym(c) for
 a constant phase mask M, only where a trajectory is built.
 
@@ -29,25 +31,27 @@ real symmetric, and
     rho_bar' = [K_bar, rho_bar] - O^T (gamma (.) (O rho_bar O^T)) O,
     K_bar = O^T K O - O^T O' = (Omega_rms / 2) (E_23 - E_32) - O^T O',
 
-whose four weights are Omega_rms, theta', phi' sin(theta) and
-phi' cos(theta) (_slow_functions), and whose dephasing passes through the
-real 10x10 frame map of O (frame_map, rhs_adiabatic).  Both bases solve the
-same 10 real coordinates per member.  Their error norm counts the 16 real
-coordinates of rho, six of them zero, so the tolerances are those of the
-full Hermitian state.
+whose four weights d_j are Omega_rms, theta', phi' sin(theta) and
+phi' cos(theta) (_slow_functions).  In the coordinates its generator is
+sum_j d_j F_j - N^-1 T^T diag(N gamma_c) T, with constant maps F_j (again on
+disjoint entries), the real 10x10 frame map T of O (frame_map) and the
+squared norms N of the coordinate basis.  Both bases solve the same 10 real
+coordinates per member.  Their error norm counts the 16 real coordinates of
+rho, six of them zero, so the tolerances are those of the full Hermitian
+state.
 
 Runs are integrated as a batch: every member is mapped onto the normalised
 time s in [0, 1] and all of them advance through one shared eighth-order
 Dormand-Prince (DOP853) solve on the flat (B * 10,) real state.  The
-derivatives take s itself and return dc/ds from constants built once per
-batch (_constants), each member's window span folded in.  Either
-derivative is linear in c with coefficients in s alone, which the step loop
-(_solve_batch) evaluates at every stage time of a Runge-Kutta step in one
-array pass (_bare_weights, _adiabatic_weights) and hands to the derivative
-stage by stage; it drives the DOP853 tableau itself, with the bits of SciPy's
-solver, and so do the effective engine's (s, u, v) solves: both engines step
-one tableau.  The tableau is read from SciPy's DOP853 coefficients file
-(_DOP853), so neither engine imports scipy.integrate.
+generators are per unit s, from constants built once per batch
+(_constants), each member's window span folded in.  They depend on s alone,
+so the step loop (_solve_batch) assembles every member's generator at every
+stage time of a Runge-Kutta step in one array pass (_bare_weights,
+_adiabatic_weights) and each stage's derivative is one batched matvec; it
+drives the DOP853 tableau itself, with the bits of SciPy's solver, and so do
+the effective engine's (s, u, v) solves: both engines step one tableau.  The
+tableau is read from SciPy's DOP853 coefficients file (_DOP853), so neither
+engine imports scipy.integrate.
 """
 
 from __future__ import annotations
@@ -101,10 +105,16 @@ def _symmetric(c: np.ndarray) -> np.ndarray:
     return np.take(c, _SYM, axis=-1).reshape(np.shape(c)[:-1] + (4, 4))
 
 
+# c -> W^dag sym(c) W as a real map onto the interleaved real and imaginary parts of the 4x4
+# entries, (10, 4, 8): each part is (+-a +- b)/2 of two coordinates, +-a of one, or 0, so a
+# product with it rounds once per entry
+_FRAME_DENSITY = np.round(2.0 * (_W.conj().T @ _symmetric(np.eye(10)) @ _W).view(float)) / 2.0
+
+
 def density(c: np.ndarray, basis: Basis = Basis.BARE) -> np.ndarray:
     """rho, or rho^a in the eigenframe, of shape S + (4, 4) from coordinates S + (10,)."""
-    s = _symmetric(c)
-    return _MASK * s if basis is Basis.BARE else _W.conj().T @ s @ _W
+    return (_MASK * _symmetric(c) if basis is Basis.BARE else
+            (c @ _FRAME_DENSITY.reshape(10, 32)).view(complex).reshape(np.shape(c)[:-1] + (4, 4)))
 
 
 def coords(rho: np.ndarray, basis: Basis = Basis.BARE) -> np.ndarray:
@@ -126,55 +136,55 @@ def _commutator(i: int, j: int) -> np.ndarray:
 # pump, Stokes and control maps, in the order of pulse_envelopes: K = sum_k Omega_k K_k with
 # K_k = (E_g1 - E_1g) / 2 from ground level g to the excited one
 L_PUMP, L_STOKES, L_CONTROL = (0.5 * _commutator(g, 1) for g in (0, 2, 3))
-# c @ _DRIVE holds L_p c, L_s c and L_c c side by side
-_DRIVE = np.concatenate([L_PUMP.T, L_STOKES.T, L_CONTROL.T], axis=1)
+# the three maps row-major: Omega @ _BARE_MAPS is sum_k Omega_k L_k, each entry one product
+_BARE_MAPS = np.reshape([L_PUMP, L_STOKES, L_CONTROL], (3, 100))
 # the same for K_bar at unit Omega_rms, theta', phi' sin(theta) and phi' cos(theta)
-_FRAME_DRIVE = np.concatenate([0.5 * _commutator(2, 3).T, _commutator(2, 0).T,
-                               _commutator(1, 0).T, _commutator(2, 1).T], 1)
+_FRAME_MAPS = np.reshape([0.5 * _commutator(2, 3), _commutator(2, 0), _commutator(1, 0),
+                          _commutator(2, 1)], (4, 100))
 
 
 @lru_cache(maxsize=4)
 def _constants(batch: Batch) -> tuple:
-    """Per-batch constants of the derivatives in s, the window spans folded in.
+    """Per-batch constants of the generators in s, the window spans folded in.
 
     At t = start + s * span the exponent (t - c_k)^2 / w_k is k_k (s - s_k)^2 with
-    s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a call
-    negates nothing; the amplitudes omega0 and the coordinate damping gamma_c carry
-    span, and so does N gamma_c, the damping of the frame dephasing (_frame_damping).
-    Every array has the shape of its use: (B, 3) per pulse, (B, 10) per coordinate and the
-    flat (B * 10,) damping of rhs_bare, since a broadcast (B, 1) operand makes a
-    derivative's multiply about twice as slow.
+    s_k = (c_k - start) / span and k_k = span^2 / w_k, kept as -k_k so that a pass
+    negates nothing; the amplitudes omega0, the coordinate damping gamma_c, kept as the
+    diagonal -gamma_c of the bare generator, and N gamma_c, the damping the eigenframe
+    rotates, carry span.  Every array has the shape of its use, (B, 3) per pulse and (B, 10)
+    per coordinate, since a broadcast (B, 1) operand makes a multiply about twice as slow.
     """
     span = batch.span[:, None]
     damping = batch.rates.take(4 * _ROW + _COL, axis=1) * span
     return ((batch.centers - batch.start[:, None]) / span, -span * span / batch.widths,
-            np.repeat(batch.omega0 * span, 3, axis=1), damping.ravel(), damping * _NORM2)
-
-
-def _drive(weights: np.ndarray, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """sum_k weights[:, k] L_k c, flat, for (B, K) weights, the flat state c and the K
-    maps of `stacked`."""
-    return (weights[:, None] @ (c.reshape(-1, 10) @ stacked).reshape(len(weights), -1, 10)
-            ).ravel()
+            np.repeat(batch.omega0 * span, 3, axis=1), -damping, damping * _NORM2)
 
 
 def _bare_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
-    """The (n, B, 3) drive weights Omega_k of rhs_bare, per unit s, at n stage times s."""
-    centres, neg_k, amplitudes = _constants(batch)[:3]
+    """The (n, B, 10, 10) generators G = sum_k Omega_k L_k - diag(gamma_c) of rhs_bare, per
+    unit s, at n stage times s.
+
+    One matmul per time writes them from the (n, B, 3) Rabi frequencies and _BARE_MAPS, and
+    the diagonal, which the maps leave 0, is set to -gamma_c: every entry is one exact
+    product, and no other temporary is larger than the frequencies.
+    """
+    centres, neg_k, amplitudes, diagonal = _constants(batch)[:4]
     d = s[:, None, None] - centres
-    return amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP))
+    g = amplitudes * np.exp(np.maximum(neg_k * d * d, -_EXP_CLAMP)) @ _BARE_MAPS
+    g[..., ::11] = diagonal  # the entries (i, i) of the row-major 10x10
+    return g.reshape(len(s), -1, 10, 10)
 
 
 def rhs_bare(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -> np.ndarray:
-    """Bare-basis rho~' = [K, rho~] - gamma (.) rho~ in the coordinates: c' = sum_k Omega_k
-    L_k c - gamma_c c.
+    """Bare-basis rho~' = [K, rho~] - gamma (.) rho~ in the coordinates: c' = G c with each
+    member's generator G = sum_k Omega_k L_k - diag(gamma_c).
 
     dc/ds at the normalised time s on the flat (B * 10,) state, as the solver holds it.  w,
-    when given, is the (B, 3) _bare_weights at s, from the step loop's one pass over the
-    stage times of a step; without it the weights are computed here.
+    when given, is the (B, 10, 10) _bare_weights at s, from the step loop's one pass over the
+    stage times of a step; without it the generators are computed here.
     """
     w = _bare_weights(np.array([s]), batch)[0] if w is None else w
-    return _drive(w, c, _DRIVE) - _constants(batch)[3] * c
+    return (w @ c.reshape(-1, 10, 1)).ravel()
 
 
 def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
@@ -237,20 +247,10 @@ def frame_map(angles: MixingAngles) -> np.ndarray:
     return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (10, 10))
 
 
-def _frame_damping(vec: np.ndarray, t: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """N^-1 T^T (N gamma_c (.) T c) for (B, 10) states c, (B, 10, 10) maps T and N gamma_c.
-
-    The coordinate form of O^T (gamma (.) (O rho_bar O^T)) O: rho_bar taken to the bare
-    basis, damped there as in rhs_bare (T = 1 gives gamma_c c), and taken back.
-    """
-    damped = weighted * (t @ vec[:, :, None])[:, :, 0]
-    return (damped[:, None] @ t)[:, 0] / _NORM2
-
-
 def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
     """The pulses' part of the eigenframe derivative in closed form at n times s.
 
-    Per unit s, the (n, B, 4) weights of _FRAME_DRIVE: Omega_rms, theta', phi' sin(theta) and
+    Per unit s, the (n, B, 4) weights of _FRAME_MAPS: Omega_rms, theta', phi' sin(theta) and
     phi' cos(theta); and cos and sin of (theta, phi), (2, n, B) each.  The angles come from
     the Gaussian exponents in s (_constants) as pulses.mixing_angles forms them in t.
     """
@@ -265,25 +265,26 @@ def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
     return drive, cos, sin
 
 
-def _adiabatic_weights(s: np.ndarray, batch: Batch) -> list:
-    """rhs_adiabatic's weights at n stage times s: per time, the (B, 4) weights of
-    _FRAME_DRIVE and the (B, 10, 10) frame maps T, from one closed-form pass
-    (_slow_functions) and one product of its harmonics with the table, as in frame_map."""
+def _adiabatic_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
+    """rhs_adiabatic's (n, B, 10, 10) generators sum_j d_j F_j - N^-1 T^T diag(N gamma_c) T at
+    n stage times s, per unit s: the weights d_j of _slow_functions on _FRAME_MAPS, and the
+    dephasing rotated by the frame maps T, one product of the harmonics with the table as in
+    frame_map."""
     drive, cos, sin = _slow_functions(s, batch)
-    return list(zip(drive, (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 10, 10)))
+    t = (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 10, 10)
+    return ((drive @ _FRAME_MAPS).reshape(t.shape)
+            - (t.swapaxes(-1, -2) * _constants(batch)[4][:, None]) @ t / _NORM2[:, None])
 
 
-def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: tuple | None = None) -> np.ndarray:
-    """Eigenframe rho_bar' = [K_bar, rho_bar] - O^T (gamma (.) (O rho_bar O^T)) O.
+def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -> np.ndarray:
+    """Eigenframe rho_bar' = [K_bar, rho_bar] - O^T (gamma (.) (O rho_bar O^T)) O: c' = G c.
 
-    On the times and flat coordinates of rhs_bare, for s in [0, 1].  K_bar = O^T K O - O^T O'
-    is one contraction of _FRAME_DRIVE; the dephasing is -N^-1 T^T (N gamma_c (.) T c) with T
-    the frame map.  The weights and T come from their closed forms (_adiabatic_weights);
-    w, when given, is those at s, from the step loop's one pass.
+    On the times and flat coordinates of rhs_bare, for s in [0, 1].  G is the member's
+    generator from the closed forms of its weights and frame map (_adiabatic_weights); w,
+    when given, is the (B, 10, 10) generators at s, from the step loop's one pass.
     """
-    drive, frame = _adiabatic_weights(np.array([s]), batch)[0] if w is None else w
-    return _drive(drive, c, _FRAME_DRIVE) - _frame_damping(
-        c.reshape(-1, 10), frame, _constants(batch)[4]).ravel()
+    w = _adiabatic_weights(np.array([s]), batch)[0] if w is None else w
+    return (w @ c.reshape(-1, 10, 1)).ravel()
 
 
 @dataclass
@@ -595,13 +596,14 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     takes them, with no output grid and no stack of the steps.
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
     rhs_adiabatic (from O^T rho~ O), looked up by name once per solve and
-    handed to the step loop unbound, one call per stage; their weights at
-    the stage times of a step come from one _bare_weights or
+    handed to the step loop unbound, one matvec per stage; the members'
+    generators at the stage times of a step come from one _bare_weights or
     _adiabatic_weights pass.
     A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
     solve it raises for the whole batch at the call.  The trajectories are
     built as the caller iterates, and only there do their states become
-    complex 4x4 matrices: rho = M (.) sym(c) and rho^a = W^dag sym(c) W.
+    complex 4x4 matrices: rho = M (.) sym(c) and rho^a = W^dag sym(c) W,
+    the latter one product with _FRAME_DENSITY.
     """
     batch = Batch.of(cfgs)
     n = len(batch)

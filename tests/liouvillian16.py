@@ -5,7 +5,9 @@ A Hermitian rho has 16 real coordinates: the populations rho_ii, then Re rho_ij 
 for i < j (the coherence vector).  rhs_bare is i rho' = [H, rho] - i gamma (.) rho, and
 rhs_adiabatic is rho^a' = -i [H_a - i W, rho^a] - R^dag (gamma (.) (R rho^a R^dag)) R, with
 W = tripod.frame_generator.  Both take the flat (B * 16,) state at the normalised time s and
-the weights of liouville's own passes, with the calling form of the step loop.
+their weights at s, with the calling form of the step loop: rhs_bare forms its own Rabi
+frequencies, none of liouville's generators, and rhs_adiabatic takes the four weights of
+liouville._slow_functions with complex frames R of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from tripod_stirap import liouville
 from tripod_stirap.liouville import Basis, Batch
-from tripod_stirap.pulses import MixingAngles
+from tripod_stirap.pulses import _EXP_CLAMP, MixingAngles
 from tripod_stirap.tripod import frame_generator, frame_matrix
 
 _I, _J = np.triu_indices(4, 1)
@@ -53,9 +55,18 @@ def _rates(batch: Batch) -> np.ndarray:
     return batch.rates.reshape(-1, 4, 4) * batch.span[:, None, None]
 
 
+def bare_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
+    """Per time s, each member's (B, 3) Rabi frequencies per unit s: omega0 span exp(-a_k),
+    a_k = (t - c_k)^2 / w_k at t = start + s span, written as (span (s - s_k))^2 / w_k with
+    s_k = (c_k - start) / span and clamped as pulses.pulse_envelopes clamps it."""
+    span = batch.span[:, None]
+    x = span * (s[:, None, None] - (batch.centers - batch.start[:, None]) / span)
+    return batch.omega0 * span * np.exp(np.maximum(-(x * x) / batch.widths, -_EXP_CLAMP))
+
+
 def rhs_bare(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -> np.ndarray:
-    """d(coords rho)/ds with the drive weights of liouville._bare_weights."""
-    w = liouville._bare_weights(np.array([s]), batch)[0] if w is None else w
+    """d(coords rho)/ds with the Rabi frequencies of bare_weights."""
+    w = bare_weights(np.array([s]), batch)[0] if w is None else w
     rho, h = density(c.reshape(-1, 16)), np.tensordot(w, _COUPLINGS, 1)
     return coords(-1j * (h @ rho - rho @ h) - _rates(batch) * rho).ravel()
 
@@ -80,6 +91,6 @@ def derivative(basis: Basis, batch: Batch) -> tuple:
     rho = np.zeros((4, 4))
     rho[0, 0] = 1.0
     if basis is Basis.BARE:
-        return rhs_bare, liouville._bare_weights, np.tile(coords(rho), len(batch))
+        return rhs_bare, bare_weights, np.tile(coords(rho), len(batch))
     return (rhs_adiabatic, adiabatic_weights,
             coords(liouville.to_adiabatic(rho, batch.start, batch)).ravel())

@@ -164,6 +164,26 @@ def test_density_has_the_bits_of_the_complex_product(rng, n):
         assert np.array_equal(density(states), u.conj().T @ liouville._symmetric(states) @ u)
 
 
+@pytest.mark.parametrize("n", [1, 7, 622, 10_000])
+def test_eigenframe_density_is_the_complex_product_to_4_ulps(rng, n):
+    # rho^a = W^dag sym(c) W with no complex product: each real and imaginary part is
+    # (+-a +- b)/2 of two coordinates, +-a of one, or 0, rounded once, within 4 ulps of the
+    # largest coordinate from the product with the rounded 1/sqrt(2) entries of W, on states
+    # over six decades, row-major and transposed stacks and one state
+    c = rng.normal(size=(n, 10)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    c[rng.random(c.shape) < 0.1] = 0.0
+    w = liouville._W
+    for states in (c, np.ascontiguousarray(c.T).T, c[0]):
+        got = density(states, _ADIABATIC)
+        want = w.conj().T @ liouville._symmetric(states) @ w
+        assert got.shape == want.shape and got.dtype == np.complex128
+        ulp = np.spacing(np.abs(states).max(-1))[..., None, None]
+        assert np.all(np.abs(got.real - want.real) <= 4 * ulp)
+        assert np.all(np.abs(got.imag - want.imag) <= 4 * ulp)
+        # the populations are real, exactly
+        assert np.all(np.einsum("...ii->...i", got).imag == 0.0)
+
+
 def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
     # in both bases, with the symmetry rho = P rho* P
     p = np.diag([1.0, -1.0, 1.0, 1.0])
@@ -317,40 +337,79 @@ def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
     assert np.array_equal(8.0 * terms, np.round(8.0 * terms))
 
 
-def test_adiabatic_weights_of_a_member_have_the_same_bits_alone_and_in_any_batch(rng):
-    # the eigenframe weights and frame maps of each member of the mixed batch, the clamp
-    # member's exponent clamp included, at the times of the step loop's passes: a step's 12
-    # stage times, its 3 dense-output times, and the window's ends one at a time, as the
-    # initial-step calls take them
-    cfgs = _rhs_batch(rng)
+def _assert_member_bits(weights, rng) -> None:
+    """A member's generators have the same bits alone as in the mixed batch with unequal rates,
+    the clamp member's exponent clamp included, at the times of the step loop's passes: a
+    step's 12 stage times, its 3 dense-output times, and the window's ends one at a time, as
+    the initial-step calls take them."""
+    cfgs = [cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)]
     batch = Batch.of(cfgs)
     rk, t, h = liouville._DOP853, rng.random(), 0.05 * rng.random()
     for s in (t + np.append(rk.C[1:], 1.0) * h, t + rk.C_EXTRA * h, np.array([0.0]),
               np.array([1.0])):
-        mixed = liouville._adiabatic_weights(s, batch)
-        assert len(mixed) == len(s)
+        mixed = weights(s, batch)
+        assert mixed.shape == (len(s), len(cfgs), 10, 10)
         for b, cfg in enumerate(cfgs):
-            for (drive, frame), (drive_b, frame_b) in zip(
-                    liouville._adiabatic_weights(s, Batch.of([cfg])), mixed):
-                assert np.array_equal(drive[0], drive_b[b])
-                assert np.array_equal(frame[0], frame_b[b])
+            assert np.array_equal(weights(s, Batch.of([cfg]))[:, 0], mixed[:, b])
+
+
+def test_bare_generators_of_a_member_have_the_same_bits_alone_and_in_any_batch(rng):
+    _assert_member_bits(liouville._bare_weights, rng)
+
+
+def test_adiabatic_weights_of_a_member_have_the_same_bits_alone_and_in_any_batch(rng):
+    _assert_member_bits(liouville._adiabatic_weights, rng)
+
+
+def test_bare_generator_entries_are_single_exact_products(rng):
+    # G = sum_k Omega_k L_k - diag(gamma_c): the maps' 24 nonzeros, +-1/2 or +-1, lie off the
+    # diagonal on disjoint entries, so each entry of G is one Omega_k times its coefficient,
+    # and the diagonal is exactly -gamma_c; the Omega_k are the oracle's envelopes per unit s
+    maps = np.array([liouville.L_PUMP, liouville.L_STOKES, liouville.L_CONTROL])
+    support = maps != 0.0
+    assert support.sum() == 24 and support.sum(0).max() == 1
+    assert not np.any(np.diagonal(support, 0, 1, 2)) and set(np.abs(maps[support])) == {0.5, 1.0}
+    batch = Batch.of([cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)])
+    s = np.array([0.0, 0.02, 0.13, 0.5, 0.77, 0.98, 1.0])
+    g = liouville._bare_weights(s, batch)
+    # each Omega_k read off one entry of its map, exactly: its coefficient is a power of 2
+    omega = np.stack([g[..., i, j] / m[i, j] for m, (i, j) in
+                      zip(maps, (np.argwhere(m)[0] for m in maps))], -1)
+    want = np.einsum("nbk,kij->nbij", omega, maps)
+    want[..., range(10), range(10)] = -(batch.rates[:, 4 * liouville._ROW + liouville._COL]
+                                        * batch.span[:, None])
+    assert np.array_equal(g, want)
+    scale = batch.omega0 * batch.span[:, None]
+    assert np.all(np.abs(omega - oracle.bare_weights(s, batch)) <= 1e-14 * scale)
 
 
 def test_frame_dephasing_in_coordinates_matches_the_complex_frame(rng):
-    # -N^-1 T^T (N gamma_c (.) T c) is the coordinates of -R^dag (gamma (.) (R rho^a R^dag)) R,
-    # at the angles of every member of the mixed batch, the clamp member's window edges included
+    # the dephasing part -N^-1 T^T diag(N gamma_c) T of the eigenframe generator is the
+    # coordinate form of -R^dag (gamma (.) (R rho^a R^dag)) R, at the angles of every member of
+    # the mixed batch, the clamp member's window edges included.  N times the drive part
+    # sum_j d_j F_j is antisymmetric and N times the dephasing part symmetric, so the dephasing
+    # part is the N-symmetric part of the generator
     cfgs = [cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)]
     batch = Batch.of(cfgs)
-    weighted = _NORM2 * batch.rates.take(4 * liouville._ROW + liouville._COL, axis=1)
-    for s in (0.0, 0.02, 0.13, 0.5, 0.77, 0.98, 1.0):
-        ang = mixing_angles(batch.start + s * batch.span, batch)
+    s = np.array([0.0, 0.02, 0.13, 0.5, 0.77, 0.98, 1.0])
+    g = liouville._adiabatic_weights(s, batch)
+    damping = 0.5 * (g + g.swapaxes(-1, -2) * _NORM2 / _NORM2[:, None])
+    _, cos, sin = liouville._slow_functions(s, batch)
+    frames = frame_matrix(MixingAngles(cos[0], sin[0], cos[1], sin[1], 0.0, 0.0))
+    rates = batch.rates.reshape(-1, 4, 4) * batch.span[:, None, None]  # per unit s
+    for part, r in zip(damping, frames):
         rho_a = _random_state(rng, _ADIABATIC, (len(cfgs),))
-        got = -liouville._frame_damping(coords(rho_a, _ADIABATIC), frame_map(ang), weighted)
-        r = frame_matrix(ang)
+        got = (part @ coords(rho_a, _ADIABATIC)[..., None])[..., 0]
         r_h = r.conj().swapaxes(-1, -2)
-        dephasing = -(r_h @ (batch.rates.reshape(-1, 4, 4) * (r @ rho_a @ r_h)) @ r)
-        want = coords(dephasing, _ADIABATIC)
+        want = coords(-(r_h @ (rates * (r @ rho_a @ r_h)) @ r), _ADIABATIC)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("basis,nfev", [(Basis.BARE, 3026), (Basis.ADIABATIC, 3650)])
+def test_an_scp_solve_at_omega0_50_keeps_its_derivative_count(basis, nfev):
+    # scp at tau 1, gamma 0.5, no output grid: counts that do not depend on the machine
+    cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0, gamma=DephasingMatrix.equal(0.5))
+    assert next(liouville.integrate_many([cfg], basis, samples=None)).stats["nfev"] == nfev
 
 
 def test_slow_function_angles_match_the_arctan_oracle(rng):
@@ -627,13 +686,14 @@ def test_the_tableau_read_from_the_coefficients_file_is_scipys_dop853_to_the_bit
     assert got.TOO_SMALL_STEP == want.TOO_SMALL_STEP
 
 
-def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, samples: int | None):
+def _solve_ivp(rhs, y0: np.ndarray, batch: Batch, samples: int | None,
+               dense_output: bool = False):
     """solve_ivp on _solve_batch's problem: the same solver, window, tolerances and step bound,
     with the derivative rhs(s, y, batch) bound to the batch."""
     max_step = min(2.0 * cfg.reach / span for cfg, span in zip(batch.cfgs, batch.span))
     return scipy.integrate.solve_ivp(
         partial(rhs, batch=batch), (0.0, 1.0), y0, method="DOP853", rtol=liouville.RTOL,
-        atol=liouville.ATOL, max_step=max_step,
+        atol=liouville.ATOL, max_step=max_step, dense_output=dense_output,
         t_eval=None if samples is None else np.linspace(0.0, 1.0, samples))
 
 
@@ -747,12 +807,6 @@ def test_weights_run_once_per_step_attempt_and_the_derivative_once_per_stage(eng
 _STAGE_BATCHES = {1: Batch.of(_MIXED_ORDERINGS[3:]), 4: Batch.of(_MIXED_ORDERINGS)}
 
 
-def _bits(weights) -> list:
-    """The bit patterns of one stage time's weights: an array, or the eigenframe's pair."""
-    return [part.view(np.uint64) for part in (weights if isinstance(weights, tuple) else
-                                              (weights,))]
-
-
 # a stage at t + h with h = 1 - t can pass 1 by an ulp
 @pytest.mark.parametrize("members", _STAGE_BATCHES)
 @given(engine=st.sampled_from(["bare", "adiabatic", "effective"]),
@@ -767,8 +821,7 @@ def test_weights_at_n_stage_times_are_n_one_time_calls_to_the_bit(members, engin
     at_once = weights(np.array(s))
     assert len(at_once) == len(s)
     for x, w in zip(s, at_once):
-        for got, want in zip(_bits(w), _bits(weights(np.array([x]))[0]), strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(w.view(np.uint64), weights(np.array([x]))[0].view(np.uint64))
         assert np.array_equal(rhs(x, y, w=w).view(np.uint64), rhs(x, y).view(np.uint64))
 
 
@@ -789,16 +842,30 @@ def test_final_state_call_keeps_the_last_state_and_folds_the_invariants(monkeypa
     # equal one pass over each member's stack of every accepted step; the steps are those of
     # solve_ivp on the 16-coordinate oracle
     batch = Batch.of(_MIXED_ORDERINGS[:3])
-    ref = _solve_ivp(*_reference("bare", batch)[::2], batch, None)
+    rhs, _, y0 = _reference("bare", batch)
+    ref = _solve_ivp(rhs, y0, batch, None)
     # the solve rejects steps: beyond 2 start calls, 12 per attempt and more attempts than steps
     assert ref.nfev > 12 * (len(ref.t) - 1) + 2
-    stacks = _recorded(monkeypatch)
+    stacks, ends, weights = _recorded(monkeypatch), [], liouville._bare_weights
+
+    def recorded(ts, batch):  # a step attempt's pass ends at its t + h
+        ends.extend(ts[-1:] if len(ts) == 12 else ())
+        return weights(ts, batch)
+
+    monkeypatch.setattr(liouville, "_bare_weights", recorded)
     trajs = list(liouville.integrate_many(batch.cfgs, samples=None))
     assert [len(stack) for stack in stacks] == [128, 128, len(ref.t) - 256]  # three chunks
     steps = np.concatenate(stacks)
-    # the step sizes differ in rounding, which moves the states by about the local error
+    # a rejected attempt is retried from its start with a shorter step, an accepted one is
+    # followed by one that ends later
+    ends = np.array(ends)
+    times = np.append(0.0, ends[np.append(ends[1:] > ends[:-1], True)])
+    # the step sizes differ from the oracle's in rounding, which moves the step times by up to
+    # about 3e-9 and the states at them by about the local error; at the solve's own step times
+    # the oracle's dense output holds its states
+    dense = _solve_ivp(rhs, y0, batch, None, dense_output=True).sol(times)
     assert np.max(np.abs(density(steps[..., liouville._ROW, liouville._COL])
-                         - oracle.density(ref.y.T.reshape(-1, 3, 16)))) < 1e-9
+                         - oracle.density(dense.T.reshape(-1, 3, 16)))) < 1e-12
     for b, traj in enumerate(trajs):
         assert traj.t.shape == traj.fidelity.shape == (1,) and traj.states.shape == (1, 4, 4)
         assert np.array_equal(coords(traj.states[0]), steps[-1, b][liouville._ROW, liouville._COL])
