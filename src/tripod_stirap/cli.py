@@ -67,11 +67,19 @@ def _load_config_file(path: str) -> dict:
 
 
 class _Settings:
-    """Precedence: command-line flag, then config-file key, then default."""
+    """Precedence: command-line flag, then config-file key, then default.
+
+    A command reads the file keys named like its own flags, so any other key in the file, a
+    misspelt one too, exits 2 before anything runs.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        # a file key stands for a flag of the command; these entries come from the command line
+        read = set(vars(args)) - {"command", "func", "config", "out", "out_dir", "name"}
+        for key in sorted(set(self.file) - read):
+            raise ValueError(f"config key {key!r} in {args.config} is not read by {args.command}")
 
     def get(self, key: str, default, cast):
         flag = getattr(self.args, key, None)

@@ -23,7 +23,7 @@ import numpy as np
 from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
                      mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import Basis, Trajectory, _constants, _solve_batch, _trajectory
+from .liouville import Basis, Trajectory, _exponents_in_s, _solve_batch, _trajectory
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -117,9 +117,8 @@ _COUPLINGS = ~np.eye(3, dtype=bool).ravel()
 
 @lru_cache(maxsize=4)
 def _suv_constants(batch: Batch, mode: Mode) -> tuple:
-    """Per-batch constants of _suv_rhs: s_k and -k_k of liouville._constants, pulse axis
-    first, and a (B, 30, 9) table taking _monomials to the row-major (s, u, v) generator,
-    per unit s.
+    """The per-batch constant of _suv_weights: a (B, 30, 9) table taking _monomials to the
+    row-major (s, u, v) generator, per unit s.
 
     The rates are linear in (g13 + g14)/2, g14 - g13 and g34, so effective_rates at unit
     values of each, on a grid of angles, fixes their coefficients in the monomials.  These
@@ -144,32 +143,30 @@ def _suv_constants(batch: Batch, mode: Mode) -> tuple:
     weights = np.array([0.5 * (g13 + g14), g14 - g13, g34]).T
     table = np.einsum("bk,fkg->bfg", weights * batch.span[:, None], terms)
     table[:, _GEOMETRIC, 5], table[:, _GEOMETRIC, 7] = 2.0, -2.0  # +g at (u, v), -g at (v, u)
-    centres, neg_k = _constants(batch)[:2]
-    return centres.T, neg_k.T, table
+    return table
 
 
 def _suv_weights(x: np.ndarray, batch: Batch, mode: Mode) -> np.ndarray:
-    """The (n, B, 1, 9) row-major (s, u, v) generators of every member at n stage times x.
+    """The (n, B, 3, 3) (s, u, v) generators of every member at n stage times x.
 
-    The angles and phi' come from the Gaussian exponents in x (pulses._frame_angles), so
-    phi' is per unit x like the table of _suv_constants; the generator is one contraction of
-    the monomials with that table.
+    The angles and phi' come from the Gaussian exponents in x (liouville._exponents_in_s,
+    through pulses._frame_angles), so phi' is per unit x like the table of _suv_constants;
+    the generator is one contraction of the monomials with that table.
     """
-    centres, neg_k, table = _suv_constants(batch, mode)
-    d = x[:, None] - centres[:, None]
-    neg_kd = neg_k[:, None] * d
-    return _monomials(*_frame_angles(neg_kd * d, -2.0 * neg_kd))[:, :, None] @ table
+    monomials = _monomials(*_frame_angles(*_exponents_in_s(x, batch)))
+    return (monomials[:, :, None] @ _suv_constants(batch, mode)).reshape(len(x), -1, 3, 3)
 
 
 def _suv_rhs(x, y: np.ndarray, batch: Batch, mode: Mode, w=None) -> np.ndarray:
-    """d(s, u, v)/dx of every member at the normalised time x, on the solver's flat state
-    (s of every member, then u, then v) or its (3, B) form, in the shape of y.
+    """d(s, u, v)/dx of every member at the normalised time x on the solver's flat
+    member-major state, (s, u, v) of each member in turn: one batched matvec, as the master
+    engine's derivatives take it.
 
-    w, when given, is the (B, 1, 9) _suv_weights at x, from the step loop's one pass over
-    the stage times of a step; without it the generators are computed here.
+    w, when given, is the (B, 3, 3) _suv_weights at x, from the step loop's one pass over
+    the stage times of a step attempt; without it the generators are computed here.
     """
-    gen = _suv_weights(np.array([x]), batch, mode)[0] if w is None else w
-    return (gen.reshape(-1, 3, 3) @ y.reshape(3, -1).T[:, :, None])[:, :, 0].T.reshape(y.shape)
+    w = _suv_weights(np.array([x]), batch, mode)[0] if w is None else w
+    return (w @ y.reshape(-1, 3, 1)).ravel()
 
 
 def _dark_block(s, u, v):
@@ -267,8 +264,9 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
 
     One shared DOP853 solve of _suv_rhs, with only `mode` bound, on the
     stage-batched step loop of liouville.integrate_many (_solve_batch:
-    window, samples, budget), with one _suv_weights pass for the generators
-    at all stage times of a step and one _suv_rhs call per stage.  The error
+    window, samples, budget), on the member-major (B, 3) state, with one
+    _suv_weights pass for the generators at all stage times of a step
+    attempt and one _suv_rhs call per stage.  The error
     norm spans the batch: on a mixed batch of orderings, Omega0, delays and
     rates, every member's final F2 lies within 4e-11, and its whole (s, u,
     v) and F2 trajectories within 1.2e-9, of its solve alone; on overlap,
@@ -280,21 +278,19 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     """
     batch = Batch.of(cfgs)
     y, nfev = _solve_batch(partial(_suv_rhs, mode=mode), partial(_suv_weights, mode=mode),
-                           np.repeat([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples,
+                           np.tile([-0.5, 1.0 / _SQRT2, 0.0], len(batch)), batch, samples,
                            "the effective solve stopped at its budget of {} derivative calls "
                            "(about 30 per unit of gamma)")
-    s, u, v = y.reshape(3, -1, samples)
 
-    def member(b: int, cfg: PulseConfig, theta_g: float) -> EffectiveTrajectory:
-        dark = s[b], u[b], v[b]
+    def member(cfg: PulseConfig, dark: np.ndarray, theta_g: float) -> EffectiveTrajectory:
         traj = _trajectory(cfg, Basis.ADIABATIC, samples, dark_density(*dark),
                            nfev, theta_g, dark_invariants(*dark),
                            lambda target, t: _dark_fidelity(target.amplitudes,
                                                             mixing_angles(t, cfg), *dark))
-        return EffectiveTrajectory(**vars(traj), mode=mode, s=s[b], u=u[b], v=v[b])
+        return EffectiveTrajectory(**vars(traj), mode=mode, s=dark[0], u=dark[1], v=dark[2])
 
-    return (member(b, cfg, theta_g)
-            for b, (cfg, theta_g) in enumerate(zip(batch.cfgs, geometric_phases(batch.cfgs))))
+    return (member(*args) for args in zip(batch.cfgs, y.reshape(-1, 3, samples),
+                                           geometric_phases(batch.cfgs)))
 
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,

@@ -46,10 +46,12 @@ Dormand-Prince (DOP853) solve on the flat (B * 10,) real state.  The
 generators are per unit s, from constants built once per batch
 (_constants), each member's window span folded in.  They depend on s alone,
 so the step loop (_solve_batch) assembles every member's generator at every
-stage time of a Runge-Kutta step in one array pass (_bare_weights,
-_adiabatic_weights) and each stage's derivative is one batched matvec; it
-drives the DOP853 tableau itself, with the bits of SciPy's solver, and so do
-the effective engine's (s, u, v) solves: both engines step one tableau.  The
+stage time of a Runge-Kutta step attempt, the dense output's included, in
+one array pass (_bare_weights, _adiabatic_weights) and each stage's
+derivative is one batched matvec; it drives the DOP853 tableau itself, with
+the bits of SciPy's solver, and so do the effective engine's (s, u, v)
+solves, in the same form on (B, 3, 3) generators: both engines step one
+tableau.  The
 tableau is read from SciPy's DOP853 coefficients file (_DOP853), so neither
 engine imports scipy.integrate.
 """
@@ -247,18 +249,28 @@ def frame_map(angles: MixingAngles) -> np.ndarray:
     return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (10, 10))
 
 
+def _exponents_in_s(s: np.ndarray, batch: Batch) -> tuple:
+    """-a_k = -k_k (s - s_k)^2 and a_k' = 2 k_k (s - s_k) of the pulses at n times s, per unit
+    s, (3, n, B) each: the pulse axis first, as pulses._frame_angles takes them.
+
+    The angle-based passes of both engines, _slow_functions and effective._suv_weights, form
+    their exponents here from the constants of _constants, as pulses.mixing_angles forms them
+    in t.
+    """
+    centres, neg_k = (x.T[:, None] for x in _constants(batch)[:2])
+    neg_kd = neg_k * (d := s[:, None] - centres)
+    return neg_kd * d, -2.0 * neg_kd
+
+
 def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
     """The pulses' part of the eigenframe derivative in closed form at n times s.
 
     Per unit s, the (n, B, 4) weights of _FRAME_MAPS: Omega_rms, theta', phi' sin(theta) and
-    phi' cos(theta); and cos and sin of (theta, phi), (2, n, B) each.  The angles come from
-    the Gaussian exponents in s (_constants) as pulses.mixing_angles forms them in t.
+    phi' cos(theta); and cos and sin of (theta, phi), (2, n, B) each, from the exponents of
+    _exponents_in_s.
     """
-    centres, neg_k, amplitudes = (x.T[:, None] for x in _constants(batch)[:3])
-    d = s[:, None] - centres  # (3, n, B): the pulse axis first, as _frame_angles takes it
-    neg_a = neg_k * d * d
-    omega = amplitudes * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
-    rates = -2.0 * neg_k * d
+    neg_a, rates = _exponents_in_s(s, batch)
+    omega = _constants(batch)[2].T[:, None] * np.exp(np.maximum(neg_a, -_EXP_CLAMP))
     cos, sin, phi_dot = _frame_angles(neg_a, rates)
     drive = np.stack([np.sqrt((omega * omega).sum(0)), _theta_dot(cos, sin, rates),
                       phi_dot * sin[0], phi_dot * cos[0]], -1)
@@ -268,10 +280,9 @@ def _slow_functions(s: np.ndarray, batch: Batch) -> tuple:
 def _adiabatic_weights(s: np.ndarray, batch: Batch) -> np.ndarray:
     """rhs_adiabatic's (n, B, 10, 10) generators sum_j d_j F_j - N^-1 T^T diag(N gamma_c) T at
     n stage times s, per unit s: the weights d_j of _slow_functions on _FRAME_MAPS, and the
-    dephasing rotated by the frame maps T, one product of the harmonics with the table as in
-    frame_map."""
+    dephasing rotated by the frame maps T of frame_map at the same angles."""
     drive, cos, sin = _slow_functions(s, batch)
-    t = (_harmonics(cos, sin) @ _frame_terms()).reshape(len(s), -1, 10, 10)
+    t = frame_map(MixingAngles(cos[0], sin[0], cos[1], sin[1], 0.0, 0.0))
     return ((drive @ _FRAME_MAPS).reshape(t.shape)
             - (t.swapaxes(-1, -2) * _constants(batch)[4][:, None]) @ t / _NORM2[:, None])
 
@@ -462,11 +473,13 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     and ATOL.
 
     The derivative is linear in y with coefficients that depend on s alone: weights(ts, batch)
-    evaluates them at an array of times in one pass, and rhs(s, y, batch, w=w) takes those at
-    s from there instead of computing them.  Both are called unbound, batch passed on each
-    call.  Each step attempt makes one weights call for all its stage times, t + C h and
-    t + h, and each step that holds samples one more for the three extra stages of the dense
-    output; rhs runs once per stage, on views of the stage table k built once per solve.  The
+    evaluates every member's (B, d, d) generator at an array of times in one pass, and
+    rhs(s, y, batch, w=w) takes those at s from there instead of computing them, one batched
+    matvec on the member-major state.  Both are called unbound, batch passed on each call.
+    Each step attempt makes exactly one weights call: for its 12 stage times t + C[1:] h and
+    t + h, and on an output grid for the three extra stages of the dense output at
+    t + C_EXTRA h too, which a step that holds samples reads from its accepted attempt's pass.
+    rhs runs once per stage, on views of the stage table k built once per solve.  The
     tableau is SciPy's, read from its coefficients file without importing scipy.integrate
     (_DOP853), and the initial step, the step control, the error norm, the derivative count
     and the dense output are those of SciPy's RungeKutta, select_initial_step, DOP853 and
@@ -493,7 +506,8 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     """
     rk, chunk, size = _DOP853, max(_FOLD // len(batch), 1), size or len(y0)
     stages, order = rk.n_stages, rk.error_estimator_order + 1
-    # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h
+    # a step from t by h evaluates its stages at t + C[1:] h and its end derivative at t + h,
+    # and on an output grid its dense output's stages at t + C_EXTRA h
     nodes, max_step = np.append(rk.C[1:], 1.0), _max_step(batch)
     k = np.empty((rk.D.shape[1], len(y0)))
     # each stage i of a step and of its dense output, with the views k[:i].T and A[i, :i] it
@@ -507,6 +521,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     else:
         check_samples(samples)
         grid, out, done = np.linspace(0.0, 1.0, samples), np.empty((len(y0), samples)), 0
+        nodes = np.append(nodes, rk.C_EXTRA)
     f = rhs(0.0, y0, batch)
     if not np.all(np.isfinite(f)):
         raise ToleranceNotMet("non-finite derivative at the start of the window")
@@ -530,7 +545,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
             for (i, k_i, a), s, w_s in zip(steps, ts, w):
                 k[i] = rhs(s, y + np.dot(k_i, a) * h, batch, w=w_s)
             y_new = y + h * np.dot(k_b, rk.B)
-            k[stages] = f_new = rhs(ts[-1], y_new, batch, w=w[-1])
+            k[stages] = f_new = rhs(ts[stages - 1], y_new, batch, w=w[stages - 1])
             nfev += stages
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             e5, e3 = (_norm(np.dot(k_e, e) / scale) ** 2 for e in (rk.E5, rk.E3))
@@ -552,8 +567,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
             done += 1
         elif (end := grid.searchsorted(t, side="right")) > done:
             x = (grid[done:end] - t_old)[:, None] / h
-            ts = t_old + rk.C_EXTRA * h
-            for (i, k_i, a), s, w_s in zip(extras, ts, weights(ts, batch)):
+            for (i, k_i, a), s, w_s in zip(extras, ts[stages:], w[stages:]):
                 k[i] = rhs(s, y_old + np.dot(k_i, a) * h, batch, w=w_s)
             nfev += len(rk.C_EXTRA)
             delta, value = y - y_old, np.zeros((len(x), len(y0)))
@@ -578,8 +592,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
 
     Member b runs on t = start_b + s * (end_b - start_b) with s in [0, 1], so
     members with different windows share every DOP853 step on the flat state
-    of their (B, 10) real coordinates, rho~ in the bare basis and rho_bar in
-    the eigenframe, whose error norm counts 16 per member (_solve_batch).
+    of their member-major (B, 10) real coordinates, rho~ in the bare basis
+    and rho_bar in the eigenframe, whose error norm counts 16 per member
+    (_solve_batch).
     The step size follows the hardest
     member and the error norm spans the batch, so a member's values depend on
     the batch at the level of the solver's own error, and the same batch gives
@@ -597,8 +612,9 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     Its `nfev` counts the calls of the batch derivative, rhs_bare or
     rhs_adiabatic (from O^T rho~ O), looked up by name once per solve and
     handed to the step loop unbound, one matvec per stage; the members'
-    generators at the stage times of a step come from one _bare_weights or
-    _adiabatic_weights pass.
+    generators at the stage times of a step attempt, the dense output's
+    included on a grid, come from one _bare_weights or _adiabatic_weights
+    pass.
     A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
     solve it raises for the whole batch at the call.  The trajectories are
     built as the caller iterates, and only there do their states become

@@ -294,9 +294,9 @@ def _frame_angles(neg_a: np.ndarray, rates: np.ndarray) -> tuple:
     x_c in [0, 1], one of them 1, and tan(theta) = x_p / |(x_s, x_c)|, with x_p capped at
     exp(_EXP_CLAMP / 2): no envelope ratio is formed, and the squares below neither overflow
     nor lose the larger side.  Then phi' = sin cos(phi) (a_s' - a_c'), in the rates' unit of
-    time.  Called by mixing_angles, by the effective derivative effective._suv_rhs and by
+    time.  Called by mixing_angles, by the effective generators effective._suv_weights and by
     liouville._slow_functions, the closed forms of the eigenframe derivative's weights; the
-    last two form the exponents in the normalised time themselves.
+    last two take the exponents in the normalised time from liouville._exponents_in_s.
     """
     x_p, x_s, x_c = np.exp(np.minimum(neg_a - np.maximum(neg_a[1], neg_a[2]), 0.5 * _EXP_CLAMP))
     q = np.sqrt(x_s * x_s + x_c * x_c)

@@ -1085,6 +1085,26 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert len(rows) == 40
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("simulate", "ordering = overlap\nomgea0 = 80\nsamples = 50\n", "omgea0"),
+    ("simulate", "ordering = overlap\nout = elsewhere.csv\n", "out"),
+    ("sweep", "ordering = overlap\naxis = gamma\nvalues = 0,1\nengine = analytic\n"
+              "basis = bare\n", "basis"),
+    ("figures", "samples = 60\nordering = scp\n", "ordering"),
+], ids=["simulate-misspelt", "simulate-out", "sweep-basis", "figures-ordering"])
+def test_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, text, key):
+    # a file key that names none of the command's flags, a misspelt one too, is refused with
+    # the key and the file before anything is written
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    target = ["fig6", "--out-dir", str(out)] if command == "figures" else ["--out", str(out)]
+    assert main([command, *target, "--config", str(cfg_file)]) == 2
+    assert f"config key '{key}' in {cfg_file} is not read by {command}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_file_rejects_malformed_lines(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("this is not a key value pair\n")

@@ -331,22 +331,23 @@ def test_dark_fidelity_in_passes_is_the_fidelity_of_each_sample(rng):
 
 
 def _rates_assembly(y: np.ndarray, ang: MixingAngles, batch: Batch, mode: Mode) -> tuple:
-    """d(s, u, v)/ds assembled from effective_rates at the angles ang, with rates per unit t.
+    """d(s, u, v)/ds assembled from effective_rates at the angles ang, with rates per unit t,
+    on the (B, 3) states y.
 
     The derivative's form before its constant table, kept as the oracle; it returns the
-    derivative and each member's largest generator entry, both per unit s.
+    (B, 3) derivative and each member's largest generator entry, (B, 1), both per unit s.
     """
     r = effective_rates(ang, batch.rates.T.reshape(4, 4, -1))
     geo = 2.0 * ang.phi_dot * ang.sin_theta
     su, sv, uv = math.sqrt(2.0) * r.Omega_su, math.sqrt(2.0) * r.Omega_sv, r.Omega_uv
     if mode is Mode.WEAK_DEPHASING:
         su = sv = uv = 0.0
-    s, u, v = y
+    s, u, v = y.T
     out = np.array([su * u + sv * v - r.Gamma_s * s,
                     (geo + uv) * v + su * s - r.Gamma_u * u,
                     (uv - geo) * u + sv * s - r.Gamma_v * v]) * batch.span
     entries = np.abs(np.broadcast_arrays(r.Gamma_s, r.Gamma_u, r.Gamma_v, su, sv, uv, geo))
-    return out, np.max(entries, axis=0) * batch.span
+    return out.T, (np.max(entries, axis=0) * batch.span)[:, None]
 
 
 @given(ordering=st.sampled_from(_ORDERINGS), tau=st.floats(0.0, 3.0), x=st.floats(0.0, 1.0),
@@ -355,8 +356,9 @@ def test_suv_rhs_matches_the_rates_assembly(ordering, tau, x, seed, mode):
     rng = np.random.default_rng(seed)
     batch = Batch.of([PulseConfig(ordering=ordering, omega0=50.0, tau=tau,
                                   gamma=_random_gamma(rng))])
-    y = rng.uniform(-1.0, 1.0, size=(3, 1))
-    got = effective._suv_rhs(x, y, batch, mode)
+    # the solver's flat state, member-major: (s, u, v) of each member in turn
+    y = rng.uniform(-1.0, 1.0, size=(1, 3))
+    got = effective._suv_rhs(x, y.ravel(), batch, mode).reshape(y.shape)
     # at the derivative's own angles, from the exponents in s, the table is the closed form
     # to a few ulps of the largest entry
     centres, neg_k = liouville._constants(batch)[:2]
@@ -381,7 +383,8 @@ def test_overlap_couplings_vanish_exactly_with_equal_ground_rates(mode):
     batch = Batch.of([PulseConfig(ordering="overlap", omega0=50.0, tau=tau,
                                   gamma=DephasingMatrix(m)) for tau in (0.5, 1.5, 2.5)])
     for x in np.linspace(0.0, 1.0, 101):
-        to_v = effective._suv_rhs(x, np.array([[0.0] * 3, [0.0] * 3, [1.0] * 3]), batch, mode)
-        to_u = effective._suv_rhs(x, np.array([[0.0] * 3, [1.0] * 3, [0.0] * 3]), batch, mode)
-        assert np.all(to_v[:2] == 0.0) and np.all(to_u[2] == 0.0)
-        assert np.all(to_v[2] < 0.0)
+        # the flat member-major states (0, 0, 1) and (0, 1, 0) of every member
+        to_v = effective._suv_rhs(x, np.tile([0.0, 0.0, 1.0], 3), batch, mode).reshape(3, 3)
+        to_u = effective._suv_rhs(x, np.tile([0.0, 1.0, 0.0], 3), batch, mode).reshape(3, 3)
+        assert np.all(to_v[:, :2] == 0.0) and np.all(to_u[:, 2] == 0.0)
+        assert np.all(to_v[:, 2] < 0.0)

@@ -340,13 +340,14 @@ def test_frame_table_is_exact_eighths_built_on_first_eigenframe_use():
 def _assert_member_bits(weights, rng) -> None:
     """A member's generators have the same bits alone as in the mixed batch with unequal rates,
     the clamp member's exponent clamp included, at the times of the step loop's passes: a
-    step's 12 stage times, its 3 dense-output times, and the window's ends one at a time, as
-    the initial-step calls take them."""
+    step's 12 stage times, those and its 3 dense-output times, the 3 alone, and the window's
+    ends one at a time, as the initial-step calls take them."""
     cfgs = [cfg.with_updates(gamma=_random_gamma(rng)) for cfg in _rhs_batch(rng)]
     batch = Batch.of(cfgs)
     rk, t, h = liouville._DOP853, rng.random(), 0.05 * rng.random()
-    for s in (t + np.append(rk.C[1:], 1.0) * h, t + rk.C_EXTRA * h, np.array([0.0]),
-              np.array([1.0])):
+    nodes = np.append(rk.C[1:], 1.0)
+    for s in (t + nodes * h, t + np.append(nodes, rk.C_EXTRA) * h, t + rk.C_EXTRA * h,
+              np.array([0.0]), np.array([1.0])):
         mixed = weights(s, batch)
         assert mixed.shape == (len(s), len(cfgs), 10, 10)
         for b, cfg in enumerate(cfgs):
@@ -410,6 +411,21 @@ def test_an_scp_solve_at_omega0_50_keeps_its_derivative_count(basis, nfev):
     # scp at tau 1, gamma 0.5, no output grid: counts that do not depend on the machine
     cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0, gamma=DephasingMatrix.equal(0.5))
     assert next(liouville.integrate_many([cfg], basis, samples=None)).stats["nfev"] == nfev
+
+
+_SAMPLED = {"bare": ("overlap", 0.8, 1.9, 4448), "adiabatic": ("overlap", 0.8, 1.9, 3746),
+            "effective": ("fractional", 0.5, 1.5, 785)}
+
+
+@pytest.mark.parametrize("engine", _SAMPLED)
+def test_sampled_solves_at_10_4_samples_keep_their_derivative_counts(engine):
+    # simulate's runs on 10^4 samples at Omega0 50: 12 calls per step attempt and 3 more on
+    # each step that holds samples, counts that do not depend on the machine
+    ordering, gamma, tau, nfev = _SAMPLED[engine]
+    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=tau, gamma=DephasingMatrix.equal(gamma))
+    traj = (effective.integrate_suv(cfg, samples=10**4) if engine == "effective" else
+            liouville.integrate(cfg, Basis(engine), samples=10**4))
+    assert traj.stats["nfev"] == nfev
 
 
 def test_slow_function_angles_match_the_arctan_oracle(rng):
@@ -719,7 +735,7 @@ def _derivative(engine: str, batch: Batch) -> tuple:
     if engine == "effective":
         mode = effective.Mode.FULL
         return (partial(effective._suv_rhs, mode=mode), partial(effective._suv_weights, mode=mode),
-                np.repeat([-0.5, 1.0 / np.sqrt(2.0), 0.0], len(batch)))
+                np.tile([-0.5, 1.0 / np.sqrt(2.0), 0.0], len(batch)))
     if engine == "bare":
         return rhs_bare, liouville._bare_weights, np.tile(np.eye(10)[0], len(batch))
     c0 = liouville.to_adiabatic(density(np.eye(10)[0]), batch.start, batch)
@@ -775,9 +791,11 @@ def test_final_state_of_a_fig6_batch_is_that_of_solve_ivp_to_the_bit():
 
 @pytest.mark.parametrize("engine", ["bare", "adiabatic", "effective"])
 def test_weights_run_once_per_step_attempt_and_the_derivative_once_per_stage(engine):
-    # one weights pass for the 12 stage times of each step attempt, rejected ones included,
-    # and one for the 3 dense-output stages of each step that holds samples; the derivative
-    # runs nfev times, and every call after the two of the initial step is handed its weights
+    # exactly one weights pass per step attempt, rejected ones included: for its 12 stage
+    # times on a final-state solve, and for those and the 3 dense-output stages on an output
+    # grid, so a step that holds samples makes no pass of its own; the derivative runs nfev
+    # times, 3 more on each step that holds samples, and every call after the two of the
+    # initial step is handed its weights
     batch = Batch.of(_MIXED_ORDERINGS[:3])
     rhs, weights, y0 = _derivative(engine, batch)
     ref = _solve_ivp(rhs, y0, batch, None)
@@ -785,7 +803,7 @@ def test_weights_run_once_per_step_attempt_and_the_derivative_once_per_stage(eng
     assert rest == 0 and attempts > len(ref.t) - 1
     # sample s > 0 lies on the first accepted step ending at or after it, s = 0 on the first
     held = np.unique(np.maximum(ref.t.searchsorted(np.linspace(0.0, 1.0, 70)), 1)).size
-    for samples, passes in ((None, {12: attempts}), (70, {12: attempts, 3: held})):
+    for samples, size, extra in ((None, 12, 0), (70, 15, 3 * held)):
         sizes, handed = [], []
 
         def counted_weights(ts, batch):
@@ -798,7 +816,7 @@ def test_weights_run_once_per_step_attempt_and_the_derivative_once_per_stage(eng
 
         _, nfev = liouville._solve_batch(counted_rhs, counted_weights, y0, batch, samples, "{}",
                                          lambda rows: None)
-        assert {size: sizes.count(size) for size in sizes} == passes
+        assert sizes == [size] * attempts and nfev == ref.nfev + extra
         assert len(handed) == nfev and handed == [False, False] + [True] * (nfev - 2)
 
 
@@ -810,7 +828,7 @@ _STAGE_BATCHES = {1: Batch.of(_MIXED_ORDERINGS[3:]), 4: Batch.of(_MIXED_ORDERING
 # a stage at t + h with h = 1 - t can pass 1 by an ulp
 @pytest.mark.parametrize("members", _STAGE_BATCHES)
 @given(engine=st.sampled_from(["bare", "adiabatic", "effective"]),
-       s=st.lists(st.floats(0.0, np.nextafter(1.0, 2.0)), min_size=1, max_size=13),
+       s=st.lists(st.floats(0.0, np.nextafter(1.0, 2.0)), min_size=1, max_size=15),
        seed=st.integers(0, 2**32 - 1))
 def test_weights_at_n_stage_times_are_n_one_time_calls_to_the_bit(members, engine, s, seed):
     # one weights pass over a step's stage times has the bits of a call per time, and the
