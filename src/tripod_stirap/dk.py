@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GammaPole, StepSizeUnderflow, WrongOrdering, ZeroDelay
-from .pulses import Ordering, PulseConfig, mixing_angles
+from .pulses import Ordering, PulseConfig
 
 # total swing of the rotation angle xi; also fixes the sech pulse area
 ATAN_2SQRT2 = math.atan(2.0 * math.sqrt(2.0))
@@ -82,12 +82,6 @@ def _logistic(x):
     return q, p, np.sqrt(1.0 + 8.0 * q * q)
 
 
-def f1(x):
-    """Signed detuning profile; f1(0) = 0, limits 3/4 and -1 at x -> -/+ inf."""
-    q, p, s = _logistic(x)
-    return _out((q - p) * s / (1.0 + q) ** 2)
-
-
 def f2(x):
     """Coupling profile; f2(0) = sqrt(2)/3, peak sqrt(2)/2 at x = ln 3; positive."""
     q, p, s = _logistic(x)
@@ -109,27 +103,14 @@ def g_minus(x):
     return _out(4.0 * q * q * (p - q) / ((1.0 + q) ** 2 * (1.0 + s)))
 
 
-def su_two_level(t: float, gamma: float, cfg: PulseConfig):
-    """(Omega_su, Delta_su, Gamma_v) of the reduced (s, u) two-level system."""
-    _require_overlap_equal(cfg)
-    ang = mixing_angles(t, cfg)
-    st, ct = ang.sin_theta, ang.cos_theta
-    s2t2 = (2.0 * st * ct) ** 2
-    omega_su = 0.25 * gamma * (s2t2 - ct * ct * (1.0 + st * st))
-    delta_su = 0.25 * gamma * (0.75 * s2t2 + ct * ct) - gamma * st * st
-    gamma_v = gamma * ct * ct
-    return omega_su, delta_su, gamma_v
-
-
-def epsilon_rates(t: float, gamma: float, cfg: PulseConfig):
-    """Smooth eigenvalue branches of the (s, u) decay matrix; they cross at x = 0."""
-    _require_overlap_equal(cfg)
-    x = x_of_t(t, cfg)
-    return gamma * g_plus(x), gamma * g_minus(x)
-
-
 def xi_angle(t: float, gamma: float, cfg: PulseConfig):
-    """Rotation angle mixing s and u, continuous through the branch point, and its rate."""
+    """Rotation angle mixing s and u, continuous through the branch point, and its rate.
+
+    No package code calls it.  It stays as the definition of the sech model: its rate is
+    tau/T^2 f2(x), the coupling whose peak (x = ln 3, rate A) and whole swing
+    (atan(2 sqrt 2)/2 = pi ALPHA) _params takes as t_max, A and the pulse area alpha, and
+    the tests check those constants against it.
+    """
     _require_overlap_equal(cfg)
     x = x_of_t(t, cfg)
     xi = -0.5 * math.atan(2.0 * math.sqrt(2.0) * _special().expit(-x))
@@ -167,6 +148,13 @@ def _params(gamma, tau, width: float) -> DKParams:
 
 
 def dk_params(gamma, cfg: PulseConfig) -> DKParams:
+    """Model parameters at cfg's delay, after the closed forms' checks (overlap ordering,
+    equal rates, no zero delay).
+
+    No package code calls it: the closed forms call _params on their own grids.  It stays
+    as the checked way to build the DKParams that dk_amplitudes_ode, the brute-force check
+    of the gamma-function amplitudes, takes (acceptance criterion 6 and the amplitude tests).
+    """
     return _params(gamma, _checked_tau(cfg), cfg.width)
 
 
@@ -292,15 +280,3 @@ def analytic_fidelity(gamma, cfg: PulseConfig, t_max_eval, *, tau=None):
     with np.errstate(invalid="ignore"):  # 0 * inf where gamma = 0, discarded below
         decay = np.where(gamma > 0.0, np.exp(-gamma * t_max_eval), 1.0)
     return _out(rho_a_11 + re_rho_a_12 * decay)
-
-
-def analytic_fidelity_expansion(gamma: float, cfg: PulseConfig, t_max_eval: float) -> float:
-    """Weak-dephasing form: unit amplitudes, adiabatic decay factors only."""
-    ai = adiabatic_integrals(gamma, cfg)
-    if gamma == 0.0:
-        coh = 0.5
-    elif math.isinf(t_max_eval):
-        coh = 0.0
-    else:
-        coh = 0.5 * math.exp(ai.I_u_finite - gamma * t_max_eval)
-    return 0.25 * (1.0 + math.exp(ai.I_s)) + coh

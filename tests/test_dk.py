@@ -57,13 +57,6 @@ def test_x_of_t_is_the_scaled_time(t, tau):
     assert dk.x_of_t(t, cfg) == pytest.approx(4.0 * t * tau / cfg.width ** 2, rel=1e-15)
 
 
-def test_f1_limits_zero_and_continuity():
-    assert dk.f1(-40.0) == pytest.approx(0.75, abs=1e-12)
-    assert dk.f1(40.0) == pytest.approx(-1.0, abs=1e-12)
-    assert dk.f1(0.0) == 0.0
-    assert dk.f1(1e-9) == pytest.approx(dk.f1(-1e-9), abs=1e-8)
-
-
 def test_f2_shape():
     assert dk.f2(0.0) == pytest.approx(math.sqrt(2.0) / 3.0, rel=1e-14)
     peak = math.log(3.0)
@@ -84,9 +77,18 @@ def _s_exp(e):
     return np.sqrt(1.0 + 8.0 / (1.0 + e) ** 2)
 
 
+def _su_two_level(t: float, gamma: float, cfg: PulseConfig) -> tuple:
+    """(Omega_su, Delta_su, Gamma_v) of the reduced (s, u) two-level system, from the
+    overlap ordering's mixing angles."""
+    ang = mixing_angles(t, cfg)
+    st, ct = ang.sin_theta, ang.cos_theta
+    s2t2 = (2.0 * st * ct) ** 2
+    return (0.25 * gamma * (s2t2 - ct * ct * (1.0 + st * st)),
+            0.25 * gamma * (0.75 * s2t2 + ct * ct) - gamma * st * st, gamma * ct * ct)
+
+
 # each profile, its form as a function of e = e^x, and its limits at x -> -inf, +inf
 PROFILES = {
-    "f1": (dk.f1, lambda e: (1.0 - e * e) * _s_exp(e) / (2.0 + e) ** 2, (0.75, -1.0)),
     "f2": (dk.f2, lambda e: 4.0 * math.sqrt(2.0) / (2.0 + e + 9.0 / e), (0.0, 0.0)),
     "g_s": (dk.g_s, lambda e: 2.0 * (1.0 + 2.0 * e) / (2.0 + e) ** 2, (0.5, 0.0)),
     "g_plus": (dk.g_plus, lambda e: (1.0 - e * e) * (1.0 + _s_exp(e)) / (2.0 * (2.0 + e) ** 2),
@@ -122,7 +124,7 @@ def test_two_level_rates_in_the_scaled_variable(t, gamma, tau):
     cfg = _cfg(tau=tau, gamma=gamma)
     x = dk.x_of_t(t, cfg)
     ex = math.exp(x)
-    omega, delta, gv = dk.su_two_level(t, gamma, cfg)
+    omega, delta, gv = _su_two_level(t, gamma, cfg)
     assert omega == pytest.approx(gamma * (ex - 1.0) / (2.0 + ex) ** 2, abs=1e-13)
     assert delta == pytest.approx(gamma * (1.0 - ex * ex) / (2.0 + ex) ** 2, abs=1e-13)
     assert gv == pytest.approx(2.0 * gamma / (2.0 + ex), abs=1e-13)
@@ -131,7 +133,7 @@ def test_two_level_rates_in_the_scaled_variable(t, gamma, tau):
 @pytest.mark.parametrize("t", [-2.0, -0.4, 0.0, 0.9, 3.0])
 def test_two_level_rates_match_the_effective_module(t):
     cfg = _cfg(gamma=0.8)
-    omega, _, gv = dk.su_two_level(t, 0.8, cfg)
+    omega, _, gv = _su_two_level(t, 0.8, cfg)
     r = effective_rates(mixing_angles(t, cfg), DephasingMatrix.equal(0.8))
     assert omega == pytest.approx(r.Omega_su, abs=1e-15)
     assert gv == pytest.approx(r.Gamma_v, abs=1e-15)
@@ -139,19 +141,22 @@ def test_two_level_rates_match_the_effective_module(t):
 
 @given(t=st.floats(-5.0, 5.0), gamma=st.floats(0.05, 3.0), tau=st.floats(0.2, 2.5))
 def test_epsilon_branches_solve_the_characteristic_equation(t, gamma, tau):
-    # eigenvalues of the 2x2 decay matrix: sum and product must reproduce the
-    # trace and determinant built from the rates, and their gap is gamma*f1
+    # eigenvalues gamma g_+ and gamma g_- of the 2x2 decay matrix: sum and product must
+    # reproduce the trace and determinant built from the rates, and their gap is gamma f1,
+    # f1 = (1 - e^2x) S / (2 + e^x)^2
     cfg = _cfg(tau=tau, gamma=gamma)
-    omega, delta, _ = dk.su_two_level(t, gamma, cfg)
-    ep, em = dk.epsilon_rates(t, gamma, cfg)
+    omega, delta, _ = _su_two_level(t, gamma, cfg)
+    x = dk.x_of_t(t, cfg)
+    ep, em = gamma * dk.g_plus(x), gamma * dk.g_minus(x)
     assert ep + em == pytest.approx(delta, abs=1e-12)
     assert ep * em == pytest.approx(-2.0 * omega * omega, abs=1e-12)
-    assert ep - em == pytest.approx(gamma * dk.f1(dk.x_of_t(t, cfg)), abs=1e-12)
+    e = math.exp(x)
+    assert ep - em == pytest.approx(gamma * (1.0 - e * e) * _s_exp(e) / (2.0 + e) ** 2,
+                                    abs=1e-12)
 
 
 def test_epsilon_branches_cross_at_the_midpoint():
-    ep, em = dk.epsilon_rates(0.0, 1.3, _cfg())
-    assert ep == 0.0 and em == 0.0
+    assert 1.3 * dk.g_plus(0.0) == 0.0 and 1.3 * dk.g_minus(0.0) == 0.0
 
 
 def test_xi_swing_and_endpoints():
@@ -302,9 +307,11 @@ def test_fidelity_keeps_the_coherence_at_finite_times():
 
 
 def test_expansion_tracks_the_full_form_at_moderate_dephasing():
+    # the weak-dephasing form: unit amplitudes and the adiabatic decay factors alone, whose
+    # coherence term is gone at infinite times
     for g in (0.25, 0.5, 1.0):
         full = dk.analytic_fidelity(g, _cfg(gamma=g), math.inf)
-        exp = dk.analytic_fidelity_expansion(g, _cfg(gamma=g), math.inf)
+        exp = 0.25 * (1.0 + math.exp(dk.adiabatic_integrals(g, _cfg(gamma=g)).I_s))
         assert abs(full - exp) < 0.02
 
 
@@ -313,7 +320,7 @@ def test_expansion_tracks_the_full_form_at_moderate_dephasing():
 def test_closed_forms_reject_other_orderings():
     cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.5, gamma=DephasingMatrix.equal(1.0))
     with pytest.raises(WrongOrdering, match="overlap ordering"):
-        dk.su_two_level(0.0, 1.0, cfg)
+        dk.adiabatic_integrals(1.0, cfg)
     with pytest.raises(WrongOrdering, match="overlap ordering"):
         dk.analytic_fidelity(1.0, cfg, math.inf)
 
