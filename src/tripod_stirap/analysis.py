@@ -1,18 +1,13 @@
-"""Transition-time extraction and parameter sweeps: the one grid evaluator.
+"""Transition-time extraction and parameter sweeps.
 
-A sweep evaluates one configuration over a grid: one axis (gamma or tau),
-as `tripod sweep` runs it, or a product grid over gamma, tau and Omega0,
-whose rows run in itertools.product order, first axis major; every master
-figure is one such sweep, reshaped.  It returns its rows as columns
-(SweepResult): float arrays for F2_final, F2_tmax, T_tr and theta_g, and per
-row the error text, the warning texts and the batch it was solved in, with
-each batch's derivative calls counted once, and the invariant errors of
-each solved row.  A row solved with no output grid (samples None) also has
-its final populations, and a sampled row its F2 series.  sweep allocates
-the columns once and fills them in place; a grid that fails fills nothing,
-and its rows are then solved alone.  SweepResult.points gives the rows as
-six-field SweepPoints (value, the four floats and the error text), built
-from the columns on first read; a row's stats stay in the columns.
+A sweep returns its rows as columns (SweepResult): float arrays for
+F2_final, F2_tmax, T_tr and theta_g, and per row the error text, the
+warning texts and the batch it was solved in, with each batch's derivative
+calls counted once, and the invariant errors of each solved row.  sweep
+allocates the columns once and fills them in place; a grid that fails fills
+nothing, and its rows are then solved alone.  SweepResult.points gives the
+rows as six-field SweepPoints (value, the four floats and the error text),
+built from the columns on first read; a row's stats stay in the columns.
 
 An ODE row reads F2_tmax and T_tr off the PCHIP interpolant of its
 sampled fidelity.  That interpolant is SciPy's PchipInterpolator mirrored
@@ -163,10 +158,8 @@ def transition_time(times: np.ndarray, fid: np.ndarray, eps: float, ordering: Or
 class SweepPoint(NamedTuple):
     """One row of a sweep, as SweepResult.points reads it from the columns.
 
-    `value` is the row's axis value, or the list of its values on a product
-    grid.  A row's derivative calls, invariant errors, final populations and
-    F2 series stay in the columns: SweepResult.batch, nfev, stats,
-    populations and series.
+    A row's derivative calls and invariant errors stay in the columns:
+    SweepResult.batch, nfev and stats.
     """
 
     value: float
@@ -179,37 +172,28 @@ class SweepPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's rows as columns: one entry per row in each column but `axis` and `values`.
+    """A sweep's rows as columns: `values` and one entry per row in each of the others.
 
     F2_final, F2_tmax, T_tr and theta_g are float arrays (NaN where the row
-    failed, where it was solved with no output grid for F2_tmax and T_tr,
-    or, for T_tr, where no threshold was crossed); `errors` holds each
+    failed or, for T_tr, where no threshold was crossed); `errors` holds each
     row's error text or None; `warnings` each row's warning texts.  A row
     solved by an ODE engine has a `batch` index into `nfev`, the derivative
     calls of each batch counted once, and its trajectory's invariant errors
-    in `stats` (name -> float array).  A sweep with no output grid (samples
-    None) has its rows' final bare populations in `populations` (rows, 4),
-    NaN where a row ran no solve; any other sweep has None there.  A sampled
-    row keeps its (t, F2) series in `series`, None elsewhere.
-    `axis` is one axis name, whose grid `values` is, or on a product grid
-    a tuple of names, whose rows run in itertools.product order, first axis
-    major, and `values` then holds each row's values (rows, axes).  `points`
-    is the same table row by row.
+    in `stats` (name -> float array).  `points` is the same table row by row.
     """
 
     F2_final: np.ndarray
     F2_tmax: np.ndarray
     T_tr: np.ndarray
     theta_g: np.ndarray
-    populations: np.ndarray | None  # (rows, 4) at samples None: rho11..rho44 at the window's end
-    series: tuple      # per row: the (t, F2) arrays of a sampled row, else None
     errors: tuple      # per row: None, or the error text of a failed row
     warnings: tuple    # per row: a tuple of warning texts, such as an AmbiguousCrossing
     batch: np.ndarray  # per row: its batch's index into nfev, -1 if the row ran no solve
     nfev: tuple        # per batch: its derivative calls, counted once
     stats: dict        # invariant name -> one value per row, NaN where batch is -1
-    axis: str | tuple
-    values: np.ndarray  # per row: its axis value, or its values (rows, axes) on a product grid
+    axis: str
+    values: np.ndarray
+    engine: Engine
 
     @cached_property
     def points(self) -> list[SweepPoint]:
@@ -219,10 +203,10 @@ class SweepResult:
                         self.errors))
 
 
-def point_config(cfg: PulseConfig, point: dict) -> PulseConfig:
-    """cfg at one grid point, {axis: value}; a gamma value is an equal rate."""
-    return cfg.with_updates(**{axis: DephasingMatrix.equal(value) if axis == "gamma"
-                               else float(value) for axis, value in point.items()})
+def _point_config(cfg: PulseConfig, axis: str, value: float) -> PulseConfig:
+    if axis == "gamma":
+        return cfg.with_updates(gamma=DephasingMatrix.equal(value))
+    return cfg.with_updates(tau=float(value))
 
 
 # the GammaPole texts of closed-form rows whose gamma-function ratios overflow, and of rows
@@ -232,6 +216,10 @@ GAMMA_OVERFLOW = "the gamma-function ratios overflow (gamma T^2 / tau too large)
 F2_OUTSIDE = "the closed-form F2 is below 0 or above 1 (parameters outside model validity)"
 
 
+def _error_text(exc: TripodError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) -> tuple:
     """(F2_final, F2_tmax, T_tr, theta_g, error) of one sampled trajectory."""
     f2_tmax = _pchip_at(traj.t, traj.fidelity, min(max(t_max_eval, traj.t[0]), traj.t[-1]))
@@ -239,7 +227,7 @@ def _series_row(traj, eps: float, t_max_eval: float, notes: list | None = None) 
     try:
         t_tr = transition_time(traj.t, traj.fidelity, eps, traj.cfg.ordering, notes=notes)
     except NoCrossing as exc:
-        t_tr, error = math.nan, f"{type(exc).__name__}: {exc}"
+        t_tr, error = math.nan, _error_text(exc)
     return float(traj.fidelity[-1]), f2_tmax, t_tr, traj.target.theta_g, error
 
 
@@ -256,67 +244,47 @@ def check_values(values, label: str = "values") -> np.ndarray:
     return values
 
 
-def sweep(cfg: PulseConfig, axis, values, engine: Engine,
-          samples: int | None = 2000, eps: float = 0.1,
+def sweep(cfg: PulseConfig, axis: str, values, engine: Engine,
+          samples: int = 2000, eps: float = 0.1,
           t_max_eval: float | None = None) -> SweepResult:
-    """Evaluate cfg over a grid: one scalar axis (gamma or tau) and its 1-d values, or a
-    product grid, a tuple of distinct axes of gamma, tau and omega0 and a tuple of their
-    grids.
+    """Evaluate one scalar axis (gamma or tau) over a 1-d grid of points.
 
-    A product grid's rows run in itertools.product order, first axis major.
     The result's columns are allocated once, every row NaN and unsolved, and
     filled in place.  The master and effective engines integrate the whole
     grid as one batch (see liouville.integrate_many and
     effective.integrate_many) and fill its rows member by member as the
-    trajectories are built: sampled at `samples` points, a row reads
-    F2_final, F2_tmax, T_tr and theta_g off its F2 series and keeps the
-    series; with samples None it is solved with no output grid and reads
-    F2_final, theta_g and its final populations, and F2_tmax and T_tr stay
-    NaN with no error.  The analytic engine fills the rows from one array
+    trajectories are built; the analytic engine fills them from one array
     pass through the closed forms.  A grid that fails keeps nothing from
     its pass, and each of its rows is then evaluated alone, so engine
-    failures are recorded per row instead of aborting the sweep; rows keep
-    their grid order, and each row solved alone is a batch of its own.  A
-    one-row grid is evaluated once.  An analytic row whose gamma-function
+    failures are recorded per row instead of aborting the sweep; rows stay
+    ordered by axis value, and each row solved alone is a batch of its own.
+    A one-row grid is evaluated once.  An analytic row whose gamma-function
     ratios overflow (gamma T^2 / tau past about 2e3), or whose F2_final or
     F2_tmax leaves [0, 1] by more than rounding, fails as GammaPole, as one
     on a pole does: the closed forms do not hold there.
     """
-    axes, grids = ((axis,), (values,)) if (one := isinstance(axis, str)) else ((*axis,), (*values,))
-    # a one-axis sweep, as `tripod sweep` runs it, takes gamma or tau
-    if not (set(axes) <= ({"gamma", "tau"} if one else {"gamma", "tau", "omega0"})
-            and len(set(axes)) == len(axes) == len(grids) > 0):
-        raise ValueError("axis must be 'gamma' or 'tau', or a tuple of distinct axes of gamma, "
-                         f"tau and omega0 with one grid each, got {axis!r}")
-    grids = tuple(map(check_values, grids, [f"{name} values" for name in axes]))
-    t_max_eval = 5.0 * cfg.width if t_max_eval is None else t_max_eval
+    if axis not in ("gamma", "tau"):
+        raise ValueError(f"axis must be 'gamma' or 'tau', got {axis!r}")
+    values = check_values(values)
+    if t_max_eval is None:
+        t_max_eval = 5.0 * cfg.width
     check_evaluation(eps, t_max_eval)
-    # each axis's value at every row (axes, rows), first axis major; one axis needs no mesh
-    columns = (grids[0][None] if one
-               else np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(len(axes), -1))
-    n = columns.shape[1]
-
-    def fresh() -> tuple:
-        """Every row NaN and unsolved: F2_final, F2_tmax, T_tr and theta_g, and the final
-        populations if samples is None; errors, warnings and series map a written row to its
-        texts or series, so a grid that writes none (an analytic grid that did not fail) builds
-        its row tuples at once; then batch, nfev and stats."""
-        return (np.full((4, n), math.nan), None if samples else np.full((n, 4), math.nan),
-                {}, {}, {}, np.full(n, -1), [], {})
-
-    table, populations, errors, notes, series, batch, nfev, stats = fresh()
+    n = values.size
+    table = np.full((4, n), math.nan)  # F2_final, F2_tmax, T_tr, theta_g
+    # errors and notes map a written row to its error text and warning texts, so a grid
+    # that writes neither (an analytic grid that did not fail) builds its row tuples at once
+    errors, notes, batch, nfev, stats = {}, {}, np.full(n, -1), [], {}
     if engine is Engine.ANALYTIC:
         if cfg.ordering is not Ordering.OVERLAP:
             raise WrongOrdering("analytic engine requires overlap ordering")
-        if "gamma" not in axes and cfg.gamma.equal_rate() is None:
+        if axis != "gamma" and cfg.gamma.equal_rate() is None:
             raise WrongOrdering("analytic engine requires equal dephasing rates")
-        # the config checks every engine applies, on the first and the last row: each of
-        # their bounds is monotone in one value
-        point_config(cfg, dict(zip(axes, columns[:, -1])))
-        cfg = point_config(cfg, dict(zip(axes, columns[:, 0])))
-        # each row's gamma and tau: an axis's values, or cfg's own, read only where needed
-        gamma, tau = (columns[axes.index(name)] if name in axes else np.full(n, own())
-                      for name, own in (("gamma", cfg.gamma.equal_rate), ("tau", lambda: cfg.tau)))
+        # the config checks every engine applies, on the smallest and the largest axis value:
+        # each of their bounds is monotone in the value
+        _point_config(cfg, axis, values[-1])
+        cfg = _point_config(cfg, axis, values[0])
+        gamma = values if axis == "gamma" else np.full_like(values, cfg.gamma.equal_rate())
+        tau = values if axis == "tau" else np.full_like(values, cfg.tau)
         times = np.array([[math.inf], [t_max_eval]])
 
         def evaluate(rows: slice) -> None:
@@ -324,7 +292,7 @@ def sweep(cfg: PulseConfig, axis, values, engine: Engine,
             # they are NaN, and where the closed forms do not hold they leave [0, 1], so the
             # grid fails and those rows are marked alone.  T_tr is the lossless law
             # T^2/(2 tau) * log((1-eps)/eps); phi is constant for the overlap ordering, so
-            # theta_g = 0 at every delay; the closed forms do not depend on Omega0
+            # theta_g = 0 at every delay
             with np.errstate(all="ignore"):
                 f2 = dk.analytic_fidelity(gamma[rows], cfg, times, tau=tau[rows])
             if not np.isfinite(f2).all():
@@ -335,20 +303,15 @@ def sweep(cfg: PulseConfig, axis, values, engine: Engine,
             table[2, rows] = cfg.width ** 2 / (2.0 * tau[rows]) * math.log((1.0 - eps) / eps)
             table[3, rows] = geometric_phase(cfg)
     else:
-        cfgs = [point_config(cfg, dict(zip(axes, point))) for point in columns.T]
+        cfgs = [_point_config(cfg, axis, value) for value in values]
         integrate_many = (liouville if engine is Engine.MASTER else effective).integrate_many
 
         def evaluate(rows: slice) -> None:
             k = len(nfev)
             for i, traj in enumerate(integrate_many(cfgs[rows], samples=samples), rows.start):
-                if samples is None:
-                    table[0, i], table[3, i] = traj.fidelity[-1], traj.target.theta_g
-                    populations[i] = traj.populations[-1]
-                else:
-                    row_notes = []
-                    *table[:, i], errors[i] = _series_row(traj, eps, t_max_eval, row_notes)
-                    notes[i], series[i] = tuple(row_notes), (traj.t, traj.fidelity)
-                batch[i], row_stats = k, dict(traj.stats)
+                row_notes = []
+                *table[:, i], errors[i] = _series_row(traj, eps, t_max_eval, row_notes)
+                notes[i], batch[i], row_stats = tuple(row_notes), k, dict(traj.stats)
                 nfev[k:] = [row_stats.pop("nfev")]
                 for name, value in row_stats.items():
                     stats.setdefault(name, np.full(n, math.nan))[i] = value
@@ -358,20 +321,18 @@ def sweep(cfg: PulseConfig, axis, values, engine: Engine,
         try:
             evaluate(rows)
         except TripodError as exc:
-            errors[rows.start] = f"{type(exc).__name__}: {exc}"
+            errors[rows.start] = _error_text(exc)
             return False
         return True
 
     if not attempt(slice(0, n)) and n > 1:
         # the failed grid keeps nothing from its pass, and each row is then evaluated alone
-        table, populations, errors, notes, series, batch, nfev, stats = fresh()
+        table[:], batch[:] = math.nan, -1
+        for part in (errors, notes, nfev, stats):
+            part.clear()
         for i in range(n):
             attempt(slice(i, i + 1))
-
-    def per_row(part: dict, empty) -> tuple:
-        return tuple(part.get(i, empty) for i in range(n)) if part else (empty,) * n
-
-    return SweepResult(*table, populations=populations, series=per_row(series, None),
-                       errors=per_row(errors, None), warnings=per_row(notes, ()), batch=batch,
-                       nfev=tuple(nfev), stats=stats, axis=axis if one else axes,
-                       values=grids[0] if one else columns.T)
+    return SweepResult(*table, errors=tuple(map(errors.get, range(n))) if errors else (None,) * n,
+                       warnings=tuple(notes.get(i, ()) for i in range(n)) if notes else ((),) * n,
+                       batch=batch, nfev=tuple(nfev), stats=stats, axis=axis, values=values,
+                       engine=engine)

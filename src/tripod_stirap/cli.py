@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -144,29 +145,18 @@ def _marker(error: str | None) -> str:
     return (error or "").replace(",", ";")
 
 
-def _rows(result: analysis.SweepResult, key: str, texts) -> list[dict]:
-    """Each row whose text is not empty, with its axis values and the text under `key`."""
-    return [{"row": i, **dict(zip(np.atleast_1d(result.axis), np.ravel(result.values[i]).tolist())),
-             key: text} for i, text in enumerate(texts) if text]
-
-
 def _sweep_report(result: analysis.SweepResult) -> dict:
-    """A sweep's solves, warnings, errors and invariants for the manifest; none of it goes
-    into the CSV.
+    """A sweep's solves and warnings for the manifest; none of it goes into the CSV.
 
     Each batch is listed once with its derivative calls and the rows it
-    solved; each row that warned with its axis values and warning texts,
-    and each row that failed with its error text.  `invariants` holds the
-    worst invariant errors over the rows that ran a solve, empty where none
-    did: the largest trace and Hermiticity errors and the least eigenvalue.
+    solved; each row that warned is listed with its warning texts.
     """
     return {
         "batches": [{"nfev": int(nfev), "rows": np.flatnonzero(result.batch == k).tolist()}
                     for k, nfev in enumerate(result.nfev)],
-        "warnings": _rows(result, "warnings", result.warnings),
-        "errors": _rows(result, "error", result.errors),
-        "invariants": {name: float((np.nanmin if name == "min_eigenvalue" else np.nanmax)(column))
-                       for name, column in result.stats.items()},
+        "warnings": [{"row": i, result.axis: value, "warnings": list(texts)}
+                     for i, (value, texts) in enumerate(zip(result.values.tolist(),
+                                                            result.warnings)) if texts],
     }
 
 
@@ -301,22 +291,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class Figure:
-    """One figure dataset: a master-equation sweep and the columns read from it.
+    """One figure dataset: a master-equation grid and the columns built from it.
 
-    The sweep (analysis.sweep) runs over the product grid of the axes,
-    first axis major.  The `rows` axis gives the CSV rows and a second axis
-    gives one column per value; a trajectory figure has no rows axis and
-    writes the time samples of each axis value in turn.  A cell holds the
-    final F2, the final populations (written next to their closed forms as
-    a second CSV), the whole F2 trajectory or the transition time T_tr.
-    The two final-state cells are solved with no output grid; only the
-    trajectory and T_tr cells are sampled at `--samples` points.  A row the
-    sweep marks failed leaves its cells NaN.
+    The batch runs over the product of the axes, first axis major.  The
+    `rows` axis gives the CSV rows and a second axis gives one column per
+    value; a trajectory figure has no rows axis and writes the time samples
+    of each axis value in turn.  A cell holds the final F2, the final
+    populations (written next to their closed forms as a second CSV), the
+    whole trajectory or the transition time T_tr.  The two final-state cells
+    are solved with no output grid; only the trajectory and T_tr cells are
+    sampled at `--samples` points.
     """
 
     ordering: Ordering
     fixed: dict     # PulseConfig parameters held constant, in comment-line order
-    axes: dict      # axis -> default grid, in sweep order
+    axes: dict      # axis -> default grid, in batch order
     rows: str | None
     cell: str       # "f2" | "populations" | "trajectory" | "T_tr"
     closed_form: tuple = ()   # Demkov-Kunike F2 columns along the rows axis
@@ -328,6 +317,7 @@ _OMEGAS = np.array([20.0, 50.0, 100.0, 200.0])
 # flag (or config key) -> the axis or extra entry it sets, and its parser
 _FIGURE_FLAGS = {"gamma_grid": ("gamma", _parse_grid), "tau_grid": ("tau", _parse_grid),
                  "omega0_list": ("omega0", _parse_grid), "t_max_eval": ("t_max_eval", float)}
+_COLUMN_LABELS = {"omega0": "omega"}  # header prefix of a column axis, if not its name
 
 FIGURES = {
     "fig3": Figure(Ordering.OVERLAP, {"omega0": 50.0, "tau": 1.5}, {"gamma": _GAMMAS},
@@ -356,75 +346,89 @@ FIGURES = {
 
 
 def _figure_config(fig: Figure, point: dict) -> PulseConfig:
-    params = {**fig.fixed, **point}  # every figure fixes or sweeps gamma, omega0 and tau
-    return analysis.point_config(PulseConfig(fig.ordering, params["omega0"], params["tau"]), params)
+    params = {**fig.fixed, **point}
+    gamma = params.pop("gamma")
+    return PulseConfig(ordering=fig.ordering, gamma=DephasingMatrix.equal(gamma), **params)
+
+
+def _solve_report(stats) -> dict:
+    """A master batch for the manifest: its derivative calls, once, and the worst
+    invariant errors over the members' `stats`."""
+    return {"nfev": stats[0]["nfev"],
+            "trace_error": max(member["trace_error"] for member in stats),
+            "hermiticity_error": max(member["hermiticity_error"] for member in stats),
+            "min_eigenvalue": min(member["min_eigenvalue"] for member in stats)}
 
 
 def _figure_tables(name: str, fig: Figure, s: _Settings, samples: int) -> tuple:
     """(filename, comment entries, header, table[, markers]) of every CSV the figure writes,
-    and the figure's manifest sections: the report of its master sweep, and the rows whose
-    closed-form cells are NaN, with the row errors of the analytic sweep that gives those
-    cells.  A figure whose master sweep solved no row raises its first row's error."""
+    and the figure's manifest sections: the sweep report of a T_tr figure, the solve report
+    of a final-state or trajectory figure, and the rows whose closed-form cells are NaN, with
+    the row errors of the analytic sweep that gives those cells."""
     settings = {**fig.axes, **fig.extras}
     for key, (target, parse) in _FIGURE_FLAGS.items():
-        if (value := s.get(key, None, parse)) is not None:
+        value = s.get(key, None, parse)
+        if value is not None:
             if target not in settings:
                 raise ValueError(f"--{key.replace('_', '-')} does not apply to {name} "
                                  f"(axes of {name}: {', '.join(fig.axes)})")
-            if target in fig.axes:  # a sweep's grid
+            if target in fig.axes:  # each value is a row, a column or a block of its own
                 analysis.check_values(value, f"--{key.replace('_', '-')} of {name}: values")
             settings[target] = value
-    axes, grids = tuple(fig.axes), tuple(settings[axis] for axis in fig.axes)
+    analysis.check_evaluation(settings.get("epsilon", 0.1), settings.get("t_max_eval", 0.0))
+    axes = list(fig.axes)
+    grids = {axis: settings[axis] for axis in axes}
     entries = {"ordering": fig.ordering.value, **fig.fixed,
-               **{f"{axis}_list": ",".join(_fmt(v) for v in settings[axis])
+               **{f"{axis}_list": ",".join(_fmt(v) for v in grids[axis])
                   for axis in axes if axis != fig.rows},
                **{key: settings[key] for key in fig.extras}, "samples": samples}
-    base = _figure_config(fig, {axis: grid[0] for axis, grid in zip(axes, grids)})
+    cfgs = [_figure_config(fig, dict(zip(axes, point)))
+            for point in itertools.product(*grids.values())]
+
+    if fig.cell == "T_tr":
+        result = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.MASTER,
+                                samples=samples, eps=settings["epsilon"])
+        header = [fig.rows, "T_tr", "error_marker"]
+        return [(f"{name}.csv", entries, header, np.column_stack([result.values, result.T_tr]),
+                 map(_marker, result.errors))], {"sweep": _sweep_report(result)}
 
     if fig.closed_form:
         # the closed-form columns along the rows axis: one analytic sweep, which marks a
         # failing row and leaves its cells NaN; without --t-max-eval, F2_tmax is F2_final
-        closed = analysis.sweep(base, fig.rows, settings[fig.rows], analysis.Engine.ANALYTIC,
+        closed = analysis.sweep(cfgs[0], fig.rows, grids[fig.rows], analysis.Engine.ANALYTIC,
                                 t_max_eval=settings.get("t_max_eval", math.inf))
 
-    # a trajectory or T_tr cell reads each row's sampled F2; the other cells read each row's
-    # final state, solved with no output grid
-    result = analysis.sweep(base, axes, grids, analysis.Engine.MASTER,
-                            samples=samples if fig.cell in ("trajectory", "T_tr") else None,
-                            eps=settings.get("epsilon", 0.1))
-    if not (result.batch >= 0).any():  # the first row's error, "Name: message", retyped
-        kind, _, text = result.errors[0].partition(": ")
-        raise next(error for error in TripodError.__subclasses__() if error.__name__ == kind)(text)
-    sections = {"sweep": _sweep_report(result)}
-    if fig.cell == "T_tr":
-        return [(f"{name}.csv", entries, [fig.rows, "T_tr", "error_marker"],
-                 np.column_stack([grids[0], result.T_tr]), map(_marker, result.errors))], sections
+    # a trajectory is sampled; the other cells read each member's final state, solved with
+    # no output grid
+    trajs = [*liouville.integrate_many(cfgs, samples=samples if fig.cell == "trajectory" else None)]
+    sections = {"solve": _solve_report([traj.stats for traj in trajs])}
     if fig.cell == "trajectory":
-        nan = np.full(samples, math.nan)
-        rows = np.concatenate([np.column_stack([np.full(samples, v), *(series or (nan, nan))])
-                               for v, series in zip(grids[0], result.series)])
+        rows = np.concatenate([np.column_stack([np.full(len(traj.t), v), traj.t, traj.fidelity])
+                               for v, traj in zip(grids[axes[0]], trajs)])
         return [(f"{name}.csv", entries, [*axes, "t", "f2"], rows)], sections
 
-    grid = settings[fig.rows]
+    finals = [traj.populations[-1] if fig.cell == "populations" else traj.fidelity[-1]
+              for traj in trajs]
+    grid = grids[fig.rows]
     at = {**fig.fixed, fig.rows: grid}  # the closed forms' gamma and tau
     if fig.cell == "populations":
         header = [fig.rows, "rho11", "rho22", "rho33", "rho44"]
-        rows = np.column_stack([grid, result.populations])
-        p = dk.analytic_dark_observables(at["gamma"], base, 0.0, tau=at["tau"])[0]
+        rows = np.column_stack([grid, finals])
+        p = dk.analytic_dark_observables(at["gamma"], cfgs[0], 0.0, tau=at["tau"])[0]
         q = 0.5 - p
         return [(f"{name}_numeric.csv", {**entries, "engine": "master"}, header, rows),
                 (f"{name}_analytic.csv", {**entries, "engine": "analytic"}, header,
                  np.column_stack([grid, q, q, p, p]))], sections
 
-    f2 = result.F2_final.reshape([len(g) for g in grids])
-    # one column per value of the column axis, Omega0's headed omega
-    columns = [f"f2_{axis.replace('omega0', 'omega')}_{_fmt(v)}" for axis in axes
-               if axis != fig.rows for v in settings[axis]] or ["f2_master"]
+    f2 = np.reshape(finals, [len(g) for g in grids.values()])
+    columns = [f"f2_{_COLUMN_LABELS.get(axis, axis)}_{_fmt(v)}" for axis in axes if axis != fig.rows
+               for v in grids[axis]] or ["f2_master"]
     table = [grid, f2 if axes[0] == fig.rows else f2.T]
     if fig.closed_form:
         table += [closed.F2_tmax if column == "f2_analytic_tmax" else closed.F2_final
                   for column in fig.closed_form]
-        sections["closed_form"] = _rows(closed, "error", closed.errors) or None
+        sections["closed_form"] = [{"row": i, fig.rows: float(grid[i]), "error": error}
+                                   for i, error in enumerate(closed.errors) if error] or None
     return [(f"{name}.csv", entries, [fig.rows, *columns, *fig.closed_form],
              np.column_stack(table))], sections
 
@@ -442,9 +446,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
     entries_all = {"command": "figures", "figure": name}
-    outputs = [_write_csv(out_dir / filename, {**entries_all, **entries}, header, *table)
-               for filename, entries, header, *table in tables]
+    for filename, entries, header, *table in tables:
+        outputs.append(_write_csv(out_dir / filename, {**entries_all, **entries}, header, *table))
     _write_manifest(out_dir / f"{name}.manifest.json", "figures", entries_all,
                     outputs, time.perf_counter() - t0, **sections)
     return 0

@@ -259,7 +259,7 @@ class EffectiveTrajectory(Trajectory):
 
 
 def integrate_many(cfgs, mode: Mode = Mode.FULL,
-                   samples: int | None = 2000) -> Iterator[EffectiveTrajectory]:
+                   samples: int = 2000) -> Iterator[EffectiveTrajectory]:
     """Propagate (s, u, v) from (-1/2, 1/sqrt(2), 0) for every configuration at once.
 
     One shared DOP853 solve of _suv_rhs, with only `mode` bound, on the
@@ -274,7 +274,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     (gamma 0) and 1.6e-9 (gamma 0.7) of a lone solve at rtol 1e-13.  Each
     member keeps dark_density(s, u, v) in the adiabatic basis, with its
     invariant errors in closed form (dark_invariants) and theta_g from
-    tripod.geometric_phases; with samples None, at the window's end alone.
+    tripod.geometric_phases.
     """
     batch = Batch.of(cfgs)
     y, nfev = _solve_batch(partial(_suv_rhs, mode=mode), partial(_suv_weights, mode=mode),
@@ -289,7 +289,7 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                                                             mixing_angles(t, cfg), *dark))
         return EffectiveTrajectory(**vars(traj), mode=mode, s=dark[0], u=dark[1], v=dark[2])
 
-    return (member(*args) for args in zip(batch.cfgs, y.reshape(len(batch), 3, -1),
+    return (member(*args) for args in zip(batch.cfgs, y.reshape(-1, 3, samples),
                                            geometric_phases(batch.cfgs)))
 
 

@@ -466,7 +466,7 @@ def _max_step(batch: Batch) -> float:
 
 
 def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None, budget: str,
-                 fold: Callable[[np.ndarray], None] = lambda rows: None, size: int | None = None
+                 fold: Callable[[np.ndarray], None] | None = None, size: int | None = None
                  ) -> tuple:
     """The step loop of both ODE engines: one solve of rhs(s, y, batch) = dy/ds on the flat
     batch state y over s in [0, 1] by the eighth-order Dormand-Prince pair (DOP853), at RTOL
@@ -489,10 +489,10 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
 
     Returns the states and the derivative calls.  On an output grid the states are
     (len(y0), samples) at np.linspace(0, 1, samples), read from the dense output on the
-    steps that hold samples, and fold is handed the samples after the step loop.  With
-    samples None the states are the final state alone, (len(y0), 1), and fold is handed the
-    accepted states, y0 first, as the solve takes them.  Either way fold gets (k, len(y0))
-    chunks of at most max(_FOLD // B, 1) rows.
+    steps that hold samples, and fold, when given, is handed the samples after the step
+    loop.  With samples None the states are the final state alone, (len(y0), 1), and fold is
+    handed the accepted states, y0 first, as the solve takes them.  Either way fold gets
+    (k, len(y0)) chunks of at most max(_FOLD // B, 1) rows.
 
     The RMS error norms count `size` coordinates, len(y0) unless given: the master engine's
     10 coordinates per member stand for the 16 real ones of rho, six of them 0.0 at all
@@ -581,7 +581,7 @@ def _solve_batch(rhs, weights, y0: np.ndarray, batch: Batch, samples: int | None
     if samples is None:
         fold(states[:done])
         return y[:, None], nfev
-    for first in range(0, samples, chunk):
+    for first in range(0, samples, chunk) if fold else ():
         fold(out[:, first:first + chunk].T)
     return out, nfev
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -246,62 +245,6 @@ def test_sweep_rejects_empty_and_unsorted_grids():
         sweep(_cfg(), "gamma", [1.0, 1.0], Engine.ANALYTIC)
     with pytest.raises(ValueError, match="strictly increasing"):
         sweep(_cfg(), "gamma", [2.0, 1.0], Engine.ANALYTIC)
-
-
-@pytest.mark.parametrize("axes, grids, match", [
-    (("gamma", "gamma"), ([0.0], [1.0]), "distinct axes"),
-    (("gamma", "width"), ([0.0], [1.0]), "distinct axes"),
-    (("gamma", "tau"), ([0.0],), "one grid each"),
-    ((), (), "distinct axes"),
-    (("omega0",), ([20.0, 200.0],), None),
-    (("gamma", "tau"), ([0.0], [1.0, 1.0]), "tau values must be strictly increasing"),
-])
-def test_a_product_grid_takes_distinct_axes_and_increasing_grids(axes, grids, match):
-    if match is None:  # Omega0 is an axis of a product grid, not of a one-axis sweep
-        assert sweep(_cfg(), axes, grids, Engine.ANALYTIC).errors == (None, None)
-        with pytest.raises(ValueError, match="axis must be 'gamma' or 'tau'"):
-            sweep(_cfg(), axes[0], grids[0], Engine.ANALYTIC)
-        return
-    with pytest.raises(ValueError, match=match):
-        sweep(_cfg(), axes, grids, Engine.ANALYTIC)
-
-
-@pytest.mark.parametrize("engine", [Engine.MASTER, Engine.EFFECTIVE], ids=lambda e: e.value)
-def test_a_final_state_product_grid_is_its_batch_solved_with_no_output_grid(engine):
-    # rows in itertools.product order, first axis major, each with the final F2 bits, the
-    # theta_g, the invariants and the final populations of integrate_many(samples=None)
-    base = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
-    grids = ([0.0, 0.5], [1.0, 2.0, 2.5], [50.0, 80.0])
-    res = sweep(base, ("gamma", "tau", "omega0"), grids, engine, samples=None)
-    points = list(itertools.product(*grids))
-    cfgs = [base.with_updates(gamma=DephasingMatrix.equal(g), tau=tau, omega0=omega0)
-            for g, tau, omega0 in points]
-    module = liouville if engine is Engine.MASTER else effective
-    trajs = list(module.integrate_many(cfgs, samples=None))
-    assert np.array_equal(res.F2_final, [traj.fidelity[-1] for traj in trajs])
-    assert np.array_equal(res.theta_g, [traj.target.theta_g for traj in trajs])
-    assert np.array_equal(res.populations, [traj.populations[-1] for traj in trajs])
-    for name, column in res.stats.items():
-        assert np.array_equal(column, [traj.stats[name] for traj in trajs])
-    assert res.nfev == (trajs[0].stats["nfev"],) and list(res.batch) == [0] * 12
-    assert np.isnan(res.F2_tmax).all() and np.isnan(res.T_tr).all()
-    assert res.errors == (None,) * 12 and res.series == (None,) * 12
-    assert [tuple(p.value) for p in res.points] == points
-    assert res.axis == ("gamma", "tau", "omega0") and np.array_equal(res.values, points)
-
-
-def test_a_sampled_row_keeps_its_series():
-    cfg = _cfg(gamma=0.05)
-    res = sweep(cfg, ("tau",), ([1.0, 1.5],), Engine.EFFECTIVE, samples=100)
-    one = sweep(cfg, "tau", [1.0, 1.5], Engine.EFFECTIVE, samples=100)
-    trajs = list(effective.integrate_many([cfg.with_updates(tau=tau) for tau in (1.0, 1.5)],
-                                          samples=100))
-    for (t, f2), traj in zip(res.series, trajs):
-        assert np.array_equal(t, traj.t) and np.array_equal(f2, traj.fidelity)
-    # the one-axis form reads the same rows
-    assert [p[1:] for p in res.points] == [p[1:] for p in one.points]
-    assert all(math.isfinite(p.T_tr) for p in res.points)
-    assert res.populations is None  # only a sweep with no output grid reads populations
 
 
 @pytest.mark.parametrize("values", [0.5, [[0.5, 1.0]]], ids=["scalar", "2-d"])

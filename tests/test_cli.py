@@ -187,27 +187,6 @@ def test_final_state_figure_past_the_derivative_budget_exits_2(tmp_path, monkeyp
     assert not (tmp_path / "fig6.csv").exists()
 
 
-def test_a_row_past_the_budget_leaves_its_figure_cells_nan(tmp_path, monkeypatch):
-    # at a budget of 5000 calls the two-row grid (10622 calls) stops, and each row is then
-    # solved alone: Omega0 20 takes 2066 calls, and Omega0 200 (10934) stops again
-    monkeypatch.setattr(liouville, "MAX_NFEV", 5000)
-    assert main(["figures", "fig5a", "--omega0-list", "20,200", "--tau-grid", "1",
-                 "--out-dir", str(tmp_path)]) == 0
-    _, header, rows = _read_csv(tmp_path / "fig5a.csv")
-    lone = next(liouville.integrate_many([PulseConfig(ordering="overlap", omega0=20.0, tau=1.0)],
-                                         samples=None))
-    assert header == ["tau", "f2_omega_20", "f2_omega_200"]
-    assert rows == [["1", _loop_fmt(lone.fidelity[-1]), "nan"]]
-    report = json.loads((tmp_path / "fig5a.manifest.json").read_text())["sweep"]
-    assert report["batches"] == [{"nfev": lone.stats["nfev"], "rows": [0]}]
-    assert lone.stats["nfev"] == 2066
-    assert report["errors"] == [{"row": 1, "omega0": 200.0, "tau": 1.0, "error": (
-        "StepBudgetExceeded: the master solve stopped at its budget of 5000 derivative calls "
-        "(about 45 per unit of Omega0); --engine effective takes about 900 at any Omega0")}]
-    assert report["invariants"] == {key: lone.stats[key] for key in
-                                    ("trace_error", "hermiticity_error", "min_eigenvalue")}
-
-
 def _default_batch(name: str) -> list[PulseConfig]:
     fig = FIGURES[name]
     return [_figure_config(fig, dict(zip(fig.axes, point)))
@@ -632,14 +611,9 @@ def test_sweep_manifest_counts_each_batch_once(tmp_path, monkeypatch):
     assert main(["sweep", "--ordering", "overlap", "--axis", "gamma", "--values",
                  "0,0.05,0.1", "--samples", "200", "--out", str(out)]) == 0
     report = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["sweep"]
-    marker = _read_csv(out)[2][1][5]
-    assert marker.startswith("StepSizeUnderflow")
-    # the failed row is listed with its error, as its CSV marker reads it
-    assert report.pop("errors") == [{"row": 1, "gamma": 0.05, "error": marker}]
-    assert set(report.pop("invariants")) == {"trace_error", "hermiticity_error",
-                                             "min_eigenvalue"}
     assert report == {"batches": [{"nfev": lone[0], "rows": [0]}, {"nfev": lone[1], "rows": [2]}],
                       "warnings": []}
+    assert _read_csv(out)[2][1][5].startswith("StepSizeUnderflow")
 
 
 # ------------------------------------------------------------------ figures
@@ -757,8 +731,7 @@ def test_closed_form_figures_refuse_a_grid_that_does_not_increase(tmp_path, caps
                          ids=["fig4", "fig5b", "fig7", "fig6", "fig5a", "fig9a"])
 def test_a_grid_that_does_not_increase_names_its_flag_and_figure(tmp_path, capsys, args,
                                                                  monkeypatch):
-    # every figure axis is a sweep axis: a repeated value would write a column or a block
-    # twice
+    # every figure axis is checked: a repeated value would write a column or a block twice
     monkeypatch.setattr(liouville, "integrate_many", None)
     assert main(["figures", *args, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == \
@@ -773,9 +746,8 @@ def test_fig9a_manifest_records_its_solve(tmp_path):
     trajs = list(liouville.integrate_many([PulseConfig(ordering=Ordering.FRACTIONAL,
                                                        omega0=200.0, tau=t) for t in (0.5, 1.5)],
                                           samples=80))
-    report = json.loads((tmp_path / "fig9a.manifest.json").read_text())["sweep"]
-    assert report["batches"] == [{"nfev": trajs[0].stats["nfev"], "rows": [0, 1]}]
-    assert report["invariants"] == _worst_invariants(trajs)
+    assert json.loads((tmp_path / "fig9a.manifest.json").read_text())["solve"] == (
+        cli._solve_report([traj.stats for traj in trajs]))
     assert trajs[0].stats["nfev"] > 0
 
 
@@ -954,12 +926,6 @@ def test_final_state_figure_rows_do_not_depend_on_samples(tmp_path):
     assert rows[0] == rows[1]
 
 
-def _worst_invariants(trajs) -> dict:
-    return {"trace_error": max(traj.stats["trace_error"] for traj in trajs),
-            "hermiticity_error": max(traj.stats["hermiticity_error"] for traj in trajs),
-            "min_eigenvalue": min(traj.stats["min_eigenvalue"] for traj in trajs)}
-
-
 def test_final_state_figure_manifest_records_its_solve(tmp_path):
     # the batch's derivative calls once and its worst member invariants, from the same
     # solve as a direct integrate_many with no output grid, whose final F2 the CSV holds
@@ -969,10 +935,13 @@ def test_final_state_figure_manifest_records_its_solve(tmp_path):
     trajs = list(liouville.integrate_many(
         [PulseConfig(ordering="scp", omega0=200.0, tau=tau, gamma=DephasingMatrix.equal(g))
          for g in (0.0, 1.0) for tau in (1.0, 2.0)], samples=None))
-    assert manifest["sweep"] == {
-        "batches": [{"nfev": trajs[0].stats["nfev"], "rows": [0, 1, 2, 3]}],
-        "warnings": [], "errors": [], "invariants": _worst_invariants(trajs)}
-    assert "solve" not in manifest
+    assert manifest["solve"] == {
+        "nfev": trajs[0].stats["nfev"],
+        "trace_error": max(traj.stats["trace_error"] for traj in trajs),
+        "hermiticity_error": max(traj.stats["hermiticity_error"] for traj in trajs),
+        "min_eigenvalue": min(traj.stats["min_eigenvalue"] for traj in trajs),
+    }
+    assert "sweep" not in manifest
     _, _, rows = _read_csv(tmp_path / "fig6.csv")
     assert [row[1:] for row in rows] == [[_loop_fmt(traj.fidelity[-1]) for traj in pair]
                                          for pair in (trajs[:2], trajs[2:])]
