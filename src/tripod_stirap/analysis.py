@@ -11,8 +11,8 @@ built from the columns on first read; a row's stats stay in the columns.
 
 An ODE row reads F2_tmax and T_tr off the PCHIP interpolant of its
 sampled fidelity.  That interpolant is SciPy's PchipInterpolator mirrored
-in NumPy operation for operation, as the DOP853 step loop mirrors its
-solver, so the sweep path loads no SciPy module; the tests pin the
+operation for operation on Python floats, as the DOP853 step loop mirrors
+its solver, so the sweep path loads no SciPy module; the tests pin the
 mirror's coefficients and values to SciPy's class bit for bit.
 """
 
@@ -39,33 +39,46 @@ class Engine(enum.Enum):
     ANALYTIC = "analytic"
 
 
+def _sign(x: float) -> float:
+    """np.sign of a float: -1, 0 or 1, and NaN for NaN."""
+    return (x > 0) - (x < 0) if x == x else math.nan
+
+
 def _edge(h0, h1, m0, m1):
     """PchipInterpolator._edge_case: the three-point end slope, kept to the data's shape."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    if _sign(d) != _sign(m0):
         return 0.0
-    return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0) else d
+    return 3.0 * m0 if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+
+def _inner(h0, h1, m0, m1):
+    """The Fritsch-Carlson slope between two intervals: zero at an extremum or a plateau, else
+    the reciprocal of the weighted harmonic mean, inf where NumPy divides by a zero mean."""
+    if _sign(m0) != _sign(m1) or m0 == 0 or m1 == 0:
+        return 0.0
+    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+    mean = (w1 / m0 + w2 / m1) / (w1 + w2)
+    return 1.0 / mean if mean else math.copysign(math.inf, mean)
 
 
 def _pchip(times: np.ndarray, fid: np.ndarray) -> np.ndarray:
     """The (4, n - 1) coefficients c of SciPy's PchipInterpolator(times, fid).
 
-    Operation for operation as SciPy builds them: the Fritsch-Carlson slopes of
-    _find_derivatives (zero at an extremum or a plateau, the straight line for two
-    samples), then CubicHermiteSpline's c.  The samples must be finite at strictly
-    increasing times, as SciPy requires; transition_time checks them.
+    Operation for operation as SciPy builds them, on Python floats: the slopes of
+    _find_derivatives (_inner, _edge at the ends, the straight line for two samples), then
+    CubicHermiteSpline's c.  The samples must be finite at strictly increasing times, as
+    SciPy requires; transition_time checks them.
     """
-    h = times[1:] - times[:-1]
-    m = (fid[1:] - fid[:-1]) / h
-    slopes = np.concatenate([m, m])  # two samples: the straight line
-    if m.size > 1:
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        with np.errstate(all="ignore"):  # SciPy's value wherever the mean is not finite
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        slopes = np.r_[_edge(h[0], h[1], m[0], m[1]), inner, _edge(h[-1], h[-2], m[-1], m[-2])]
-    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
-    return np.stack((t / h, (m - slopes[:-1]) / h - t, slopes[:-1], fid[:-1]))
+    t, f = times.tolist(), fid.tolist()
+    h = [b - a for a, b in zip(t, t[1:])]
+    m = [(b - a) / step for a, b, step in zip(f, f[1:], h)]
+    d = [*m, m[-1]] if len(m) == 1 else [_edge(h[0], h[1], m[0], m[1]), *map(
+        _inner, h, h[1:], m, m[1:]), _edge(h[-1], h[-2], m[-1], m[-2])]
+    c = [(a + b - 2 * slope) / step for a, b, slope, step in zip(d, d[1:], m, h)]
+    return np.array([[x / step for x, step in zip(c, h)],
+                     [(slope - a) / step - x for slope, a, step, x in zip(m, d, h, c)], d[:-1],
+                     f[:-1]])
 
 
 def _cubic(c0: float, c1: float, c2: float, c3: float, s: float) -> float:
@@ -127,7 +140,7 @@ def transition_time(times: np.ndarray, fid: np.ndarray, eps: float, ordering: Or
     The lower threshold is eps, except for the fractional ordering, which
     starts at a finite fidelity and uses (1 + eps) times the initial value.
     Crossings are located on the PCHIP interpolant of the samples, the
-    NumPy mirror of SciPy's PchipInterpolator (_pchip, pinned to SciPy's
+    mirror of SciPy's PchipInterpolator (_pchip, pinned to SciPy's
     coefficients bit for bit by the tests): the first sample interval that
     rises through a threshold is bisected on its cubic, which is monotone
     there, down to two adjacent floats, within 1e-12 of brentq on SciPy's

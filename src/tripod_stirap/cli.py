@@ -229,9 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = ["t", "rho11", "rho22", "rho33", "rho44",
               "rho_a11", "rho_a22", "rho_a33", "rho_a44",
               "re_rho_a12", "im_rho_a12", "F2"]
-    coh = traj.rho_a[:, 0, 1]
-    table = np.column_stack([traj.t, traj.populations, traj.adiabatic_populations,
-                             coh.real, coh.imag, traj.fidelity])
+    table = np.column_stack([traj.t, traj.populations, traj.adiabatic_columns, traj.fidelity])
 
     out = Path(args.out)
     outputs = [_write_csv(out, entries, header, table)]

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .pulses import (Batch, DephasingMatrix, MixingAngles, PulseConfig, _frame_angles,
                      mixing_angles)
 from .tripod import frame_matrix, geometric_phases
-from .liouville import Basis, Trajectory, _exponents_in_s, _solve_batch, _trajectory
+from .liouville import (_F2_PASS, Basis, Trajectory, _exponents_in_s, _solve_batch, _trajectory,
+                        density)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -175,12 +176,6 @@ def _dark_block(s, u, v):
     return p, 0.5 * (1.0 - 2.0 * p), (u + 1j * v) / _SQRT2
 
 
-# samples per long-double pass of _dark_fidelity: its temporaries stay at 32 KB each, so a
-# long trajectory does not raise the peak memory (a 10^4-sample effective simulate did by
-# about 0.6 MB in a single pass)
-_F2_PASS = 2048
-
-
 def _dark_fidelity(amplitudes: np.ndarray, angles: MixingAngles, s, u, v) -> np.ndarray:
     """<R^dag psi| dark_density(s, u, v) |R^dag psi> at every sample, with no 4x4 frame.
 
@@ -191,7 +186,9 @@ def _dark_fidelity(amplitudes: np.ndarray, angles: MixingAngles, s, u, v) -> np.
 
     a is formed from frame_matrix's own float64 entries (its complex division by sqrt(2)
     multiplies by fl(1/sqrt(2))), and a and F2 are summed in np.longdouble, so F2 carries
-    little rounding beyond that of its operands.
+    little rounding beyond that of its operands.  The long-double passes take _F2_PASS
+    samples: their temporaries stay at 32 KB each (a 10^4-sample effective simulate in a
+    single pass raised the peak memory by about 0.6 MB).
     """
     inv = 1.0 / _SQRT2
     trig = np.array([angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi])
@@ -215,20 +212,23 @@ def _dark_fidelity(amplitudes: np.ndarray, angles: MixingAngles, s, u, v) -> np.
     return f2
 
 
+def dark_coordinates(s, u, v) -> np.ndarray:
+    """The eigenframe coordinates rho_bar, S + (10,), of the state implied by (s, u, v) of
+    shape S: its dark block p + (Re c, -Re c) on the diagonal and -Im c at (0, 1), for the
+    dark coherence c, and the bright populations q."""
+    p, q, coh = _dark_block(s, u, v)
+    zero = np.zeros_like(p)
+    return np.stack([p + coh.real, p - coh.real, q, q, -coh.imag] + [zero] * 5, -1)
+
+
 def dark_density(s, u, v) -> np.ndarray:
-    """4x4 adiabatic-basis state implied by (s, u, v).
+    """4x4 adiabatic-basis state implied by (s, u, v): the density of dark_coordinates.
 
     The dark block follows the (s, u, v) parametrization; the bright levels
     share the leftover population equally with no cross coherences.  Scalar
     s, u, v give one (4, 4) state; arrays of shape S give a stack S + (4, 4).
     """
-    p, q, coh = _dark_block(s, u, v)
-    rho_a = np.zeros(np.shape(p) + (4, 4), dtype=complex)
-    rho_a[..., 0, 0] = rho_a[..., 1, 1] = p
-    rho_a[..., 2, 2] = rho_a[..., 3, 3] = q
-    rho_a[..., 0, 1] = coh
-    rho_a[..., 1, 0] = np.conj(coh)
-    return rho_a
+    return density(dark_coordinates(s, u, v), Basis.ADIABATIC)
 
 
 def dark_invariants(s, u, v) -> dict:
@@ -250,12 +250,25 @@ def dark_invariants(s, u, v) -> dict:
 
 @dataclass(kw_only=True)
 class EffectiveTrajectory(Trajectory):
-    """A Trajectory reconstructed from the sampled (s, u, v) solution."""
+    """A Trajectory of the sampled (s, u, v) solution.
 
+    Its coordinates, rho_bar of dark_density(s, u, v) (dark_coordinates), are built on their
+    first read, and every observable but F2 is read from them as on the master engine's
+    eigenframe states; F2 comes from (s, u, v) itself (_dark_fidelity), so a sweep row
+    builds no coordinate stack.
+    """
+
+    coordinates: np.ndarray = field(init=False, repr=False, default=cached_property(
+        lambda self: dark_coordinates(self.s, self.u, self.v)))
     mode: Mode
     s: np.ndarray
     u: np.ndarray
     v: np.ndarray
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        return _dark_fidelity(self.target.amplitudes, mixing_angles(self.t, self.cfg), self.s,
+                              self.u, self.v)
 
 
 def integrate_many(cfgs, mode: Mode = Mode.FULL,
@@ -272,8 +285,9 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
     v) and F2 trajectories within 1.2e-9, of its solve alone; on overlap,
     scp and csp batches at Omega0 50, (s, u, v) lies within 3.5e-10
     (gamma 0) and 1.6e-9 (gamma 0.7) of a lone solve at rtol 1e-13.  Each
-    member keeps dark_density(s, u, v) in the adiabatic basis, with its
-    invariant errors in closed form (dark_invariants) and theta_g from
+    member keeps (s, u, v), from which it builds the eigenframe coordinates
+    of dark_density(s, u, v) when read (dark_coordinates), with its invariant
+    errors in closed form (dark_invariants) and theta_g from
     tripod.geometric_phases.
     """
     batch = Batch.of(cfgs)
@@ -282,15 +296,10 @@ def integrate_many(cfgs, mode: Mode = Mode.FULL,
                            "the effective solve stopped at its budget of {} derivative calls "
                            "(about 30 per unit of gamma)")
 
-    def member(cfg: PulseConfig, dark: np.ndarray, theta_g: float) -> EffectiveTrajectory:
-        traj = _trajectory(cfg, Basis.ADIABATIC, samples, dark_density(*dark),
-                           nfev, theta_g, dark_invariants(*dark),
-                           lambda target, t: _dark_fidelity(target.amplitudes,
-                                                            mixing_angles(t, cfg), *dark))
-        return EffectiveTrajectory(**vars(traj), mode=mode, s=dark[0], u=dark[1], v=dark[2])
-
-    return (member(*args) for args in zip(batch.cfgs, y.reshape(-1, 3, samples),
-                                           geometric_phases(batch.cfgs)))
+    return (_trajectory(cfg, Basis.ADIABATIC, samples, nfev, theta_g, dark_invariants(*dark),
+                        EffectiveTrajectory, mode=mode, s=dark[0], u=dark[1], v=dark[2])
+            for cfg, dark, theta_g in zip(batch.cfgs, y.reshape(-1, 3, samples),
+                                          geometric_phases(batch.cfgs)))
 
 
 def integrate_suv(cfg: PulseConfig, mode: Mode = Mode.FULL,

@@ -20,7 +20,8 @@ G = sum_k Omega_k L_k - diag(gamma_c) over constant 10x10 maps L_k.  The
 maps' 24 nonzeros lie on disjoint entries off the diagonal, so each entry of
 G is a single product: Omega_k times +-1/2 or +-1, or -gamma_c.
 density and coords map c to the complex rho and back, rho = M (.) sym(c) for
-a constant phase mask M, only where a trajectory is built.
+a constant phase mask M; a trajectory reads its observables from c in real
+arithmetic and builds rho only when a caller reads it (Trajectory).
 
 In the instantaneous eigenframe R = tripod.frame_matrix, U R = O W with O
 real orthogonal (its columns are the real and imaginary parts of the first
@@ -193,26 +194,44 @@ def to_adiabatic(rho: np.ndarray, t, cfg: PulseConfig | Batch) -> np.ndarray:
     """rho^a = R^dag rho R in the instantaneous eigenframe at time t.
 
     Takes one 4x4 state at a scalar t, a stack of shape (n, 4, 4) with its
-    n sample times, or a Batch with one time per member.
+    n sample times, or a Batch with one time per member.  The eigenframe's
+    start state is its one caller in the package; a Trajectory reads the
+    other basis through the real O (_orthogonal), and the tests keep this
+    complex product as its oracle.
     """
     r = frame_matrix(mixing_angles(t, cfg))
     return np.conj(np.swapaxes(r, -1, -2)) @ rho @ r
 
 
 def from_adiabatic(rho_a: np.ndarray, t, cfg: PulseConfig) -> np.ndarray:
-    """rho = R rho^a R^dag; the inverse of to_adiabatic, on the same shapes."""
+    """rho = R rho^a R^dag; the inverse of to_adiabatic, on the same shapes.
+
+    No package code calls it: it is the tests' oracle for the real route of
+    Trajectory, and perfbench's trace names it as a span.
+    """
     r = frame_matrix(mixing_angles(t, cfg))
     return r @ rho_a @ np.conj(np.swapaxes(r, -1, -2))
 
 
-def _harmonics(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _harmonics(angles: MixingAngles) -> np.ndarray:
     """The 25 products h_k of [1, cos, sin](k theta) and [1, cos, sin](k phi), k <= 2.
 
-    cos and sin hold those of (theta, phi) along their first axis, shape (2,) + S; the
-    result has one row of 25 per angle pair, (prod S, 25), theta's harmonic the slower index.
+    The angles have shape S; the result has one row of 25 per angle pair, (prod S, 25),
+    theta's harmonic the slower index.
     """
+    cos = np.array([angles.cos_theta, angles.cos_phi])
+    sin = np.array([angles.sin_theta, angles.sin_phi])
     h = np.array([np.ones(np.shape(cos)), cos, sin, cos * cos - sin * sin, 2.0 * sin * cos])
     return (h[:, None, 0] * h[None, :, 1]).reshape(25, -1).T
+
+
+def _orthogonal(angles: MixingAngles) -> np.ndarray:
+    """O = U R W^dag of R = frame_matrix(angles), S + (4, 4) for angles of shape S, from the
+    sines and cosines alone: each entry is 0, 1 or one of them, or a product of two."""
+    st, ct, sp, cp = angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi
+    zero, one = np.zeros_like(st), np.ones_like(st)
+    return np.stack([ct, zero, st, zero, zero, zero, zero, one, -st * cp, -sp, ct * cp, zero,
+                     -st * sp, cp, ct * sp, zero], -1).reshape(np.shape(st) + (4, 4))
 
 
 @lru_cache(maxsize=1)
@@ -226,11 +245,10 @@ def _frame_terms() -> np.ndarray:
     """
     nodes = 0.4 * np.pi * np.arange(5)
     grid = MixingAngles.at(np.repeat(nodes, 5), np.tile(nodes, 5))  # 25 (theta, phi) points
-    o = (_U @ frame_matrix(grid) @ _W.conj().T).real[:, None]
+    o = _orthogonal(grid)[:, None]
     # column l of T at a grid point is the coordinates of O E_l O^T, E_l the l-th basis matrix
     values = (o @ _symmetric(np.eye(10)) @ o.swapaxes(-1, -2))[..., _ROW, _COL].swapaxes(-1, -2)
-    h = _harmonics(np.array([grid.cos_theta, grid.cos_phi]),
-                   np.array([grid.sin_theta, grid.sin_phi]))
+    h = _harmonics(grid)
     # the harmonics are orthogonal on the grid: solving is projecting onto each of them
     terms = (h.T @ values.reshape(25, 100)) / (h * h).sum(0)[:, None]
     return np.round(8.0 * terms) / 8.0
@@ -244,9 +262,7 @@ def frame_map(angles: MixingAngles) -> np.ndarray:
     _harmonics.  Scalar angles give one (10, 10) map; angles of shape S, such as (n, B),
     give S + (10, 10) in one matmul.
     """
-    cos = np.array([angles.cos_theta, angles.cos_phi])
-    sin = np.array([angles.sin_theta, angles.sin_phi])
-    return (_harmonics(cos, sin) @ _frame_terms()).reshape(cos.shape[1:] + (10, 10))
+    return (_harmonics(angles) @ _frame_terms()).reshape(np.shape(angles.cos_theta) + (10, 10))
 
 
 def _exponents_in_s(s: np.ndarray, batch: Batch) -> tuple:
@@ -298,44 +314,88 @@ def rhs_adiabatic(s, c: np.ndarray, batch: Batch, w: np.ndarray | None = None) -
     return (w @ c.reshape(-1, 10, 1)).ravel()
 
 
+# samples per pass of a per-sample read (Trajectory._other, effective._dark_fidelity): a
+# pass's temporaries stay small, so a long trajectory does not raise the peak memory
+_F2_PASS = 2048
+# rho^a's diagonal and the real and imaginary parts of rho^a_12, the columns of _FRAME_DENSITY
+# that a trajectory reads; they weigh rho_bar's diagonal and rho_bar_12 alone
+_ADIABATIC_READS = _FRAME_DENSITY[:5, [0, 1, 2, 3, 0, 0], [0, 2, 4, 6, 2, 3]]
+
+
 @dataclass
 class Trajectory:
     """Solution of one run at its output samples or at its window's end alone, with derived
     observables.
 
-    `states` holds them in the basis the engine solved in; the other basis is
-    built on its first read through to_adiabatic or from_adiabatic and kept.
+    `coordinates` holds the solver's 10 real coordinates per sample, those of rho~ in the
+    bare basis and of rho_bar in the eigenframe, and every observable is read from them in
+    real arithmetic: the populations, rho^a's diagonal and rho^a_12 (columns of
+    _FRAME_DENSITY on rho_bar) and F2.  The other basis' coordinates (_other) come from one
+    real 4x4 congruence by O per sample.  rho, rho_a and states, complex (n, 4, 4) stacks,
+    are built on their first read from the coordinates with no complex frame product, and
+    kept; their entries have the bits of the columns read.
     """
 
     cfg: PulseConfig
     basis: Basis
     t: np.ndarray
-    states: np.ndarray     # (n, 4, 4) in `basis`
-    fidelity: np.ndarray   # (n,) squared overlap with the ideal end state
+    coordinates: np.ndarray  # (n, 10) in `basis`
     target: TargetState
     stats: dict = field(default_factory=dict)
 
     @cached_property
+    def _other(self) -> np.ndarray:
+        """(n, 10) coordinates in the basis not solved in: rho~ = O rho_bar O^T, or rho_bar =
+        O^T rho~ O, in passes of _F2_PASS samples with no (n, 10, 10) map stack."""
+        out = np.empty_like(self.coordinates)
+        for first in range(0, len(out), _F2_PASS):
+            rows = slice(first, first + _F2_PASS)
+            o = _orthogonal(mixing_angles(self.t[rows], self.cfg))
+            o = o if self.basis is Basis.ADIABATIC else o.swapaxes(-1, -2)
+            out[rows] = (o @ _symmetric(self.coordinates[rows]) @ o.swapaxes(-1, -2))[:, _ROW, _COL]
+        return out
+
+    def _in(self, basis: Basis) -> np.ndarray:
+        """The (n, 10) coordinates in `basis`."""
+        return self.coordinates if basis is self.basis else self._other
+
+    @cached_property
     def rho(self) -> np.ndarray:
         """(n, 4, 4) bare basis."""
-        if self.basis is Basis.BARE:
-            return self.states
-        return from_adiabatic(self.states, self.t, self.cfg)
+        return density(self._in(Basis.BARE))
 
     @cached_property
     def rho_a(self) -> np.ndarray:
         """(n, 4, 4) adiabatic basis."""
-        if self.basis is Basis.ADIABATIC:
-            return self.states
-        return to_adiabatic(self.states, self.t, self.cfg)
+        return density(self._in(Basis.ADIABATIC), Basis.ADIABATIC)
+
+    @property
+    def states(self) -> np.ndarray:
+        """(n, 4, 4) in `basis`."""
+        return self.rho if self.basis is Basis.BARE else self.rho_a
 
     @property
     def populations(self) -> np.ndarray:
-        return np.real(np.einsum("nii->ni", self.rho))
+        return self._in(Basis.BARE)[:, :4]
+
+    @cached_property
+    def adiabatic_columns(self) -> np.ndarray:
+        """(n, 6): rho^a's diagonal, then Re and Im rho^a_12."""
+        return self._in(Basis.ADIABATIC)[:, :5] @ _ADIABATIC_READS
 
     @property
     def adiabatic_populations(self) -> np.ndarray:
-        return np.real(np.einsum("nii->ni", self.rho_a))
+        return self.adiabatic_columns[:, :4]
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        """(n,) squared overlap with the ideal end state.
+
+        psi is real and 0 on the excited level, so F2 = psi^T rho~ psi = q . c~, with q = N
+        times the coordinates of psi psi^T.
+        """
+        psi = self.target.amplitudes.real
+        return self._in(Basis.BARE) @ (_NORM2 * psi[_ROW] * psi[_COL])
 
 
 def _certified(states: np.ndarray) -> bool:
@@ -376,36 +436,21 @@ class _Invariants:
                  "min_eigenvalue": float(value)} for trace, value in zip(self.trace, least)]
 
 
-def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, states: np.ndarray,
-                nfev: int, theta_g: float, invariants: dict,
-                fidelity: Callable[[TargetState, np.ndarray], np.ndarray] | None = None
-                ) -> Trajectory:
-    """Fidelity and invariant errors of one member's states in the basis solved in, at the
-    output of _solve_batch: np.linspace(start, end, samples), or the window's end alone with
-    samples None.
+def _trajectory(cfg: PulseConfig, basis: Basis, samples: int | None, nfev: int,
+                theta_g: float, invariants: dict, cls: type = Trajectory, **fields) -> Trajectory:
+    """One member's Trajectory, or its subclass cls, with its coordinates or the subclass'
+    own fields, at the output of _solve_batch: np.linspace(start, end, samples), or the
+    window's end alone with samples None.
 
-    The target state takes the member's geometric angle theta_g, which both
-    engines evaluate once per batch.  In the adiabatic basis the fidelity is
-    <R^dag psi| rho^a |R^dag psi>, with R the frame at each time.  The engine
-    supplies the invariants, and may supply the fidelity as a function of the
-    target state and the times; else it is read from the states.
+    The target state takes the member's geometric angle theta_g, which both engines evaluate
+    once per batch, and the engine supplies the invariants.
     """
     t = np.linspace(cfg.start, cfg.end, samples) if samples else np.array([cfg.end])
-    tgt = target_state(cfg, theta_g)
-    if fidelity is not None:
-        fid = fidelity(tgt, t)
-    elif basis is Basis.BARE:
-        fid = tgt.expectation(states)
-    else:
-        # row n is R_n^dag psi
-        amps = tgt.amplitudes @ np.conj(frame_matrix(mixing_angles(t, cfg)))
-        fid = np.real(np.einsum("ni,nij,nj->n", np.conj(amps), states, amps))
-
     if invariants["min_eigenvalue"] < -1e-6:
         warnings.warn("density matrix lost positivity: "
                       f"min eigenvalue {invariants['min_eigenvalue']:.3e}")
-    return Trajectory(cfg=cfg, basis=basis, t=t, states=states, fidelity=fid,
-                      target=tgt, stats={"nfev": nfev, **invariants})
+    return cls(cfg=cfg, basis=basis, t=t, target=target_state(cfg, theta_g),
+               stats={"nfev": nfev, **invariants}, **fields)
 
 
 def check_samples(samples: int) -> None:
@@ -617,9 +662,8 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
     pass.
     A solve past MAX_NFEV calls raises StepBudgetExceeded; like any failed
     solve it raises for the whole batch at the call.  The trajectories are
-    built as the caller iterates, and only there do their states become
-    complex 4x4 matrices: rho = M (.) sym(c) and rho^a = W^dag sym(c) W,
-    the latter one product with _FRAME_DENSITY.
+    built as the caller iterates, each on its member's (samples, 10)
+    coordinates, from which it reads its observables (Trajectory).
     """
     batch = Batch.of(cfgs)
     n = len(batch)
@@ -635,7 +679,7 @@ def integrate_many(cfgs, basis: Basis = Basis.BARE,
                            "takes about 900 at any Omega0",
                            lambda rows: folded.add(_symmetric(rows.reshape(len(rows), n, 10))),
                            16 * n)
-    return (_trajectory(cfg, basis, samples, density(c.T, basis), nfev, theta_g, member)
+    return (_trajectory(cfg, basis, samples, nfev, theta_g, member, coordinates=c.T)
             for cfg, c, theta_g, member in zip(batch.cfgs, y.reshape(n, 10, -1),
                                                geometric_phases(batch.cfgs), folded.stats()))
 

@@ -50,6 +50,34 @@ def coords(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([np.einsum("...ii->...i", rho).real, upper.real, upper.imag], -1)
 
 
+def frame(angles: MixingAngles) -> np.ndarray:
+    """tripod.frame_matrix in long double: the frame at the angles' float64 sines and cosines,
+    its products and the division by sqrt(2) rounded in long double."""
+    st, ct, sp, cp = (np.asarray(x, np.longdouble) for x in
+                      (angles.sin_theta, angles.cos_theta, angles.sin_phi, angles.cos_phi))
+    zero = np.zeros_like(st)
+    r = np.array([[ct, ct, st, st], [zero, zero, zero + 1.0, zero - 1.0],
+                  [-(st * cp + 1j * sp), -(st * cp - 1j * sp), ct * cp, ct * cp],
+                  [-(st * sp - 1j * cp), -(st * sp + 1j * cp), ct * sp, ct * sp]],
+                 dtype=np.clongdouble)
+    return np.moveaxis(r, (0, 1), (-2, -1)) / np.sqrt(np.longdouble(2.0))
+
+
+def transform(rho: np.ndarray, angles: MixingAngles, basis: Basis) -> np.ndarray:
+    """rho in `basis` carried to the other one in long double, R = frame(angles): R rho^a
+    R^dag from the eigenframe, R^dag rho R from the bare basis."""
+    r = frame(angles)
+    rho, r_dag = np.asarray(rho, np.clongdouble), np.conj(np.swapaxes(r, -1, -2))
+    return r @ rho @ r_dag if basis is Basis.ADIABATIC else r_dag @ rho @ r
+
+
+def eigenframe_density(c: np.ndarray) -> np.ndarray:
+    """rho^a = W^dag sym(c) W of eigenframe coordinates (n, 10) in long double: liouville's
+    _FRAME_DENSITY, whose entries are halves, on the long-double coordinates."""
+    table = liouville._FRAME_DENSITY.reshape(10, 32)
+    return (np.asarray(c, np.longdouble) @ table).view(np.clongdouble).reshape(-1, 4, 4)
+
+
 def _rates(batch: Batch) -> np.ndarray:
     """Each member's dephasing matrix per unit s, (B, 4, 4)."""
     return batch.rates.reshape(-1, 4, 4) * batch.span[:, None, None]

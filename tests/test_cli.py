@@ -256,6 +256,24 @@ def test_simulate_rows_match_the_per_sample_loop(tmp_path, engine, basis):
     assert out.read_text().splitlines()[2:] == expected
 
 
+@pytest.mark.parametrize("engine,basis,starts", [("master", "bare", 0),
+                                                 ("master", "adiabatic", 1),
+                                                 ("effective", "bare", 0)])
+def test_simulate_makes_no_complex_frame_transform_but_the_start_state(tmp_path, monkeypatch,
+                                                                      engine, basis, starts):
+    # every column is read from the real coordinates: the one complex transform is the
+    # eigenframe's start state, to_adiabatic of one state
+    calls = []
+    for name in ("to_adiabatic", "from_adiabatic"):
+        def counted(*args, name=name, original=getattr(liouville, name)):
+            calls.append((name, np.shape(args[0])))
+            return original(*args)
+        monkeypatch.setattr(liouville, name, counted)
+    assert main(["simulate", "--ordering", "scp", "--gamma", "0.3", "--samples", "60",
+                 "--engine", engine, "--basis", basis, "--out", str(tmp_path / "run.csv")]) == 0
+    assert calls == [("to_adiabatic", (4, 4))] * starts
+
+
 def test_both_engines_report_min_eigenvalue_by_one_rule(tmp_path):
     # no sample lies below -1e-12, so each manifest holds its final state's least eigenvalue,
     # from LAPACK on the master engine and in closed form on the effective one; the dephased

@@ -12,10 +12,11 @@ import pytest
 import scipy.integrate
 from hypothesis import given, strategies as st
 
+import liouvillian16 as oracle
 from tripod_stirap import analysis, effective, liouville, pulses, tripod
 from tripod_stirap.effective import (
-    Mode, dark_density, dark_invariants, dissipator_tensor, effective_rates, integrate_many,
-    integrate_suv, tensor_rates,
+    Mode, dark_coordinates, dark_density, dark_invariants, dissipator_tensor, effective_rates,
+    integrate_many, integrate_suv, tensor_rates,
 )
 from tripod_stirap.liouville import Basis, Trajectory
 from tripod_stirap.pulses import Batch, DephasingMatrix, MixingAngles, PulseConfig, mixing_angles
@@ -197,20 +198,21 @@ def test_dark_invariants_match_the_reconstructed_states(rng):
 
 
 def test_effective_sweep_builds_no_second_basis(monkeypatch):
-    # F2, theta_g and the invariants come from the adiabatic states: no frame
-    # transform of any sample until a caller reads rho
+    # F2, theta_g and the invariants come from (s, u, v): a sweep row builds no coordinate
+    # stack, and rho and rho_a come from the coordinates, built once on the first read, with
+    # no complex frame transform of any sample
     calls = []
     for name in ("to_adiabatic", "from_adiabatic"):
         monkeypatch.setattr(liouville, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(effective, "dark_coordinates", lambda *args, original=dark_coordinates:
+                        calls.append("dark_coordinates") or original(*args))
     cfg = PulseConfig(ordering="scp", omega0=50.0, tau=1.0)
     result = analysis.sweep(cfg, "tau", [0.8, 1.2, 1.6], analysis.Engine.EFFECTIVE, samples=80)
     assert result.errors.count(None) == 3
     assert calls == []
     traj = integrate_suv(cfg, samples=80)
-    assert traj.states is traj.rho_a and calls == []
-    traj.rho  # built on the first read, then kept
-    traj.rho
-    assert calls == ["from_adiabatic"]
+    assert traj.rho is traj.rho  # built on the first read, then kept
+    assert traj.states is traj.rho_a and calls == ["dark_coordinates"]
 
 
 def test_effective_sweeps_evaluate_theta_g_once_without_quad(monkeypatch, quad_calls):
@@ -307,13 +309,19 @@ def test_reconstruction_matches_the_per_sample_loop(ordering):
                           gamma=DephasingMatrix.equal(gamma))
         traj = integrate_suv(cfg, samples=300)
         for i in range(traj.t.size):
-            r = frame_matrix(mixing_angles(traj.t[i], cfg))
+            angles = mixing_angles(traj.t[i], cfg)
+            r = frame_matrix(angles)
             rho_a = dark_density(traj.s[i], traj.u[i], traj.v[i])
             assert np.array_equal(traj.rho_a[i], rho_a)
-            assert np.array_equal(traj.rho[i], r @ rho_a @ r.conj().T)
+            # rho comes from the real coordinates with no complex product: within 4 ulps of
+            # the largest entry of the loop's product in long double (3.7 at most here)
+            rho = oracle.transform(rho_a, angles, Basis.ADIABATIC)
+            ulp = np.spacing(float(np.abs(rho).max()))
+            assert np.max(np.abs(traj.rho[i].real - rho.real)) <= 4 * ulp, (tau, gamma, i)
+            assert np.max(np.abs(traj.rho[i].imag - rho.imag)) <= 4 * ulp, (tau, gamma, i)
             # F2 is summed in long double from the same frame entries, the loop in float64
-            assert abs(traj.fidelity[i] - traj.target.expectation(traj.rho[i])) <= 4e-16, \
-                (tau, gamma, i)
+            assert abs(traj.fidelity[i] - traj.target.expectation(r @ rho_a @ r.conj().T)) \
+                <= 4e-16, (tau, gamma, i)
 
 
 def test_dark_fidelity_in_passes_is_the_fidelity_of_each_sample(rng):

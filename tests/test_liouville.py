@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import signal
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -184,6 +185,97 @@ def test_eigenframe_density_is_the_complex_product_to_4_ulps(rng, n):
         assert np.all(np.einsum("...ii->...i", got).imag == 0.0)
 
 
+def _ulps(got: np.ndarray, want: np.ndarray) -> float:
+    """The largest error of got's real and imaginary parts against the (n, 4, 4) stack want,
+    in ulps of each sample's largest entry."""
+    ulp = np.spacing(np.abs(want).max((-1, -2)).astype(float))[:, None, None]
+    return float((np.maximum(np.abs(got.real - want.real), np.abs(got.imag - want.imag))
+                  / ulp).max())
+
+
+@given(ordering=st.sampled_from(["overlap", "scp", "csp", "fractional"]),
+       tau=st.floats(0.3, 3.0), theta_g=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_the_coordinate_route_is_the_frame_product_to_4_ulps(ordering, tau, theta_g, seed):
+    # a trajectory reads rho, rho_a and F2 from its real coordinates with no complex frame
+    # product.  At random times of a random run and states P rho* P, its other basis lies
+    # within 4 ulps of the largest entry of the frame product in long double
+    # (oracle.transform), as does the package's complex product, to_adiabatic and
+    # from_adiabatic, of the same product on its own frame's entries; the two frames agree
+    # within 3 ulps of each entry.  On 16000 samples: 2.8 ulps for the route at most, 2.9
+    # for the complex product and 1.95 for the frames
+    rng = np.random.default_rng(seed)
+    cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=tau)
+    t = np.sort(rng.uniform(cfg.start, cfg.end, 40))
+    angles = mixing_angles(t, cfg)
+    r = frame_matrix(angles)
+    assert np.all(np.abs(oracle.frame(angles) - r) <= 3 * np.spacing(np.abs(r)))
+    r, r_dag = r.astype(np.clongdouble), np.conj(np.swapaxes(r, -1, -2)).astype(np.clongdouble)
+    c = _mixed_states(rng, (40,))[:, liouville._ROW, liouville._COL]
+    target = target_state(cfg, theta_g)
+    bare = liouville.Trajectory(cfg, Basis.BARE, t, c, target)
+    rho = density(c)
+    assert _ulps(bare.rho_a, oracle.transform(rho, angles, Basis.BARE)) <= 4
+    assert _ulps(liouville.to_adiabatic(rho, t, cfg), r_dag @ rho @ r) <= 4
+    eigen = liouville.Trajectory(cfg, _ADIABATIC, t, c, target)
+    rho_a = density(c, _ADIABATIC)
+    want = oracle.transform(oracle.eigenframe_density(c), angles, _ADIABATIC)
+    assert _ulps(eigen.rho, want) <= 4
+    assert _ulps(liouville.from_adiabatic(rho_a, t, cfg), r @ rho_a @ r_dag) <= 4
+    # F2 = q . c~ on the bare coordinates of either basis, within 4e-16 of the expectation:
+    # in the eigenframe that of the oracle's rho, in long double
+    assert np.max(np.abs(bare.fidelity - target.expectation(rho))) <= 4e-16
+    psi = target.amplitudes.astype(np.clongdouble)
+    f2 = np.einsum("i,nij,j->n", psi.conj(), want, psi).real
+    assert np.max(np.abs(eigen.fidelity - f2)) <= 4e-16
+    for traj in (bare, eigen):
+        # the columns simulate writes are the stacks' own entries, bit for bit
+        assert np.array_equal(traj.populations, np.einsum("nii->ni", traj.rho).real)
+        assert np.array_equal(traj.adiabatic_columns[:, :4], np.einsum("nii->ni", traj.rho_a).real)
+        assert np.array_equal(traj.adiabatic_columns[:, 4], traj.rho_a[:, 0, 1].real)
+        assert np.array_equal(traj.adiabatic_columns[:, 5], traj.rho_a[:, 0, 1].imag)
+    # the effective engine's coordinates are those of dark_density(s, u, v), its rho_a
+    s, u, v = rng.uniform(-0.5, 0.5, (3, 40))
+    traj = effective.EffectiveTrajectory(cfg=cfg, basis=_ADIABATIC, t=t, target=target,
+                                         mode=effective.Mode.FULL, s=s, u=u, v=v)
+    rho_a = effective.dark_density(s, u, v)
+    assert np.array_equal(traj.rho_a, rho_a)
+    assert _ulps(traj.rho, oracle.transform(rho_a, angles, _ADIABATIC)) <= 4
+    assert np.array_equal(traj.populations, np.einsum("nii->ni", traj.rho).real)
+    assert np.array_equal(traj.adiabatic_columns[:, 4], rho_a[:, 0, 1].real)
+
+
+def test_bare_f2_is_one_real_quadratic_form(rng):
+    # psi is real and 0 on the excited level, so F2 = psi^T rho~ psi = q . c, with q the
+    # coordinates of psi psi^T weighted by N; within 4e-16 of the complex expectation
+    for ordering in ("overlap", "scp", "csp", "fractional"):
+        cfg = PulseConfig(ordering=ordering, omega0=50.0, tau=1.3)
+        target = target_state(cfg, 0.7)
+        psi = target.amplitudes
+        assert psi[1] == 0.0 and np.all(psi.imag == 0.0)
+        c = _mixed_states(rng, (500,))[:, liouville._ROW, liouville._COL]
+        traj = liouville.Trajectory(cfg, Basis.BARE, np.linspace(cfg.start, cfg.end, 500), c,
+                                    target)
+        q = liouville._NORM2 * psi.real[liouville._ROW] * psi.real[liouville._COL]
+        assert np.array_equal(traj.fidelity, c @ q)
+        assert np.max(np.abs(traj.fidelity - target.expectation(density(c)))) <= 4e-16
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_the_columns_of_a_long_trajectory_are_read_in_passes(basis):
+    # the populations, rho^a's columns and F2 of a 10^4-sample run read the other basis in
+    # passes of _F2_PASS samples: about 1.6 MB at the peak, where one pass over every sample
+    # takes 4.6 MB and an (n, 10, 10) map stack alone would take 8 MB
+    cfg = PulseConfig(ordering="overlap", omega0=50.0, tau=1.9, gamma=DephasingMatrix.equal(0.8))
+    traj = liouville.integrate(cfg, basis, samples=10_000)
+    tracemalloc.start()
+    try:
+        traj.populations, traj.adiabatic_columns, traj.fidelity
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_every_real_coordinate_vector_is_a_hermitian_matrix(rng):
     # in both bases, with the symmetry rho = P rho* P
     p = np.diag([1.0, -1.0, 1.0, 1.0])
@@ -229,9 +321,9 @@ def test_positivity_certificate_keeps_the_warning_and_the_exact_minimum(rng):
     def run(stack):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rho = density(stack[:, liouville._ROW, liouville._COL])
-            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), rho, 0, 0.0,
-                                          _folded(stack)).stats
+            c = stack[:, liouville._ROW, liouville._COL]
+            stats = liouville._trajectory(cfg, Basis.BARE, len(stack), 0, 0.0, _folded(stack),
+                                          coordinates=c).stats
         return stats["min_eigenvalue"], [str(warning.message) for warning in caught]
 
     assert run(states) == (np.linalg.eigvalsh(states[-1])[0], [])
@@ -462,8 +554,9 @@ def test_rhs_adiabatic_forms_no_complex_frame_per_call(monkeypatch):
     assert np.array_equal(rhs_adiabatic(0.4, c, batch), want)
 
 
-def test_an_eigenframe_solve_builds_two_complex_frames_whatever_its_length(monkeypatch):
-    # one frame for the initial state, one pass for F2: none per derivative call
+def test_an_eigenframe_solve_builds_one_complex_frame_whatever_its_length(monkeypatch):
+    # one frame for the initial state: none per derivative call, and none when F2, the
+    # populations and both stacks are read
     liouville._frame_terms()
     calls = []
 
@@ -474,7 +567,9 @@ def test_an_eigenframe_solve_builds_two_complex_frames_whatever_its_length(monke
     monkeypatch.setattr(liouville, "frame_matrix", counted)
     traj = liouville.integrate(_cfg(0.5), Basis.ADIABATIC, samples=500)
     assert traj.stats["nfev"] > 1000
-    assert calls == [(1,), (500,)]
+    for read in ("fidelity", "populations", "adiabatic_columns", "rho", "rho_a"):
+        getattr(traj, read)
+    assert calls == [(1,)]
 
 
 @pytest.mark.parametrize("engine", ["bare", "adiabatic", "effective"])
@@ -571,7 +666,9 @@ def test_theta_g_of_a_batch_is_one_array_pass_with_exact_values(monkeypatch, qua
     for cfg, traj in zip(cfgs, trajs):
         own = target_state(cfg)
         assert traj.target.theta_g == own.theta_g == geometric_phase(cfg)
-        assert np.array_equal(traj.fidelity, own.expectation(traj.rho))
+        psi = own.amplitudes.real
+        q = liouville._NORM2 * psi[liouville._ROW] * psi[liouville._COL]
+        assert np.array_equal(traj.fidelity, traj.coordinates @ q)
 
 
 # the +-60 windows of the console script's eigenframe cases: pulses of width 0.5 with its
